@@ -53,6 +53,11 @@ class InputError(ValueError):
     """Malformed input file or document; reported on stderr with exit 2."""
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; bool is an int subclass but not a size."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -75,7 +80,7 @@ def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
         entries = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"{where}: missing field {exc}") from exc
-    if not (isinstance(n_rows, int) and isinstance(n_cols, int)) or n_rows < 0 or n_cols < 0:
+    if not (_is_int(n_rows) and _is_int(n_cols)) or n_rows < 0 or n_cols < 0:
         raise InputError(f"{where}: n_rows and n_cols must be nonnegative integers")
     if not isinstance(entries, list) or len(entries) != n_rows:
         raise InputError(f"{where}: expected {n_rows} entry rows")
@@ -101,7 +106,7 @@ def superop_from_doc(doc, where: str = "superop") -> SuperOp:
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     n = doc.get("n")
-    if not isinstance(n, int) or not 1 <= n <= MAX_SIDE:
+    if not _is_int(n) or not 1 <= n <= MAX_SIDE:
         raise InputError(f"{where}: n must be an integer in 1..{MAX_SIDE}")
     convention = doc.get("vec_convention")
     if convention != "column":
@@ -313,6 +318,14 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --trials: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fixpres",
@@ -330,13 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="probe a preserving condition")
     p.add_argument("--superop", required=True)
     p.add_argument("--condition", required=True, choices=["dim", "set"])
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_nonnegative_int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verdict", help="full claim check with classification")
     p.add_argument("--superop", required=True)
     p.add_argument("--theorem", required=True, type=int, choices=[1, 2])
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_nonnegative_int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("fuzz", help="seeded campaign over a map family")
@@ -346,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["similarity", "neg-similarity", "transpose", "random"],
     )
-    p.add_argument("--trials", required=True, type=int)
+    p.add_argument("--trials", required=True, type=_nonnegative_int)
     p.add_argument("--seed", required=True, type=int)
 
     return parser
@@ -384,3 +397,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .scalars import GaussianRational, ONE, ZERO
@@ -31,6 +32,15 @@ class SizeMismatch(ValueError):
 
 class AmbientMismatch(ValueError):
     """Subspaces live in different ambient spaces."""
+
+
+class InexactDivision(ArithmeticError):
+    """A fraction-free elimination step left a remainder.
+
+    Exact division is an invariant of the algorithm, never a property of
+    the input, so this is an internal error and deliberately not a
+    ValueError.
+    """
 
 
 def _as_scalar(value) -> GaussianRational:
@@ -199,53 +209,117 @@ class Matrix:
         return f"[{body}]"
 
 
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Real and imaginary parts of m with each row scaled to Gaussian integers.
+
+    Row i is multiplied by the lcm of its entries' denominators; scaling a
+    row by a nonzero constant changes neither the rank nor the RREF.
+    """
+    re_rows: list[list[int]] = []
+    im_rows: list[list[int]] = []
+    c = m.cols
+    for i in range(m.rows):
+        row = m.entries[i * c : (i + 1) * c]
+        scale = lcm(*(q.denominator for z in row for q in (z.re, z.im)))
+        re_rows.append([z.re.numerator * (scale // z.re.denominator) for z in row])
+        im_rows.append([z.im.numerator * (scale // z.im.denominator) for z in row])
+    return re_rows, im_rows
+
+
+def _eliminate(
+    m: Matrix, reduce: bool
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Fraction-free elimination of m over the Gaussian integers (Bareiss).
+
+    Returns the real parts, imaginary parts and pivot columns of the
+    eliminated rows. Each step replaces an entry x by
+    (p * x - f * y) / prev, with p the new pivot, f the entry in the pivot
+    column, y the matching pivot-row entry and prev the previous pivot;
+    Sylvester's identity makes every division exact, so the entries stay
+    Gaussian integers (minors of the scaled input). The forward pass
+    clears the rows below each pivot and leaves a row echelon form whose
+    first len(pivots) rows are nonzero. With reduce, the rows above are
+    cleared too (fraction-free Gauss-Jordan): then each pivot row divided
+    by its pivot is the corresponding row of the RREF.
+    """
+    re, im = _integer_rows(m)
+    n_rows, n_cols = m.rows, m.cols
+    pivots: list[int] = []
+    prev_r, prev_i, norm = 1, 0, 1
+    for col in range(n_cols):
+        p = len(pivots)
+        if p == n_rows:
+            break
+        hit = next((r for r in range(p, n_rows) if re[r][col] or im[r][col]), None)
+        if hit is None:
+            continue
+        re[p], re[hit] = re[hit], re[p]
+        im[p], im[hit] = im[hit], im[p]
+        src_r, src_i = re[p], im[p]
+        pr, pi = src_r[col], src_i[col]
+        for r in range(0 if reduce else p + 1, n_rows):
+            if r == p:
+                continue
+            # A row above is zero left of its own pivot column. Left of col
+            # the pivot row is zero, so there the update only rescales by
+            # (new pivot) / prev, and the row's own pivot becomes the new one.
+            start = pivots[r] if r < p else col
+            dst_r, dst_i = re[r], im[r]
+            fr, fi = dst_r[col], dst_i[col]
+            out_r: list[int] = []
+            out_i: list[int] = []
+            for ar, ai, br, bi in zip(
+                dst_r[start:], dst_i[start:], src_r[start:], src_i[start:]
+            ):
+                xr = pr * ar - pi * ai - fr * br + fi * bi
+                xi = pr * ai + pi * ar - fr * bi - fi * br
+                qr, rr = divmod(xr * prev_r + xi * prev_i, norm)
+                qi, ri = divmod(xi * prev_r - xr * prev_i, norm)
+                if rr or ri:
+                    raise InexactDivision(
+                        f"pivot ({prev_r}, {prev_i}) does not divide ({xr}, {xi})"
+                    )
+                out_r.append(qr)
+                out_i.append(qi)
+            dst_r[start:] = out_r
+            dst_i[start:] = out_i
+        pivots.append(col)
+        prev_r, prev_i, norm = pr, pi, pr * pr + pi * pi
+    return re, im, pivots
+
+
+def _divided_row(
+    row_r: list[int], row_i: list[int], d_r: int, d_i: int
+) -> list[GaussianRational]:
+    """Entries of the Gaussian-integer row divided by d_r + d_i*i."""
+    norm = d_r * d_r + d_i * d_i
+    return [
+        GaussianRational(
+            Fraction(ar * d_r + ai * d_i, norm), Fraction(ai * d_r - ar * d_i, norm)
+        )
+        if ar or ai
+        else ZERO
+        for ar, ai in zip(row_r, row_i)
+    ]
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form of m with rank and pivot columns.
 
     The RREF is unique, which is what makes canonical subspace bases and
     bitwise subspace equality possible downstream.
     """
-    data = m.to_rows()
-    n_rows, n_cols = m.rows, m.cols
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(n_cols):
-        if pivot_row == n_rows:
-            break
-        hit = None
-        for r in range(pivot_row, n_rows):
-            if data[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        data[pivot_row], data[hit] = data[hit], data[pivot_row]
-        lead = data[pivot_row][col]
-        if lead != ONE:
-            inv = ONE / lead
-            row = data[pivot_row]
-            for c in range(col, n_cols):
-                if row[c]:
-                    row[c] = row[c] * inv
-        for r in range(n_rows):
-            if r == pivot_row:
-                continue
-            factor = data[r][col]
-            if not factor:
-                continue
-            src = data[pivot_row]
-            dst = data[r]
-            for c in range(col, n_cols):
-                if src[c]:
-                    dst[c] = dst[c] - factor * src[c]
-        pivots.append(col)
-        pivot_row += 1
-    reduced = Matrix(n_rows, n_cols, tuple(v for row in data for v in row))
-    return reduced, len(pivots), tuple(pivots)
+    re, im, pivots = _eliminate(m, reduce=True)
+    out: list[GaussianRational] = []
+    for row, col in enumerate(pivots):
+        out.extend(_divided_row(re[row], im[row], re[row][col], im[row][col]))
+    out.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
+    return Matrix(m.rows, m.cols, tuple(out)), len(pivots), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    """Rank of m, from the forward elimination pass alone."""
+    return len(_eliminate(m, reduce=False)[2])
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,11 +396,14 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
     n = m.rows
-    reduced, _, pivots = rref(m.hstack(Matrix.identity(n)))
+    re, im, pivots = _eliminate(m.hstack(Matrix.identity(n)), reduce=True)
     left_rank = sum(1 for p in pivots if p < n)
     if left_rank < n:
         raise SingularMatrix(f"rank {left_rank} < {n}")
-    return Matrix(n, n, tuple(reduced[i, n + j] for i in range(n) for j in range(n)))
+    out: list[GaussianRational] = []
+    for i in range(n):
+        out.extend(_divided_row(re[i][n:], im[i][n:], re[i][i], im[i][i]))
+    return Matrix(n, n, tuple(out))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -6,8 +6,12 @@ convention a map A -> S @ A @ T has matrix T.T kron S, and the realign
 permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery.
 
-Supported sizes are 1 <= n <= 16 so that the n^2 x n^2 representation
-stays at desk scale for exact elimination.
+Supported sizes are 1 <= n <= 16. Exact elimination of the n^2 x n^2
+matrix sets the cost at the large end: is_bijective on a random map
+(Gaussian-rational entries with numerators up to 9 and denominators up to
+3) took 0.30 s at n = 8 (N = 64) and 1.4 s at n = 10 (N = 100), best of 3
+on a 2-vCPU Intel Xeon under CPython 3.11. n = 16 (N = 256) is accepted
+but has not been timed.
 """
 
 from __future__ import annotations
@@ -187,15 +191,30 @@ def rank_one_factor(m: Matrix) -> tuple[Matrix, Matrix]:
 
     Normalized so the first nonzero entry of u is 1, which pins the
     scalar gauge and makes recovery deterministic.
+
+    No elimination: with the first nonzero entry m[i0, j0] as anchor, m
+    has rank one exactly when every 2x2 minor through the anchor
+    vanishes, m[i, j] * m[i0, j0] == m[i, j0] * m[i0, j]. Rows above i0
+    are zero and row i0 satisfies this trivially, so only the rows below
+    are checked, stopping at the first nonzero minor.
     """
-    r = rank(m)
-    if r != 1:
-        raise NotRankOne(f"rank is {r}")
-    lead = next(idx for idx, val in enumerate(m.entries) if val)
-    i0, j0 = divmod(lead, m.cols)
-    anchor = m[i0, j0]
-    u = Matrix(m.rows, 1, tuple(m[i, j0] / anchor for i in range(m.rows)))
-    v = Matrix(m.cols, 1, tuple(m[i0, j] for j in range(m.cols)))
+    entries, cols = m.entries, m.cols
+    lead = next((idx for idx, val in enumerate(entries) if val), None)
+    if lead is None:
+        raise NotRankOne("the zero matrix has rank 0")
+    i0, j0 = divmod(lead, cols)
+    anchor = entries[lead]
+    anchor_row = entries[i0 * cols : (i0 + 1) * cols]
+    for i in range(i0 + 1, m.rows):
+        row = entries[i * cols : (i + 1) * cols]
+        left = row[j0]
+        for j, (x, y) in enumerate(zip(row, anchor_row)):
+            if x * anchor != left * y:
+                raise NotRankOne(
+                    f"the minor at rows {i0}, {i} and columns {j0}, {j} is nonzero"
+                )
+    u = Matrix(m.rows, 1, tuple(entries[i * cols + j0] / anchor for i in range(m.rows)))
+    v = Matrix(cols, 1, anchor_row)
     return u, v
 
 

@@ -1,14 +1,16 @@
 """CLI contract: JSON reports, 0/1/2 exit codes, byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fixpres
-from fixpres import Matrix, dim_fixed, fixed_space, subspace_equal
+from fixpres import Matrix, dim_fixed, fixed_space, linalg, subspace_equal
 from fixpres.cli import (
     InputError,
     matrix_from_doc,
@@ -17,6 +19,7 @@ from fixpres.cli import (
     superop_from_doc,
     superop_to_doc,
 )
+from fixpres.linalg import InexactDivision
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -330,6 +333,51 @@ def test_missing_subcommand_exit_two(capsys):
     assert invoke(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("command", ["fuzz", "check", "verdict"])
+def test_negative_trials_exit_two(capsys, command):
+    argv = {
+        "fuzz": ("fuzz", "--n", "3", "--family", "random", "--seed", "0"),
+        "check": ("check", "--superop", str(FIXTURES / "superop_identity_n3.json"),
+                  "--condition", "dim"),
+        "verdict": ("verdict", "--superop", str(FIXTURES / "superop_identity_n3.json"),
+                    "--theorem", "2"),
+    }[command]
+    code, out, err = invoke(capsys, *argv, "--trials", "-2")
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
+def test_boolean_sizes_exit_two(tmp_path, capsys):
+    doc = superop_to_doc(fixpres.identity_superop(1))
+    doc["n"] = True
+    target = tmp_path / "bool_n.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "classify", "--superop", str(target))
+    assert code == 2
+    assert out == ""
+    assert "n must be an integer" in err
+    with pytest.raises(InputError):
+        matrix_from_doc({"n_rows": True, "n_cols": 1, "entries": [["1"]]})
+
+
+def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
+    """A broken elimination invariant must surface, not become exit 2."""
+
+    def unscaled(m):
+        # skips the denominator clearing, so a Bareiss division is inexact
+        rows = m.to_rows()
+        return [[z.re for z in row] for row in rows], [[z.im for z in row] for row in rows]
+
+    target = tmp_path / "fractions.json"
+    target.write_text(json.dumps(matrix_to_doc(Matrix.from_rows(
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]
+    ))))
+    monkeypatch.setattr(linalg, "_integer_rows", unscaled)
+    with pytest.raises(InexactDivision):
+        run(["fixdim", "--matrix", str(target)])
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -344,6 +392,25 @@ def test_reports_are_byte_deterministic(capsys):
     _, first, _ = invoke(capsys, *argv)
     _, second, _ = invoke(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("module", ["fixpres", "fixpres.cli"])
+def test_module_runs_as_subprocess(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(fixpres.__file__).parents[1]))
+    result = subprocess.run(
+        [
+            sys.executable, "-m", module,
+            "verdict",
+            "--superop", str(FIXTURES / "superop_negation_n3.json"),
+            "--theorem", "2",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["status"] == "counterexample"
+    assert result.stderr == ""
 
 
 def test_console_script_runs_as_subprocess():

@@ -6,11 +6,14 @@ The brute-force oracle below enumerates that identity directly instead of
 trusting any index formula.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fixpres import (
+    GaussianRational,
     Matrix,
     NotRankOne,
     SizeMismatch,
@@ -209,6 +212,48 @@ def test_rank_one_factor_rejects_other_ranks():
         rank_one_factor(Matrix.zeros(2, 2))
     with pytest.raises(NotRankOne):
         rank_one_factor(Matrix.identity(2))
+
+
+def _rank_based_factor(m):
+    """rank_one_factor as it was built on an elimination: the reference."""
+    r = rank(m)
+    if r != 1:
+        raise NotRankOne(f"rank is {r}")
+    lead = next(idx for idx, val in enumerate(m.entries) if val)
+    i0, j0 = divmod(lead, m.cols)
+    anchor = m[i0, j0]
+    u = Matrix(m.rows, 1, tuple(m[i, j0] / anchor for i in range(m.rows)))
+    v = Matrix(m.cols, 1, tuple(m[i0, j] for j in range(m.cols)))
+    return u, v
+
+
+def _outer_plus_corner():
+    """Rank two, yet every minor through the anchor vanishes but the last."""
+    u = Matrix.column([1, 2, -3, Fraction(1, 2), 4, 5])
+    outer = u @ Matrix.row_vector([2, 1, Fraction(1, 3), 7, -1, 3])
+    return outer + Matrix.unit(6, 5, 5)
+
+
+def _offset_anchor():
+    """Rank one with its first nonzero entry at (1, 2)."""
+    i = GaussianRational(0, 1)
+    u = Matrix.column([0, 2, 1 + i, 0])
+    return u @ Matrix.row_vector([0, 0, 3, Fraction(1, 2), -i])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_outer_plus_corner(), Matrix.zeros(3, 4), _offset_anchor()],
+    ids=["rank-two-late-minor", "zero", "offset-anchor"],
+)
+def test_rank_one_factor_matches_rank_based_reference(m):
+    try:
+        expected = _rank_based_factor(m)
+    except NotRankOne:
+        with pytest.raises(NotRankOne):
+            rank_one_factor(m)
+        return
+    assert rank_one_factor(m) == expected
 
 
 @given(st.integers(0, 50))
