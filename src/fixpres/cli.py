@@ -8,7 +8,8 @@ Interchange formats (all scalars are exact strings, never floats):
 * report document: written to stdout; diagnostics go to stderr.
 
 Exit codes: 0 = pass/classified/computed, 1 = counterexample or
-hypothesis failure found, 2 = input or parse error.
+hypothesis failure found, 2 = input or parse error, 3 = internal error
+(a bug in fixpres, never a property of the input).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import __version__
 from .fixed_points import fixed_report
@@ -47,6 +49,7 @@ FUZZ_PROBE_TRIALS = 8
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -396,7 +399,17 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Console entry point: an error that run lets escape exits 3.
+
+    The traceback goes to stderr and nothing is written to stdout, so an
+    internal error is never mistaken for a finding (1) or an input error (2).
+    """
+    try:
+        code = run(sys.argv[1:])
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -37,12 +37,6 @@ def dim_fixed(a: Matrix) -> int:
     return a.rows - rank(a - Matrix.identity(a.rows))
 
 
-def kernel_via_fixed(a: Matrix) -> Subspace:
-    """ker(A) computed as the fixed-point space of A + I."""
-    _require_square(a)
-    return fixed_space(a + Matrix.identity(a.rows))
-
-
 def fixed_report(a: Matrix) -> FixedReport:
     """Fixed-space summary from a single elimination of A - I."""
     space = fixed_space(a)

@@ -169,23 +169,19 @@ class Matrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Exact product, computed over the Gaussian integers.
+
+        Each row of self and each column of other is scaled to Gaussian
+        integers by the lcm of its denominators (d_i and e_j). Entry
+        (i, j) is then a plain int dot product, skipping zero left
+        entries, divided once by d_i * e_j: one GaussianRational per
+        output entry and no Fraction arithmetic in the inner loop.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, b = self.entries, other.entries
-        n, k, m = self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            base = i * k
-            for j in range(m):
-                acc = ZERO
-                for t in range(k):
-                    left = a[base + t]
-                    if left:
-                        acc = acc + left * b[t * m + j]
-                out.append(acc)
-        return Matrix(n, m, tuple(out))
+        return _product(_integer_rows(self), other)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -209,21 +205,52 @@ class Matrix:
         return f"[{body}]"
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+# Real parts, imaginary parts and scales of rows scaled to Gaussian integers.
+_Scaled = tuple[list[list[int]], list[list[int]], list[int]]
+
+
+def _integer_rows(m: Matrix) -> _Scaled:
     """Real and imaginary parts of m with each row scaled to Gaussian integers.
 
-    Row i is multiplied by the lcm of its entries' denominators; scaling a
-    row by a nonzero constant changes neither the rank nor the RREF.
+    Row i is multiplied by the lcm of its entries' denominators, returned
+    as the third list; scaling a row by a nonzero constant changes
+    neither the rank nor the RREF.
     """
     re_rows: list[list[int]] = []
     im_rows: list[list[int]] = []
+    scales: list[int] = []
     c = m.cols
     for i in range(m.rows):
         row = m.entries[i * c : (i + 1) * c]
         scale = lcm(*(q.denominator for z in row for q in (z.re, z.im)))
         re_rows.append([z.re.numerator * (scale // z.re.denominator) for z in row])
         im_rows.append([z.im.numerator * (scale // z.im.denominator) for z in row])
-    return re_rows, im_rows
+        scales.append(scale)
+    return re_rows, im_rows, scales
+
+
+def _product(left: _Scaled, right: Matrix) -> Matrix:
+    """left @ right, with left already scaled by _integer_rows.
+
+    The caller checks that right has as many rows as left has columns.
+    """
+    l_re, l_im, l_scales = left
+    r_re, r_im, r_scales = _integer_rows(right.transpose())
+    out: list[GaussianRational] = []
+    for a_re, a_im, d in zip(l_re, l_im, l_scales):
+        nonzero = [(t, x, y) for t, (x, y) in enumerate(zip(a_re, a_im)) if x or y]
+        for b_re, b_im, e in zip(r_re, r_im, r_scales):
+            acc_r = acc_i = 0
+            for t, x, y in nonzero:
+                u, v = b_re[t], b_im[t]
+                acc_r += x * u - y * v
+                acc_i += x * v + y * u
+            if acc_r or acc_i:
+                den = d * e
+                out.append(GaussianRational(Fraction(acc_r, den), Fraction(acc_i, den)))
+            else:
+                out.append(ZERO)
+    return Matrix(len(l_scales), right.cols, tuple(out))
 
 
 def _eliminate(
@@ -242,7 +269,7 @@ def _eliminate(
     cleared too (fraction-free Gauss-Jordan): then each pivot row divided
     by its pivot is the corresponding row of the RREF.
     """
-    re, im = _integer_rows(m)
+    re, im, _ = _integer_rows(m)
     n_rows, n_cols = m.rows, m.cols
     pivots: list[int] = []
     prev_r, prev_i, norm = 1, 0, 1

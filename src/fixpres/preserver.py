@@ -136,9 +136,9 @@ def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
 def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
     probes = probe_suite(phi.n, trials, seed)
-    for idx, a in enumerate(probes):
+    for idx, (a, image) in enumerate(zip(probes, phi.apply_each(probes))):
         left = dim_fixed(a)
-        right = dim_fixed(phi.apply(a))
+        right = dim_fixed(image)
         if left != right:
             return Verdict(OUTCOME_COUNTEREXAMPLE, a, (left, right), idx + 1, seed)
     return Verdict(OUTCOME_PASS, None, None, len(probes), seed)
@@ -147,9 +147,9 @@ def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdi
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
     probes = probe_suite(phi.n, trials, seed)
-    for idx, a in enumerate(probes):
+    for idx, (a, image) in enumerate(zip(probes, phi.apply_each(probes))):
         left = fixed_space(a)
-        right = fixed_space(phi.apply(a))
+        right = fixed_space(image)
         if not subspace_equal(left, right):
             return Verdict(OUTCOME_COUNTEREXAMPLE, a, (left, right), idx + 1, seed)
     return Verdict(OUTCOME_PASS, None, None, len(probes), seed)

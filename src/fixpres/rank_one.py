@@ -1,4 +1,4 @@
-"""Rank-one operator calculus: outer products x.f, idempotency, orthogonality.
+"""Rank-one operator calculus: outer products x.f and idempotency.
 
 A rank-one operator maps y to f(y)*x for a column x and a functional f
 (a row vector). It is idempotent exactly when f(x) = 1, and then its
@@ -33,13 +33,6 @@ def is_idempotent(p: Matrix) -> bool:
     if not p.is_square:
         raise NotSquare(f"{p.rows}x{p.cols}")
     return p @ p == p
-
-
-def are_orthogonal(p: Matrix, q: Matrix) -> bool:
-    """True exactly when p @ q and q @ p are both zero."""
-    if not p.is_square or not q.is_square or p.rows != q.rows:
-        raise SizeMismatch(f"{p.rows}x{p.cols} vs {q.rows}x{q.cols}")
-    return (p @ q).is_zero and (q @ p).is_zero
 
 
 def _dual_functional(x: Matrix, ax: Matrix) -> Matrix:

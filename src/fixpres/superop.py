@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .linalg import (
     Matrix,
     SingularMatrix,
     SizeMismatch,
+    _integer_rows,
+    _product,
     commutation_matrix,
     inverse,
     kron,
@@ -77,18 +79,25 @@ class SuperOp:
             )
 
     def apply(self, a: Matrix) -> Matrix:
-        if a.rows != self.n or a.cols != self.n:
-            raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
-        return unvec(self.matrix @ vec(a), self.n)
+        return next(self.apply_each((a,)))
+
+    def apply_each(self, mats: Iterable[Matrix]) -> Iterator[Matrix]:
+        """Images of mats in order, computed lazily.
+
+        The matrix is scaled to Gaussian integers once, on the first
+        request, and reused for every input; an image is computed only
+        when it is asked for, so a consumer that stops early pays for no
+        later input.
+        """
+        scaled = _integer_rows(self.matrix)
+        for a in mats:
+            if a.rows != self.n or a.cols != self.n:
+                raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
+            yield unvec(_product(scaled, vec(a)), self.n)
 
     def apply_to_unit(self, i: int, j: int) -> Matrix:
         """Image of the matrix unit E_ij; just a column of the matrix."""
         return unvec(self.matrix.column_at(j * self.n + i), self.n)
-
-    def compose(self, inner: "SuperOp") -> "SuperOp":
-        if self.n != inner.n:
-            raise SizeMismatch(f"compose of n={self.n} with n={inner.n}")
-        return SuperOp(self.n, self.matrix @ inner.matrix)
 
 
 def identity_superop(n: int) -> SuperOp:
@@ -169,20 +178,6 @@ def realign(phi: SuperOp) -> Matrix:
             for b in range(n):
                 for d in range(n):
                     out[row * side + b * n + d] = l[b * n + a, d * n + g]
-    return Matrix(side, side, tuple(out))
-
-
-def realign_inverse(m: Matrix, n: int) -> Matrix:
-    """Inverse of the realign shuffle: recovers L from realign's output."""
-    side = n * n
-    if m.rows != side or m.cols != side:
-        raise SizeMismatch(f"expected {side}x{side}, got {m.rows}x{m.cols}")
-    out = [None] * (side * side)
-    for g in range(n):
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    out[(b * n + a) * side + d * n + g] = m[g * n + a, b * n + d]
     return Matrix(side, side, tuple(out))
 
 

@@ -12,6 +12,7 @@ import pytest
 import fixpres
 from fixpres import Matrix, dim_fixed, fixed_space, linalg, subspace_equal
 from fixpres.cli import (
+    EXIT_INTERNAL,
     InputError,
     matrix_from_doc,
     matrix_to_doc,
@@ -367,7 +368,11 @@ def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
     def unscaled(m):
         # skips the denominator clearing, so a Bareiss division is inexact
         rows = m.to_rows()
-        return [[z.re for z in row] for row in rows], [[z.im for z in row] for row in rows]
+        return (
+            [[z.re for z in row] for row in rows],
+            [[z.im for z in row] for row in rows],
+            [1] * len(rows),
+        )
 
     target = tmp_path / "fractions.json"
     target.write_text(json.dumps(matrix_to_doc(Matrix.from_rows(
@@ -376,6 +381,23 @@ def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "_integer_rows", unscaled)
     with pytest.raises(InexactDivision):
         run(["fixdim", "--matrix", str(target)])
+
+
+def test_main_exits_3_on_internal_error(capsys, monkeypatch):
+    """An error escaping run: traceback on stderr, empty stdout, exit 3."""
+
+    def broken(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(fixpres.cli._HANDLERS, "fixdim", broken)
+    monkeypatch.setattr(sys, "argv", ["fixpres", "fixdim", "--matrix", "unused.json"])
+    with pytest.raises(SystemExit) as exc:
+        fixpres.cli.main()
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INTERNAL == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "RuntimeError: handler bug" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from fixpres import (
     fixed_report,
     fixed_space,
     kernel_basis,
-    kernel_via_fixed,
     rank,
     subspace_equal,
 )
@@ -74,6 +73,11 @@ def test_dim_matches_basis_column_count(a):
 @given(square_matrices(max_side=4))
 def test_dim_is_side_minus_rank_of_shift(a):
     assert dim_fixed(a) == a.rows - rank(a - Matrix.identity(a.rows))
+
+
+def kernel_via_fixed(a: Matrix) -> Subspace:
+    """ker(A) computed as the fixed-point space of A + I."""
+    return fixed_space(a + Matrix.identity(a.rows))
 
 
 @given(square_matrices(max_side=4))

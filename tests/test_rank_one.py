@@ -12,7 +12,6 @@ from fixpres import (
     SizeMismatch,
     Subspace,
     ZeroFactor,
-    are_orthogonal,
     completion_idempotent,
     derive_rng,
     dim_fixed,
@@ -79,6 +78,11 @@ def test_random_rank_one_has_rank_one(seed):
     assert rank(m) == 1
     value = _functional_value(f, x)
     assert is_idempotent(m) == (value == ONE)
+
+
+def are_orthogonal(p: Matrix, q: Matrix) -> bool:
+    """True exactly when p @ q and q @ p are both zero."""
+    return (p @ q).is_zero and (q @ p).is_zero
 
 
 def test_orthogonal_diagonal_units():

