@@ -21,7 +21,7 @@ import traceback
 
 from . import __version__
 from .fixed_points import fixed_report
-from .linalg import Matrix, NotSquare, Subspace
+from .linalg import Matrix, Subspace
 from .preserver import (
     Classification,
     IDENTITY,
@@ -36,7 +36,7 @@ from .preserver import (
     set_preserver_verdict,
 )
 from .sampling import derive_rng, random_invertible, random_matrix
-from .scalars import GaussianRational, ParseError, format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar, parse_scalar
 from .superop import (
     MAX_SIDE,
     SuperOp,
@@ -64,12 +64,21 @@ def _is_int(value) -> bool:
 # ---------------------------------------------------------------------------
 # documents
 
+def _scalar_text(z: GaussianRational) -> str:
+    """format_scalar; an exact result over the interpreter's int digit
+    limit depends on the input alone, so it is an input error (exit 2)."""
+    try:
+        return format_scalar(z)
+    except ValueError as exc:
+        raise InputError(f"result too large to print: {exc}") from exc
+
+
 def matrix_to_doc(m: Matrix) -> dict:
     return {
         "n_rows": m.rows,
         "n_cols": m.cols,
         "entries": [
-            [format_scalar(m[i, j]) for j in range(m.cols)] for i in range(m.rows)
+            [_scalar_text(m[i, j]) for j in range(m.cols)] for i in range(m.rows)
         ],
     }
 
@@ -96,7 +105,8 @@ def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
                 raise InputError(f"{where}: entry ({i},{j}) must be a string")
             try:
                 parsed.append(parse_scalar(text))
-            except ParseError as exc:
+            except ValueError as exc:
+                # ParseError, or int() refusing a numeral over the digit limit
                 raise InputError(f"{where}: entry ({i},{j}): {exc}") from exc
     return Matrix(n_rows, n_cols, tuple(parsed))
 
@@ -138,7 +148,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, bad UTF-8, or an integer over the digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -166,7 +177,7 @@ def classification_to_doc(classification: Classification) -> dict:
     if classification.s is not None:
         doc["s"] = matrix_to_doc(classification.s)
     if classification.scale is not None:
-        doc["lambda"] = format_scalar(classification.scale)
+        doc["lambda"] = _scalar_text(classification.scale)
     return doc
 
 
@@ -183,8 +194,8 @@ def report_to_doc(report: PreserverReport) -> dict:
         doc["discrepancy"] = {
             "row": i,
             "col": j,
-            "found": format_scalar(found),
-            "expected": format_scalar(expected),
+            "found": _scalar_text(found),
+            "expected": _scalar_text(expected),
         }
     return doc
 
@@ -388,9 +399,6 @@ def run(argv: list[str]) -> int:
     try:
         report, code = _HANDLERS[args.command](args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotSquare, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     json.dump(report, sys.stdout, indent=2)

@@ -9,11 +9,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, NotSquare, Subspace, kernel_basis, rank
+from .scalars import ONE
 
 
-def _require_square(a: Matrix) -> None:
+def _minus_identity(a: Matrix) -> Matrix:
+    """A - I for square A; only the n diagonal entries change."""
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols}")
+    entries = list(a.entries)
+    for k in range(0, len(entries), a.rows + 1):
+        entries[k] = entries[k] - ONE
+    return Matrix(a.rows, a.cols, tuple(entries))
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,14 +33,12 @@ class FixedReport:
 
 def fixed_space(a: Matrix) -> Subspace:
     """All vectors v with a @ v = v, as a canonical subspace."""
-    _require_square(a)
-    return kernel_basis(a - Matrix.identity(a.rows))
+    return kernel_basis(_minus_identity(a))
 
 
 def dim_fixed(a: Matrix) -> int:
     """Dimension of the fixed-point space: n - rank(A - I)."""
-    _require_square(a)
-    return a.rows - rank(a - Matrix.identity(a.rows))
+    return a.rows - rank(_minus_identity(a))
 
 
 def fixed_report(a: Matrix) -> FixedReport:

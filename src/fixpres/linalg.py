@@ -91,12 +91,6 @@ class Matrix:
         return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     @classmethod
-    def diag(cls, values: Sequence) -> "Matrix":
-        vals = [_as_scalar(v) for v in values]
-        n = len(vals)
-        return cls(n, n, tuple(vals[i] if i == j else ZERO for i in range(n) for j in range(n)))
-
-    @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Matrix":
         """Matrix unit with a single 1 at (i, j)."""
         entries = [ZERO] * (n * n)
@@ -438,31 +432,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     out = [ZERO] * (rows * cols)
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            coeff = a[i1, j1]
-            if not coeff:
-                continue
-            for i2 in range(b.rows):
-                base = (i1 * b.rows + i2) * cols + j1 * b.cols
-                for j2 in range(b.cols):
-                    val = b[i2, j2]
-                    if val:
-                        out[base + j2] = coeff * val
+    for idx, coeff in enumerate(a.entries):
+        if not coeff:
+            continue
+        i1, j1 = divmod(idx, a.cols)
+        for i2 in range(b.rows):
+            base = (i1 * b.rows + i2) * cols + j1 * b.cols
+            for j2, val in enumerate(b.entries[i2 * b.cols : (i2 + 1) * b.cols]):
+                if val:
+                    out[base + j2] = coeff * val
     return Matrix(rows, cols, tuple(out))
-
-
-def commutation_matrix(n: int) -> Matrix:
-    """Permutation K with K @ vec(A) = vec(A.T), column-stacking.
-
-    vec places entry (i, j) at index j*n + i; K is symmetric and its own
-    inverse.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    side = n * n
-    out = [ZERO] * (side * side)
-    for r in range(n):
-        for c in range(n):
-            out[(c * n + r) * side + (r * n + c)] = ONE
-    return Matrix(side, side, tuple(out))

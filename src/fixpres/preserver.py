@@ -21,9 +21,10 @@ The two packaged claims are:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, rank, subspace_equal
+from .linalg import Matrix, rank
 from .rank_one import is_idempotent
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE
@@ -133,26 +134,28 @@ def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
     return probes
 
 
-def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
-    """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
+def _check(phi: SuperOp, trials: int, seed: int, measure: Callable) -> Verdict:
+    """Compare measure(A) with measure(phi(A)) over the probe suite.
+
+    Subspaces are canonical, so != on them is exact set inequality.
+    """
     probes = probe_suite(phi.n, trials, seed)
     for idx, (a, image) in enumerate(zip(probes, phi.apply_each(probes))):
-        left = dim_fixed(a)
-        right = dim_fixed(image)
+        left = measure(a)
+        right = measure(image)
         if left != right:
             return Verdict(OUTCOME_COUNTEREXAMPLE, a, (left, right), idx + 1, seed)
     return Verdict(OUTCOME_PASS, None, None, len(probes), seed)
 
 
+def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
+    """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
+    return _check(phi, trials, seed, dim_fixed)
+
+
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    probes = probe_suite(phi.n, trials, seed)
-    for idx, (a, image) in enumerate(zip(probes, phi.apply_each(probes))):
-        left = fixed_space(a)
-        right = fixed_space(image)
-        if not subspace_equal(left, right):
-            return Verdict(OUTCOME_COUNTEREXAMPLE, a, (left, right), idx + 1, seed)
-    return Verdict(OUTCOME_PASS, None, None, len(probes), seed)
+    return _check(phi, trials, seed, fixed_space)
 
 
 def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRational | None:
@@ -241,17 +244,18 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             classification=None,
             notes=("the map does not preserve every probed fixed-point set",),
         )
-    eye = Matrix.identity(phi.n * phi.n)
-    if phi.matrix == eye:
+    classification = classify(phi)
+    if classification.tag == IDENTITY:
         return PreserverReport(
             claim=1,
             status="consistent",
             verdict=verdict,
-            classification=Classification(IDENTITY),
+            classification=classification,
             notes=(),
         )
     # Reaching here would mean a non-identity map survived every probe:
     # either a genuine violation or a gap in the probe suite.
+    eye = Matrix.identity(phi.n * phi.n)
     lead = next(
         idx for idx, (a, b) in enumerate(zip(phi.matrix.entries, eye.entries)) if a != b
     )
@@ -260,7 +264,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         claim=1,
         status="violation-candidate",
         verdict=verdict,
-        classification=classify(phi),
+        classification=classification,
         notes=(
             "all probes passed but the map is not the identity; "
             "treat as a probe-suite gap until re-checked",

@@ -4,7 +4,8 @@ The vectorization convention is fixed package-wide to column stacking:
 entry (i, j) of an n x n matrix lands at vec index j*n + i. Under that
 convention a map A -> S @ A @ T has matrix T.T kron S, and the realign
 permutation below sends exactly those maps to rank-one matrices, which
-is what drives structure recovery.
+is what drives structure recovery. This module is the only home of that
+layout; each reshuffle below is a gather over the flat row-major entries.
 
 Supported sizes are 1 <= n <= 16. Exact elimination of the n^2 x n^2
 matrix sets the cost at the large end: is_bijective on a random map
@@ -17,7 +18,6 @@ but has not been timed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .linalg import (
@@ -26,12 +26,10 @@ from .linalg import (
     SizeMismatch,
     _integer_rows,
     _product,
-    commutation_matrix,
     inverse,
     kron,
     rank,
 )
-from .scalars import GaussianRational
 
 MAX_SIDE = 16
 
@@ -42,11 +40,7 @@ class NotRankOne(ValueError):
 
 def vec(a: Matrix) -> Matrix:
     """Column-stacking vectorization: entry (i, j) goes to index j*rows + i."""
-    return Matrix(
-        a.rows * a.cols,
-        1,
-        tuple(a[i, j] for j in range(a.cols) for i in range(a.rows)),
-    )
+    return Matrix(a.rows * a.cols, 1, a.transpose().entries)
 
 
 def unvec(v: Matrix, rows: int, cols: int | None = None) -> Matrix:
@@ -54,7 +48,7 @@ def unvec(v: Matrix, rows: int, cols: int | None = None) -> Matrix:
         cols = rows
     if v.cols != 1 or v.rows != rows * cols:
         raise SizeMismatch(f"cannot unvec {v.rows}x{v.cols} into {rows}x{cols}")
-    return Matrix(rows, cols, tuple(v[j * rows + i, 0] for i in range(rows) for j in range(cols)))
+    return Matrix(cols, rows, v.entries).transpose()
 
 
 def _check_side(n: int) -> None:
@@ -108,56 +102,43 @@ def identity_superop(n: int) -> SuperOp:
 def transpose_superop(n: int) -> SuperOp:
     """The map A -> A.T, whose matrix is the commutation matrix."""
     _check_side(n)
-    return SuperOp(n, commutation_matrix(n))
+    return SuperOp(n, precompose_transpose(Matrix.identity(n * n), n))
 
 
 def superop_from_action(n: int, action: Callable[[Matrix], Matrix]) -> SuperOp:
     """Build the matrix of a linear action by evaluating it on matrix units."""
     _check_side(n)
     side = n * n
-    columns = []
-    for j in range(n):
-        for i in range(n):
-            image = action(Matrix.unit(n, i, j))
-            columns.append(vec(image))
-    entries = tuple(columns[c][r, 0] for r in range(side) for c in range(side))
-    return SuperOp(n, Matrix(side, side, entries))
-
-
-def _coerce_scale(scale) -> GaussianRational:
-    if isinstance(scale, GaussianRational):
-        return scale
-    if isinstance(scale, (int, Fraction)):
-        return GaussianRational(Fraction(scale))
-    raise TypeError(f"cannot use {scale!r} as a scale factor")
+    stacked = tuple(
+        e for j in range(n) for i in range(n) for e in vec(action(Matrix.unit(n, i, j))).entries
+    )
+    return SuperOp(n, Matrix(side, side, stacked).transpose())
 
 
 def similarity_superop(s: Matrix, scale) -> SuperOp:
-    """The map A -> scale * S @ A @ inv(S); raises SingularMatrix otherwise."""
+    """The map A -> scale * S @ A @ inv(S); raises SingularMatrix otherwise.
+
+    scale is an int, Fraction or GaussianRational; other types raise TypeError.
+    """
     if not s.is_square:
         raise SingularMatrix(f"S must be square, got {s.rows}x{s.cols}")
     _check_side(s.rows)
-    s_inv = inverse(s)
-    return SuperOp(s.rows, _coerce_scale(scale) * kron(s_inv.transpose(), s))
+    return SuperOp(s.rows, scale * kron(inverse(s).transpose(), s))
 
 
 def transpose_similarity_superop(s: Matrix, scale) -> SuperOp:
     """The map A -> scale * S @ A.T @ inv(S)."""
-    if not s.is_square:
-        raise SingularMatrix(f"S must be square, got {s.rows}x{s.cols}")
-    _check_side(s.rows)
-    s_inv = inverse(s)
-    base = _coerce_scale(scale) * kron(s_inv.transpose(), s)
-    return SuperOp(s.rows, precompose_transpose(base, s.rows))
+    return SuperOp(s.rows, precompose_transpose(similarity_superop(s, scale).matrix, s.rows))
 
 
 def precompose_transpose(l: Matrix, n: int) -> Matrix:
-    """l @ commutation_matrix(n), computed as a column permutation."""
+    """l @ K for the permutation K with K @ vec(A) = vec(A.T), as a column gather."""
     side = n * n
     if l.rows != side or l.cols != side:
         raise SizeMismatch(f"expected {side}x{side}, got {l.rows}x{l.cols}")
     partner = [(j % n) * n + j // n for j in range(side)]
-    return Matrix(side, side, tuple(l[i, partner[j]] for i in range(side) for j in range(side)))
+    starts = range(0, side * side, side)
+    return Matrix(side, side, tuple(l.entries[r + p] for r in starts for p in partner))
 
 
 def realign(phi: SuperOp) -> Matrix:
@@ -170,15 +151,12 @@ def realign(phi: SuperOp) -> Matrix:
     """
     n = phi.n
     side = n * n
-    l = phi.matrix
-    out = [None] * (side * side)
-    for g in range(n):
-        for a in range(n):
-            row = g * n + a
-            for b in range(n):
-                for d in range(n):
-                    out[row * side + b * n + d] = l[b * n + a, d * n + g]
-    return Matrix(side, side, tuple(out))
+    l = phi.matrix.entries
+    digits = range(n)
+    return Matrix(side, side, tuple(
+        l[(b * n + a) * side + d * n + g]
+        for g in digits for a in digits for b in digits for d in digits
+    ))
 
 
 def rank_one_factor(m: Matrix) -> tuple[Matrix, Matrix]:

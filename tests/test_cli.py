@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fixpres
-from fixpres import Matrix, dim_fixed, fixed_space, linalg, subspace_equal
+from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_space, linalg, subspace_equal
 from fixpres.cli import (
     EXIT_INTERNAL,
     InputError,
@@ -362,6 +363,43 @@ def test_boolean_sizes_exit_two(tmp_path, capsys):
         matrix_from_doc({"n_rows": True, "n_cols": 1, "entries": [["1"]]})
 
 
+@pytest.mark.parametrize(
+    "command,flag,text,message_part",
+    [
+        # json.load raises a plain ValueError, not JSONDecodeError, here
+        ("classify", "--superop",
+         '{"n": %s, "vec_convention": "column", "L": {}}' % ("9" * 5000), "invalid JSON"),
+        # parse_scalar's int() raises a plain ValueError, not ParseError, here
+        ("fixdim", "--matrix",
+         json.dumps({"n_rows": 1, "n_cols": 1, "entries": [["7" * 5000]]}), "entry (0,0)"),
+    ],
+    ids=["json-integer", "scalar-entry"],
+)
+def test_numerals_over_the_digit_limit_exit_two(
+    tmp_path, capsys, command, flag, text, message_part
+):
+    target = tmp_path / "huge.json"
+    target.write_text(text)
+    code, out, err = invoke(capsys, command, flag, str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message_part in err
+
+
+def test_result_over_the_digit_limit_exit_two(tmp_path, capsys):
+    """Entries under the limit whose exact fixed-space basis is over it."""
+    rng = random.Random(1)
+    big = [rng.randrange(10**2999, 10**3000) for _ in range(6)]
+    rows = [[str(v) for v in big[:3]], [str(v) for v in big[3:]], ["0", "0", "1"]]
+    target = tmp_path / "growth.json"
+    target.write_text(json.dumps({"n_rows": 3, "n_cols": 3, "entries": rows}))
+    code, out, err = invoke(capsys, "fixdim", "--matrix", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: result too large to print")
+
+
 def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
     """A broken elimination invariant must surface, not become exit 2."""
 
@@ -398,6 +436,24 @@ def test_main_exits_3_on_internal_error(capsys, monkeypatch):
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert "RuntimeError: handler bug" in captured.err
+
+
+def test_main_exits_3_on_internal_value_error(capsys, monkeypatch):
+    """A ValueError raised inside the package is a bug, not an input error."""
+
+    def broken(a):
+        raise SingularMatrix("bug in fixed_report")
+
+    monkeypatch.setattr(fixpres.cli, "fixed_report", broken)
+    monkeypatch.setattr(
+        sys, "argv", ["fixpres", "fixdim", "--matrix", str(FIXTURES / "matrix_jordan_n3.json")]
+    )
+    with pytest.raises(SystemExit) as exc:
+        fixpres.cli.main()
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert "SingularMatrix: bug in fixed_report" in captured.err
 
 
 # ---------------------------------------------------------------------------

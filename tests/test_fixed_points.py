@@ -55,6 +55,8 @@ def test_shear_in_the_plane():
 def test_rejects_rectangular():
     with pytest.raises(NotSquare):
         dim_fixed(Matrix.zeros(2, 3))
+    with pytest.raises(NotSquare):
+        fixed_space(Matrix.zeros(2, 3))
 
 
 def test_fixed_vectors_are_actually_fixed():
@@ -73,6 +75,12 @@ def test_dim_matches_basis_column_count(a):
 @given(square_matrices(max_side=4))
 def test_dim_is_side_minus_rank_of_shift(a):
     assert dim_fixed(a) == a.rows - rank(a - Matrix.identity(a.rows))
+
+
+@given(square_matrices(max_side=4))
+def test_fixed_space_is_kernel_of_shift(a):
+    """The diagonal-only A - I agrees with subtracting the full identity."""
+    assert fixed_space(a) == kernel_basis(a - Matrix.identity(a.rows))
 
 
 def kernel_via_fixed(a: Matrix) -> Subspace:

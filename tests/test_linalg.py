@@ -13,13 +13,13 @@ from fixpres import (
     SizeMismatch,
     Subspace,
     ZERO,
-    commutation_matrix,
     inverse,
     kernel_basis,
     kron,
     rank,
     rref,
     subspace_equal,
+    transpose_superop,
     vec,
 )
 
@@ -223,7 +223,7 @@ def test_inverse_round_trip_when_invertible(m):
 
 
 # ---------------------------------------------------------------------------
-# kron and the commutation matrix
+# kron and the commutation matrix (the matrix of the transpose map)
 
 def test_kron_known_block():
     a = Matrix.from_rows([[1, 2], [0, 1]])
@@ -244,12 +244,12 @@ def test_kron_mixed_product():
 
 
 def test_commutation_matrix_transposes_vec():
-    k = commutation_matrix(3)
+    k = transpose_superop(3).matrix
     m = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert k @ vec(m) == vec(m.transpose())
 
 
 def test_commutation_matrix_is_self_inverse():
-    k = commutation_matrix(2)
+    k = transpose_superop(2).matrix
     assert k @ k == Matrix.identity(4)
     assert k == k.transpose()
