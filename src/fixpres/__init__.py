@@ -3,65 +3,26 @@
 Everything is computed over Gaussian rationals (complex numbers with
 Fraction real and imaginary parts), so ranks, kernels, and verdicts are
 exact — no tolerances anywhere.
+
+The package namespace holds the documented surface only (``__all__``);
+everything else is imported from its own module, for instance
+``fixpres.linalg.rank`` or ``fixpres.superop.vec``.
 """
 
-from .scalars import (
-    GaussianRational,
-    I_UNIT,
-    ONE,
-    ParseError,
-    ZERO,
-    ZeroDenominator,
-    format_scalar,
-    parse_scalar,
-)
-from .linalg import (
-    AmbientMismatch,
-    Matrix,
-    NotSquare,
-    SingularMatrix,
-    SizeMismatch,
-    Subspace,
-    inverse,
-    kernel_basis,
-    kron,
-    rank,
-    rref,
-    subspace_equal,
-)
-from .fixed_points import FixedReport, dim_fixed, fixed_report, fixed_space
-from .rank_one import (
-    DependentPair,
-    ZeroFactor,
-    completion_idempotent,
-    is_idempotent,
-    rank_one,
-)
+from .scalars import GaussianRational, ParseError, format_scalar, parse_scalar
+from .linalg import Matrix, NotSquare, SingularMatrix, SizeMismatch, Subspace
+from .fixed_points import dim_fixed, fixed_space
+from .rank_one import DependentPair, ZeroFactor, completion_idempotent, rank_one
 from .superop import (
-    MAX_SIDE,
-    NotRankOne,
     SuperOp,
     identity_superop,
     is_bijective,
-    rank_one_factor,
     realign,
     similarity_superop,
-    superop_from_action,
     transpose_similarity_superop,
     transpose_superop,
-    unvec,
-    vec,
 )
-from .sampling import (
-    derive_rng,
-    random_invertible,
-    random_matrix,
-    random_nonzero_column,
-    random_nonzero_row,
-    random_orthogonal_idempotent_pair,
-    random_rank_one_idempotent,
-    random_scalar,
-)
+from .sampling import derive_rng, random_invertible, random_matrix, random_rank_one_idempotent
 from .preserver import (
     Classification,
     NotRankOneIdempotent,
@@ -72,74 +33,51 @@ from .preserver import (
     classify,
     dim_preserver_verdict,
     idempotent_shift_ratio,
-    probe_suite,
     set_preserver_verdict,
-    structured_probes,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientMismatch",
-    "Classification",
-    "DependentPair",
-    "FixedReport",
+    # scalars and matrices
     "GaussianRational",
-    "I_UNIT",
-    "MAX_SIDE",
-    "Matrix",
-    "NotRankOne",
-    "NotRankOneIdempotent",
-    "NotSquare",
-    "ONE",
     "ParseError",
-    "PreserverReport",
+    "parse_scalar",
+    "format_scalar",
+    "Matrix",
+    "Subspace",
+    "NotSquare",
     "SingularMatrix",
     "SizeMismatch",
-    "Subspace",
-    "SuperOp",
-    "Verdict",
-    "ZERO",
-    "ZeroDenominator",
-    "ZeroFactor",
-    "check_dim_preserving",
-    "check_set_preserving",
-    "classify",
-    "completion_idempotent",
-    "derive_rng",
-    "dim_fixed",
-    "dim_preserver_verdict",
-    "fixed_report",
+    # fixed points and the rank-one calculus
     "fixed_space",
-    "format_scalar",
-    "identity_superop",
-    "idempotent_shift_ratio",
-    "inverse",
-    "is_bijective",
-    "is_idempotent",
-    "kernel_basis",
-    "kron",
-    "parse_scalar",
-    "probe_suite",
-    "random_invertible",
-    "random_matrix",
-    "random_nonzero_column",
-    "random_nonzero_row",
-    "random_orthogonal_idempotent_pair",
-    "random_rank_one_idempotent",
-    "random_scalar",
-    "rank",
+    "dim_fixed",
     "rank_one",
-    "rank_one_factor",
-    "realign",
-    "rref",
-    "set_preserver_verdict",
+    "completion_idempotent",
+    "ZeroFactor",
+    "DependentPair",
+    # superoperators
+    "SuperOp",
+    "identity_superop",
     "similarity_superop",
-    "structured_probes",
-    "subspace_equal",
-    "superop_from_action",
     "transpose_similarity_superop",
     "transpose_superop",
-    "unvec",
-    "vec",
+    "realign",
+    "is_bijective",
+    # checks and verdicts
+    "classify",
+    "check_dim_preserving",
+    "check_set_preserving",
+    "set_preserver_verdict",
+    "dim_preserver_verdict",
+    "idempotent_shift_ratio",
+    "NotRankOneIdempotent",
+    "Classification",
+    "Verdict",
+    "PreserverReport",
+    # seeded sampling
+    "derive_rng",
+    "random_matrix",
+    "random_invertible",
+    "random_rank_one_idempotent",
 ]

@@ -20,8 +20,8 @@ import sys
 import traceback
 
 from . import __version__
-from .fixed_points import fixed_report
-from .linalg import Matrix, Subspace
+from .fixed_points import fixed_space
+from .linalg import Matrix, Subspace, rank
 from .preserver import (
     Classification,
     IDENTITY,
@@ -207,15 +207,15 @@ def _cmd_fixdim(args) -> tuple[dict, int]:
     matrix = matrix_from_doc(_load_json(args.matrix))
     if not matrix.is_square:
         raise InputError(f"fixdim needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    summary = fixed_report(matrix)
+    space = fixed_space(matrix)
     report = {
         "command": "fixdim",
         "tool_version": __version__,
         "matrix": matrix_to_doc(matrix),
         "n": matrix.rows,
-        "dim_fixed": summary.dim,
-        "rank": summary.rank_of_a,
-        "fixed_space": subspace_to_doc(summary.space),
+        "dim_fixed": space.dim,
+        "rank": rank(matrix),
+        "fixed_space": subspace_to_doc(space),
     }
     return report, EXIT_OK
 
@@ -238,9 +238,13 @@ def _cmd_classify(args) -> tuple[dict, int]:
             emitted = None
             report["notes"] = ["no similarity form recovered; --emit-s wrote nothing"]
         if emitted is not None:
-            with open(args.emit_s, "w", encoding="utf-8") as fh:
-                json.dump(matrix_to_doc(emitted), fh, indent=2)
-                fh.write("\n")
+            doc = matrix_to_doc(emitted)
+            try:
+                with open(args.emit_s, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh, indent=2)
+                    fh.write("\n")
+            except OSError as exc:
+                raise InputError(f"cannot write {args.emit_s}: {exc}") from exc
     return report, EXIT_OK
 
 

@@ -6,8 +6,6 @@ geometric multiplicity of eigenvalue 1 and is computed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import Matrix, NotSquare, Subspace, kernel_basis, rank
 from .scalars import ONE
 
@@ -22,15 +20,6 @@ def _minus_identity(a: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, tuple(entries))
 
 
-@dataclass(frozen=True, slots=True)
-class FixedReport:
-    """Fixed-space dimension, canonical basis, and the rank of A itself."""
-
-    dim: int
-    space: Subspace
-    rank_of_a: int
-
-
 def fixed_space(a: Matrix) -> Subspace:
     """All vectors v with a @ v = v, as a canonical subspace."""
     return kernel_basis(_minus_identity(a))
@@ -39,9 +28,3 @@ def fixed_space(a: Matrix) -> Subspace:
 def dim_fixed(a: Matrix) -> int:
     """Dimension of the fixed-point space: n - rank(A - I)."""
     return a.rows - rank(_minus_identity(a))
-
-
-def fixed_report(a: Matrix) -> FixedReport:
-    """Fixed-space summary from a single elimination of A - I."""
-    space = fixed_space(a)
-    return FixedReport(dim=space.dim, space=space, rank_of_a=rank(a))

@@ -30,10 +30,6 @@ class SizeMismatch(ValueError):
     """Operand shapes are incompatible."""
 
 
-class AmbientMismatch(ValueError):
-    """Subspaces live in different ambient spaces."""
-
-
 class InexactDivision(ArithmeticError):
     """A fraction-free elimination step left a remainder.
 
@@ -131,10 +127,6 @@ class Matrix:
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
         )
-
-    @property
-    def T(self) -> "Matrix":
-        return self.transpose()
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -368,30 +360,12 @@ class Subspace:
         return cls(n, Matrix(n, 0, ()))
 
     @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, Matrix.identity(n))
-
-    @classmethod
     def spanned_by_columns(cls, m: Matrix) -> "Subspace":
         """Canonical subspace spanned by the columns of m."""
         reduced, r, _ = rref(m.transpose())
         rows = reduced.to_rows()[:r]
         basis_t = Matrix(r, m.rows, tuple(v for row in rows for v in row))
         return cls(m.rows, basis_t.transpose())
-
-    def contains(self, v: Matrix) -> bool:
-        if v.rows != self.ambient_dim or v.cols != 1:
-            raise AmbientMismatch(f"vector of size {v.rows} in ambient {self.ambient_dim}")
-        if self.dim == 0:
-            return v.is_zero
-        return rank(self.basis.hstack(v)) == self.dim
-
-
-def subspace_equal(u: Subspace, v: Subspace) -> bool:
-    """Exact set equality of subspaces via their canonical bases."""
-    if u.ambient_dim != v.ambient_dim:
-        raise AmbientMismatch(f"{u.ambient_dim} vs {v.ambient_dim}")
-    return u.basis == v.basis
 
 
 def kernel_basis(m: Matrix) -> Subspace:

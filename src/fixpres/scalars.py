@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-RationalLike = Union[int, Fraction]
 
 
 class ParseError(ValueError):
@@ -102,9 +99,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -114,7 +108,6 @@ class GaussianRational:
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
 
 _DIGITS = "0123456789"
 

@@ -8,17 +8,23 @@ is what drives structure recovery. This module is the only home of that
 layout; each reshuffle below is a gather over the flat row-major entries.
 
 Supported sizes are 1 <= n <= 16. Exact elimination of the n^2 x n^2
-matrix sets the cost at the large end: is_bijective on a random map
-(Gaussian-rational entries with numerators up to 9 and denominators up to
-3) took 0.30 s at n = 8 (N = 64) and 1.4 s at n = 10 (N = 100), best of 3
-on a 2-vCPU Intel Xeon under CPython 3.11. n = 16 (N = 256) is accepted
-but has not been timed.
+matrix sets the cost at the large end. On a 2-vCPU Intel Xeon under
+CPython 3.11, best of 3, is_bijective on a random map (Gaussian-rational
+entries with numerators up to 9 and denominators up to 3) took 0.30 s at
+n = 8 (N = 64), 1.4 s at n = 10, 7.9 s at n = 12 and 95 s at n = 16
+(N = 256); classify took 1.7 s at n = 12 and 6.5 s at n = 16 on a
+similarity, and under 0.04 s on a random map. A similarity's matrix is a
+Kronecker product whose elimination minors grow fast: is_bijective on
+one took 0.57 s at n = 6, 6.7 s at n = 8 and 102 s at n = 10 (single
+runs) and did not finish in 6 minutes at n = 12. A claim-2 verdict
+starts with is_bijective, so at n = 16 it takes minutes on a random map
+and did not finish in 25 minutes on a similarity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .linalg import (
     Matrix,
@@ -103,16 +109,6 @@ def transpose_superop(n: int) -> SuperOp:
     """The map A -> A.T, whose matrix is the commutation matrix."""
     _check_side(n)
     return SuperOp(n, precompose_transpose(Matrix.identity(n * n), n))
-
-
-def superop_from_action(n: int, action: Callable[[Matrix], Matrix]) -> SuperOp:
-    """Build the matrix of a linear action by evaluating it on matrix units."""
-    _check_side(n)
-    side = n * n
-    stacked = tuple(
-        e for j in range(n) for i in range(n) for e in vec(action(Matrix.unit(n, i, j))).entries
-    )
-    return SuperOp(n, Matrix(side, side, stacked).transpose())
 
 
 def similarity_superop(s: Matrix, scale) -> SuperOp:

@@ -1,11 +1,13 @@
-"""Shared strategies for exact-scalar and small-matrix generation."""
+"""Shared strategies for exact-scalar and small-matrix generation, and
+test-only helpers built from the package's public operations."""
 
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from fixpres import GaussianRational, Matrix
+from fixpres import GaussianRational, Matrix, Subspace, SuperOp
+from fixpres.superop import vec
 
 settings.register_profile(
     "default",
@@ -37,3 +39,17 @@ def matrices(draw, rows=None, cols=None, max_side=4):
 def square_matrices(draw, max_side=4):
     n = draw(st.integers(1, max_side))
     return draw(matrices(rows=n, cols=n))
+
+
+def contains(space: Subspace, v: Matrix) -> bool:
+    """Whether the column v lies in space: adjoining it leaves the span unchanged."""
+    return Subspace.spanned_by_columns(space.basis.hstack(v)) == space
+
+
+def superop_from_action(n: int, action) -> SuperOp:
+    """The superoperator of a linear action, read off its images of the matrix units."""
+    side = n * n
+    stacked = tuple(
+        e for j in range(n) for i in range(n) for e in vec(action(Matrix.unit(n, i, j))).entries
+    )
+    return SuperOp(n, Matrix(side, side, stacked).transpose())

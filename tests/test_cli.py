@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fixpres
-from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_space, linalg, subspace_equal
+from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_space, linalg
 from fixpres.cli import (
     EXIT_INTERNAL,
     InputError,
@@ -121,7 +121,7 @@ def test_classify_similarity_emits_s(tmp_path, capsys):
     # the emitted S must reproduce the map on a probe
     phi = superop_from_doc(json.loads((FIXTURES / "superop_similarity_n3.json").read_text()))
     a = Matrix.from_rows([[1, 0, 2], [0, 1, 0], [3, 0, 1]])
-    assert emitted @ a @ fixpres.inverse(emitted) == phi.apply(a)
+    assert emitted @ a @ linalg.inverse(emitted) == phi.apply(a)
 
 
 def test_classify_unstructured_skips_emit(tmp_path, capsys):
@@ -136,6 +136,19 @@ def test_classify_unstructured_skips_emit(tmp_path, capsys):
     assert doc["classification"]["tag"] == "unstructured"
     assert not (tmp_path / "unused.json").exists()
     assert any("emit-s" in note for note in doc["notes"])
+
+
+def test_classify_unwritable_emit_target_is_input_error(tmp_path, capsys):
+    """--emit-s naming a directory cannot be written: exit 2, not an internal error."""
+    code, out, err = invoke(
+        capsys,
+        "classify",
+        "--superop", str(FIXTURES / "superop_similarity_n3.json"),
+        "--emit-s", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
 
 
 def test_check_negation_exit_one(capsys):
@@ -186,7 +199,7 @@ def test_counterexample_report_reverifies_from_payload(capsys):
     witness = matrix_from_doc(doc["verdict"]["witness"])
     before = fixed_space(witness)
     after = fixed_space(phi.apply(witness))
-    assert not subspace_equal(before, after)
+    assert before != after
     detail = doc["verdict"]["detail"]
     assert matrix_from_doc(detail["fixed_space_input"]["basis"]) == before.basis
     assert matrix_from_doc(detail["fixed_space_image"]["basis"]) == after.basis
@@ -442,9 +455,9 @@ def test_main_exits_3_on_internal_value_error(capsys, monkeypatch):
     """A ValueError raised inside the package is a bug, not an input error."""
 
     def broken(a):
-        raise SingularMatrix("bug in fixed_report")
+        raise SingularMatrix("bug in fixed_space")
 
-    monkeypatch.setattr(fixpres.cli, "fixed_report", broken)
+    monkeypatch.setattr(fixpres.cli, "fixed_space", broken)
     monkeypatch.setattr(
         sys, "argv", ["fixpres", "fixdim", "--matrix", str(FIXTURES / "matrix_jordan_n3.json")]
     )
@@ -453,7 +466,7 @@ def test_main_exits_3_on_internal_value_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert exc.value.code == EXIT_INTERNAL
     assert captured.out == ""
-    assert "SingularMatrix: bug in fixed_report" in captured.err
+    assert "SingularMatrix: bug in fixed_space" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fixpres import (
-    GaussianRational,
-    Matrix,
-    NotSquare,
-    ONE,
-    SingularMatrix,
-    ZERO,
-    inverse,
-    kernel_basis,
-    rank,
-    rref,
-)
+from fixpres import GaussianRational, Matrix, NotSquare, SingularMatrix
+from fixpres.linalg import inverse, kernel_basis, rank, rref
+from fixpres.scalars import ONE, ZERO
 
 from conftest import fractions_st, matrices, scalars
 

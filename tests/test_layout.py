@@ -13,24 +13,20 @@ from hypothesis import strategies as st
 
 from fixpres import (
     Matrix,
-    ONE,
     SuperOp,
-    ZERO,
     derive_rng,
-    inverse,
-    kron,
     random_invertible,
     realign,
     similarity_superop,
-    superop_from_action,
     transpose_similarity_superop,
     transpose_superop,
-    unvec,
-    vec,
 )
+from fixpres.linalg import inverse, kron
+from fixpres.scalars import ONE, ZERO
+from fixpres.superop import unvec, vec
 from fixpres.superop import precompose_transpose
 
-from conftest import matrices, nonzero_scalars, scalars
+from conftest import matrices, nonzero_scalars, scalars, superop_from_action
 
 sides = st.integers(1, 4)
 

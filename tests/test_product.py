@@ -16,17 +16,14 @@ from fixpres import (
     Matrix,
     SizeMismatch,
     SuperOp,
-    ZERO,
     derive_rng,
-    inverse,
-    kron,
     random_invertible,
     random_matrix,
-    rank,
     similarity_superop,
-    unvec,
-    vec,
 )
+from fixpres.linalg import inverse, kron, rank
+from fixpres.scalars import ZERO
+from fixpres.superop import unvec, vec
 
 from conftest import fractions_st, scalars
 

@@ -8,7 +8,6 @@ from fixpres import (
     DependentPair,
     GaussianRational,
     Matrix,
-    ONE,
     SizeMismatch,
     Subspace,
     ZeroFactor,
@@ -16,14 +15,15 @@ from fixpres import (
     derive_rng,
     dim_fixed,
     fixed_space,
-    is_idempotent,
     random_matrix,
-    random_nonzero_column,
-    random_nonzero_row,
-    rank,
     rank_one,
-    subspace_equal,
 )
+from fixpres.linalg import rank
+from fixpres.rank_one import is_idempotent
+from fixpres.sampling import random_nonzero_column, random_nonzero_row
+from fixpres.scalars import ONE
+
+from conftest import contains
 
 
 def _functional_value(f: Matrix, x: Matrix) -> GaussianRational:
@@ -60,7 +60,7 @@ def test_fixed_space_of_idempotent_is_its_line():
     x = Matrix.column([1, 2, 0])
     f = Matrix.row_vector([1, 0, 0])
     p = rank_one(x, f)
-    assert subspace_equal(fixed_space(p), Subspace.spanned_by_columns(x))
+    assert fixed_space(p) == Subspace.spanned_by_columns(x)
 
 
 def test_fixed_space_of_non_idempotent_rank_one_is_zero():
@@ -137,4 +137,4 @@ def test_completion_properties_hold_generically(seed, n):
     assert is_idempotent(p)
     assert (a + p) @ x == x
     # the fixed space of A + P contains the line through x
-    assert fixed_space(a + p).contains(x)
+    assert contains(fixed_space(a + p), x)

@@ -15,26 +15,22 @@ from hypothesis import strategies as st
 from fixpres import (
     GaussianRational,
     Matrix,
-    NotRankOne,
     SizeMismatch,
     SuperOp,
     derive_rng,
     identity_superop,
-    inverse,
     is_bijective,
-    kron,
     random_invertible,
     random_matrix,
-    rank,
-    rank_one_factor,
     realign,
     similarity_superop,
-    superop_from_action,
     transpose_similarity_superop,
     transpose_superop,
-    unvec,
-    vec,
 )
+from fixpres.linalg import inverse, kron, rank
+from fixpres.superop import NotRankOne, rank_one_factor, unvec, vec
+
+from conftest import superop_from_action
 
 
 def compose(outer: SuperOp, inner: SuperOp) -> SuperOp:
