@@ -98,11 +98,6 @@ class Matrix:
         vals = tuple(_as_scalar(v) for v in values)
         return cls(len(vals), 1, vals)
 
-    @classmethod
-    def row_vector(cls, values: Sequence) -> "Matrix":
-        vals = tuple(_as_scalar(v) for v in values)
-        return cls(1, len(vals), vals)
-
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -167,7 +162,7 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return _product(_integer_rows(self), other)
+        return _product(_sparse_rows(self), other)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -215,16 +210,30 @@ def _integer_rows(m: Matrix) -> _Scaled:
     return re_rows, im_rows, scales
 
 
-def _product(left: _Scaled, right: Matrix) -> Matrix:
-    """left @ right, with left already scaled by _integer_rows.
+# Nonzero (column, real part, imaginary part) entries of each row of a
+# matrix scaled to Gaussian integers, and the row scales.
+_SparseRows = tuple[list[list[tuple[int, int, int]]], list[int]]
+
+
+def _sparse_rows(m: Matrix) -> _SparseRows:
+    """The rows of _integer_rows(m) as lists of their nonzero entries."""
+    re, im, scales = _integer_rows(m)
+    nonzero = [
+        [(t, x, y) for t, (x, y) in enumerate(zip(a_re, a_im)) if x or y]
+        for a_re, a_im in zip(re, im)
+    ]
+    return nonzero, scales
+
+
+def _product(left: _SparseRows, right: Matrix) -> Matrix:
+    """left @ right, with left already prepared by _sparse_rows.
 
     The caller checks that right has as many rows as left has columns.
     """
-    l_re, l_im, l_scales = left
+    l_rows, l_scales = left
     r_re, r_im, r_scales = _integer_rows(right.transpose())
     out: list[GaussianRational] = []
-    for a_re, a_im, d in zip(l_re, l_im, l_scales):
-        nonzero = [(t, x, y) for t, (x, y) in enumerate(zip(a_re, a_im)) if x or y]
+    for nonzero, d in zip(l_rows, l_scales):
         for b_re, b_im, e in zip(r_re, r_im, r_scales):
             acc_r = acc_i = 0
             for t, x, y in nonzero:
@@ -333,6 +342,40 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 def rank(m: Matrix) -> int:
     """Rank of m, from the forward elimination pass alone."""
     return len(_eliminate(m, reduce=False)[2])
+
+
+# A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that root.
+_P = 2305843009213693921
+_SQRT_MINUS_ONE = 583529827753931384
+
+
+def _full_rank_mod_p(m: Matrix) -> bool:
+    """True when the square matrix m has full rank modulo the prime _P.
+
+    Each row is scaled to Gaussian integers and sent to GF(_P) by the ring
+    homomorphism Z[i] -> GF(_P) with i -> _SQRT_MINUS_ONE. A homomorphism
+    cannot raise the rank, so True proves that m is invertible. False
+    proves nothing: m may still be invertible over Q(i) when _P divides
+    its scaled determinant, and the caller must decide that exactly.
+    """
+    re, im, _ = _integer_rows(m)
+    rows = [
+        [(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)]
+        for xs, ys in zip(re, im)
+    ]
+    for col in range(m.cols):
+        hit = next((r for r in range(col, m.rows) if rows[r][col]), None)
+        if hit is None:
+            return False
+        rows[col], rows[hit] = rows[hit], rows[col]
+        pivot = rows[col]
+        inv = pow(pivot[col], -1, _P)
+        tail = [x * inv % _P for x in pivot[col + 1 :]]
+        for row in rows[col + 1 :]:
+            f = row[col]
+            if f:
+                row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
+    return True
 
 
 @dataclass(frozen=True, slots=True)

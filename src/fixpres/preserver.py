@@ -21,13 +21,14 @@ The two packaged claims are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import tee
+from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed, fixed_space
 from .linalg import Matrix, rank
 from .rank_one import is_idempotent
 from .sampling import derive_rng, random_matrix
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
     NotRankOne,
     SuperOp,
@@ -95,9 +96,10 @@ class PreserverReport:
     discrepancy: tuple[int, int, GaussianRational, GaussianRational] | None = None
 
 
-def _jordan_block(n: int) -> Matrix:
-    rows = [[1 if i == j else (1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
-    return Matrix.from_rows(rows)
+# Entries of the structured probes, built once so that no probe costs
+# scalar arithmetic.
+_NEG_ONE = -ONE
+_TWO = ONE + ONE
 
 
 def structured_probes(n: int) -> list[Matrix]:
@@ -111,41 +113,54 @@ def structured_probes(n: int) -> list[Matrix]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    eye = Matrix.identity(n)
-    probes = [Matrix.zeros(n, n), -eye, eye]
-    partial = Matrix.zeros(n, n)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    def square(entry: Callable[[int, int], GaussianRational]) -> Matrix:
+        return Matrix(n, n, tuple(entry(i, j) for i, j in cells))
+
+    probes = [
+        Matrix.zeros(n, n),
+        square(lambda i, j: _NEG_ONE if i == j else ZERO),
+        Matrix.identity(n),
+    ]
     for k in range(n - 1):
-        partial = partial + Matrix.unit(n, k, k)
-        probes.append(partial)
+        probes.append(square(lambda i, j: ONE if i == j <= k else ZERO))
     if n >= 2:
         probes.append(Matrix.unit(n, 0, 1))
-    probes.append(_jordan_block(n))
-    ones = Matrix.column([1] * n)
-    probes.append(ones @ Matrix.row_vector([1] + [0] * (n - 1)))
-    probes.append(Matrix.unit(n, 0, 0) * 2)
+    probes.append(square(lambda i, j: ONE if j in (i, i + 1) else ZERO))
+    probes.append(square(lambda i, j: ONE if j == 0 else ZERO))
+    probes.append(square(lambda i, j: _TWO if i == j == 0 else ZERO))
     return probes
+
+
+def _probes(n: int, trials: int, seed: int) -> Iterator[Matrix]:
+    """The probe order: structured probes, then `trials` seeded random
+    matrices, each random one built only when it is asked for."""
+    yield from structured_probes(n)
+    for idx in range(trials):
+        yield random_matrix(derive_rng(seed, "probe", idx), n, n)
 
 
 def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
     """Structured probes followed by `trials` seeded random matrices."""
-    probes = structured_probes(n)
-    for idx in range(trials):
-        probes.append(random_matrix(derive_rng(seed, "probe", idx), n, n))
-    return probes
+    return list(_probes(n, trials, seed))
 
 
 def _check(phi: SuperOp, trials: int, seed: int, measure: Callable) -> Verdict:
     """Compare measure(A) with measure(phi(A)) over the probe suite.
 
-    Subspaces are canonical, so != on them is exact set inequality.
+    Probes and images are made lazily, so a counterexample at probe k
+    builds and applies no later probe. Subspaces are canonical, so != on
+    them is exact set inequality.
     """
-    probes = probe_suite(phi.n, trials, seed)
-    for idx, (a, image) in enumerate(zip(probes, phi.apply_each(probes))):
+    probes, inputs = tee(_probes(phi.n, trials, seed))
+    probes_run = 0
+    for probes_run, (a, image) in enumerate(zip(probes, phi.apply_each(inputs)), start=1):
         left = measure(a)
         right = measure(image)
         if left != right:
-            return Verdict(OUTCOME_COUNTEREXAMPLE, a, (left, right), idx + 1, seed)
-    return Verdict(OUTCOME_PASS, None, None, len(probes), seed)
+            return Verdict(OUTCOME_COUNTEREXAMPLE, a, (left, right), probes_run, seed)
+    return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
 def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:

@@ -7,18 +7,17 @@ permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
 layout; each reshuffle below is a gather over the flat row-major entries.
 
-Supported sizes are 1 <= n <= 16. Exact elimination of the n^2 x n^2
-matrix sets the cost at the large end. On a 2-vCPU Intel Xeon under
-CPython 3.11, best of 3, is_bijective on a random map (Gaussian-rational
-entries with numerators up to 9 and denominators up to 3) took 0.30 s at
-n = 8 (N = 64), 1.4 s at n = 10, 7.9 s at n = 12 and 95 s at n = 16
-(N = 256); classify took 1.7 s at n = 12 and 6.5 s at n = 16 on a
-similarity, and under 0.04 s on a random map. A similarity's matrix is a
-Kronecker product whose elimination minors grow fast: is_bijective on
-one took 0.57 s at n = 6, 6.7 s at n = 8 and 102 s at n = 10 (single
-runs) and did not finish in 6 minutes at n = 12. A claim-2 verdict
-starts with is_bijective, so at n = 16 it takes minutes on a random map
-and did not finish in 25 minutes on a similarity.
+Supported sizes are 1 <= n <= 16. On a 2-vCPU Intel Xeon under CPython
+3.11, best of 3, with random maps drawn with Gaussian-rational entries
+(numerators up to 9, denominators up to 3) and similarities
+A -> S @ A @ inv(S) for a random invertible S: is_bijective took 0.25 s
+at n = 12 and 1.2 s at n = 16 (N = 256) on a similarity, and 0.46 s and
+2.8 s on a random map; a claim-2 verdict (20 trials) took 2.7 s and
+10.2 s on a similarity, most of it classify, and 0.51 s and 3.0 s on a
+random map. is_bijective decides full rank by an elimination modulo a
+prime; the exact rank over Q(i), which the minors of a similarity's
+Kronecker product make slow (102 s at n = 10), runs only when that
+elimination finds the matrix singular.
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ from .linalg import (
     Matrix,
     SingularMatrix,
     SizeMismatch,
-    _integer_rows,
+    _full_rank_mod_p,
     _product,
+    _sparse_rows,
     inverse,
     kron,
     rank,
@@ -84,12 +84,12 @@ class SuperOp:
     def apply_each(self, mats: Iterable[Matrix]) -> Iterator[Matrix]:
         """Images of mats in order, computed lazily.
 
-        The matrix is scaled to Gaussian integers once, on the first
-        request, and reused for every input; an image is computed only
-        when it is asked for, so a consumer that stops early pays for no
-        later input.
+        The matrix is scaled to Gaussian integers and the nonzero
+        entries of each row are listed once, on the first request, and
+        reused for every input; an image is computed only when it is
+        asked for, so a consumer that stops early pays for no later input.
         """
-        scaled = _integer_rows(self.matrix)
+        scaled = _sparse_rows(self.matrix)
         for a in mats:
             if a.rows != self.n or a.cols != self.n:
                 raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
@@ -188,5 +188,10 @@ def rank_one_factor(m: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def is_bijective(phi: SuperOp) -> bool:
-    """True exactly when the n^2 x n^2 matrix has full rank."""
-    return rank(phi.matrix) == phi.n * phi.n
+    """True exactly when the n^2 x n^2 matrix has full rank.
+
+    Full rank modulo a prime proves full rank, so a bijective map is
+    nearly always decided by the modular elimination alone. When that
+    finds the matrix singular, the exact rank over Q(i) decides.
+    """
+    return _full_rank_mod_p(phi.matrix) or rank(phi.matrix) == phi.n * phi.n

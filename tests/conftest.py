@@ -41,6 +41,11 @@ def square_matrices(draw, max_side=4):
     return draw(matrices(rows=n, cols=n))
 
 
+def row_vector(values) -> Matrix:
+    """The 1 x len(values) matrix with the given entries."""
+    return Matrix.column(values).transpose()
+
+
 def contains(space: Subspace, v: Matrix) -> bool:
     """Whether the column v lies in space: adjoining it leaves the span unchanged."""
     return Subspace.spanned_by_columns(space.basis.hstack(v)) == space

@@ -24,11 +24,12 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
+from fixpres import preserver
 from fixpres.linalg import rank
 from fixpres.preserver import probe_suite, structured_probes
 from fixpres.scalars import ONE
 
-from conftest import superop_from_action
+from conftest import row_vector, superop_from_action
 
 
 def _first_nonzero_gauge(m: Matrix) -> Matrix:
@@ -67,6 +68,65 @@ def test_probe_suite_is_deterministic():
 
 def test_probe_suite_length():
     assert len(probe_suite(3, trials=7, seed=0)) == 9 + 7
+
+
+def _arithmetic_structured_probes(n: int) -> list[Matrix]:
+    """The structured probes built by matrix arithmetic, kept as the
+    reference for the direct construction."""
+    eye = Matrix.identity(n)
+    probes = [Matrix.zeros(n, n), -eye, eye]
+    partial = Matrix.zeros(n, n)
+    for k in range(n - 1):
+        partial = partial + Matrix.unit(n, k, k)
+        probes.append(partial)
+    if n >= 2:
+        probes.append(Matrix.unit(n, 0, 1))
+    jordan = [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)]
+    probes.append(Matrix.from_rows(jordan))
+    ones = Matrix.column([1] * n)
+    probes.append(ones @ row_vector([1] + [0] * (n - 1)))
+    probes.append(Matrix.unit(n, 0, 0) * 2)
+    return probes
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_structured_probes_match_arithmetic_construction(n):
+    probes = structured_probes(n)
+    reference = _arithmetic_structured_probes(n)
+    assert probes == reference
+    assert [str(p) for p in probes] == [str(p) for p in reference]
+
+
+def test_refutation_in_structured_prefix_draws_no_random_probe(monkeypatch):
+    # A -> 2A keeps dim F(0) and dim F(-I) but sends I (dim 3) to 2I (dim 0).
+    phi = similarity_superop(Matrix.identity(3), 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return random_matrix(*args)
+
+    monkeypatch.setattr(preserver, "random_matrix", counted)
+    verdict = check_dim_preserving(phi, trials=20, seed=0)
+    assert (verdict.outcome, verdict.probes_run) == ("counterexample", 3)
+    assert calls == []
+
+
+def test_passing_check_sees_the_probe_suite_in_order(monkeypatch):
+    seen = []
+
+    def recorded(a):
+        seen.append(a)
+        return dim_fixed(a)
+
+    monkeypatch.setattr(preserver, "dim_fixed", recorded)
+    verdict = check_dim_preserving(identity_superop(3), trials=6, seed=11)
+    suite = probe_suite(3, trials=6, seed=11)
+    assert verdict.outcome == "pass"
+    assert verdict.probes_run == len(suite)
+    # measure is called on each probe and then on its image
+    assert seen[::2] == suite
+    assert seen[1::2] == suite
 
 
 # ---------------------------------------------------------------------------

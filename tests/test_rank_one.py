@@ -23,7 +23,7 @@ from fixpres.rank_one import is_idempotent
 from fixpres.sampling import random_nonzero_column, random_nonzero_row
 from fixpres.scalars import ONE
 
-from conftest import contains
+from conftest import contains, row_vector
 
 
 def _functional_value(f: Matrix, x: Matrix) -> GaussianRational:
@@ -32,39 +32,39 @@ def _functional_value(f: Matrix, x: Matrix) -> GaussianRational:
 
 def test_rank_one_is_outer_product():
     x = Matrix.column([1, 2])
-    f = Matrix.row_vector([3, 4])
+    f = row_vector([3, 4])
     assert rank_one(x, f) == Matrix.from_rows([[3, 4], [6, 8]])
 
 
 def test_rank_one_rejects_zero_factors():
     with pytest.raises(ZeroFactor):
-        rank_one(Matrix.column([0, 0]), Matrix.row_vector([1, 0]))
+        rank_one(Matrix.column([0, 0]), row_vector([1, 0]))
     with pytest.raises(ZeroFactor):
-        rank_one(Matrix.column([1, 0]), Matrix.row_vector([0, 0]))
+        rank_one(Matrix.column([1, 0]), row_vector([0, 0]))
 
 
 def test_rank_one_rejects_bad_shapes():
     with pytest.raises(SizeMismatch):
-        rank_one(Matrix.zeros(2, 2), Matrix.row_vector([1, 0]))
+        rank_one(Matrix.zeros(2, 2), row_vector([1, 0]))
 
 
 def test_idempotent_iff_functional_hits_one():
     x = Matrix.column([1, 1])
-    f_good = Matrix.row_vector([1, 0])       # f(x) = 1
-    f_bad = Matrix.row_vector([1, 1])        # f(x) = 2
+    f_good = row_vector([1, 0])       # f(x) = 1
+    f_bad = row_vector([1, 1])        # f(x) = 2
     assert is_idempotent(rank_one(x, f_good))
     assert not is_idempotent(rank_one(x, f_bad))
 
 
 def test_fixed_space_of_idempotent_is_its_line():
     x = Matrix.column([1, 2, 0])
-    f = Matrix.row_vector([1, 0, 0])
+    f = row_vector([1, 0, 0])
     p = rank_one(x, f)
     assert fixed_space(p) == Subspace.spanned_by_columns(x)
 
 
 def test_fixed_space_of_non_idempotent_rank_one_is_zero():
-    p = 2 * rank_one(Matrix.column([1, 0]), Matrix.row_vector([1, 0]))
+    p = 2 * rank_one(Matrix.column([1, 0]), row_vector([1, 0]))
     assert dim_fixed(p) == 0
 
 

@@ -27,10 +27,11 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres.linalg import inverse, kron, rank
+from fixpres import superop
+from fixpres.linalg import _P, _SQRT_MINUS_ONE, _full_rank_mod_p, inverse, kron, rank
 from fixpres.superop import NotRankOne, rank_one_factor, unvec, vec
 
-from conftest import superop_from_action
+from conftest import matrices, row_vector, superop_from_action
 
 
 def compose(outer: SuperOp, inner: SuperOp) -> SuperOp:
@@ -149,6 +150,76 @@ def test_bijectivity():
 
 
 # ---------------------------------------------------------------------------
+# bijectivity: the mod-p certificate and its exact fallback
+
+def _count_rank_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(superop, "rank", counted)
+    return calls
+
+
+def _identity_with_corner(n: int, corner: GaussianRational) -> SuperOp:
+    side = n * n
+    entries = list(Matrix.identity(side).entries)
+    entries[-1] = corner
+    return SuperOp(n, Matrix(side, side, tuple(entries)))
+
+
+@pytest.mark.parametrize(
+    "corner",
+    [GaussianRational(_P), GaussianRational(_SQRT_MINUS_ONE, -1)],
+    ids=["p", "sqrt(-1) - i"],
+)
+def test_bijective_map_singular_mod_p_falls_back_to_exact_rank(corner, monkeypatch):
+    # Both corners are nonzero over Q(i) but vanish mod p: p itself, and
+    # r - i with i -> r, a square root of -1 mod p.
+    phi = _identity_with_corner(2, corner)
+    assert not _full_rank_mod_p(phi.matrix)
+    calls = _count_rank_calls(monkeypatch)
+    assert is_bijective(phi)
+    assert calls == [phi.matrix]
+
+
+def test_rank_deficient_map_is_not_bijective(monkeypatch):
+    phi = _identity_with_corner(3, GaussianRational(0))
+    calls = _count_rank_calls(monkeypatch)
+    assert not is_bijective(phi)
+    assert calls == [phi.matrix]
+
+
+@st.composite
+def superop_matrices(draw):
+    """Random n^2 x n^2 matrices, and rank-deficient products of
+    n^2 x k and k x n^2 factors with k < n^2."""
+    n = draw(st.integers(1, 3))
+    side = n * n
+    if draw(st.booleans()):
+        return n, draw(matrices(rows=side, cols=side))
+    k = draw(st.integers(0, side - 1))
+    return n, draw(matrices(rows=side, cols=k)) @ draw(matrices(rows=k, cols=side))
+
+
+@given(superop_matrices())
+def test_is_bijective_agrees_with_exact_rank(case):
+    n, m = case
+    assert is_bijective(SuperOp(n, m)) == (rank(m) == n * n)
+
+
+def test_bijective_similarity_is_decided_by_the_certificate(monkeypatch):
+    def unused(m):
+        raise AssertionError("the exact rank should not be needed")
+
+    monkeypatch.setattr(superop, "rank", unused)
+    s = random_invertible(derive_rng(0, "certificate"), 6)
+    assert is_bijective(similarity_superop(s, 1))
+
+
+# ---------------------------------------------------------------------------
 # realignment: defining property, brute-force oracle
 
 def _sandwich_superop(s: Matrix, t: Matrix) -> SuperOp:
@@ -211,7 +282,7 @@ def test_realign_is_not_an_involution_but_has_order_three():
 
 def test_rank_one_factor_recovers_gauge_normalized_pair():
     u0 = Matrix.column([2, 4])
-    v0 = Matrix.row_vector([3, 5]).transpose()
+    v0 = row_vector([3, 5]).transpose()
     m = u0 @ v0.transpose()
     u, v = rank_one_factor(m)
     # first nonzero of u is scaled to one; the product is unchanged
@@ -242,7 +313,7 @@ def _rank_based_factor(m):
 def _outer_plus_corner():
     """Rank two, yet every minor through the anchor vanishes but the last."""
     u = Matrix.column([1, 2, -3, Fraction(1, 2), 4, 5])
-    outer = u @ Matrix.row_vector([2, 1, Fraction(1, 3), 7, -1, 3])
+    outer = u @ row_vector([2, 1, Fraction(1, 3), 7, -1, 3])
     return outer + Matrix.unit(6, 5, 5)
 
 
@@ -250,7 +321,7 @@ def _offset_anchor():
     """Rank one with its first nonzero entry at (1, 2)."""
     i = GaussianRational(0, 1)
     u = Matrix.column([0, 2, 1 + i, 0])
-    return u @ Matrix.row_vector([0, 0, 3, Fraction(1, 2), -i])
+    return u @ row_vector([0, 0, 3, Fraction(1, 2), -i])
 
 
 @pytest.mark.parametrize(
