@@ -355,8 +355,9 @@ def _full_rank_mod_p(m: Matrix) -> bool:
     Each row is scaled to Gaussian integers and sent to GF(_P) by the ring
     homomorphism Z[i] -> GF(_P) with i -> _SQRT_MINUS_ONE. A homomorphism
     cannot raise the rank, so True proves that m is invertible. False
-    proves nothing: m may still be invertible over Q(i) when _P divides
-    its scaled determinant, and the caller must decide that exactly.
+    proves nothing: m may still be invertible over Q(i) when its scaled
+    determinant maps to 0 in GF(_P), and the caller must decide that
+    exactly.
     """
     re, im, _ = _integer_rows(m)
     rows = [
