@@ -162,7 +162,17 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return _product(_sparse_rows(self), other)
+        l_re, l_im, l_scales = _integer_rows(self)
+        r_re, r_im, r_scales = _integer_rows(other.transpose())
+        left = _sparse(l_re, l_im)
+        columns = [_products(left, b_re, b_im) for b_re, b_im in zip(r_re, r_im)]
+        return Matrix(self.rows, other.cols, tuple(
+            GaussianRational(Fraction(c_re[i], d * e), Fraction(c_im[i], d * e))
+            if c_re[i] or c_im[i]
+            else ZERO
+            for i, d in enumerate(l_scales)
+            for (c_re, c_im), e in zip(columns, r_scales)
+        ))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -210,62 +220,62 @@ def _integer_rows(m: Matrix) -> _Scaled:
     return re_rows, im_rows, scales
 
 
-# Nonzero (column, real part, imaginary part) entries of each row of a
-# matrix scaled to Gaussian integers, and the row scales.
-_SparseRows = tuple[list[list[tuple[int, int, int]]], list[int]]
+def _integer_rows_matrix(re: list[list[int]], im: list[list[int]], scales: list[int]) -> Matrix:
+    """The matrix whose row k is (re[k] + i*im[k]) / scales[k]; the
+    inverse of _integer_rows."""
+    cols = len(re[0]) if re else 0
+    return Matrix(len(re), cols, tuple(
+        GaussianRational(Fraction(x, s), Fraction(y, s)) if x or y else ZERO
+        for row_re, row_im, s in zip(re, im, scales)
+        for x, y in zip(row_re, row_im)
+    ))
 
 
-def _sparse_rows(m: Matrix) -> _SparseRows:
-    """The rows of _integer_rows(m) as lists of their nonzero entries."""
-    re, im, scales = _integer_rows(m)
-    nonzero = [
+# The nonzero (column, real part, imaginary part) entries of each row of
+# a matrix of Gaussian integers.
+_SparseRows = list[list[tuple[int, int, int]]]
+
+
+def _sparse(re: list[list[int]], im: list[list[int]]) -> _SparseRows:
+    return [
         [(t, x, y) for t, (x, y) in enumerate(zip(a_re, a_im)) if x or y]
         for a_re, a_im in zip(re, im)
     ]
-    return nonzero, scales
 
 
-def _product(left: _SparseRows, right: Matrix) -> Matrix:
-    """left @ right, with left already prepared by _sparse_rows.
-
-    The caller checks that right has as many rows as left has columns.
-    """
-    l_rows, l_scales = left
-    r_re, r_im, r_scales = _integer_rows(right.transpose())
-    out: list[GaussianRational] = []
-    for nonzero, d in zip(l_rows, l_scales):
-        for b_re, b_im, e in zip(r_re, r_im, r_scales):
-            acc_r = acc_i = 0
-            for t, x, y in nonzero:
-                u, v = b_re[t], b_im[t]
-                acc_r += x * u - y * v
-                acc_i += x * v + y * u
-            if acc_r or acc_i:
-                den = d * e
-                out.append(GaussianRational(Fraction(acc_r, den), Fraction(acc_i, den)))
-            else:
-                out.append(ZERO)
-    return Matrix(len(l_scales), right.cols, tuple(out))
+def _products(rows: _SparseRows, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of rows @ (u + i*v), all Gaussian integers."""
+    out_re: list[int] = []
+    out_im: list[int] = []
+    for nonzero in rows:
+        acc_r = acc_i = 0
+        for t, x, y in nonzero:
+            p, q = u[t], v[t]
+            acc_r += x * p - y * q
+            acc_i += x * q + y * p
+        out_re.append(acc_r)
+        out_im.append(acc_i)
+    return out_re, out_im
 
 
-def _eliminate(
-    m: Matrix, reduce: bool
-) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Fraction-free elimination of m over the Gaussian integers (Bareiss).
+def _bareiss(
+    re: list[list[int]], im: list[list[int]], n_cols: int, reduce: bool
+) -> list[int]:
+    """Fraction-free elimination over the Gaussian integers (Bareiss), in place.
 
-    Returns the real parts, imaginary parts and pivot columns of the
-    eliminated rows. Each step replaces an entry x by
+    re and im are the real and imaginary parts of the rows; the pivot
+    columns are returned. Each step replaces an entry x by
     (p * x - f * y) / prev, with p the new pivot, f the entry in the pivot
     column, y the matching pivot-row entry and prev the previous pivot;
     Sylvester's identity makes every division exact, so the entries stay
-    Gaussian integers (minors of the scaled input). The forward pass
-    clears the rows below each pivot and leaves a row echelon form whose
-    first len(pivots) rows are nonzero. With reduce, the rows above are
-    cleared too (fraction-free Gauss-Jordan): then each pivot row divided
-    by its pivot is the corresponding row of the RREF.
+    Gaussian integers (minors of the input). The forward pass clears the
+    rows below each pivot and leaves a row echelon form whose first
+    len(pivots) rows are nonzero and span the input's row space. With
+    reduce, the rows above are cleared too (fraction-free Gauss-Jordan):
+    then each pivot row divided by its pivot is the corresponding row of
+    the RREF.
     """
-    re, im, _ = _integer_rows(m)
-    n_rows, n_cols = m.rows, m.cols
+    n_rows = len(re)
     pivots: list[int] = []
     prev_r, prev_i, norm = 1, 0, 1
     for col in range(n_cols):
@@ -307,7 +317,19 @@ def _eliminate(
             dst_i[start:] = out_i
         pivots.append(col)
         prev_r, prev_i, norm = pr, pi, pr * pr + pi * pi
-    return re, im, pivots
+    return pivots
+
+
+def _eliminate(
+    m: Matrix, reduce: bool
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """_bareiss on the rows of m scaled to Gaussian integers.
+
+    Returns the real parts, imaginary parts and pivot columns of the
+    eliminated rows.
+    """
+    re, im, _ = _integer_rows(m)
+    return re, im, _bareiss(re, im, m.cols, reduce)
 
 
 def _divided_row(
@@ -414,19 +436,29 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the null space of m."""
-    reduced, r, pivots = rref(m)
+    re, im, _ = _integer_rows(m)
+    return _kernel(re, im, m.cols)
+
+
+def _kernel(re: list[list[int]], im: list[list[int]], n_cols: int) -> Subspace:
+    """Canonical basis of the null space of the Gaussian-integer rows re + i*im.
+
+    The rows are eliminated in place.
+    """
+    pivots = _bareiss(re, im, n_cols, reduce=True)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    free_cols = [c for c in range(n_cols) if c not in pivot_set]
     if not free_cols:
-        return Subspace.zero(m.cols)
+        return Subspace.zero(n_cols)
+    reduced = [_divided_row(re[k], im[k], re[k][c], im[k][c]) for k, c in enumerate(pivots)]
     vectors = []
     for free in free_cols:
-        entries = [ZERO] * m.cols
+        entries = [ZERO] * n_cols
         entries[free] = ONE
-        for row_idx, piv in enumerate(pivots):
-            entries[piv] = -reduced[row_idx, free]
+        for row, piv in zip(reduced, pivots):
+            entries[piv] = -row[free]
         vectors.append(entries)
-    spanning = Matrix(len(vectors), m.cols, tuple(v for vec_ in vectors for v in vec_)).transpose()
+    spanning = Matrix(len(vectors), n_cols, tuple(v for vec_ in vectors for v in vec_)).transpose()
     return Subspace.spanned_by_columns(spanning)
 
 

@@ -21,17 +21,19 @@ The two packaged claims are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import tee
+from math import gcd
 from typing import Callable, Iterator
 
-from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, rank
+from .fixed_points import dim_fixed
+from .linalg import Matrix, _bareiss, _integer_rows_matrix, _kernel, rank
 from .rank_one import is_idempotent
-from .sampling import derive_rng, random_matrix
+from .sampling import derive_rng, random_integer_rows, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
     NotRankOne,
     SuperOp,
+    _common_integer_rows,
+    _image_kernel,
     is_bijective,
     precompose_transpose,
     rank_one_factor,
@@ -133,44 +135,123 @@ def structured_probes(n: int) -> list[Matrix]:
     return probes
 
 
-def _probes(n: int, trials: int, seed: int) -> Iterator[Matrix]:
-    """The probe order: structured probes, then `trials` seeded random
-    matrices, each random one built only when it is asked for."""
-    yield from structured_probes(n)
+def _probe_rows(
+    n: int, trials: int, seed: int
+) -> Iterator[tuple[list[list[int]], list[list[int]], int]]:
+    """probe_suite(n, trials, seed) as Gaussian-integer rows over one scale.
+
+    Item k is (re, im, e) with (re + i*im) / e equal to probe k. Each
+    random probe is drawn only when it is asked for.
+    """
+    for p in structured_probes(n):
+        yield _common_integer_rows(p)
     for idx in range(trials):
-        yield random_matrix(derive_rng(seed, "probe", idx), n, n)
+        yield random_integer_rows(derive_rng(seed, "probe", idx), n, n)
+
+
+def _random_probe(n: int, seed: int, idx: int) -> Matrix:
+    return random_matrix(derive_rng(seed, "probe", idx), n, n)
+
+
+def _probe(n: int, seed: int, k: int) -> Matrix:
+    """Probe k of probe_suite(n, trials, seed), for any trials that has one."""
+    structured = structured_probes(n)
+    if k < len(structured):
+        return structured[k]
+    return _random_probe(n, seed, k - len(structured))
 
 
 def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
     """Structured probes followed by `trials` seeded random matrices."""
-    return list(_probes(n, trials, seed))
+    return structured_probes(n) + [_random_probe(n, seed, idx) for idx in range(trials)]
 
 
-def _check(phi: SuperOp, trials: int, seed: int, measure: Callable) -> Verdict:
-    """Compare measure(A) with measure(phi(A)) over the probe suite.
+# Real and imaginary parts of rows of Gaussian integers.
+_Rows = tuple[list[list[int]], list[list[int]]]
 
-    Probes and images are made lazily, so a counterexample at probe k
-    builds and applies no later probe. Subspaces are canonical, so != on
-    them is exact set inequality.
+
+def _primitive(re: list[list[int]], im: list[list[int]]) -> _Rows:
+    """The rows re + i*im, each divided by its content (the gcd of its
+    integers), as new lists; the row space does not change."""
+    out_re, out_im = [], []
+    for row_re, row_im in zip(re, im):
+        g = gcd(*row_re, *row_im)
+        if g > 1:
+            out_re.append([x // g for x in row_re])
+            out_im.append([x // g for x in row_im])
+        else:
+            out_re.append(row_re[:])
+            out_im.append(row_im[:])
+    return out_re, out_im
+
+
+def _fixed_rows(re: list[list[int]], im: list[list[int]], scales: list[int]) -> _Rows:
+    """Nonzero echelon rows of M - I, for M with row k equal to
+    (re[k] + i*im[k]) / scales[k]; their kernel is F(M).
+
+    Row k of M - I is scaled by scales[k], so only its diagonal entry
+    moves, and divided by its content before the forward pass.
     """
-    probes, inputs = tee(_probes(phi.n, trials, seed))
+    shifted = [row[:] for row in re]
+    for k, s in enumerate(scales):
+        shifted[k][k] -= s
+    x_re, x_im = _primitive(shifted, im)
+    r = len(_bareiss(x_re, x_im, len(scales), reduce=False))
+    return x_re[:r], x_im[:r]
+
+
+def _same_fixed(x: _Rows, y: _Rows, n: int, compare_sets: bool) -> bool:
+    """Whether the kernels of the n-column echelon rows x and y have one
+    dimension or, with compare_sets, are one subspace.
+
+    ker X = ker Y exactly when rank X = rank Y = rank [X; Y], and x and y
+    span the row spaces of X and Y, so one forward pass over them,
+    stacked, decides it.
+    """
+    (x_re, x_im), (y_re, y_im) = x, y
+    r = len(x_re)
+    if r != len(y_re) or not compare_sets or r == n:
+        return r == len(y_re)
+    return len(_bareiss(*_primitive(x_re + y_re, x_im + y_im), n, reduce=False)) == r
+
+
+def _check(phi: SuperOp, trials: int, seed: int, compare_sets: bool) -> Verdict:
+    """Compare F(A) with F(phi(A)), by dimension or as sets, over the probe suite.
+
+    Each probe and its image stay Gaussian integers from the draw to the
+    verdict: forward Bareiss passes on A - I and phi(A) - I give their
+    echelon rows, and _same_fixed compares those. Probes are drawn
+    lazily, so a counterexample at probe k draws no later probe. Only a
+    counterexample builds matrices: the witness, its image for dim_fixed,
+    and for sets the canonical kernels of the echelon rows, which are
+    fixed_space of the probe and of its image.
+    """
+    n = phi.n
+    image = _image_kernel(phi)
     probes_run = 0
-    for probes_run, (a, image) in enumerate(zip(probes, phi.apply_each(inputs)), start=1):
-        left = measure(a)
-        right = measure(image)
-        if left != right:
-            return Verdict(OUTCOME_COUNTEREXAMPLE, a, (left, right), probes_run, seed)
+    for probes_run, (re, im, e) in enumerate(_probe_rows(n, trials, seed), start=1):
+        b = image(re, im, e)
+        x = _fixed_rows(re, im, [e] * n)
+        y = _fixed_rows(*b)
+        if _same_fixed(x, y, n, compare_sets):
+            continue
+        a = _probe(n, seed, probes_run - 1)
+        if compare_sets:
+            detail = (_kernel(*_primitive(*x), n), _kernel(*_primitive(*y), n))
+        else:
+            detail = (dim_fixed(a), dim_fixed(_integer_rows_matrix(*b)))
+        return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
 def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
-    return _check(phi, trials, seed, dim_fixed)
+    return _check(phi, trials, seed, compare_sets=False)
 
 
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    return _check(phi, trials, seed, fixed_space)
+    return _check(phi, trials, seed, compare_sets=True)
 
 
 def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRational | None:

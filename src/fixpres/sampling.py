@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 from .linalg import Matrix, inverse, rank
 from .scalars import GaussianRational
@@ -26,15 +27,42 @@ def derive_rng(seed: int, *labels: object) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def random_scalar(rng: random.Random) -> GaussianRational:
-    return GaussianRational(
-        Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)),
-        Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)),
-    )
+def _draws(rng: random.Random, count: int) -> list[tuple[int, int, int, int]]:
+    """Raw draws for count entries, as (re numerator, re denominator, im
+    numerator, im denominator).
+
+    This is the only place that consumes the stream for matrix entries,
+    so every generator below draws the same entries from the same rng.
+    """
+    randint, choice = rng.randint, rng.choice
+    return [
+        (randint(-9, 9), choice(DENOMINATORS), randint(-9, 9), choice(DENOMINATORS))
+        for _ in range(count)
+    ]
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, tuple(random_scalar(rng) for _ in range(rows * cols)))
+    return Matrix(rows, cols, tuple(
+        GaussianRational(Fraction(a, b), Fraction(c, d))
+        for a, b, c, d in _draws(rng, rows * cols)
+    ))
+
+
+def random_integer_rows(
+    rng: random.Random, rows: int, cols: int
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """random_matrix(rng, rows, cols) as Gaussian-integer rows and one scale.
+
+    Returns (re, im, e) with the drawn matrix equal to (re + i*im) / e,
+    where e, the lcm of the drawn denominators, is 1, 2, 3 or 6. No
+    Fraction is built.
+    """
+    draws = _draws(rng, rows * cols)
+    e = lcm(*{b for _, b, _, _ in draws}, *{d for _, _, _, d in draws})
+    re = [a * (e // b) for a, b, _, _ in draws]
+    im = [c * (e // d) for _, _, c, d in draws]
+    starts = range(0, rows * cols, cols)
+    return [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts], e
 
 
 def random_nonzero_column(rng: random.Random, n: int) -> Matrix:

@@ -10,10 +10,10 @@ layout; each reshuffle below is a gather over the flat row-major entries.
 Supported sizes are 1 <= n <= 16. On a 2-vCPU Intel Xeon under CPython
 3.11, best of 3, with random maps drawn with Gaussian-rational entries
 (numerators up to 9, denominators up to 3) and similarities
-A -> S @ A @ inv(S) for a random invertible S: is_bijective took 0.25 s
-at n = 12 and 1.2 s at n = 16 (N = 256) on a similarity, and 0.46 s and
-2.8 s on a random map; a claim-2 verdict (20 trials) took 2.7 s and
-10.2 s on a similarity, most of it classify, and 0.51 s and 3.0 s on a
+A -> S @ A @ inv(S) for a random invertible S: is_bijective took 0.29 s
+at n = 12 and 1.3 s at n = 16 (N = 256) on a similarity, and 0.50 s and
+2.4 s on a random map; a claim-2 verdict (20 trials) took 2.6 s and
+10.8 s on a similarity, most of it classify, and 0.58 s and 2.5 s on a
 random map. is_bijective decides full rank by an elimination modulo a
 prime; the exact rank over Q(i), which the minors of a similarity's
 Kronecker product make slow (102 s at n = 10), runs only when that
@@ -23,15 +23,19 @@ elimination finds the matrix singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from math import lcm
+from typing import Callable
 
 from .linalg import (
     Matrix,
     SingularMatrix,
     SizeMismatch,
+    _Scaled,
     _full_rank_mod_p,
-    _product,
-    _sparse_rows,
+    _integer_rows,
+    _integer_rows_matrix,
+    _products,
+    _sparse,
     inverse,
     kron,
     rank,
@@ -79,25 +83,61 @@ class SuperOp:
             )
 
     def apply(self, a: Matrix) -> Matrix:
-        return next(self.apply_each((a,)))
-
-    def apply_each(self, mats: Iterable[Matrix]) -> Iterator[Matrix]:
-        """Images of mats in order, computed lazily.
-
-        The matrix is scaled to Gaussian integers and the nonzero
-        entries of each row are listed once, on the first request, and
-        reused for every input; an image is computed only when it is
-        asked for, so a consumer that stops early pays for no later input.
-        """
-        scaled = _sparse_rows(self.matrix)
-        for a in mats:
-            if a.rows != self.n or a.cols != self.n:
-                raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
-            yield unvec(_product(scaled, vec(a)), self.n)
+        """The image of a: _image_kernel(self) on a scaled to Gaussian integers."""
+        if a.rows != self.n or a.cols != self.n:
+            raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
+        re, im, e = _common_integer_rows(a)
+        return _integer_rows_matrix(*_image_kernel(self)(re, im, e))
 
     def apply_to_unit(self, i: int, j: int) -> Matrix:
         """Image of the matrix unit E_ij; just a column of the matrix."""
         return unvec(self.matrix.column_at(j * self.n + i), self.n)
+
+
+def _image_kernel(phi: SuperOp) -> Callable[[list[list[int]], list[list[int]], int], _Scaled]:
+    """The map (re, im, e) -> the image of (re + i*im) / e, all in integers.
+
+    L is scaled here, once: the n rows of L that feed row i of an image
+    (vec indices j*n + i) are scaled to Gaussian integers with one common
+    scale D_i, and each keeps only its nonzero entries. The returned
+    function takes an n x n matrix as Gaussian-integer rows re + i*im
+    over a common scale e and returns the image as Gaussian-integer rows,
+    row i over the scale D_i * e: each entry is a plain int dot product.
+    """
+    n = phi.n
+    re, im, scales = _integer_rows(phi.matrix)
+    block_scales = [lcm(*scales[i::n]) for i in range(n)]
+    for r, s in enumerate(scales):
+        f = block_scales[r % n] // s
+        if f > 1:
+            re[r] = [x * f for x in re[r]]
+            im[r] = [x * f for x in im[r]]
+    rows = _sparse(re, im)
+    digits = range(n)
+
+    def image(a_re: list[list[int]], a_im: list[list[int]], e: int) -> _Scaled:
+        # vec(A)[j*n + i] = A[i][j]
+        u = [a_re[i][j] for j in digits for i in digits]
+        v = [a_im[i][j] for j in digits for i in digits]
+        b_re, b_im = _products(rows, u, v)
+        return (
+            [b_re[i::n] for i in digits],
+            [b_im[i::n] for i in digits],
+            [d * e for d in block_scales],
+        )
+
+    return image
+
+
+def _common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
+    """a as Gaussian-integer rows (re, im) over one common scale e."""
+    re, im, scales = _integer_rows(a)
+    e = lcm(*scales)
+    return (
+        [[x * (e // s) for x in row] for row, s in zip(re, scales)],
+        [[x * (e // s) for x in row] for row, s in zip(im, scales)],
+        e,
+    )
 
 
 def identity_superop(n: int) -> SuperOp:

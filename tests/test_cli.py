@@ -485,6 +485,24 @@ def test_reports_are_byte_deterministic(capsys):
     assert first == second
 
 
+GOLDEN = FIXTURES / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_report_bytes_match_golden(capsys, case):
+    """stdout and exit code equal those recorded for the same invocation.
+
+    The recordings were made with `python -m fixpres`; input documents are
+    named relative to tests/fixtures, and reports never echo the path.
+    """
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in case["argv"]]
+    code, out, err = invoke(capsys, *argv)
+    expected = (GOLDEN / f"{case['name']}.stdout").read_bytes()
+    assert (code, err) == (case["exit"], "")
+    assert out.encode("utf-8") == expected
+
+
 @pytest.mark.parametrize("module", ["fixpres", "fixpres.cli"])
 def test_module_runs_as_subprocess(module):
     env = dict(os.environ, PYTHONPATH=str(Path(fixpres.__file__).parents[1]))

@@ -1,7 +1,9 @@
 """Probes, falsifier checks, classification, and the two claim verdicts."""
 
+import hashlib
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fixpres import (
@@ -9,27 +11,31 @@ from fixpres import (
     Matrix,
     NotRankOneIdempotent,
     SuperOp,
+    Verdict,
     check_dim_preserving,
     check_set_preserving,
     classify,
     derive_rng,
     dim_fixed,
     dim_preserver_verdict,
+    fixed_space,
     identity_superop,
     idempotent_shift_ratio,
     random_invertible,
     random_matrix,
+    random_rank_one_idempotent,
     set_preserver_verdict,
     similarity_superop,
     transpose_similarity_superop,
     transpose_superop,
 )
 from fixpres import preserver
-from fixpres.linalg import rank
+from fixpres.linalg import _integer_rows, _integer_rows_matrix, inverse, rank
 from fixpres.preserver import probe_suite, structured_probes
-from fixpres.scalars import ONE
+from fixpres.sampling import random_integer_rows
+from fixpres.scalars import ONE, ZERO
 
-from conftest import row_vector, superop_from_action
+from conftest import matrices, row_vector, square_matrices, superop_from_action
 
 
 def _first_nonzero_gauge(m: Matrix) -> Matrix:
@@ -102,31 +108,56 @@ def test_refutation_in_structured_prefix_draws_no_random_probe(monkeypatch):
     phi = similarity_superop(Matrix.identity(3), 2)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return random_matrix(*args)
+    def counted(draw):
+        def wrapper(*args):
+            calls.append(args)
+            return draw(*args)
 
-    monkeypatch.setattr(preserver, "random_matrix", counted)
+        return wrapper
+
+    monkeypatch.setattr(preserver, "random_integer_rows", counted(random_integer_rows))
+    monkeypatch.setattr(preserver, "random_matrix", counted(random_matrix))
     verdict = check_dim_preserving(phi, trials=20, seed=0)
     assert (verdict.outcome, verdict.probes_run) == ("counterexample", 3)
     assert calls == []
 
 
+def _as_matrix(re, im, e) -> Matrix:
+    return _integer_rows_matrix(re, im, [e] * len(re))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", [0, 11, 2**40 + 3])
+def test_integer_probe_stream_is_the_probe_suite(n, seed):
+    stream = [_as_matrix(*p) for p in preserver._probe_rows(n, 7, seed)]
+    assert stream == probe_suite(n, 7, seed)
+
+
 def test_passing_check_sees_the_probe_suite_in_order(monkeypatch):
     seen = []
+    stream = preserver._probe_rows
 
-    def recorded(a):
-        seen.append(a)
-        return dim_fixed(a)
+    def recorded(*args):
+        for probe in stream(*args):
+            seen.append(_as_matrix(*probe))
+            yield probe
 
-    monkeypatch.setattr(preserver, "dim_fixed", recorded)
-    verdict = check_dim_preserving(identity_superop(3), trials=6, seed=11)
+    monkeypatch.setattr(preserver, "_probe_rows", recorded)
     suite = probe_suite(3, trials=6, seed=11)
-    assert verdict.outcome == "pass"
-    assert verdict.probes_run == len(suite)
-    # measure is called on each probe and then on its image
-    assert seen[::2] == suite
-    assert seen[1::2] == suite
+    for check in (check_dim_preserving, check_set_preserving):
+        seen.clear()
+        verdict = check(identity_superop(3), trials=6, seed=11)
+        assert verdict.outcome == "pass"
+        assert verdict.probes_run == len(suite)
+        assert seen == suite
+
+
+def test_probe_stream_is_pinned():
+    """The seeded stream depends on random.Random.randint and choice; a
+    Python release that changed either would change every report."""
+    text = str([str(m) for n in (3, 4, 5) for m in probe_suite(n, 30, 7)])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "a3ac356f6b65c87655a4123da306113b1a1960cdcc02e226edaf7bf31f525417"
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +217,171 @@ def test_similarity_with_nontrivial_s_fails_set_check_in_structured_prefix():
     verdict = check_set_preserving(phi, trials=0, seed=0)
     assert verdict.outcome == "counterexample"
     assert verdict.probes_run <= len(structured_probes(3))
+
+
+# ---------------------------------------------------------------------------
+# the integer probe loop against the reference loop
+
+
+def _reference_check(phi: SuperOp, trials: int, seed: int, measure) -> Verdict:
+    """The reference probe loop: measure, dim_fixed or fixed_space, of
+    each probe of probe_suite and of phi.apply of it."""
+    probes_run = 0
+    for probes_run, a in enumerate(probe_suite(phi.n, trials, seed), start=1):
+        left, right = measure(a), measure(phi.apply(a))
+        if left != right:
+            return Verdict("counterexample", a, (left, right), probes_run, seed)
+    return Verdict("pass", None, None, probes_run, seed)
+
+
+def _perturbed_identity(rng, n: int) -> SuperOp:
+    """The identity map with two entries of its matrix redrawn; such maps
+    often survive the first structured probes."""
+    side = n * n
+    entries = list(Matrix.identity(side).entries)
+    for _ in range(2):
+        entries[rng.randrange(side * side)] = random_matrix(rng, 1, 1)[0, 0]
+    return SuperOp(n, Matrix(side, side, tuple(entries)))
+
+
+def _family_map(family: str, n: int, rng) -> SuperOp:
+    side = n * n
+    if family == "random":
+        return SuperOp(n, random_matrix(rng, side, side))
+    if family == "rank-deficient":
+        k = max(1, side // 2)
+        return SuperOp(n, random_matrix(rng, side, k) @ random_matrix(rng, k, side))
+    if family == "perturbed-identity":
+        return _perturbed_identity(rng, n)
+    if family == "similarity":
+        return similarity_superop(random_invertible(rng, n), 1)
+    if family == "scale-2-similarity":
+        return similarity_superop(random_invertible(rng, n), 2)
+    if family == "transpose-similarity":
+        return transpose_similarity_superop(random_invertible(rng, n), 1)
+    # A -> A + 2 a_32 E_32 changes dim F on matrices that random probes miss
+    return superop_from_action(n, lambda a: a + 2 * a[2, 1] * Matrix.unit(n, 2, 1))
+
+
+MAP_FAMILIES = (
+    "random",
+    "rank-deficient",
+    "perturbed-identity",
+    "similarity",
+    "scale-2-similarity",
+    "transpose-similarity",
+    "shear-32",
+)
+
+
+@pytest.mark.parametrize("family", MAP_FAMILIES)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32), trials=st.integers(0, 8))
+def test_checks_match_reference_loop(family, n, seed, trials):
+    if family == "shear-32":
+        n = max(n, 3)
+    phi = _family_map(family, n, derive_rng(seed, "reference-loop", family, n))
+    assert check_dim_preserving(phi, trials, seed) == _reference_check(
+        phi, trials, seed, dim_fixed
+    )
+    assert check_set_preserving(phi, trials, seed) == _reference_check(
+        phi, trials, seed, fixed_space
+    )
+
+
+@given(n=st.integers(1, 3), data=st.data())
+def test_checks_match_reference_loop_on_drawn_maps(n, data):
+    """Maps with entries from the shared strategy: imaginary parts and
+    denominators up to 4, often zero-heavy after shrinking."""
+    side = n * n
+    phi = SuperOp(n, data.draw(matrices(rows=side, cols=side)))
+    seed = data.draw(st.integers(0, 2**32))
+    assert check_dim_preserving(phi, 3, seed) == _reference_check(phi, 3, seed, dim_fixed)
+    assert check_set_preserving(phi, 3, seed) == _reference_check(phi, 3, seed, fixed_space)
+
+
+def test_random_probe_witness_is_rebuilt_from_its_draw():
+    """S fixes the lines of e1 and e1 + e2, so A -> S A inv(S) keeps F of
+    every structured probe at n = 2; random probe 1532 of seed 4 is the
+    first with a fixed line that S moves."""
+    phi = similarity_superop(Matrix.from_rows([[1, 1], [0, 2]]), 1)
+    verdict = check_set_preserving(phi, trials=1532, seed=4)
+    assert (verdict.outcome, verdict.probes_run) == ("counterexample", 1540)
+    assert verdict.witness == probe_suite(2, 1532, 4)[-1]
+    assert verdict.detail == (fixed_space(verdict.witness), fixed_space(phi.apply(verdict.witness)))
+    assert verdict.detail[0].dim == 1
+    assert check_dim_preserving(phi, trials=1532, seed=4).outcome == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the rank lemma behind the set check: ker X = ker Y iff
+# rank X = rank Y = rank [X; Y]
+
+
+def _ranks_agree(a: Matrix, b: Matrix, compare_sets: bool) -> bool:
+    x = preserver._fixed_rows(*_integer_rows(a))
+    y = preserver._fixed_rows(*_integer_rows(b))
+    return preserver._same_fixed(x, y, a.rows, compare_sets)
+
+
+def _with_fixed_points(rng, n: int, k: int) -> Matrix:
+    """S diag(1, ..., 1, d_k, ..., d_n) inv(S): dim F is at least k."""
+    s = random_invertible(rng, n)
+    diag = [ONE] * k + [random_matrix(rng, 1, 1)[0, 0] for _ in range(n - k)]
+    d = Matrix(n, n, tuple(diag[i] if i == j else ZERO for i in range(n) for j in range(n)))
+    return s @ d @ inverse(s)
+
+
+def _assert_lemma(a: Matrix, b: Matrix) -> None:
+    assert _ranks_agree(a, b, compare_sets=True) == (fixed_space(a) == fixed_space(b))
+    assert _ranks_agree(a, b, compare_sets=False) == (dim_fixed(a) == dim_fixed(b))
+
+
+@given(n=st.integers(1, 4), k=st.integers(0, 4), seed=st.integers(0, 2**32))
+def test_rank_lemma_on_same_fixed_space(n, k, seed):
+    # F(2A - I) = ker(2A - 2I) = F(A)
+    a = _with_fixed_points(derive_rng(seed, "lemma-same"), n, min(k, n))
+    b = 2 * a - Matrix.identity(n)
+    assert _ranks_agree(a, b, compare_sets=True)
+    _assert_lemma(a, b)
+
+
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32))
+def test_rank_lemma_on_transpose(n, seed):
+    # P = x f has F(P) = span(x) and F(P.T) = span(f.T): same dim, and
+    # different spaces unless x is parallel to f.T
+    p, _, _ = random_rank_one_idempotent(derive_rng(seed, "lemma-transpose"), n)
+    assert p != p.transpose()
+    assert _ranks_agree(p, p.transpose(), compare_sets=False)
+    _assert_lemma(p, p.transpose())
+
+
+def test_rank_lemma_on_transpose_of_a_jordan_block():
+    a = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    assert not _ranks_agree(a, a.transpose(), compare_sets=True)
+    assert _ranks_agree(a, a.transpose(), compare_sets=False)
+    _assert_lemma(a, a.transpose())
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_rank_lemma_when_both_dims_are_zero(n, seed):
+    rng = derive_rng(seed, "lemma-zero")
+    a, b = random_matrix(rng, n, n), random_matrix(rng, n, n)
+    assume(dim_fixed(a) == dim_fixed(b) == 0)
+    assert _ranks_agree(a, b, compare_sets=True)
+    _assert_lemma(a, b)
+
+
+@given(n=st.integers(1, 4), ka=st.integers(0, 4), kb=st.integers(0, 4), seed=st.integers(0, 2**32))
+def test_rank_lemma_on_random_pairs(n, ka, kb, seed):
+    rng = derive_rng(seed, "lemma-random")
+    _assert_lemma(_with_fixed_points(rng, n, min(ka, n)), _with_fixed_points(rng, n, min(kb, n)))
+
+
+@given(square_matrices(max_side=3), st.data())
+def test_rank_lemma_on_drawn_pairs(a, data):
+    b = data.draw(matrices(rows=a.rows, cols=a.cols))
+    _assert_lemma(a, b)
+    _assert_lemma(a, a)
 
 
 # ---------------------------------------------------------------------------
