@@ -25,7 +25,7 @@ from math import gcd
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed
-from .linalg import Matrix, _bareiss, _integer_rows_matrix, _kernel, rank
+from .linalg import Matrix, _bareiss, _integer_rows, _integer_rows_matrix, _kernel, rank
 from .rank_one import is_idempotent
 from .sampling import derive_rng, random_integer_rows, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
@@ -320,12 +320,36 @@ def classify(phi: SuperOp) -> Classification:
 
 
 def _matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
+    """Whether phi(E_ij) == S @ E_ij @ T (S @ E_ji @ T with transpose_first)
+    on every matrix unit E_ij.
+
+    Column j*n + i of L is the image of E_ij, and entry (a, b) of
+    S @ E_ij @ T is s[a, i] * t[j, b], so this is L == T.T kron S entrywise,
+    or its transpose-first gather L[b*n + a, j*n + i] == s[a, j] * t[i, b].
+    It is decided in Gaussian integers: with row r of L over its scale
+    d_r, S over sigma and T over tau, L_int[r][c] * sigma * tau is compared
+    with d_r * S_int * T_int, one cross-multiplication per entry of L.
+    """
     n = phi.n
-    for i in range(n):
-        for j in range(n):
-            unit = Matrix.unit(n, j, i) if transpose_first else Matrix.unit(n, i, j)
-            if phi.apply_to_unit(i, j) != s @ unit @ t:
-                return False
+    l_re, l_im, l_scales = _integer_rows(phi.matrix)
+    s_re, s_im, sigma = _common_integer_rows(s)
+    t_re, t_im, tau = _common_integer_rows(t)
+    k = sigma * tau
+    digits = range(n)
+    for b in digits:
+        t_col = [(t_re[j][b], t_im[j][b]) for j in digits]
+        for a in digits:
+            r = b * n + a
+            d = l_scales[r]
+            s_row = [(d * x, d * y) for x, y in zip(s_re[a], s_im[a])]
+            # entry j*n + i of row r is expected to be outer[j] * inner[i]
+            outer, inner = (s_row, t_col) if transpose_first else (t_col, s_row)
+            expected = [
+                (pr * qr - pi * qi, pr * qi + pi * qr) for pr, pi in outer for qr, qi in inner
+            ]
+            for x, y, (er, ei) in zip(l_re[r], l_im[r], expected):
+                if x * k != er or y * k != ei:
+                    return False
     return True
 
 

@@ -11,13 +11,14 @@ Supported sizes are 1 <= n <= 16. On a 2-vCPU Intel Xeon under CPython
 3.11, best of 3, with random maps drawn with Gaussian-rational entries
 (numerators up to 9, denominators up to 3) and similarities
 A -> S @ A @ inv(S) for a random invertible S: is_bijective took 0.29 s
-at n = 12 and 1.3 s at n = 16 (N = 256) on a similarity, and 0.50 s and
-2.4 s on a random map; a claim-2 verdict (20 trials) took 2.6 s and
-10.8 s on a similarity, most of it classify, and 0.58 s and 2.5 s on a
-random map. is_bijective decides full rank by an elimination modulo a
-prime; the exact rank over Q(i), which the minors of a similarity's
-Kronecker product make slow (102 s at n = 10), runs only when that
-elimination finds the matrix singular.
+at n = 12 and 1.2 s at n = 16 (N = 256) on a similarity, and 0.38 s and
+2.3 s on a random map; classify took 0.14 s and 0.58 s on a similarity;
+a claim-2 verdict (20 trials) took 1.2 s and 5.0 s on a similarity, most
+of it the probe run, and 0.35 s and 2.1 s on a random map. is_bijective
+decides full rank by an elimination modulo a prime; the exact rank over
+Q(i), which the minors of a similarity's Kronecker product make slow
+(102 s at n = 10), runs only when that elimination finds the matrix
+singular.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .linalg import (
     kron,
     rank,
 )
+from .scalars import GaussianRational
 
 MAX_SIDE = 16
 
@@ -89,10 +91,6 @@ class SuperOp:
         re, im, e = _common_integer_rows(a)
         return _integer_rows_matrix(*_image_kernel(self)(re, im, e))
 
-    def apply_to_unit(self, i: int, j: int) -> Matrix:
-        """Image of the matrix unit E_ij; just a column of the matrix."""
-        return unvec(self.matrix.column_at(j * self.n + i), self.n)
-
 
 def _image_kernel(phi: SuperOp) -> Callable[[list[list[int]], list[list[int]], int], _Scaled]:
     """The map (re, im, e) -> the image of (re + i*im) / e, all in integers.
@@ -138,6 +136,12 @@ def _common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], i
         [[x * (e // s) for x in row] for row, s in zip(im, scales)],
         e,
     )
+
+
+def _integer_row(row: tuple[GaussianRational, ...]) -> tuple[list[int], list[int]]:
+    """row scaled by one constant to Gaussian integers, as (re, im)."""
+    re, im, _ = _integer_rows(Matrix(1, len(row), row))
+    return re[0], im[0]
 
 
 def identity_superop(n: int) -> SuperOp:
@@ -205,23 +209,30 @@ def rank_one_factor(m: Matrix) -> tuple[Matrix, Matrix]:
     has rank one exactly when every 2x2 minor through the anchor
     vanishes, m[i, j] * m[i0, j0] == m[i, j0] * m[i0, j]. Rows above i0
     are zero and row i0 satisfies this trivially, so only the rows below
-    are checked, stopping at the first nonzero minor.
+    are checked, stopping at the first nonzero minor. Scaling a row by a
+    nonzero constant does not change whether such a minor vanishes, so
+    each row is scaled to Gaussian integers only when the scan reaches
+    it, and the minors are integer cross-multiplications.
     """
     entries, cols = m.entries, m.cols
     lead = next((idx for idx, val in enumerate(entries) if val), None)
     if lead is None:
         raise NotRankOne("the zero matrix has rank 0")
     i0, j0 = divmod(lead, cols)
-    anchor = entries[lead]
     anchor_row = entries[i0 * cols : (i0 + 1) * cols]
+    a_re, a_im = _integer_row(anchor_row)
+    p, q = a_re[j0], a_im[j0]
     for i in range(i0 + 1, m.rows):
-        row = entries[i * cols : (i + 1) * cols]
-        left = row[j0]
-        for j, (x, y) in enumerate(zip(row, anchor_row)):
-            if x * anchor != left * y:
+        x_re, x_im = _integer_row(entries[i * cols : (i + 1) * cols])
+        l_re, l_im = x_re[j0], x_im[j0]
+        for j, (xr, xi, yr, yi) in enumerate(zip(x_re, x_im, a_re, a_im)):
+            # x * anchor == left * y, as (re, im) pairs
+            if (xr * p - xi * q != l_re * yr - l_im * yi
+                    or xr * q + xi * p != l_re * yi + l_im * yr):
                 raise NotRankOne(
                     f"the minor at rows {i0}, {i} and columns {j0}, {j} is nonzero"
                 )
+    anchor = entries[lead]
     u = Matrix(m.rows, 1, tuple(entries[i * cols + j0] / anchor for i in range(m.rows)))
     v = Matrix(cols, 1, anchor_row)
     return u, v

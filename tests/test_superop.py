@@ -105,14 +105,6 @@ def test_superop_from_action_matches_action():
     assert phi.apply(probe) == s @ probe @ t
 
 
-def test_apply_to_unit_reads_columns():
-    s = Matrix.from_rows([[1, 2], [3, 4]])
-    phi = similarity_superop(s, 1)
-    for i in range(2):
-        for j in range(2):
-            assert phi.apply_to_unit(i, j) == phi.apply(Matrix.unit(2, i, j))
-
-
 def test_similarity_superop_action():
     s = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [2, 0, 1]])
     phi = similarity_superop(s, 1)
