@@ -185,9 +185,6 @@ class Matrix:
             )
         return Matrix(self.rows, self.cols + other.cols, tuple(v for row in rows for v in row))
 
-    def column_at(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, tuple(self.entries[i * self.cols + j] for i in range(self.rows)))
-
     def __str__(self) -> str:
         body = "; ".join(
             " ".join(str(v) for v in self.entries[i * self.cols : (i + 1) * self.cols])
@@ -371,6 +368,11 @@ _P = 2305843009213693921
 _SQRT_MINUS_ONE = 583529827753931384
 
 
+def _pack(residues: list[int], width: int) -> int:
+    """The residues as width-byte fields of one int, the first one highest."""
+    return int.from_bytes(b"".join(x.to_bytes(width, "big") for x in residues), "big")
+
+
 def _full_rank_mod_p(m: Matrix) -> bool:
     """True when the square matrix m has full rank modulo the prime _P.
 
@@ -380,24 +382,58 @@ def _full_rank_mod_p(m: Matrix) -> bool:
     proves nothing: m may still be invertible over Q(i) when its scaled
     determinant maps to 0 in GF(_P), and the caller must decide that
     exactly.
+
+    The elimination works on packed rows: row k is one int whose field j,
+    w bits wide with column 0 highest, holds a nonnegative value congruent
+    to entry (k, j) mod _P. Fields are left unreduced. Clearing column col
+    from a row with residue f there is one multiply-add,
+    (row & later) + (_P - f) * t. Here t packs the pivot row's entries
+    right of col, reduced mod _P and divided by the pivot, and the mask
+    later drops the fields of col and left of it, which are never read
+    again. Adding _P - f instead of subtracting f keeps every field
+    nonnegative. A field starts below _P and receives at most N - 1 such
+    additions, each below _P**2, one per column left of its own, so it
+    stays below (N + 1) * _P**2. The width w, in whole bytes, is chosen
+    with (N + 1) * _P**2 < 2**w, so no field overflows and no carry
+    crosses into the next one. Only the pivot row is unpacked and reduced,
+    once per column: the work in Python is O(N**2), and the O(N**3) part
+    is bignum arithmetic. A row whose residue in the pivot column is 0 is
+    kept as it is, and a pivot row that is 0 right of col is not
+    unpacked, so sparse input stays cheap.
     """
+    n = m.cols
+    width = -(-((n + 1) * _P * _P).bit_length() // 8)
+    bits = 8 * width
+    field = (1 << bits) - 1
     re, im, _ = _integer_rows(m)
     rows = [
-        [(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)]
+        _pack([(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)], width)
         for xs, ys in zip(re, im)
     ]
-    for col in range(m.cols):
-        hit = next((r for r in range(col, m.rows) if rows[r][col]), None)
-        if hit is None:
+    for col in range(n):
+        shift = bits * (n - 1 - col)
+        later = (1 << shift) - 1
+        t = None
+        rest: list[int] = []
+        for row in rows:
+            f = (row >> shift & field) % _P
+            if not f:
+                rest.append(row)
+            elif t is None:
+                t = row & later
+                if t:
+                    inv = pow(f, -1, _P)
+                    tail = t.to_bytes(width * (n - 1 - col), "big")
+                    t = _pack(
+                        [int.from_bytes(tail[k : k + width], "big") * inv % _P
+                         for k in range(0, len(tail), width)],
+                        width,
+                    )
+            else:
+                rest.append((row & later) + (_P - f) * t)
+        if t is None:
             return False
-        rows[col], rows[hit] = rows[hit], rows[col]
-        pivot = rows[col]
-        inv = pow(pivot[col], -1, _P)
-        tail = [x * inv % _P for x in pivot[col + 1 :]]
-        for row in rows[col + 1 :]:
-            f = row[col]
-            if f:
-                row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
+        rows = rest
     return True
 
 

@@ -10,15 +10,15 @@ layout; each reshuffle below is a gather over the flat row-major entries.
 Supported sizes are 1 <= n <= 16. On a 2-vCPU Intel Xeon under CPython
 3.11, best of 3, with random maps drawn with Gaussian-rational entries
 (numerators up to 9, denominators up to 3) and similarities
-A -> S @ A @ inv(S) for a random invertible S: is_bijective took 0.29 s
-at n = 12 and 1.2 s at n = 16 (N = 256) on a similarity, and 0.38 s and
-2.3 s on a random map; classify took 0.14 s and 0.58 s on a similarity;
-a claim-2 verdict (20 trials) took 1.2 s and 5.0 s on a similarity, most
-of it the probe run, and 0.35 s and 2.1 s on a random map. is_bijective
-decides full rank by an elimination modulo a prime; the exact rank over
-Q(i), which the minors of a similarity's Kronecker product make slow
-(102 s at n = 10), runs only when that elimination finds the matrix
-singular.
+A -> S @ A @ inv(S) for a random invertible S: is_bijective took 0.09 s
+at n = 12 and 0.23 s at n = 16 (N = 256) on a similarity, and 0.07 s and
+0.28 s on a random map; classify took 0.14 s and 0.51 s on a similarity;
+a claim-2 verdict (20 trials) took 0.72 s and 3.7 s on a similarity,
+most of it the probe run, and 0.15 s and 0.36 s on a random map.
+is_bijective decides full rank by an elimination modulo a prime on
+packed rows; the exact rank over Q(i), which the minors of a
+similarity's Kronecker product make slow (102 s at n = 10), runs only
+when that elimination finds the matrix singular.
 """
 
 from __future__ import annotations

@@ -46,6 +46,11 @@ def row_vector(values) -> Matrix:
     return Matrix.column(values).transpose()
 
 
+def column_at(m: Matrix, j: int) -> Matrix:
+    """Column j of m, as a column vector."""
+    return Matrix(m.rows, 1, m.entries[j :: m.cols])
+
+
 def contains(space: Subspace, v: Matrix) -> bool:
     """Whether the column v lies in space: adjoining it leaves the span unchanged."""
     return Subspace.spanned_by_columns(space.basis.hstack(v)) == space

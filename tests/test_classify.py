@@ -42,7 +42,7 @@ from fixpres.superop import (
     unvec,
 )
 
-from conftest import row_vector
+from conftest import column_at, row_vector
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def reference_matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_fir
         for j in range(n):
             unit = Matrix.unit(n, j, i) if transpose_first else Matrix.unit(n, i, j)
             # the image of E_ij is column j*n + i of L
-            if unvec(phi.matrix.column_at(j * n + i), n) != s @ unit @ t:
+            if unvec(column_at(phi.matrix, j * n + i), n) != s @ unit @ t:
                 return False
     return True
 
