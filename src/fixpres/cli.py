@@ -97,17 +97,23 @@ def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
     if not isinstance(entries, list) or len(entries) != n_rows:
         raise InputError(f"{where}: expected {n_rows} entry rows")
     parsed: list[GaussianRational] = []
+    # Each distinct string is parsed once: a superoperator document
+    # repeats few scalars many times.
+    seen: dict[str, GaussianRational] = {}
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n_cols:
             raise InputError(f"{where}: row {i} must hold {n_cols} entries")
         for j, text in enumerate(row):
             if not isinstance(text, str):
                 raise InputError(f"{where}: entry ({i},{j}) must be a string")
-            try:
-                parsed.append(parse_scalar(text))
-            except ValueError as exc:
-                # ParseError, or int() refusing a numeral over the digit limit
-                raise InputError(f"{where}: entry ({i},{j}): {exc}") from exc
+            value = seen.get(text)
+            if value is None:
+                try:
+                    value = seen[text] = parse_scalar(text)
+                except ValueError as exc:
+                    # ParseError, or int() refusing a numeral over the digit limit
+                    raise InputError(f"{where}: entry ({i},{j}): {exc}") from exc
+            parsed.append(value)
     return Matrix(n_rows, n_cols, tuple(parsed))
 
 

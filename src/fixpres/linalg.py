@@ -363,25 +363,33 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(m, reduce=False)[2])
 
 
-# A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that root.
-_P = 2305843009213693921
-_SQRT_MINUS_ONE = 583529827753931384
+# A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that
+# root. p < 2**30, so every residue is one CPython int digit.
+_P = 1073741789
+_SQRT_MINUS_ONE = 933053945
+
+
+def _residues(re: list[list[int]], im: list[list[int]]) -> list[list[int]]:
+    """The Gaussian-integer rows re + i*im sent to GF(_P) by the ring
+    homomorphism Z[i] -> GF(_P) with i -> _SQRT_MINUS_ONE."""
+    r, p = _SQRT_MINUS_ONE, _P
+    return [[(x + r * y) % p for x, y in zip(xs, ys)] for xs, ys in zip(re, im)]
 
 
 def _pack(residues: list[int], width: int) -> int:
     """The residues as width-byte fields of one int, the first one highest."""
-    return int.from_bytes(b"".join(x.to_bytes(width, "big") for x in residues), "big")
+    return int.from_bytes(b"".join([x.to_bytes(width, "big") for x in residues]), "big")
 
 
-def _full_rank_mod_p(m: Matrix) -> bool:
-    """True when the square matrix m has full rank modulo the prime _P.
+def _full_rank_mod_p(rows: list[list[int]]) -> bool:
+    """True when the square matrix of residues mod _P has full rank in GF(_P).
 
-    Each row is scaled to Gaussian integers and sent to GF(_P) by the ring
-    homomorphism Z[i] -> GF(_P) with i -> _SQRT_MINUS_ONE. A homomorphism
-    cannot raise the rank, so True proves that m is invertible. False
-    proves nothing: m may still be invertible over Q(i) when its scaled
-    determinant maps to 0 in GF(_P), and the caller must decide that
-    exactly.
+    The rows are residues of a Gaussian-integer matrix (see _residues). A
+    homomorphism cannot raise the rank, so True proves that the integer
+    matrix, and any matrix whose rows are nonzero multiples of its rows,
+    is invertible over Q(i). False proves nothing: the matrix may still be
+    invertible over Q(i) when its determinant maps to 0 in GF(_P), and the
+    caller must decide that exactly. The input lists are not changed.
 
     The elimination works on packed rows: row k is one int whose field j,
     w bits wide with column 0 highest, holds a nonnegative value congruent
@@ -394,28 +402,24 @@ def _full_rank_mod_p(m: Matrix) -> bool:
     nonnegative. A field starts below _P and receives at most N - 1 such
     additions, each below _P**2, one per column left of its own, so it
     stays below (N + 1) * _P**2. The width w, in whole bytes, is chosen
-    with (N + 1) * _P**2 < 2**w, so no field overflows and no carry
-    crosses into the next one. Only the pivot row is unpacked and reduced,
-    once per column: the work in Python is O(N**2), and the O(N**3) part
-    is bignum arithmetic. A row whose residue in the pivot column is 0 is
-    kept as it is, and a pivot row that is 0 right of col is not
-    unpacked, so sparse input stays cheap.
+    with (N + 1) * _P**2 < 2**w (9 bytes up to N = 256), so no field
+    overflows and no carry crosses into the next one. Only the pivot row
+    is unpacked and reduced, once per column: the work in Python is
+    O(N**2), and the O(N**3) part is bignum arithmetic. A row whose
+    residue in the pivot column is 0 is kept as it is, and a pivot row
+    that is 0 right of col is not unpacked, so sparse input stays cheap.
     """
-    n = m.cols
+    n = len(rows)
     width = -(-((n + 1) * _P * _P).bit_length() // 8)
     bits = 8 * width
     field = (1 << bits) - 1
-    re, im, _ = _integer_rows(m)
-    rows = [
-        _pack([(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)], width)
-        for xs, ys in zip(re, im)
-    ]
+    packed = [_pack(row, width) for row in rows]
     for col in range(n):
         shift = bits * (n - 1 - col)
         later = (1 << shift) - 1
         t = None
         rest: list[int] = []
-        for row in rows:
+        for row in packed:
             f = (row >> shift & field) % _P
             if not f:
                 rest.append(row)
@@ -433,7 +437,7 @@ def _full_rank_mod_p(m: Matrix) -> bool:
                 rest.append((row & later) + (_P - f) * t)
         if t is None:
             return False
-        rows = rest
+        packed = rest
     return True
 
 

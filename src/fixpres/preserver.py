@@ -25,7 +25,17 @@ from math import gcd
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed
-from .linalg import Matrix, _bareiss, _integer_rows, _integer_rows_matrix, _kernel, rank
+from .linalg import (
+    Matrix,
+    _P,
+    _bareiss,
+    _full_rank_mod_p,
+    _integer_rows,
+    _integer_rows_matrix,
+    _kernel,
+    _residues,
+    rank,
+)
 from .rank_one import is_idempotent
 from .sampling import derive_rng, random_integer_rows, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
@@ -215,21 +225,43 @@ def _same_fixed(x: _Rows, y: _Rows, n: int, compare_sets: bool) -> bool:
     return len(_bareiss(*_primitive(x_re + y_re, x_im + y_im), n, reduce=False)) == r
 
 
+def _regular_mod_p(rows: list[list[int]], scales: list[int]) -> bool:
+    """Whether M - I has full rank mod _P, where row k of M is a row of
+    Gaussian integers over scales[k] and rows[k] holds its residues.
+
+    Row k of M - I is scaled by scales[k], so only its diagonal entry
+    moves; rows is shifted in place. True proves that M - I is
+    invertible, so F(M) = {0}.
+    """
+    for k, s in enumerate(scales):
+        rows[k][k] = (rows[k][k] - s) % _P
+    return _full_rank_mod_p(rows)
+
+
 def _check(phi: SuperOp, trials: int, seed: int, compare_sets: bool) -> Verdict:
     """Compare F(A) with F(phi(A)), by dimension or as sets, over the probe suite.
 
     Each probe and its image stay Gaussian integers from the draw to the
-    verdict: forward Bareiss passes on A - I and phi(A) - I give their
-    echelon rows, and _same_fixed compares those. Probes are drawn
-    lazily, so a counterexample at probe k draws no later probe. Only a
-    counterexample builds matrices: the witness, its image for dim_fixed,
-    and for sets the canonical kernels of the echelon rows, which are
-    fixed_space of the probe and of its image.
+    verdict. Most probes are decided modulo _P: the probe's residues and
+    those of its image give A - I and phi(A) - I mod _P, and when both
+    have full rank there, both fixed spaces are {0}, which settles the
+    dimension and the set condition alike. Only the other probes (those
+    with a fixed point on either side, and the rare probe that is
+    singular mod _P alone) take the exact path: forward Bareiss passes on
+    A - I and phi(A) - I give their echelon rows, and _same_fixed
+    compares those. Probes are drawn lazily, so a counterexample at probe
+    k draws no later probe. Only a counterexample builds matrices: the
+    witness, its image for dim_fixed, and for sets the canonical kernels
+    of the echelon rows, which are fixed_space of the probe and of its
+    image.
     """
     n = phi.n
-    image = _image_kernel(phi)
+    image, image_mod_p = _image_kernel(phi)
     probes_run = 0
     for probes_run, (re, im, e) in enumerate(_probe_rows(n, trials, seed), start=1):
+        residues = _residues(re, im)
+        if _regular_mod_p(*image_mod_p(residues, e)) and _regular_mod_p(residues, [e] * n):
+            continue
         b = image(re, im, e)
         x = _fixed_rows(re, im, [e] * n)
         y = _fixed_rows(*b)

@@ -33,12 +33,29 @@ def _draws(rng: random.Random, count: int) -> list[tuple[int, int, int, int]]:
 
     This is the only place that consumes the stream for matrix entries,
     so every generator below draws the same entries from the same rng.
+    Each numerator is getrandbits(5), redrawn while at least 19, minus 9,
+    and each denominator is DENOMINATORS[getrandbits(2)], redrawn while
+    the index is 3. These are the very calls that rng.randint(-9, 9) and
+    rng.choice(DENOMINATORS) make, without their Python-level overhead,
+    so the stream is the same.
     """
-    randint, choice = rng.randint, rng.choice
-    return [
-        (randint(-9, 9), choice(DENOMINATORS), randint(-9, 9), choice(DENOMINATORS))
-        for _ in range(count)
-    ]
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        a = bits(5)
+        while a >= 19:
+            a = bits(5)
+        b = bits(2)
+        while b == 3:
+            b = bits(2)
+        c = bits(5)
+        while c >= 19:
+            c = bits(5)
+        d = bits(2)
+        while d == 3:
+            d = bits(2)
+        out.append((a - 9, DENOMINATORS[b], c - 9, DENOMINATORS[d]))
+    return out
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:

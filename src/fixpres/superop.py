@@ -7,35 +7,31 @@ permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
 layout; each reshuffle below is a gather over the flat row-major entries.
 
-Supported sizes are 1 <= n <= 16. On a 2-vCPU Intel Xeon under CPython
-3.11, best of 3, with random maps drawn with Gaussian-rational entries
-(numerators up to 9, denominators up to 3) and similarities
-A -> S @ A @ inv(S) for a random invertible S: is_bijective took 0.09 s
-at n = 12 and 0.23 s at n = 16 (N = 256) on a similarity, and 0.07 s and
-0.28 s on a random map; classify took 0.14 s and 0.51 s on a similarity;
-a claim-2 verdict (20 trials) took 0.72 s and 3.7 s on a similarity,
-most of it the probe run, and 0.15 s and 0.36 s on a random map.
-is_bijective decides full rank by an elimination modulo a prime on
-packed rows; the exact rank over Q(i), which the minors of a
-similarity's Kronecker product make slow (102 s at n = 10), runs only
-when that elimination finds the matrix singular.
+Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
+elimination modulo a prime on packed rows; the exact rank over Q(i),
+which the minors of a similarity's Kronecker product make slow, runs
+only when that elimination finds the matrix singular. The README gives
+timings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Callable
 
 from .linalg import (
     Matrix,
     SingularMatrix,
     SizeMismatch,
+    _P,
     _Scaled,
     _full_rank_mod_p,
     _integer_rows,
     _integer_rows_matrix,
     _products,
+    _residues,
     _sparse,
     inverse,
     kron,
@@ -85,22 +81,38 @@ class SuperOp:
             )
 
     def apply(self, a: Matrix) -> Matrix:
-        """The image of a: _image_kernel(self) on a scaled to Gaussian integers."""
+        """The image of a: the exact image of _image_kernel(self) on a scaled
+        to Gaussian integers."""
         if a.rows != self.n or a.cols != self.n:
             raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
         re, im, e = _common_integer_rows(a)
-        return _integer_rows_matrix(*_image_kernel(self)(re, im, e))
+        image, _ = _image_kernel(self)
+        return _integer_rows_matrix(*image(re, im, e))
 
 
-def _image_kernel(phi: SuperOp) -> Callable[[list[list[int]], list[list[int]], int], _Scaled]:
-    """The map (re, im, e) -> the image of (re + i*im) / e, all in integers.
+# The residues mod _P of the rows of a matrix of Gaussian integers, and
+# one scale per row.
+_ScaledMod = tuple[list[list[int]], list[int]]
+
+
+def _image_kernel(
+    phi: SuperOp,
+) -> tuple[
+    Callable[[list[list[int]], list[list[int]], int], _Scaled],
+    Callable[[list[list[int]], int], _ScaledMod],
+]:
+    """The maps that send an n x n matrix to its image, exactly and mod _P.
 
     L is scaled here, once: the n rows of L that feed row i of an image
     (vec indices j*n + i) are scaled to Gaussian integers with one common
-    scale D_i, and each keeps only its nonzero entries. The returned
-    function takes an n x n matrix as Gaussian-integer rows re + i*im
-    over a common scale e and returns the image as Gaussian-integer rows,
-    row i over the scale D_i * e: each entry is a plain int dot product.
+    scale D_i. The first returned function takes an n x n matrix as
+    Gaussian-integer rows re + i*im over a common scale e and returns the
+    image as Gaussian-integer rows, row i over the scale D_i * e: each
+    entry is a plain int dot product over the nonzero entries of a row of
+    L. The second takes the residues of those rows (linalg._residues) and
+    the same e, and returns the residues of the same integer image with
+    the same scales: each entry is one dot product of residues, reduced
+    once.
     """
     n = phi.n
     re, im, scales = _integer_rows(phi.matrix)
@@ -111,6 +123,7 @@ def _image_kernel(phi: SuperOp) -> Callable[[list[list[int]], list[list[int]], i
             re[r] = [x * f for x in re[r]]
             im[r] = [x * f for x in im[r]]
     rows = _sparse(re, im)
+    residues = _residues(re, im)
     digits = range(n)
 
     def image(a_re: list[list[int]], a_im: list[list[int]], e: int) -> _Scaled:
@@ -124,7 +137,12 @@ def _image_kernel(phi: SuperOp) -> Callable[[list[list[int]], list[list[int]], i
             [d * e for d in block_scales],
         )
 
-    return image
+    def image_mod_p(a: list[list[int]], e: int) -> _ScaledMod:
+        u = [a[i][j] for j in digits for i in digits]
+        b = [sum(map(mul, row, u)) % _P for row in residues]
+        return [b[i::n] for i in digits], [d * e for d in block_scales]
+
+    return image, image_mod_p
 
 
 def _common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
@@ -245,4 +263,5 @@ def is_bijective(phi: SuperOp) -> bool:
     nearly always decided by the modular elimination alone. When that
     finds the matrix singular, the exact rank over Q(i) decides.
     """
-    return _full_rank_mod_p(phi.matrix) or rank(phi.matrix) == phi.n * phi.n
+    re, im, _ = _integer_rows(phi.matrix)
+    return _full_rank_mod_p(_residues(re, im)) or rank(phi.matrix) == phi.n * phi.n

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, Subspace, SuperOp
+from fixpres.linalg import _integer_rows, _residues
 from fixpres.superop import vec
 
 settings.register_profile(
@@ -49,6 +50,12 @@ def row_vector(values) -> Matrix:
 def column_at(m: Matrix, j: int) -> Matrix:
     """Column j of m, as a column vector."""
     return Matrix(m.rows, 1, m.entries[j :: m.cols])
+
+
+def residue_rows(m: Matrix) -> list[list[int]]:
+    """The rows of m scaled to Gaussian integers, as residues mod p."""
+    re, im, _ = _integer_rows(m)
+    return _residues(re, im)
 
 
 def contains(space: Subspace, v: Matrix) -> bool:

@@ -40,6 +40,20 @@ def test_matrix_doc_round_trip():
     assert matrix_from_doc(matrix_to_doc(m)) == m
 
 
+def test_matrix_doc_repeated_strings_parse_to_their_scalars():
+    doc = {"n_rows": 2, "n_cols": 3, "entries": [["1/2", "3-1i", "1/2"], ["3-1i", "0", "1/2"]]}
+    assert matrix_from_doc(doc) == Matrix.from_rows(
+        [[Fraction(1, 2), fixpres.GaussianRational(3, -1), Fraction(1, 2)],
+         [fixpres.GaussianRational(3, -1), 0, Fraction(1, 2)]]
+    )
+
+
+def test_matrix_doc_names_the_first_entry_of_a_repeated_bad_string():
+    doc = {"n_rows": 2, "n_cols": 2, "entries": [["1", "x"], ["x", "1/0"]]}
+    with pytest.raises(InputError, match=r"entry \(0,1\)"):
+        matrix_from_doc(doc)
+
+
 def test_matrix_doc_rejects_ragged_rows():
     with pytest.raises(InputError):
         matrix_from_doc({"n_rows": 2, "n_cols": 2, "entries": [["1", "0"], ["1"]]})

@@ -16,6 +16,8 @@ from fixpres import GaussianRational, Matrix, random_matrix, transpose_superop
 from fixpres.linalg import _P, _SQRT_MINUS_ONE, _full_rank_mod_p, _integer_rows
 from fixpres.scalars import ONE, ZERO
 
+from conftest import residue_rows
+
 
 # ---------------------------------------------------------------------------
 # reference implementation
@@ -79,7 +81,7 @@ def square_matrices_mod_p(draw):
 
 @given(square_matrices_mod_p())
 def test_full_rank_mod_p_agrees_with_reference(m):
-    assert _full_rank_mod_p(m) == reference_full_rank_mod_p(m)
+    assert _full_rank_mod_p(residue_rows(m)) == reference_full_rank_mod_p(m)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +89,7 @@ def test_full_rank_mod_p_agrees_with_reference(m):
 
 def test_row_swaps_at_every_column():
     m = transpose_superop(4).matrix
-    assert _full_rank_mod_p(m)
+    assert _full_rank_mod_p(residue_rows(m))
     assert reference_full_rank_mod_p(m)
 
 
@@ -102,7 +104,7 @@ def test_first_column_nonzero_mod_p_only_in_the_last_row():
     ]
     rows.append([GaussianRational(int(j == 0)) for j in range(side)])
     m = Matrix.from_rows(rows)
-    assert _full_rank_mod_p(m)
+    assert _full_rank_mod_p(residue_rows(m))
     assert reference_full_rank_mod_p(m)
 
 
@@ -111,7 +113,7 @@ def test_lower_triangle_of_p_minus_one_at_n_256():
     m = Matrix.from_rows(
         [[_P - 1 if j <= i else 0 for j in range(side)] for i in range(side)]
     )
-    assert _full_rank_mod_p(m)
+    assert _full_rank_mod_p(residue_rows(m))
 
 
 def _lu_with_corner(side: int, corner: int) -> Matrix:
@@ -142,13 +144,13 @@ def _lu_with_corner(side: int, corner: int) -> Matrix:
 
 
 def test_every_field_at_its_growth_bound_at_n_256():
-    assert _full_rank_mod_p(_lu_with_corner(256, 1))
+    assert _full_rank_mod_p(residue_rows(_lu_with_corner(256, 1)))
     # det = corner = p: invertible over Q(i), singular mod p, decided by
     # the last field after its 255 additions.
-    assert not _full_rank_mod_p(_lu_with_corner(256, _P))
+    assert not _full_rank_mod_p(residue_rows(_lu_with_corner(256, _P)))
 
 
 def test_growth_bound_matrices_agree_with_reference_at_n_36():
     for corner in (1, _P):
         m = _lu_with_corner(36, corner)
-        assert _full_rank_mod_p(m) == reference_full_rank_mod_p(m) == (corner == 1)
+        assert _full_rank_mod_p(residue_rows(m)) == reference_full_rank_mod_p(m) == (corner == 1)

@@ -1,6 +1,8 @@
 """Probes, falsifier checks, classification, and the two claim verdicts."""
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -30,12 +32,23 @@ from fixpres import (
     transpose_superop,
 )
 from fixpres import preserver
-from fixpres.linalg import _integer_rows, _integer_rows_matrix, inverse, rank
+from fixpres.linalg import (
+    _P,
+    _SQRT_MINUS_ONE,
+    _bareiss,
+    _full_rank_mod_p,
+    _integer_rows,
+    _integer_rows_matrix,
+    _residues,
+    inverse,
+    rank,
+)
 from fixpres.preserver import probe_suite, structured_probes
 from fixpres.sampling import random_integer_rows
+from fixpres.superop import _common_integer_rows
 from fixpres.scalars import ONE, ZERO
 
-from conftest import matrices, row_vector, square_matrices, superop_from_action
+from conftest import matrices, residue_rows, row_vector, square_matrices, superop_from_action
 
 
 def _first_nonzero_gauge(m: Matrix) -> Matrix:
@@ -153,8 +166,9 @@ def test_passing_check_sees_the_probe_suite_in_order(monkeypatch):
 
 
 def test_probe_stream_is_pinned():
-    """The seeded stream depends on random.Random.randint and choice; a
-    Python release that changed either would change every report."""
+    """The seeded stream depends on random.Random.getrandbits and on how
+    sampling._draws maps its bits to entries; a Python release that
+    changed getrandbits would change every report."""
     text = str([str(m) for n in (3, 4, 5) for m in probe_suite(n, 30, 7)])
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "a3ac356f6b65c87655a4123da306113b1a1960cdcc02e226edaf7bf31f525417"
@@ -310,6 +324,112 @@ def test_random_probe_witness_is_rebuilt_from_its_draw():
     assert verdict.detail == (fixed_space(verdict.witness), fixed_space(phi.apply(verdict.witness)))
     assert verdict.detail[0].dim == 1
     assert check_dim_preserving(phi, trials=1532, seed=4).outcome == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the certificate mod p: a probe is accepted without Bareiss only when
+# A - I and phi(A) - I both have full rank mod p
+
+def _count_bareiss_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _bareiss(*args, **kwargs)
+
+    monkeypatch.setattr(preserver, "_bareiss", counted)
+    return calls
+
+
+def _diagonal(*entries) -> Matrix:
+    n = len(entries)
+    return Matrix.from_rows([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+# The action of phi, a probe for which A - I or phi(A) - I is singular mod
+# p but not over Q(i), and the dim check's outcome on it.
+_SINGULAR_MOD_P_ALONE = {
+    # A - I = diag(p, 1, 1) on both sides: both dims are 0
+    "identity": (lambda a: a, _diagonal(_P + 1, 2, 2), "pass"),
+    # phi(A) - I = diag((p - 1) / 2, 0, 0): dims 0 and 2
+    "halving": (lambda a: a * Fraction(1, 2), _diagonal(_P + 1, 2, 2), "counterexample"),
+    # A - I = I, and phi(A) = diag(p + 1, 2, 2): both dims are 0
+    "corner-shear": (
+        lambda a: a + (_P - 1) // 2 * a[0, 0] * Matrix.unit(3, 0, 0),
+        _diagonal(2, 2, 2),
+        "pass",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGULAR_MOD_P_ALONE))
+def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
+    action, probe, outcome = _SINGULAR_MOD_P_ALONE[case]
+    phi = superop_from_action(3, action)
+    eye = Matrix.identity(3)
+    shifted = (probe - eye, phi.apply(probe) - eye)
+    assert not all(_full_rank_mod_p(residue_rows(m)) for m in shifted)
+    assert rank(shifted[0]) == 3
+    monkeypatch.setattr(preserver, "structured_probes", lambda n: [probe])
+    calls = _count_bareiss_calls(monkeypatch)
+    verdict = check_dim_preserving(phi, 0, 0)
+    assert len(calls) == 2
+    assert verdict.outcome == outcome
+    assert verdict == _reference_check(phi, 0, 0, dim_fixed)
+    assert check_set_preserving(phi, 0, 0) == _reference_check(phi, 0, 0, fixed_space)
+
+
+def test_certified_probes_skip_bareiss(monkeypatch):
+    """On a passing similarity only the structured probes with a fixed
+    point reach Bareiss: two forward passes each, on A - I and phi(A) - I."""
+    n = 4
+    phi = similarity_superop(random_invertible(derive_rng(0, "certificate"), n), 1)
+    calls = _count_bareiss_calls(monkeypatch)
+    verdict = check_dim_preserving(phi, trials=50, seed=0)
+    assert (verdict.outcome, verdict.probes_run) == ("pass", len(structured_probes(n)) + 50)
+    with_fixed_points = [p for p in structured_probes(n) if dim_fixed(p) > 0]
+    assert len(with_fixed_points) == 6
+    assert len(calls) == 2 * len(with_fixed_points)
+
+
+# Entries that vanish mod p or collide there, next to the sampled ones:
+# p, r - i (i -> r), and p + 1 and r + 1 - i, which the shift by I sends
+# to 0 mod p on the diagonal.
+_COLLIDING = (
+    GaussianRational(_P),
+    GaussianRational(_SQRT_MINUS_ONE, -1),
+    GaussianRational(_P + 1),
+    GaussianRational(_SQRT_MINUS_ONE + 1, -1),
+    ZERO,
+    ONE,
+)
+
+
+@st.composite
+def shifted_probes(draw):
+    """n x n probes for n <= 6: drawn from the probe stream with some
+    entries replaced by colliding ones, structured probes, and I + X @ Y
+    with X n x k, so that dim F >= n - k."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["stream", "structured", "fixed-points"]))
+    if kind == "structured":
+        return rng.choice(structured_probes(n))
+    if kind == "fixed-points":
+        k = rng.randrange(n)
+        return Matrix.identity(n) + random_matrix(rng, n, k) @ random_matrix(rng, k, n)
+    entries = list(random_matrix(rng, n, n).entries)
+    for _ in range(draw(st.integers(0, n))):
+        entries[rng.randrange(n * n)] = rng.choice(_COLLIDING)
+    return Matrix(n, n, tuple(entries))
+
+
+@given(shifted_probes())
+def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
+    n = a.rows
+    re, im, e = _common_integer_rows(a)
+    if preserver._regular_mod_p(_residues(re, im), [e] * n):
+        assert rank(a - Matrix.identity(n)) == n
 
 
 # ---------------------------------------------------------------------------

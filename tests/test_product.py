@@ -18,7 +18,7 @@ from fixpres import (
     derive_rng,
     random_matrix,
 )
-from fixpres.linalg import _integer_rows_matrix, inverse, kron, rank
+from fixpres.linalg import _integer_rows_matrix, _residues, inverse, kron, rank
 from fixpres.scalars import ZERO
 from fixpres.superop import (
     _common_integer_rows,
@@ -143,15 +143,20 @@ def test_empty_shapes_match_reference(left, right):
 @pytest.mark.parametrize("seed", range(5))
 def test_apply_each_matches_apply(seed):
     """One image kernel, prepared once, applied to each of several matrices
-    gives what apply and the reference product give."""
+    gives what apply and the reference product give, and its image mod p
+    is the residues of the exact image, over the same scales."""
     rng = derive_rng(seed, "apply-each")
     n = 3
     phi = SuperOp(n, random_matrix(rng, n * n, n * n))
     ms = [random_matrix(rng, n, n) for _ in range(4)] + [Matrix.zeros(n, n)]
-    image = _image_kernel(phi)
+    image, image_mod_p = _image_kernel(phi)
     assert [_integer_rows_matrix(*image(*_common_integer_rows(m))) for m in ms] == [
         phi.apply(m) for m in ms
     ]
+    for m in ms:
+        re, im, e = _common_integer_rows(m)
+        b_re, b_im, scales = image(re, im, e)
+        assert image_mod_p(_residues(re, im), e) == (_residues(b_re, b_im), scales)
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
     ]
