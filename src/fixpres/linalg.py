@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .scalars import GaussianRational, ONE, ZERO
@@ -252,6 +252,21 @@ def _products(rows: _SparseRows, u: list[int], v: list[int]) -> tuple[list[int],
             acc_i += x * q + y * p
         out_re.append(acc_r)
         out_im.append(acc_i)
+    return out_re, out_im
+
+
+# Real and imaginary parts of rows of Gaussian integers.
+_Rows = tuple[list[list[int]], list[list[int]]]
+
+
+def _primitive(re: list[list[int]], im: list[list[int]]) -> _Rows:
+    """The rows re + i*im, each divided by its content (the gcd of its
+    integers), as new lists; the row space does not change."""
+    out_re, out_im = [], []
+    for row_re, row_im in zip(re, im):
+        g = gcd(*row_re, *row_im)
+        out_re.append([x // g for x in row_re] if g > 1 else row_re[:])
+        out_im.append([x // g for x in row_im] if g > 1 else row_im[:])
     return out_re, out_im
 
 

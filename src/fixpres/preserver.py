@@ -16,23 +16,26 @@ The two packaged claims are:
 * claim 2 (n >= 3): a surjective linear map that preserves every
   fixed-point dimension is A -> S @ A @ inv(S) or A -> -S @ A @ inv(S)
   for some invertible S.
+
+Each public function that reads L scales it once, to a superop.IntegerL;
+a verdict passes that one copy to each check and classify as scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed
 from .linalg import (
     Matrix,
     _P,
+    _Rows,
     _bareiss,
     _full_rank_mod_p,
-    _integer_rows,
     _integer_rows_matrix,
     _kernel,
+    _primitive,
     _residues,
     rank,
 )
@@ -40,14 +43,14 @@ from .rank_one import is_idempotent
 from .sampling import derive_rng, random_integer_rows, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
+    IntegerL,
     NotRankOne,
     SuperOp,
     _common_integer_rows,
     _image_kernel,
+    _realigned,
     is_bijective,
-    precompose_transpose,
     rank_one_factor,
-    realign,
     unvec,
 )
 
@@ -176,25 +179,6 @@ def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
     return structured_probes(n) + [_random_probe(n, seed, idx) for idx in range(trials)]
 
 
-# Real and imaginary parts of rows of Gaussian integers.
-_Rows = tuple[list[list[int]], list[list[int]]]
-
-
-def _primitive(re: list[list[int]], im: list[list[int]]) -> _Rows:
-    """The rows re + i*im, each divided by its content (the gcd of its
-    integers), as new lists; the row space does not change."""
-    out_re, out_im = [], []
-    for row_re, row_im in zip(re, im):
-        g = gcd(*row_re, *row_im)
-        if g > 1:
-            out_re.append([x // g for x in row_re])
-            out_im.append([x // g for x in row_im])
-        else:
-            out_re.append(row_re[:])
-            out_im.append(row_im[:])
-    return out_re, out_im
-
-
 def _fixed_rows(re: list[list[int]], im: list[list[int]], scales: list[int]) -> _Rows:
     """Nonzero echelon rows of M - I, for M with row k equal to
     (re[k] + i*im[k]) / scales[k]; their kernel is F(M).
@@ -238,7 +222,7 @@ def _regular_mod_p(rows: list[list[int]], scales: list[int]) -> bool:
     return _full_rank_mod_p(rows)
 
 
-def _check(phi: SuperOp, trials: int, seed: int, compare_sets: bool) -> Verdict:
+def _check(l: IntegerL, trials: int, seed: int, compare_sets: bool) -> Verdict:
     """Compare F(A) with F(phi(A)), by dimension or as sets, over the probe suite.
 
     Each probe and its image stay Gaussian integers from the draw to the
@@ -255,8 +239,8 @@ def _check(phi: SuperOp, trials: int, seed: int, compare_sets: bool) -> Verdict:
     of the echelon rows, which are fixed_space of the probe and of its
     image.
     """
-    n = phi.n
-    image, image_mod_p = _image_kernel(phi)
+    n = l.n
+    image, image_mod_p = _image_kernel(l)
     probes_run = 0
     for probes_run, (re, im, e) in enumerate(_probe_rows(n, trials, seed), start=1):
         residues = _residues(re, im)
@@ -276,14 +260,18 @@ def _check(phi: SuperOp, trials: int, seed: int, compare_sets: bool) -> Verdict:
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
-def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
+def check_dim_preserving(
+    phi: SuperOp, trials: int = 20, seed: int = 0, *, scaled: IntegerL | None = None
+) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
-    return _check(phi, trials, seed, compare_sets=False)
+    return _check(scaled or IntegerL.of(phi), trials, seed, compare_sets=False)
 
 
-def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
+def check_set_preserving(
+    phi: SuperOp, trials: int = 20, seed: int = 0, *, scaled: IntegerL | None = None
+) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    return _check(phi, trials, seed, compare_sets=True)
+    return _check(scaled or IntegerL.of(phi), trials, seed, compare_sets=True)
 
 
 def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRational | None:
@@ -305,11 +293,15 @@ def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRation
     return None
 
 
-def _gauge_candidate(l: Matrix, n: int) -> tuple[Matrix, Matrix, GaussianRational] | None:
-    """Try to read l as T.T kron S; returns (S, inv-check T, scale) or None."""
-    shuffled = realign(SuperOp(n, l))
+def _gauge_candidate(
+    l: IntegerL, transpose_first: bool
+) -> tuple[Matrix, Matrix, GaussianRational] | None:
+    """Try to read L (L @ K with transpose_first) as T.T kron S from the rank-one
+    factor of its realignment; returns (S, inv-check T, scale) or None."""
+    n = l.n
+    rows = zip(_realigned(l.re, n, transpose_first), _realigned(l.im, n, transpose_first))
     try:
-        u, v = rank_one_factor(shuffled)
+        u, v = rank_one_factor(rows, l.d)
     except NotRankOne:
         return None
     s = unvec(u, n)
@@ -323,7 +315,7 @@ def _gauge_candidate(l: Matrix, n: int) -> tuple[Matrix, Matrix, GaussianRationa
     return s, t, scale
 
 
-def classify(phi: SuperOp) -> Classification:
+def classify(phi: SuperOp, *, scaled: IntegerL | None = None) -> Classification:
     """Recover the structured form of a map, if it has one.
 
     Decision chain: exact identity; then A -> scale * S @ A @ inv(S) via
@@ -332,54 +324,48 @@ def classify(phi: SuperOp) -> Classification:
     units before being returned, and malformed factorizations fall
     through to the next branch.
     """
-    n = phi.n
-    if phi.matrix == Matrix.identity(n * n):
+    l = scaled or IntegerL.of(phi)
+    if all(
+        x_re == [0] * r + [l.d] + [0] * (len(x_re) - r - 1) and not any(x_im)
+        for r, (x_re, x_im) in enumerate(zip(l.re, l.im))
+    ):
         return Classification(IDENTITY)
-
-    cand = _gauge_candidate(phi.matrix, n)
-    if cand is not None:
-        s, t, scale = cand
-        if _matches_on_units(phi, s, t, transpose_first=False):
-            return Classification(SIMILARITY, s, scale)
-
-    cand = _gauge_candidate(precompose_transpose(phi.matrix, n), n)
-    if cand is not None:
-        s, t, scale = cand
-        if _matches_on_units(phi, s, t, transpose_first=True):
-            return Classification(TRANSPOSE_SIMILARITY, s, scale)
-
+    for tag, transpose_first in ((SIMILARITY, False), (TRANSPOSE_SIMILARITY, True)):
+        cand = _gauge_candidate(l, transpose_first)
+        if cand is not None:
+            s, t, scale = cand
+            if _matches_on_units(l, s, t, transpose_first):
+                return Classification(tag, s, scale)
     return Classification(UNSTRUCTURED)
 
 
-def _matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
+def _matches_on_units(l: IntegerL, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
     """Whether phi(E_ij) == S @ E_ij @ T (S @ E_ji @ T with transpose_first)
-    on every matrix unit E_ij.
+    on every matrix unit E_ij, for the phi whose IntegerL is l.
 
     Column j*n + i of L is the image of E_ij, and entry (a, b) of
     S @ E_ij @ T is s[a, i] * t[j, b], so this is L == T.T kron S entrywise,
     or its transpose-first gather L[b*n + a, j*n + i] == s[a, j] * t[i, b].
-    It is decided in Gaussian integers: with row r of L over its scale
-    d_r, S over sigma and T over tau, L_int[r][c] * sigma * tau is compared
-    with d_r * S_int * T_int, one cross-multiplication per entry of L.
+    It is decided in Gaussian integers, with L scaled once per call over
+    one common scale d, S over sigma and T over tau: L_int[r][c] * sigma *
+    tau is compared with d * S_int * T_int, once per entry of L.
     """
-    n = phi.n
-    l_re, l_im, l_scales = _integer_rows(phi.matrix)
+    n, d = l.n, l.d
     s_re, s_im, sigma = _common_integer_rows(s)
     t_re, t_im, tau = _common_integer_rows(t)
     k = sigma * tau
     digits = range(n)
+    s_rows = [[(d * x, d * y) for x, y in zip(s_re[a], s_im[a])] for a in digits]
     for b in digits:
         t_col = [(t_re[j][b], t_im[j][b]) for j in digits]
         for a in digits:
             r = b * n + a
-            d = l_scales[r]
-            s_row = [(d * x, d * y) for x, y in zip(s_re[a], s_im[a])]
             # entry j*n + i of row r is expected to be outer[j] * inner[i]
-            outer, inner = (s_row, t_col) if transpose_first else (t_col, s_row)
+            outer, inner = (s_rows[a], t_col) if transpose_first else (t_col, s_rows[a])
             expected = [
                 (pr * qr - pi * qi, pr * qi + pi * qr) for pr, pi in outer for qr, qi in inner
             ]
-            for x, y, (er, ei) in zip(l_re[r], l_im[r], expected):
+            for x, y, (er, ei) in zip(l.re[r], l.im[r], expected):
                 if x * k != er or y * k != ei:
                     return False
     return True
@@ -387,7 +373,8 @@ def _matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool)
 
 def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> PreserverReport:
     """Check claim 1 on probes: set preservers should be the identity."""
-    verdict = check_set_preserving(phi, trials, seed)
+    scaled = IntegerL.of(phi)
+    verdict = check_set_preserving(phi, trials, seed, scaled=scaled)
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         return PreserverReport(
             claim=1,
@@ -396,7 +383,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             classification=None,
             notes=("the map does not preserve every probed fixed-point set",),
         )
-    classification = classify(phi)
+    classification = classify(phi, scaled=scaled)
     if classification.tag == IDENTITY:
         return PreserverReport(
             claim=1,
@@ -407,11 +394,9 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         )
     # Reaching here would mean a non-identity map survived every probe:
     # either a genuine violation or a gap in the probe suite.
-    eye = Matrix.identity(phi.n * phi.n)
-    lead = next(
-        idx for idx, (a, b) in enumerate(zip(phi.matrix.entries, eye.entries)) if a != b
-    )
-    i, j = divmod(lead, phi.n * phi.n)
+    side = phi.n * phi.n
+    eye = [ONE if k % (side + 1) == 0 else ZERO for k in range(side * side)]
+    i, j = divmod(next(k for k, x in enumerate(phi.matrix.entries) if x != eye[k]), side)
     return PreserverReport(
         claim=1,
         status="violation-candidate",
@@ -421,7 +406,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             "all probes passed but the map is not the identity; "
             "treat as a probe-suite gap until re-checked",
         ),
-        discrepancy=(i, j, phi.matrix[i, j], eye[i, j]),
+        discrepancy=(i, j, phi.matrix[i, j], eye[i * side + j]),
     )
 
 
@@ -432,7 +417,8 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         notes.append(
             f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
         )
-    if not is_bijective(phi):
+    scaled = IntegerL.of(phi)
+    if not is_bijective(phi, scaled=scaled):
         notes.append("hypothesis not met: the map is not surjective")
         return PreserverReport(
             claim=2,
@@ -441,8 +427,8 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             classification=None,
             notes=tuple(notes),
         )
-    verdict = check_dim_preserving(phi, trials, seed)
-    classification = classify(phi)
+    verdict = check_dim_preserving(phi, trials, seed, scaled=scaled)
+    classification = classify(phi, scaled=scaled)
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         if classification.tag == SIMILARITY and classification.scale == -ONE:
             notes.append(

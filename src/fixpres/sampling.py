@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .linalg import Matrix, inverse, rank
+from .linalg import Matrix, rank
 from .scalars import GaussianRational
 
 DENOMINATORS = (1, 2, 3)
@@ -112,12 +112,3 @@ def random_rank_one_idempotent(rng: random.Random, n: int) -> tuple[Matrix, Matr
         if fx:
             f = f * (1 / fx)
             return x @ f, x, f
-
-
-def random_orthogonal_idempotent_pair(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
-    """Orthogonal rank-one idempotents, built by conjugating two diagonal units."""
-    b = random_invertible(rng, n)
-    b_inv = inverse(b)
-    p = b @ Matrix.unit(n, 0, 0) @ b_inv
-    q = b @ Matrix.unit(n, 1, 1) @ b_inv
-    return p, q

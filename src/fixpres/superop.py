@@ -5,7 +5,10 @@ entry (i, j) of an n x n matrix lands at vec index j*n + i. Under that
 convention a map A -> S @ A @ T has matrix T.T kron S, and the realign
 permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
-layout; each reshuffle below is a gather over the flat row-major entries.
+layout; each reshuffle below is a gather over rows or flat entries.
+
+A public call that reads L (is_bijective, the checks, classify, the
+verdicts) scales it once, over one common scale, to an IntegerL.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on packed rows; the exact rank over Q(i),
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
     Matrix,
@@ -27,17 +30,18 @@ from .linalg import (
     SizeMismatch,
     _P,
     _Scaled,
+    _bareiss,
+    _divided_row,
     _full_rank_mod_p,
     _integer_rows,
     _integer_rows_matrix,
+    _primitive,
     _products,
     _residues,
     _sparse,
     inverse,
     kron,
-    rank,
 )
-from .scalars import GaussianRational
 
 MAX_SIDE = 16
 
@@ -81,49 +85,51 @@ class SuperOp:
             )
 
     def apply(self, a: Matrix) -> Matrix:
-        """The image of a: the exact image of _image_kernel(self) on a scaled
-        to Gaussian integers."""
+        """The image of a, by the exact map of _image_kernel."""
         if a.rows != self.n or a.cols != self.n:
             raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
-        re, im, e = _common_integer_rows(a)
-        image, _ = _image_kernel(self)
-        return _integer_rows_matrix(*image(re, im, e))
+        image, _ = _image_kernel(IntegerL.of(self))
+        return _integer_rows_matrix(*image(*_common_integer_rows(a)))
 
 
-# The residues mod _P of the rows of a matrix of Gaussian integers, and
-# one scale per row.
+@dataclass(slots=True)
+class IntegerL:
+    """The matrix L of a map as Gaussian integers over one common scale d,
+    L = (re + i*im) / d, with residues mod _P made when first asked for.
+    It lives for one public call and is never stored on the SuperOp."""
+
+    n: int
+    re: list[list[int]]
+    im: list[list[int]]
+    d: int
+    mod_p: list[list[int]] | None = None
+
+    @classmethod
+    def of(cls, phi: SuperOp) -> IntegerL:
+        return cls(phi.n, *_common_integer_rows(phi.matrix))
+
+    def residues(self) -> list[list[int]]:
+        if self.mod_p is None:
+            self.mod_p = _residues(self.re, self.im)
+        return self.mod_p
+
+
+# The residues mod _P of Gaussian-integer rows, and one scale per row.
 _ScaledMod = tuple[list[list[int]], list[int]]
 
 
-def _image_kernel(
-    phi: SuperOp,
-) -> tuple[
-    Callable[[list[list[int]], list[list[int]], int], _Scaled],
-    Callable[[list[list[int]], int], _ScaledMod],
-]:
+def _image_kernel(l: IntegerL) -> tuple[Callable[..., _Scaled], Callable[..., _ScaledMod]]:
     """The maps that send an n x n matrix to its image, exactly and mod _P.
 
-    L is scaled here, once: the n rows of L that feed row i of an image
-    (vec indices j*n + i) are scaled to Gaussian integers with one common
-    scale D_i. The first returned function takes an n x n matrix as
-    Gaussian-integer rows re + i*im over a common scale e and returns the
-    image as Gaussian-integer rows, row i over the scale D_i * e: each
-    entry is a plain int dot product over the nonzero entries of a row of
-    L. The second takes the residues of those rows (linalg._residues) and
-    the same e, and returns the residues of the same integer image with
-    the same scales: each entry is one dot product of residues, reduced
-    once.
+    Both read l, L scaled once per call over one common scale d. The
+    first takes an n x n matrix as Gaussian-integer rows over a scale e
+    and returns its image as such rows over the scale d * e, each entry
+    an int dot product over the nonzero entries of a row of L. The second
+    takes the residues of those rows and e, and returns the residues of
+    that image: each entry is one dot product with l.residues().
     """
-    n = phi.n
-    re, im, scales = _integer_rows(phi.matrix)
-    block_scales = [lcm(*scales[i::n]) for i in range(n)]
-    for r, s in enumerate(scales):
-        f = block_scales[r % n] // s
-        if f > 1:
-            re[r] = [x * f for x in re[r]]
-            im[r] = [x * f for x in im[r]]
-    rows = _sparse(re, im)
-    residues = _residues(re, im)
+    n = l.n
+    rows = _sparse(l.re, l.im)
     digits = range(n)
 
     def image(a_re: list[list[int]], a_im: list[list[int]], e: int) -> _Scaled:
@@ -131,16 +137,12 @@ def _image_kernel(
         u = [a_re[i][j] for j in digits for i in digits]
         v = [a_im[i][j] for j in digits for i in digits]
         b_re, b_im = _products(rows, u, v)
-        return (
-            [b_re[i::n] for i in digits],
-            [b_im[i::n] for i in digits],
-            [d * e for d in block_scales],
-        )
+        return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], [l.d * e] * n
 
     def image_mod_p(a: list[list[int]], e: int) -> _ScaledMod:
         u = [a[i][j] for j in digits for i in digits]
-        b = [sum(map(mul, row, u)) % _P for row in residues]
-        return [b[i::n] for i in digits], [d * e for d in block_scales]
+        b = [sum(map(mul, row, u)) % _P for row in l.residues()]
+        return [b[i::n] for i in digits], [l.d * e] * n
 
     return image, image_mod_p
 
@@ -150,16 +152,10 @@ def _common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], i
     re, im, scales = _integer_rows(a)
     e = lcm(*scales)
     return (
-        [[x * (e // s) for x in row] for row, s in zip(re, scales)],
-        [[x * (e // s) for x in row] for row, s in zip(im, scales)],
+        [row if s == e else [x * (e // s) for x in row] for row, s in zip(re, scales)],
+        [row if s == e else [x * (e // s) for x in row] for row, s in zip(im, scales)],
         e,
     )
-
-
-def _integer_row(row: tuple[GaussianRational, ...]) -> tuple[list[int], list[int]]:
-    """row scaled by one constant to Gaussian integers, as (re, im)."""
-    re, im, _ = _integer_rows(Matrix(1, len(row), row))
-    return re[0], im[0]
 
 
 def identity_superop(n: int) -> SuperOp:
@@ -199,6 +195,17 @@ def precompose_transpose(l: Matrix, n: int) -> Matrix:
     return Matrix(side, side, tuple(l.entries[r + p] for r in starts for p in partner))
 
 
+def _realigned(rows: Sequence[Sequence], n: int, transpose_first: bool = False) -> Iterator[list]:
+    """The rows of realign(L), or of realign(precompose_transpose(L, n))
+    with transpose_first, one at a time, for L given by its rows: row
+    g*n + a is L[b*n + a][d*n + g] (L[b*n + a][g*n + d]) over b, then d."""
+    digits = range(n)
+    for g in digits:
+        cols = [g * n + d if transpose_first else d * n + g for d in digits]
+        for a in digits:
+            yield [rows[r][c] for r in range(a, n * n, n) for c in cols]
+
+
 def realign(phi: SuperOp) -> Matrix:
     """Index shuffle under which maps A -> S @ A @ T become rank one.
 
@@ -207,41 +214,36 @@ def realign(phi: SuperOp) -> Matrix:
     a, b, g, d < n. When L = T.T kron S this gives exactly
     M = vec(S) @ vec(T).T.
     """
-    n = phi.n
-    side = n * n
-    l = phi.matrix.entries
-    digits = range(n)
-    return Matrix(side, side, tuple(
-        l[(b * n + a) * side + d * n + g]
-        for g in digits for a in digits for b in digits for d in digits
-    ))
+    side = phi.n * phi.n
+    rows = _realigned(phi.matrix.to_rows(), phi.n)
+    return Matrix(side, side, tuple(x for row in rows for x in row))
 
 
-def rank_one_factor(m: Matrix) -> tuple[Matrix, Matrix]:
+def rank_one_factor(rows: Iterable[tuple[list[int], list[int]]], d: int) -> tuple[Matrix, Matrix]:
     """Columns (u, v) with m = u @ v.T, for rank-one m.
 
-    Normalized so the first nonzero entry of u is 1, which pins the
-    scalar gauge and makes recovery deterministic.
+    m = (re + i*im) / d comes as rows (re, im) of Gaussian integers read
+    one at a time: classify gathers them from its IntegerL, L scaled once
+    per call over one common scale d. u is normalized so its first
+    nonzero entry is 1, which pins the gauge and makes recovery deterministic.
 
     No elimination: with the first nonzero entry m[i0, j0] as anchor, m
     has rank one exactly when every 2x2 minor through the anchor
     vanishes, m[i, j] * m[i0, j0] == m[i, j0] * m[i0, j]. Rows above i0
     are zero and row i0 satisfies this trivially, so only the rows below
-    are checked, stopping at the first nonzero minor. Scaling a row by a
-    nonzero constant does not change whether such a minor vanishes, so
-    each row is scaled to Gaussian integers only when the scan reaches
-    it, and the minors are integer cross-multiplications.
+    are checked, stopping at the first nonzero minor; no row after it is
+    read. The minors are integer cross-multiplications.
     """
-    entries, cols = m.entries, m.cols
-    lead = next((idx for idx, val in enumerate(entries) if val), None)
-    if lead is None:
+    rows = iter(rows)
+    for i0, (a_re, a_im) in enumerate(rows):
+        j0 = next((j for j, (x, y) in enumerate(zip(a_re, a_im)) if x or y), None)
+        if j0 is not None:
+            break
+    else:
         raise NotRankOne("the zero matrix has rank 0")
-    i0, j0 = divmod(lead, cols)
-    anchor_row = entries[i0 * cols : (i0 + 1) * cols]
-    a_re, a_im = _integer_row(anchor_row)
     p, q = a_re[j0], a_im[j0]
-    for i in range(i0 + 1, m.rows):
-        x_re, x_im = _integer_row(entries[i * cols : (i + 1) * cols])
+    left_re, left_im = [0] * i0 + [p], [0] * i0 + [q]
+    for i, (x_re, x_im) in enumerate(rows, start=i0 + 1):
         l_re, l_im = x_re[j0], x_im[j0]
         for j, (xr, xi, yr, yi) in enumerate(zip(x_re, x_im, a_re, a_im)):
             # x * anchor == left * y, as (re, im) pairs
@@ -250,18 +252,24 @@ def rank_one_factor(m: Matrix) -> tuple[Matrix, Matrix]:
                 raise NotRankOne(
                     f"the minor at rows {i0}, {i} and columns {j0}, {j} is nonzero"
                 )
-    anchor = entries[lead]
-    u = Matrix(m.rows, 1, tuple(entries[i * cols + j0] / anchor for i in range(m.rows)))
-    v = Matrix(cols, 1, anchor_row)
+        left_re.append(l_re)
+        left_im.append(l_im)
+    u = Matrix(len(left_re), 1, tuple(_divided_row(left_re, left_im, p, q)))
+    v = Matrix(len(a_re), 1, tuple(_divided_row(a_re, a_im, d, 0)))
     return u, v
 
 
-def is_bijective(phi: SuperOp) -> bool:
+def is_bijective(phi: SuperOp, *, scaled: IntegerL | None = None) -> bool:
     """True exactly when the n^2 x n^2 matrix has full rank.
 
-    Full rank modulo a prime proves full rank, so a bijective map is
-    nearly always decided by the modular elimination alone. When that
-    finds the matrix singular, the exact rank over Q(i) decides.
+    Both tests read L scaled once per call over one common scale (its
+    IntegerL, built here unless passed in as scaled). Full rank modulo a
+    prime proves full rank, so the elimination of the residues nearly
+    always decides; when it finds the matrix singular, a Bareiss forward
+    pass over a copy of the rows, each divided by its content, decides.
     """
-    re, im, _ = _integer_rows(phi.matrix)
-    return _full_rank_mod_p(_residues(re, im)) or rank(phi.matrix) == phi.n * phi.n
+    l = scaled or IntegerL.of(phi)
+    side = l.n * l.n
+    return _full_rank_mod_p(l.residues()) or len(
+        _bareiss(*_primitive(l.re, l.im), side, reduce=False)
+    ) == side

@@ -6,9 +6,18 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from fixpres import GaussianRational, Matrix, Subspace, SuperOp
+from fixpres import (
+    GaussianRational,
+    Matrix,
+    Subspace,
+    SuperOp,
+    derive_rng,
+    random_invertible,
+    random_matrix,
+    similarity_superop,
+)
 from fixpres.linalg import _integer_rows, _residues
-from fixpres.superop import vec
+from fixpres.superop import _common_integer_rows, rank_one_factor, vec
 
 settings.register_profile(
     "default",
@@ -70,3 +79,33 @@ def superop_from_action(n: int, action) -> SuperOp:
         e for j in range(n) for i in range(n) for e in vec(action(Matrix.unit(n, i, j))).entries
     )
     return SuperOp(n, Matrix(side, side, stacked).transpose())
+
+
+def factor(m: Matrix) -> tuple[Matrix, Matrix]:
+    """rank_one_factor on the rows of m, scaled to Gaussian integers over
+    one common scale."""
+    re, im, d = _common_integer_rows(m)
+    return rank_one_factor(zip(re, im), d)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def prime_rows(m: Matrix) -> Matrix:
+    """m with row r divided by the r-th prime, so that the common scale of
+    its rows sits far above the scale of any one row."""
+    return Matrix(m.rows, m.cols, tuple(
+        x / PRIMES[k // m.cols] for k, x in enumerate(m.entries)
+    ))
+
+
+def prime_row_similarity(n: int, seed: int = 0) -> SuperOp:
+    """A -> S @ A @ inv(S) for a random S whose row r is over the r-th prime."""
+    s = random_invertible(derive_rng(seed, "prime-rows", n), n)
+    return similarity_superop(prime_rows(s), 1)
+
+
+def prime_row_random(n: int, seed: int = 0) -> SuperOp:
+    """A random map whose row r of L is divided by the r-th prime."""
+    side = n * n
+    return SuperOp(n, prime_rows(random_matrix(derive_rng(seed, "prime-rows", n), side, side)))

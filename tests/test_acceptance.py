@@ -33,18 +33,21 @@ from fixpres import (
     Subspace,
     transpose_similarity_superop,
 )
-from fixpres.linalg import kernel_basis, rank
+from fixpres.linalg import inverse, kernel_basis, rank
 from fixpres.preserver import probe_suite, structured_probes
 from fixpres.rank_one import is_idempotent
-from fixpres.sampling import (
-    random_nonzero_column,
-    random_nonzero_row,
-    random_orthogonal_idempotent_pair,
-)
+from fixpres.sampling import random_nonzero_column, random_nonzero_row
 from fixpres.scalars import ONE
 from fixpres.cli import matrix_from_doc, matrix_to_doc, run, superop_from_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def random_orthogonal_idempotent_pair(rng, n: int) -> tuple[Matrix, Matrix]:
+    """Orthogonal rank-one idempotents, built by conjugating two diagonal units."""
+    b = random_invertible(rng, n)
+    b_inv = inverse(b)
+    return b @ Matrix.unit(n, 0, 0) @ b_inv, b @ Matrix.unit(n, 1, 1) @ b_inv
 
 SIDES = (3, 4, 5)
 PER_SIDE = 200

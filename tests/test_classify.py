@@ -3,7 +3,9 @@
 The references below are rank_one_factor and classify as they were
 written over GaussianRational: one scalar product per side of each 2x2
 minor, and the Matrix triple product S @ E_ij @ T on every matrix unit.
-classify and rank_one_factor must give exactly what they give.
+classify and rank_one_factor must give exactly what they give, also on
+maps whose rows have very different scales, where the one common scale of
+L sits far above the scale of any one row.
 """
 
 from fractions import Fraction
@@ -35,14 +37,21 @@ from fixpres.preserver import (
 )
 from fixpres.scalars import ONE
 from fixpres.superop import (
+    IntegerL,
     NotRankOne,
     precompose_transpose,
-    rank_one_factor,
     realign,
     unvec,
 )
 
-from conftest import column_at, row_vector
+from conftest import (
+    column_at,
+    factor,
+    prime_row_random,
+    prime_row_similarity,
+    prime_rows,
+    row_vector,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +182,13 @@ FAMILIES = {
     "perturbed-similarity": lambda rng, n: _perturbed(
         similarity_superop(random_invertible(rng, n), 1), rng
     ),
+    "prime-row-similarity": lambda rng, n: similarity_superop(
+        prime_rows(random_invertible(rng, n)), 1
+    ),
+    "prime-row-transpose-similarity": lambda rng, n: transpose_similarity_superop(
+        prime_rows(random_invertible(rng, n)), 1
+    ),
+    "prime-row-random": lambda rng, n: SuperOp(n, prime_rows(random_matrix(rng, n * n, n * n))),
 }
 
 
@@ -194,6 +210,9 @@ def test_classify_matches_reference(family, n, seed):
         ("transpose-similarity-1", TRANSPOSE_SIMILARITY),
         ("non-scalar-sandwich", UNSTRUCTURED),
         ("perturbed-similarity", UNSTRUCTURED),
+        ("prime-row-similarity", SIMILARITY),
+        ("prime-row-transpose-similarity", TRANSPOSE_SIMILARITY),
+        ("prime-row-random", UNSTRUCTURED),
     ],
 )
 def test_families_reach_their_branch(family, tag):
@@ -205,7 +224,7 @@ def test_families_reach_their_branch(family, tag):
 
 
 # ---------------------------------------------------------------------------
-# rank_one_factor: each row is scaled on its own
+# rank_one_factor: rows over one common scale, far above some rows' own
 
 def _row_denominators():
     """Rank one; every row carries its own denominators."""
@@ -254,6 +273,8 @@ def _last_minor(delta):
         _last_minor(Fraction(1, 7)),
         _last_minor(GaussianRational(0, Fraction(1, 7))),
         Matrix.zeros(2, 3),
+        realign(prime_row_similarity(3)),
+        realign(prime_row_random(3)),
     ],
     ids=[
         "row-denominators",
@@ -262,6 +283,8 @@ def _last_minor(delta):
         "rank-two-last-minor",
         "rank-two-last-minor-imaginary",
         "zero",
+        "prime-row-similarity",
+        "prime-row-random",
     ],
 )
 def test_rank_one_factor_matches_reference(m):
@@ -269,17 +292,17 @@ def test_rank_one_factor_matches_reference(m):
         expected = reference_rank_one_factor(m)
     except NotRankOne as exc:
         with pytest.raises(NotRankOne) as got:
-            rank_one_factor(m)
+            factor(m)
         assert str(got.value) == str(exc)
         return
-    assert rank_one_factor(m) == expected
+    assert factor(m) == expected
 
 
 def test_last_minor_cases_fail_at_the_last_entry():
     for delta in (Fraction(1, 7), GaussianRational(0, Fraction(1, 7))):
         m = _last_minor(delta)
         with pytest.raises(NotRankOne, match=f"rows 0, {m.rows - 1} and columns 0, {m.cols - 1}"):
-            rank_one_factor(m)
+            factor(m)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +323,7 @@ def _units_case(n: int, transpose_first: bool) -> tuple[Matrix, Matrix, Matrix]:
 def test_units_check_accepts_the_sandwich(n, transpose_first):
     l, s, t = _units_case(n, transpose_first)
     phi = SuperOp(n, l)
-    assert _matches_on_units(phi, s, t, transpose_first)
+    assert _matches_on_units(IntegerL.of(phi), s, t, transpose_first)
     assert reference_matches_on_units(phi, s, t, transpose_first)
 
 
@@ -319,7 +342,7 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
     l, s, t = _units_case(n, transpose_first)
     k = {"first": 0, "last": len(l.entries) - 1, "middle": len(l.entries) // 2 + 1}[where]
     phi = SuperOp(n, _moved(l, k, delta))
-    assert not _matches_on_units(phi, s, t, transpose_first)
+    assert not _matches_on_units(IntegerL.of(phi), s, t, transpose_first)
     assert not reference_matches_on_units(phi, s, t, transpose_first)
 
 
@@ -328,5 +351,5 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
 def test_units_check_tells_the_two_gathers_apart(n, transpose_first):
     l, s, t = _units_case(n, not transpose_first)
     phi = SuperOp(n, l)
-    assert not _matches_on_units(phi, s, t, transpose_first)
+    assert not _matches_on_units(IntegerL.of(phi), s, t, transpose_first)
     assert not reference_matches_on_units(phi, s, t, transpose_first)

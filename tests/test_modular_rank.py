@@ -3,20 +3,23 @@
 reference_full_rank_mod_p is _full_rank_mod_p as it was written before
 rows were packed into ints: one (x - f*y) % p per entry. Rank mod p does
 not depend on how the elimination is organised, so the two must agree on
-every square matrix.
+every square matrix, including the rows of a map's L over their one
+common scale, which is what is_bijective eliminates.
 """
 
 import random
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, random_matrix, transpose_superop
 from fixpres.linalg import _P, _SQRT_MINUS_ONE, _full_rank_mod_p, _integer_rows
 from fixpres.scalars import ONE, ZERO
+from fixpres.superop import IntegerL
 
-from conftest import residue_rows
+from conftest import prime_row_random, prime_row_similarity, residue_rows
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +83,22 @@ def square_matrices_mod_p(draw):
 
 
 @given(square_matrices_mod_p())
+@example(prime_row_similarity(4).matrix)
+@example(prime_row_random(4).matrix)
 def test_full_rank_mod_p_agrees_with_reference(m):
     assert _full_rank_mod_p(residue_rows(m)) == reference_full_rank_mod_p(m)
 
 
 # ---------------------------------------------------------------------------
 # pinned cases
+
+@pytest.mark.parametrize("make", [prime_row_similarity, prime_row_random])
+@pytest.mark.parametrize("n", [3, 4])
+def test_common_scale_residues_agree_with_reference(make, n):
+    # Every row of L is over the lcm of all rows' scales, far above its own.
+    phi = make(n)
+    assert _full_rank_mod_p(IntegerL.of(phi).residues()) == reference_full_rank_mod_p(phi.matrix)
+
 
 def test_row_swaps_at_every_column():
     m = transpose_superop(4).matrix

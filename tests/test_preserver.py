@@ -23,6 +23,7 @@ from fixpres import (
     fixed_space,
     identity_superop,
     idempotent_shift_ratio,
+    is_bijective,
     random_invertible,
     random_matrix,
     random_rank_one_idempotent,
@@ -31,7 +32,7 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import preserver
+from fixpres import preserver, superop
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
@@ -721,3 +722,58 @@ def test_dim_verdict_random_bijective_usually_counterexample():
             break
     report = dim_preserver_verdict(SuperOp(3, l), trials=10, seed=0)
     assert report.status in ("counterexample", "violation-candidate")
+
+
+# ---------------------------------------------------------------------------
+# L is scaled to Gaussian integers once per public call
+
+def _count_scalings(monkeypatch, side: int) -> list:
+    """Record each scaling of entries of an N x N matrix to Gaussian
+    integers, by _integer_rows where superop and preserver import it: the
+    whole of L, or one row of it (a 1 x N input)."""
+    calls = []
+
+    def counted(m):
+        if m.cols == side:
+            calls.append((m.rows, m.cols))
+        return _integer_rows(m)
+
+    for module in (superop, preserver):
+        monkeypatch.setattr(module, "_integer_rows", counted, raising=False)
+    return calls
+
+
+_S3 = random_invertible(derive_rng(0, "scale-once"), 3)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        identity_superop(3),
+        similarity_superop(_S3, 1),
+        similarity_superop(_S3, -1),
+        transpose_similarity_superop(_S3, 1),
+        SuperOp(3, random_matrix(derive_rng(0, "scale-once-random"), 9, 9)),
+    ],
+    ids=["identity", "similarity", "negated-similarity", "transpose-similarity", "random"],
+)
+def test_dim_verdict_scales_l_once(phi, monkeypatch):
+    calls = _count_scalings(monkeypatch, 9)
+    dim_preserver_verdict(phi)
+    assert calls == [(9, 9)]
+
+
+def test_set_verdict_scales_l_once(monkeypatch):
+    calls = _count_scalings(monkeypatch, 9)
+    assert set_preserver_verdict(identity_superop(3)).status == "consistent"
+    assert calls == [(9, 9)]
+
+
+@pytest.mark.parametrize(
+    "call", [is_bijective, classify, check_dim_preserving, check_set_preserving],
+    ids=lambda f: f.__name__,
+)
+def test_each_public_call_scales_l_once(call, monkeypatch):
+    calls = _count_scalings(monkeypatch, 9)
+    call(transpose_similarity_superop(_S3, 1))
+    assert calls == [(9, 9)]

@@ -21,13 +21,14 @@ from fixpres import (
 from fixpres.linalg import _integer_rows_matrix, _residues, inverse, kron, rank
 from fixpres.scalars import ZERO
 from fixpres.superop import (
+    IntegerL,
     _common_integer_rows,
     _image_kernel,
     unvec,
     vec,
 )
 
-from conftest import fractions_st, scalars
+from conftest import fractions_st, prime_row_random, scalars
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,7 @@ def test_apply_each_matches_apply(seed):
     n = 3
     phi = SuperOp(n, random_matrix(rng, n * n, n * n))
     ms = [random_matrix(rng, n, n) for _ in range(4)] + [Matrix.zeros(n, n)]
-    image, image_mod_p = _image_kernel(phi)
+    image, image_mod_p = _image_kernel(IntegerL.of(phi))
     assert [_integer_rows_matrix(*image(*_common_integer_rows(m))) for m in ms] == [
         phi.apply(m) for m in ms
     ]
@@ -159,4 +160,14 @@ def test_apply_each_matches_apply(seed):
         assert image_mod_p(_residues(re, im), e) == (_residues(b_re, b_im), scales)
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
+    ]
+
+
+def test_apply_over_a_common_scale_matches_reference():
+    # Row r of L is over the r-th prime, so L's common scale is far above
+    # each row's own, and every image row is over that common scale.
+    phi = prime_row_random(3)
+    ms = [random_matrix(derive_rng(k, "common-scale"), 3, 3) for k in range(3)]
+    assert [phi.apply(m) for m in ms] == [
+        unvec(reference_matmul(phi.matrix, vec(m)), 3) for m in ms
     ]

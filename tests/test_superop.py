@@ -9,7 +9,7 @@ trusting any index formula.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixpres import (
@@ -28,10 +28,19 @@ from fixpres import (
     transpose_superop,
 )
 from fixpres import superop
-from fixpres.linalg import _P, _SQRT_MINUS_ONE, _full_rank_mod_p, inverse, kron, rank
-from fixpres.superop import NotRankOne, rank_one_factor, unvec, vec
+from fixpres.linalg import _P, _SQRT_MINUS_ONE, _bareiss, _full_rank_mod_p, inverse, kron, rank
+from fixpres.superop import NotRankOne, unvec, vec
 
-from conftest import matrices, residue_rows, row_vector, superop_from_action
+from conftest import (
+    factor,
+    matrices,
+    prime_row_random,
+    prime_row_similarity,
+    prime_rows,
+    residue_rows,
+    row_vector,
+    superop_from_action,
+)
 
 
 def compose(outer: SuperOp, inner: SuperOp) -> SuperOp:
@@ -144,15 +153,23 @@ def test_bijectivity():
 # ---------------------------------------------------------------------------
 # bijectivity: the mod-p certificate and its exact fallback
 
-def _count_rank_calls(monkeypatch) -> list:
+def _count_exact_ranks(monkeypatch) -> list:
+    """The (rows, columns) of each exact elimination is_bijective runs."""
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return rank(m)
+    def counted(re, im, n_cols, reduce):
+        calls.append((len(re), n_cols))
+        return _bareiss(re, im, n_cols, reduce)
 
-    monkeypatch.setattr(superop, "rank", counted)
+    monkeypatch.setattr(superop, "_bareiss", counted)
     return calls
+
+
+def _no_exact_rank(monkeypatch) -> None:
+    def unused(*args):
+        raise AssertionError("the exact rank should not be needed")
+
+    monkeypatch.setattr(superop, "_bareiss", unused)
 
 
 def _identity_with_corner(n: int, corner: GaussianRational) -> SuperOp:
@@ -172,16 +189,16 @@ def test_bijective_map_singular_mod_p_falls_back_to_exact_rank(corner, monkeypat
     # r - i with i -> r, a square root of -1 mod p.
     phi = _identity_with_corner(2, corner)
     assert not _full_rank_mod_p(residue_rows(phi.matrix))
-    calls = _count_rank_calls(monkeypatch)
+    calls = _count_exact_ranks(monkeypatch)
     assert is_bijective(phi)
-    assert calls == [phi.matrix]
+    assert calls == [(4, 4)]
 
 
 def test_rank_deficient_map_is_not_bijective(monkeypatch):
     phi = _identity_with_corner(3, GaussianRational(0))
-    calls = _count_rank_calls(monkeypatch)
+    calls = _count_exact_ranks(monkeypatch)
     assert not is_bijective(phi)
-    assert calls == [phi.matrix]
+    assert calls == [(9, 9)]
 
 
 @st.composite
@@ -196,19 +213,43 @@ def superop_matrices(draw):
     return n, draw(matrices(rows=side, cols=k)) @ draw(matrices(rows=k, cols=side))
 
 
+def _prime_row_singular(n: int) -> Matrix:
+    """A rank-deficient L whose row r is divided by the r-th prime."""
+    rng = derive_rng(0, "prime-rows-singular", n)
+    side = n * n
+    return prime_rows(random_matrix(rng, side, side - 1) @ random_matrix(rng, side - 1, side))
+
+
 @given(superop_matrices())
+@example((3, prime_row_similarity(3).matrix))
+@example((3, prime_row_random(3).matrix))
+@example((3, _prime_row_singular(3)))
 def test_is_bijective_agrees_with_exact_rank(case):
     n, m = case
     assert is_bijective(SuperOp(n, m)) == (rank(m) == n * n)
 
 
 def test_bijective_similarity_is_decided_by_the_certificate(monkeypatch):
-    def unused(m):
-        raise AssertionError("the exact rank should not be needed")
-
-    monkeypatch.setattr(superop, "rank", unused)
+    _no_exact_rank(monkeypatch)
     s = random_invertible(derive_rng(0, "certificate"), 6)
     assert is_bijective(similarity_superop(s, 1))
+
+
+@pytest.mark.parametrize("make", [prime_row_similarity, prime_row_random])
+def test_prime_row_maps_are_decided_by_the_certificate(make, monkeypatch):
+    # L's common scale is far above each row's own; full rank mod p holds
+    # for the common-scale rows just as it does for rows over their own scale.
+    phi = make(4)
+    assert _full_rank_mod_p(residue_rows(phi.matrix))
+    _no_exact_rank(monkeypatch)
+    assert is_bijective(phi)
+
+
+def test_singular_prime_row_map_falls_back_to_one_exact_rank(monkeypatch):
+    phi = SuperOp(3, _prime_row_singular(3))
+    calls = _count_exact_ranks(monkeypatch)
+    assert not is_bijective(phi)
+    assert calls == [(9, 9)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +317,7 @@ def test_rank_one_factor_recovers_gauge_normalized_pair():
     u0 = Matrix.column([2, 4])
     v0 = row_vector([3, 5]).transpose()
     m = u0 @ v0.transpose()
-    u, v = rank_one_factor(m)
+    u, v = factor(m)
     # first nonzero of u is scaled to one; the product is unchanged
     assert str(u[0, 0]) == "1"
     assert u @ v.transpose() == m
@@ -284,9 +325,9 @@ def test_rank_one_factor_recovers_gauge_normalized_pair():
 
 def test_rank_one_factor_rejects_other_ranks():
     with pytest.raises(NotRankOne):
-        rank_one_factor(Matrix.zeros(2, 2))
+        factor(Matrix.zeros(2, 2))
     with pytest.raises(NotRankOne):
-        rank_one_factor(Matrix.identity(2))
+        factor(Matrix.identity(2))
 
 
 def _rank_based_factor(m):
@@ -326,9 +367,9 @@ def test_rank_one_factor_matches_rank_based_reference(m):
         expected = _rank_based_factor(m)
     except NotRankOne:
         with pytest.raises(NotRankOne):
-            rank_one_factor(m)
+            factor(m)
         return
-    assert rank_one_factor(m) == expected
+    assert factor(m) == expected
 
 
 @given(st.integers(0, 50))
@@ -339,5 +380,5 @@ def test_rank_one_factor_round_trip(seed):
     if u0.is_zero or v0.is_zero:
         return
     m = u0 @ v0.transpose()
-    u, v = rank_one_factor(m)
+    u, v = factor(m)
     assert u @ v.transpose() == m
