@@ -15,6 +15,7 @@ hypothesis failure found, 2 = input or parse error, 3 = internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -39,6 +40,7 @@ from .sampling import derive_rng, random_invertible, random_matrix
 from .scalars import GaussianRational, format_scalar, parse_scalar
 from .superop import (
     MAX_SIDE,
+    IntegerL,
     SuperOp,
     similarity_superop,
     transpose_similarity_superop,
@@ -64,22 +66,22 @@ def _is_int(value) -> bool:
 # ---------------------------------------------------------------------------
 # documents
 
-def _scalar_text(z: GaussianRational) -> str:
-    """format_scalar; an exact result over the interpreter's int digit
-    limit depends on the input alone, so it is an input error (exit 2)."""
+def _scalar_texts(values) -> list[str]:
+    """format_scalar of each value; an exact result over the interpreter's int
+    digit limit depends on the input alone, so it is an input error (exit 2)."""
     try:
-        return format_scalar(z)
+        return list(map(format_scalar, values))
     except ValueError as exc:
         raise InputError(f"result too large to print: {exc}") from exc
 
 
 def matrix_to_doc(m: Matrix) -> dict:
+    cols = m.cols
+    texts = _scalar_texts(m.entries)
     return {
         "n_rows": m.rows,
-        "n_cols": m.cols,
-        "entries": [
-            [_scalar_text(m[i, j]) for j in range(m.cols)] for i in range(m.rows)
-        ],
+        "n_cols": cols,
+        "entries": [texts[i * cols : (i + 1) * cols] for i in range(m.rows)],
     }
 
 
@@ -183,7 +185,7 @@ def classification_to_doc(classification: Classification) -> dict:
     if classification.s is not None:
         doc["s"] = matrix_to_doc(classification.s)
     if classification.scale is not None:
-        doc["lambda"] = _scalar_text(classification.scale)
+        [doc["lambda"]] = _scalar_texts([classification.scale])
     return doc
 
 
@@ -197,12 +199,8 @@ def report_to_doc(report: PreserverReport) -> dict:
     doc["notes"] = list(report.notes)
     if report.discrepancy is not None:
         i, j, found, expected = report.discrepancy
-        doc["discrepancy"] = {
-            "row": i,
-            "col": j,
-            "found": _scalar_text(found),
-            "expected": _scalar_text(expected),
-        }
+        found_text, expected_text = _scalar_texts((found, expected))
+        doc["discrepancy"] = {"row": i, "col": j, "found": found_text, "expected": expected_text}
     return doc
 
 
@@ -311,8 +309,9 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
     for trial in range(args.trials):
         trial_seed = args.seed + trial
         phi = _fuzz_instance(args.family, args.n, trial_seed)
-        verdict = check_dim_preserving(phi, trials=FUZZ_PROBE_TRIALS, seed=trial_seed)
-        classification = classify(phi)
+        scaled = IntegerL.of(phi)
+        verdict = check_dim_preserving(phi, FUZZ_PROBE_TRIALS, trial_seed, scaled=scaled)
+        classification = classify(phi, scaled=scaled)
         entry = {
             "trial": trial,
             "seed": trial_seed,
@@ -350,6 +349,7 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fixpres",

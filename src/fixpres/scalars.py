@@ -3,10 +3,14 @@
 Every value is kept canonical: both parts are ``fractions.Fraction``
 instances, which store lowest terms with a positive denominator, so equal
 values always have identical representations (and identical hashes).
+
+``parse_scalar`` scans each rational of its grammar, ``-?digits(/digits)?``
+with ASCII digits only (``[0-9]``), with one match of a compiled regex.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,23 +113,43 @@ class GaussianRational:
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
 
-_DIGITS = "0123456789"
+_RATIONAL = re.compile(r"(-?)([0-9]*)(?:(/)([0-9]*))?")
 
 
-def _format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _format_fraction(numerator: int, denominator: int) -> str:
+    if denominator == 1:
+        return str(numerator)
+    return f"{numerator}/{denominator}"
 
 
 def format_scalar(z: GaussianRational) -> str:
     """Canonical string form; ``parse_scalar`` inverts it exactly."""
-    if z.im == 0:
-        return _format_fraction(z.re)
-    if z.re == 0:
-        return f"{_format_fraction(z.im)}i"
-    sign = "+" if z.im > 0 else "-"
-    return f"{_format_fraction(z.re)}{sign}{_format_fraction(abs(z.im))}i"
+    b = z.im.numerator
+    if not b:
+        return _format_fraction(z.re.numerator, z.re.denominator)
+    imag = _format_fraction(b, z.im.denominator)
+    if not z.re.numerator:
+        return f"{imag}i"
+    real = _format_fraction(z.re.numerator, z.re.denominator)
+    # a negative imaginary part already starts with its '-'
+    return f"{real}+{imag}i" if b > 0 else f"{real}{imag}i"
+
+
+def _read_rational(text: str, pos: int) -> tuple[Fraction, int]:
+    """The rational that starts at pos, and the position after it."""
+    m = _RATIONAL.match(text, pos)
+    sign, digits, slash, den_digits = m.groups()
+    if not digits:
+        raise ParseError("expected digits", m.start(2))
+    numerator = int(sign + digits)
+    if slash is None:
+        return Fraction(numerator), m.end()
+    if not den_digits:
+        raise ParseError("expected digits after '/'", m.end())
+    denominator = int(den_digits)
+    if denominator == 0:
+        raise ZeroDenominator("denominator is zero", m.start(4))
+    return Fraction(numerator, denominator), m.end()
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -134,50 +158,20 @@ def parse_scalar(text: str) -> GaussianRational:
     Values are canonicalized on ingest (``2/4`` reads as ``1/2``).
     Raises ParseError with the failing position, or ZeroDenominator.
     """
-    pos = 0
     end = len(text)
-
-    def read_rational() -> Fraction:
-        nonlocal pos
-        start = pos
-        if pos < end and text[pos] == "-":
-            pos += 1
-        digits_start = pos
-        while pos < end and text[pos] in _DIGITS:
-            pos += 1
-        if pos == digits_start:
-            raise ParseError("expected digits", pos)
-        numerator = int(text[start:pos])
-        denominator = 1
-        if pos < end and text[pos] == "/":
-            pos += 1
-            den_start = pos
-            while pos < end and text[pos] in _DIGITS:
-                pos += 1
-            if pos == den_start:
-                raise ParseError("expected digits after '/'", pos)
-            denominator = int(text[den_start:pos])
-            if denominator == 0:
-                raise ZeroDenominator("denominator is zero", den_start)
-        return Fraction(numerator, denominator)
-
-    first = read_rational()
+    first, pos = _read_rational(text, 0)
     if pos == end:
         return GaussianRational(first)
     ch = text[pos]
     if ch == "i":
-        pos += 1
-        if pos != end:
-            raise ParseError("trailing characters after 'i'", pos)
-        return GaussianRational(Fraction(0), first)
-    if ch in "+-":
-        sign = 1 if ch == "+" else -1
-        pos += 1
-        second = read_rational()
+        real, imag = Fraction(0), first
+    elif ch in "+-":
+        second, pos = _read_rational(text, pos + 1)
         if pos == end or text[pos] != "i":
             raise ParseError("expected 'i' after imaginary part", pos)
-        pos += 1
-        if pos != end:
-            raise ParseError("trailing characters after 'i'", pos)
-        return GaussianRational(first, sign * second)
-    raise ParseError(f"unexpected character {ch!r}", pos)
+        real, imag = first, second if ch == "+" else -second
+    else:
+        raise ParseError(f"unexpected character {ch!r}", pos)
+    if pos + 1 != end:
+        raise ParseError("trailing characters after 'i'", pos + 1)
+    return GaussianRational(real, imag)

@@ -1,5 +1,6 @@
 """CLI contract: JSON reports, 0/1/2 exit codes, byte determinism."""
 
+import argparse
 import json
 import os
 import random
@@ -17,11 +18,14 @@ from fixpres.cli import (
     InputError,
     matrix_from_doc,
     matrix_to_doc,
+    report_to_doc,
     run,
     superop_from_doc,
     superop_to_doc,
 )
 from fixpres.linalg import InexactDivision
+
+from conftest import superop_from_action
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,6 +66,14 @@ def test_matrix_doc_rejects_ragged_rows():
 def test_matrix_doc_rejects_numeric_entries():
     with pytest.raises(InputError):
         matrix_from_doc({"n_rows": 1, "n_cols": 1, "entries": [[1]]})
+
+
+def test_report_doc_writes_the_discrepancy():
+    """A map that doubles entry (0, 2) passes the probes; the report names
+    the entry of L that differs from the identity's."""
+    phi = superop_from_action(3, lambda a: a + a[0, 2] * Matrix.unit(3, 0, 2))
+    doc = report_to_doc(fixpres.set_preserver_verdict(phi, trials=0, seed=0))
+    assert doc["discrepancy"] == {"row": 6, "col": 6, "found": "2", "expected": "1"}
 
 
 def test_superop_doc_rejects_row_convention():
@@ -308,6 +320,28 @@ def test_fuzz_neg_similarity_family_fails(capsys):
     assert doc["summary"]["counterexamples"] == 3
 
 
+def test_fuzz_scales_each_map_once(capsys, monkeypatch):
+    """One IntegerL per trial serves both the probe check and classify."""
+    scaled_sides = []
+
+    def counting(original):
+        def wrapper(m):
+            if m.cols == 9:  # L of an n = 3 map, not an n x n probe
+                scaled_sides.append(m.rows)
+            return original(m)
+        return wrapper
+
+    for module in (linalg, fixpres.superop):
+        monkeypatch.setattr(module, "_integer_rows", counting(module._integer_rows))
+    code, out, _ = invoke(
+        capsys,
+        "fuzz", "--n", "3", "--family", "similarity", "--trials", "2", "--seed", "0",
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["passes"] == 2
+    assert scaled_sides == [9, 9]
+
+
 def test_fuzz_echoes_seed_per_trial(capsys):
     code, out, _ = invoke(
         capsys,
@@ -503,6 +537,14 @@ GOLDEN = FIXTURES / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
+def assert_matches_golden(capsys, case):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in case["argv"]]
+    code, out, err = invoke(capsys, *argv)
+    expected = (GOLDEN / f"{case['name']}.stdout").read_bytes()
+    assert (code, err) == (case["exit"], "")
+    assert out.encode("utf-8") == expected
+
+
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
 def test_report_bytes_match_golden(capsys, case):
     """stdout and exit code equal those recorded for the same invocation.
@@ -510,11 +552,32 @@ def test_report_bytes_match_golden(capsys, case):
     The recordings were made with `python -m fixpres`; input documents are
     named relative to tests/fixtures, and reports never echo the path.
     """
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in case["argv"]]
-    code, out, err = invoke(capsys, *argv)
-    expected = (GOLDEN / f"{case['name']}.stdout").read_bytes()
-    assert (code, err) == (case["exit"], "")
-    assert out.encode("utf-8") == expected
+    assert_matches_golden(capsys, case)
+
+
+def test_parser_reuse_after_usage_error_and_help(capsys, monkeypatch):
+    """One parser serves every run in a process: a usage error and --help
+    leave no state behind, and later runs build no parser."""
+    fixture = str(FIXTURES / "superop_negation_n3.json")
+    code, out, err = invoke(capsys, "verdict", "--superop", fixture, "--theorem", "3")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: fixpres")
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    by_name = {case["name"]: case for case in GOLDEN_CASES}
+    for name in ("superop_negation_n3.check-dim", "superop_negation_n3.verdict-2"):
+        assert_matches_golden(capsys, by_name[name])
+    assert built == []
 
 
 @pytest.mark.parametrize("module", ["fixpres", "fixpres.cli"])

@@ -1,9 +1,11 @@
 """Exact complex-rational scalar: parsing, formatting, field arithmetic."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixpres import GaussianRational, ParseError, format_scalar, parse_scalar
 from fixpres.scalars import ONE, ZERO, ZeroDenominator
@@ -102,6 +104,146 @@ def test_format_canonical(value, text):
 @given(scalars)
 def test_parse_format_round_trip(s):
     assert parse_scalar(format_scalar(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# the scanner and formatter against character-by-character references
+
+def reference_parse_scalar(text: str) -> GaussianRational:
+    """The grammar read one character at a time, left to right."""
+    pos = 0
+    end = len(text)
+
+    def read_rational() -> Fraction:
+        nonlocal pos
+        start = pos
+        if pos < end and text[pos] == "-":
+            pos += 1
+        digits_start = pos
+        while pos < end and text[pos] in "0123456789":
+            pos += 1
+        if pos == digits_start:
+            raise ParseError("expected digits", pos)
+        numerator = int(text[start:pos])
+        denominator = 1
+        if pos < end and text[pos] == "/":
+            pos += 1
+            den_start = pos
+            while pos < end and text[pos] in "0123456789":
+                pos += 1
+            if pos == den_start:
+                raise ParseError("expected digits after '/'", pos)
+            denominator = int(text[den_start:pos])
+            if denominator == 0:
+                raise ZeroDenominator("denominator is zero", den_start)
+        return Fraction(numerator, denominator)
+
+    first = read_rational()
+    if pos == end:
+        return GaussianRational(first)
+    ch = text[pos]
+    if ch == "i":
+        pos += 1
+        if pos != end:
+            raise ParseError("trailing characters after 'i'", pos)
+        return GaussianRational(Fraction(0), first)
+    if ch in "+-":
+        sign = 1 if ch == "+" else -1
+        pos += 1
+        second = read_rational()
+        if pos == end or text[pos] != "i":
+            raise ParseError("expected 'i' after imaginary part", pos)
+        pos += 1
+        if pos != end:
+            raise ParseError("trailing characters after 'i'", pos)
+        return GaussianRational(first, sign * second)
+    raise ParseError(f"unexpected character {ch!r}", pos)
+
+
+def reference_format_scalar(z: GaussianRational) -> str:
+    """The canonical form written through Fraction comparisons and abs."""
+
+    def fraction(q: Fraction) -> str:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    if z.im == 0:
+        return fraction(z.re)
+    if z.re == 0:
+        return f"{fraction(z.im)}i"
+    sign = "+" if z.im > 0 else "-"
+    return f"{fraction(z.re)}{sign}{fraction(abs(z.im))}i"
+
+
+def outcome(fn, arg):
+    """fn(arg), or the type, message and position of the ValueError it raises."""
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+PARSE_ALPHABET = "-/+i0123456789 x\u0663"  # U+0663 is ARABIC-INDIC DIGIT THREE
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(PARSE_ALPHABET, max_size=12), scalars.map(format_scalar)))
+def test_parse_agrees_with_reference(text):
+    assert outcome(parse_scalar, text) == outcome(reference_parse_scalar, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-/3", "1/", "1/0", "1+-2i", "1--2i", "3/2+x", "1i1", "", "-", "\u0663",
+     "1+2", "1+2/i", "2/0i", "1-0/0i", "1i ", "--1"],
+)
+def test_parse_pinned_cases_agree_with_reference(text):
+    assert outcome(parse_scalar, text) == outcome(reference_parse_scalar, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000, "1+" + "7" * 5000 + "i"]
+)
+def test_numeral_over_the_digit_limit_is_a_plain_value_error(text):
+    with pytest.raises(ValueError) as exc:
+        parse_scalar(text)
+    assert type(exc.value) is ValueError
+    assert outcome(parse_scalar, text) == outcome(reference_parse_scalar, text)
+
+
+wide_fractions = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20)
+wide_scalars = st.builds(GaussianRational, wide_fractions, wide_fractions)
+
+
+@settings(max_examples=300)
+@given(st.one_of(scalars, wide_scalars))
+def test_format_agrees_with_reference(z):
+    """Also with a zero real part, a zero imaginary part and a negative one."""
+    for w in (
+        z,
+        GaussianRational(0, z.im),
+        GaussianRational(z.re, 0),
+        GaussianRational(z.re, -abs(z.im)),
+    ):
+        assert format_scalar(w) == reference_format_scalar(w)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda big: GaussianRational(big),
+        lambda big: GaussianRational(Fraction(1, big)),
+        lambda big: GaussianRational(1, big),
+        lambda big: GaussianRational(0, -big),
+        lambda big: GaussianRational(1, Fraction(-1, big)),
+        lambda big: GaussianRational(big, big),
+    ],
+    ids=["re", "re-denominator", "im", "negative-im", "negative-im-denominator", "both"],
+)
+def test_parts_over_the_digit_limit_raise_like_the_reference(make):
+    z = make(10 ** sys.get_int_max_str_digits())  # one digit too many for str()
+    with pytest.raises(ValueError):
+        format_scalar(z)
+    assert outcome(format_scalar, z) == outcome(reference_format_scalar, z)
 
 
 # ---------------------------------------------------------------------------
