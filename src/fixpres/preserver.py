@@ -24,16 +24,15 @@ a verdict passes that one copy to each check and classify as scaled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
-from .fixed_points import dim_fixed
 from .linalg import (
     Matrix,
     _P,
     _Rows,
     _bareiss,
     _full_rank_mod_p,
-    _integer_rows_matrix,
     _kernel,
     _primitive,
     _residues,
@@ -43,6 +42,7 @@ from .rank_one import is_idempotent
 from .sampling import derive_rng, random_integer_rows, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
+    MAX_SIDE,
     IntegerL,
     NotRankOne,
     SuperOp,
@@ -126,6 +126,13 @@ def structured_probes(n: int) -> list[Matrix]:
     with eigenvalue 1, a rank-one idempotent, and a rank-one
     non-idempotent.
     """
+    return list(_structured(n)[0])
+
+
+@lru_cache(maxsize=MAX_SIDE)
+def _structured(n: int) -> tuple[tuple[Matrix, ...], tuple[tuple, ...]]:
+    """The structured probes of side n and their Gaussian-integer rows,
+    built once per n. The probe loop reads the rows and never mutates them."""
     if n < 1:
         raise ValueError("n must be at least 1")
     cells = [(i, j) for i in range(n) for j in range(n)]
@@ -145,7 +152,7 @@ def structured_probes(n: int) -> list[Matrix]:
     probes.append(square(lambda i, j: ONE if j in (i, i + 1) else ZERO))
     probes.append(square(lambda i, j: ONE if j == 0 else ZERO))
     probes.append(square(lambda i, j: _TWO if i == j == 0 else ZERO))
-    return probes
+    return tuple(probes), tuple(_common_integer_rows(p) for p in probes)
 
 
 def _probe_rows(
@@ -153,11 +160,10 @@ def _probe_rows(
 ) -> Iterator[tuple[list[list[int]], list[list[int]], int]]:
     """probe_suite(n, trials, seed) as Gaussian-integer rows over one scale.
 
-    Item k is (re, im, e) with (re + i*im) / e equal to probe k. Each
-    random probe is drawn only when it is asked for.
+    Item k is (re, im, e) with (re + i*im) / e equal to probe k; the
+    structured rows are cached, and each random probe is drawn when asked for.
     """
-    for p in structured_probes(n):
-        yield _common_integer_rows(p)
+    yield from _structured(n)[1]
     for idx in range(trials):
         yield random_integer_rows(derive_rng(seed, "probe", idx), n, n)
 
@@ -168,10 +174,8 @@ def _random_probe(n: int, seed: int, idx: int) -> Matrix:
 
 def _probe(n: int, seed: int, k: int) -> Matrix:
     """Probe k of probe_suite(n, trials, seed), for any trials that has one."""
-    structured = structured_probes(n)
-    if k < len(structured):
-        return structured[k]
-    return _random_probe(n, seed, k - len(structured))
+    structured = _structured(n)[0]
+    return structured[k] if k < len(structured) else _random_probe(n, seed, k - len(structured))
 
 
 def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
@@ -234,10 +238,10 @@ def _check(l: IntegerL, trials: int, seed: int, compare_sets: bool) -> Verdict:
     singular mod _P alone) take the exact path: forward Bareiss passes on
     A - I and phi(A) - I give their echelon rows, and _same_fixed
     compares those. Probes are drawn lazily, so a counterexample at probe
-    k draws no later probe. Only a counterexample builds matrices: the
-    witness, its image for dim_fixed, and for sets the canonical kernels
-    of the echelon rows, which are fixed_space of the probe and of its
-    image.
+    k draws no later probe. The dimensions of a counterexample are n
+    minus the numbers of echelon rows; only a set counterexample builds
+    matrices beyond its witness: the canonical kernels of the echelon
+    rows, which are fixed_space of the probe and of its image.
     """
     n = l.n
     image, image_mod_p = _image_kernel(l)
@@ -254,8 +258,8 @@ def _check(l: IntegerL, trials: int, seed: int, compare_sets: bool) -> Verdict:
         a = _probe(n, seed, probes_run - 1)
         if compare_sets:
             detail = (_kernel(*_primitive(*x), n), _kernel(*_primitive(*y), n))
-        else:
-            detail = (dim_fixed(a), dim_fixed(_integer_rows_matrix(*b)))
+        else:  # dim F(M) = n - rank(M - I)
+            detail = (n - len(x[0]), n - len(y[0]))
         return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 

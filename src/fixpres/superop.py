@@ -33,12 +33,9 @@ from .linalg import (
     _bareiss,
     _divided_row,
     _full_rank_mod_p,
-    _integer_rows,
     _integer_rows_matrix,
     _primitive,
-    _products,
     _residues,
-    _sparse,
     inverse,
     kron,
 )
@@ -123,20 +120,28 @@ def _image_kernel(l: IntegerL) -> tuple[Callable[..., _Scaled], Callable[..., _S
 
     Both read l, L scaled once per call over one common scale d. The
     first takes an n x n matrix as Gaussian-integer rows over a scale e
-    and returns its image as such rows over the scale d * e, each entry
-    an int dot product over the nonzero entries of a row of L. The second
-    takes the residues of those rows and e, and returns the residues of
-    that image: each entry is one dot product with l.residues().
+    and returns its image as such rows over the scale d * e: it gathers
+    the columns of L where vec(A) is nonzero, so each entry is an int dot
+    product over the nonzero entries of A alone. The second takes the
+    residues of those rows and e, and returns the residues of that image:
+    each entry is one dot product with l.residues().
     """
     n = l.n
-    rows = _sparse(l.re, l.im)
     digits = range(n)
 
     def image(a_re: list[list[int]], a_im: list[list[int]], e: int) -> _Scaled:
         # vec(A)[j*n + i] = A[i][j]
-        u = [a_re[i][j] for j in digits for i in digits]
-        v = [a_im[i][j] for j in digits for i in digits]
-        b_re, b_im = _products(rows, u, v)
+        nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a_re, a_im))
+                   for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
+        b_re, b_im = [], []
+        for l_re, l_im in zip(l.re, l.im):
+            acc_r = acc_i = 0
+            for t, x, y in nonzero:
+                p, q = l_re[t], l_im[t]
+                acc_r += p * x - q * y
+                acc_i += p * y + q * x
+            b_re.append(acc_r)
+            b_im.append(acc_i)
         return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], [l.d * e] * n
 
     def image_mod_p(a: list[list[int]], e: int) -> _ScaledMod:
@@ -148,14 +153,15 @@ def _image_kernel(l: IntegerL) -> tuple[Callable[..., _Scaled], Callable[..., _S
 
 
 def _common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    """a as Gaussian-integer rows (re, im) over one common scale e."""
-    re, im, scales = _integer_rows(a)
-    e = lcm(*scales)
-    return (
-        [row if s == e else [x * (e // s) for x in row] for row, s in zip(re, scales)],
-        [row if s == e else [x * (e // s) for x in row] for row, s in zip(im, scales)],
-        e,
-    )
+    """a as Gaussian-integer rows (re, im) over one common scale e, the
+    lcm of its distinct denominators, in one pass over its entries."""
+    c = a.cols
+    re_q = [z.re.as_integer_ratio() for z in a.entries]
+    im_q = [z.im.as_integer_ratio() for z in a.entries]
+    e = lcm(*{b for _, b in re_q}, *{b for _, b in im_q})
+    re, im = [x * (e // b) for x, b in re_q], [y * (e // b) for y, b in im_q]
+    starts = range(0, len(re), c)
+    return [re[k : k + c] for k in starts], [im[k : k + c] for k in starts], e
 
 
 def identity_superop(n: int) -> SuperOp:

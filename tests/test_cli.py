@@ -331,8 +331,10 @@ def test_fuzz_scales_each_map_once(capsys, monkeypatch):
             return original(m)
         return wrapper
 
-    for module in (linalg, fixpres.superop):
-        monkeypatch.setattr(module, "_integer_rows", counting(module._integer_rows))
+    for module in (fixpres.superop, fixpres.preserver):
+        monkeypatch.setattr(
+            module, "_common_integer_rows", counting(module._common_integer_rows)
+        )
     code, out, _ = invoke(
         capsys,
         "fuzz", "--n", "3", "--family", "similarity", "--trials", "2", "--seed", "0",

@@ -1,0 +1,161 @@
+"""One-pass scaling to Gaussian integers and the column-gather image,
+against the two-step references they replaced.
+
+reference_common_integer_rows scales each row over its own lcm with
+linalg._integer_rows and then rescales every row to the lcm of those
+scales. reference_image lists the nonzero entries of every row of L
+with linalg._sparse and multiplies them by vec(A) with linalg._products.
+superop._common_integer_rows and the exact map of superop._image_kernel
+must give exactly what these give, scales included.
+"""
+
+import random
+from math import lcm
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fixpres import (
+    GaussianRational,
+    Matrix,
+    SuperOp,
+    derive_rng,
+    random_invertible,
+    random_matrix,
+    similarity_superop,
+    transpose_similarity_superop,
+)
+from fixpres.linalg import _P, _SQRT_MINUS_ONE, _integer_rows, _products, _sparse
+from fixpres.preserver import structured_probes
+from fixpres.superop import IntegerL, _common_integer_rows, _image_kernel
+
+from conftest import matrices, nonzero_scalars, prime_row_random, prime_row_similarity
+
+
+# ---------------------------------------------------------------------------
+# references
+
+def reference_common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
+    re, im, scales = _integer_rows(a)
+    e = lcm(*scales)
+    return (
+        [row if s == e else [x * (e // s) for x in row] for row, s in zip(re, scales)],
+        [row if s == e else [x * (e // s) for x in row] for row, s in zip(im, scales)],
+        e,
+    )
+
+
+def reference_image(l: IntegerL, a_re: list[list[int]], a_im: list[list[int]], e: int):
+    n = l.n
+    digits = range(n)
+    # vec(A)[j*n + i] = A[i][j]
+    u = [a_re[i][j] for j in digits for i in digits]
+    v = [a_im[i][j] for j in digits for i in digits]
+    b_re, b_im = _products(_sparse(l.re, l.im), u, v)
+    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], [l.d * e] * n
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+MAP_KINDS = (
+    "random",
+    "similarity",
+    "transpose-similarity",
+    "prime-row-similarity",
+    "prime-row-random",
+)
+
+
+@st.composite
+def maps(draw, max_side=4):
+    """Random maps, similarities and transpose-similarities with a drawn
+    scale, and the conftest maps whose rows of L sit over distinct primes;
+    n = 1 gives 1 x 1 inputs."""
+    kind = draw(st.sampled_from(MAP_KINDS))
+    n = draw(st.integers(1, max_side))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "random":
+        return SuperOp(n, random_matrix(derive_rng(seed, "integer-rows", n), n * n, n * n))
+    if kind == "prime-row-similarity":
+        return prime_row_similarity(n, seed)
+    if kind == "prime-row-random":
+        return prime_row_random(n, seed)
+    s = random_invertible(derive_rng(seed, "integer-rows-s", n), n)
+    build = similarity_superop if kind == "similarity" else transpose_similarity_superop
+    return build(s, draw(nonzero_scalars))
+
+
+# Entries that vanish mod p or collide there: p, and r - i with i -> r.
+_COLLIDING = (GaussianRational(_P), GaussianRational(_SQRT_MINUS_ONE, -1))
+
+
+@st.composite
+def probes(draw, n):
+    """An n x n probe: the zero matrix, a matrix unit, a structured probe,
+    a probe from the random stream, one from the shared strategy, or a
+    random probe with some entries replaced by colliding ones."""
+    kind = draw(st.sampled_from(["zero", "unit", "structured", "stream", "drawn", "colliding"]))
+    if kind == "zero":
+        return Matrix.zeros(n, n)
+    if kind == "unit":
+        index = st.integers(0, n - 1)
+        return Matrix.unit(n, draw(index), draw(index))
+    if kind == "structured":
+        return draw(st.sampled_from(structured_probes(n)))
+    if kind == "drawn":
+        return draw(matrices(rows=n, cols=n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a = random_matrix(rng, n, n)
+    if kind == "stream":
+        return a
+    entries = list(a.entries)
+    for _ in range(draw(st.integers(1, n * n))):
+        entries[rng.randrange(n * n)] = rng.choice(_COLLIDING)
+    return Matrix(n, n, tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# scaling
+
+@given(maps())
+def test_scaling_of_l_matches_reference(phi):
+    assert _common_integer_rows(phi.matrix) == reference_common_integer_rows(phi.matrix)
+
+
+@given(matrices())
+def test_scaling_of_drawn_matrices_matches_reference(m):
+    assert _common_integer_rows(m) == reference_common_integer_rows(m)
+
+
+@given(matrices(rows=1, cols=1))
+def test_scaling_of_one_by_one_matches_reference(m):
+    assert _common_integer_rows(m) == reference_common_integer_rows(m)
+
+
+@given(st.data())
+def test_scaling_of_probes_matches_reference(data):
+    a = data.draw(probes(data.draw(st.integers(1, 5))))
+    assert _common_integer_rows(a) == reference_common_integer_rows(a)
+
+
+# ---------------------------------------------------------------------------
+# the gathered image
+
+@given(maps(), st.data())
+def test_gathered_image_matches_reference(phi, data):
+    l = IntegerL.of(phi)
+    image, _ = _image_kernel(l)
+    rows = _common_integer_rows(data.draw(probes(phi.n)))
+    assert image(*rows) == reference_image(l, *rows)
+
+
+@given(maps(max_side=3))
+def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi):
+    n = phi.n
+    l = IntegerL.of(phi)
+    image, _ = _image_kernel(l)
+    units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
+    for a in [Matrix.zeros(n, n), *units, *structured_probes(n)]:
+        rows = _common_integer_rows(a)
+        assert image(*rows) == reference_image(l, *rows)

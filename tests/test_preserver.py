@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import fixpres
 from fixpres import (
     GaussianRational,
     Matrix,
@@ -32,7 +33,7 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import preserver, superop
+from fixpres import fixed_points, preserver, superop
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
@@ -371,7 +372,8 @@ def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
     shifted = (probe - eye, phi.apply(probe) - eye)
     assert not all(_full_rank_mod_p(residue_rows(m)) for m in shifted)
     assert rank(shifted[0]) == 3
-    monkeypatch.setattr(preserver, "structured_probes", lambda n: [probe])
+    rows = _common_integer_rows(probe)
+    monkeypatch.setattr(preserver, "_structured", lambda n: ((probe,), (rows,)))
     calls = _count_bareiss_calls(monkeypatch)
     verdict = check_dim_preserving(phi, 0, 0)
     assert len(calls) == 2
@@ -391,6 +393,43 @@ def test_certified_probes_skip_bareiss(monkeypatch):
     with_fixed_points = [p for p in structured_probes(n) if dim_fixed(p) > 0]
     assert len(with_fixed_points) == 6
     assert len(calls) == 2 * len(with_fixed_points)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cached_structured_rows_survive_checks(n):
+    """The structured probes and their integer rows are built once per n
+    and shared by every check; no pass or counterexample mutates them."""
+    phi = similarity_superop(random_invertible(derive_rng(0, "cache", n), n), 1)
+    side = n * n
+    random_map = SuperOp(n, random_matrix(derive_rng(0, "cache-random", n), side, side))
+    assert check_dim_preserving(phi, trials=5).outcome == "pass"
+    assert check_dim_preserving(random_map, trials=5).outcome == "counterexample"
+    assert check_set_preserving(phi, trials=5).outcome == "counterexample"
+    cached_probes, cached_rows = preserver._structured(n)
+    assert list(cached_probes) == structured_probes(n) == _arithmetic_structured_probes(n)
+    assert list(cached_rows) == [_common_integer_rows(p) for p in _arithmetic_structured_probes(n)]
+
+
+def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
+    """A random map fails at the probe I. Its detail is n minus the
+    numbers of echelon rows of the two forward passes, with no dim_fixed."""
+    phi = SuperOp(3, random_matrix(derive_rng(0, "dim-detail"), 9, 9))
+    dim_calls = []
+
+    def counted(a):
+        dim_calls.append(a)
+        return dim_fixed(a)
+
+    for module in (fixed_points, fixpres, preserver):
+        monkeypatch.setattr(module, "dim_fixed", counted, raising=False)
+    calls = _count_bareiss_calls(monkeypatch)
+    verdict = check_dim_preserving(phi)
+    assert (verdict.outcome, verdict.witness, verdict.probes_run) == (
+        "counterexample", Matrix.identity(3), 3
+    )
+    assert (len(calls), dim_calls) == (2, [])
+    w = verdict.witness
+    assert verdict.detail == (dim_fixed(w), dim_fixed(phi.apply(w))) == (3, 0)
 
 
 # Entries that vanish mod p or collide there, next to the sampled ones:
@@ -729,17 +768,18 @@ def test_dim_verdict_random_bijective_usually_counterexample():
 
 def _count_scalings(monkeypatch, side: int) -> list:
     """Record each scaling of entries of an N x N matrix to Gaussian
-    integers, by _integer_rows where superop and preserver import it: the
-    whole of L, or one row of it (a 1 x N input)."""
+    integers, by _common_integer_rows where superop and preserver use it,
+    the only place that scales L: the whole of L, or one row of it (a
+    1 x N input)."""
     calls = []
 
     def counted(m):
         if m.cols == side:
             calls.append((m.rows, m.cols))
-        return _integer_rows(m)
+        return _common_integer_rows(m)
 
     for module in (superop, preserver):
-        monkeypatch.setattr(module, "_integer_rows", counted, raising=False)
+        monkeypatch.setattr(module, "_common_integer_rows", counted)
     return calls
 
 
