@@ -152,26 +152,27 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Exact product, computed over the Gaussian integers.
 
-        Each row of self and each column of other is scaled to Gaussian
-        integers by the lcm of its denominators (d_i and e_j). Entry
-        (i, j) is then a plain int dot product, skipping zero left
-        entries, divided once by d_i * e_j: one GaussianRational per
-        output entry and no Fraction arithmetic in the inner loop.
+        self and the transpose of other are scaled to Gaussian integers
+        over their common scales d and e. Entry (i, j) is then a plain int
+        dot product, skipping zero left entries, divided once by d * e:
+        one GaussianRational per output entry and no Fraction arithmetic
+        in the inner loop.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        l_re, l_im, l_scales = _integer_rows(self)
-        r_re, r_im, r_scales = _integer_rows(other.transpose())
+        l_re, l_im, d = _common_integer_rows(self)
+        r_re, r_im, e = _common_integer_rows(other.transpose())
         left = _sparse(l_re, l_im)
         columns = [_products(left, b_re, b_im) for b_re, b_im in zip(r_re, r_im)]
+        de = d * e
         return Matrix(self.rows, other.cols, tuple(
-            GaussianRational(Fraction(c_re[i], d * e), Fraction(c_im[i], d * e))
+            GaussianRational(Fraction(c_re[i], de), Fraction(c_im[i], de))
             if c_re[i] or c_im[i]
             else ZERO
-            for i, d in enumerate(l_scales)
-            for (c_re, c_im), e in zip(columns, r_scales)
+            for i in range(self.rows)
+            for c_re, c_im in columns
         ))
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -193,37 +194,35 @@ class Matrix:
         return f"[{body}]"
 
 
-# Real parts, imaginary parts and scales of rows scaled to Gaussian integers.
-_Scaled = tuple[list[list[int]], list[list[int]], list[int]]
+# Real parts, imaginary parts and the common scale of a matrix of
+# Gaussian rationals scaled to Gaussian integers.
+_Scaled = tuple[list[list[int]], list[list[int]], int]
 
 
-def _integer_rows(m: Matrix) -> _Scaled:
-    """Real and imaginary parts of m with each row scaled to Gaussian integers.
+def _common_integer_rows(a: Matrix) -> _Scaled:
+    """a as Gaussian-integer rows (re, im) over one common scale e, the
+    lcm of its distinct denominators, in one pass over its entries.
 
-    Row i is multiplied by the lcm of its entries' denominators, returned
-    as the third list; scaling a row by a nonzero constant changes
-    neither the rank nor the RREF.
+    Scaling every row by the same nonzero constant changes neither the
+    rank nor the RREF; eliminations divide each row by its content first
+    (see _primitive), which undoes the extra factor a row picks up from
+    the denominators of other rows.
     """
-    re_rows: list[list[int]] = []
-    im_rows: list[list[int]] = []
-    scales: list[int] = []
-    c = m.cols
-    for i in range(m.rows):
-        row = m.entries[i * c : (i + 1) * c]
-        scale = lcm(*(q.denominator for z in row for q in (z.re, z.im)))
-        re_rows.append([z.re.numerator * (scale // z.re.denominator) for z in row])
-        im_rows.append([z.im.numerator * (scale // z.im.denominator) for z in row])
-        scales.append(scale)
-    return re_rows, im_rows, scales
+    c = a.cols
+    re_q = [z.re.as_integer_ratio() for z in a.entries]
+    im_q = [z.im.as_integer_ratio() for z in a.entries]
+    e = lcm(*{b for _, b in re_q}, *{b for _, b in im_q})
+    re, im = [x * (e // b) for x, b in re_q], [y * (e // b) for y, b in im_q]
+    rows = range(a.rows)
+    return [re[k * c : (k + 1) * c] for k in rows], [im[k * c : (k + 1) * c] for k in rows], e
 
 
-def _integer_rows_matrix(re: list[list[int]], im: list[list[int]], scales: list[int]) -> Matrix:
-    """The matrix whose row k is (re[k] + i*im[k]) / scales[k]; the
-    inverse of _integer_rows."""
+def _integer_rows_matrix(re: list[list[int]], im: list[list[int]], e: int) -> Matrix:
+    """The matrix (re + i*im) / e; the inverse of _common_integer_rows."""
     cols = len(re[0]) if re else 0
     return Matrix(len(re), cols, tuple(
-        GaussianRational(Fraction(x, s), Fraction(y, s)) if x or y else ZERO
-        for row_re, row_im, s in zip(re, im, scales)
+        GaussianRational(Fraction(x, e), Fraction(y, e)) if x or y else ZERO
+        for row_re, row_im in zip(re, im)
         for x, y in zip(row_re, row_im)
     ))
 
@@ -335,12 +334,13 @@ def _bareiss(
 def _eliminate(
     m: Matrix, reduce: bool
 ) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """_bareiss on the rows of m scaled to Gaussian integers.
+    """_bareiss on the rows of m scaled to Gaussian integers, each
+    divided by its content.
 
     Returns the real parts, imaginary parts and pivot columns of the
     eliminated rows.
     """
-    re, im, _ = _integer_rows(m)
+    re, im = _primitive(*_common_integer_rows(m)[:2])
     return re, im, _bareiss(re, im, m.cols, reduce)
 
 
@@ -491,8 +491,7 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the null space of m."""
-    re, im, _ = _integer_rows(m)
-    return _kernel(re, im, m.cols)
+    return _kernel(*_primitive(*_common_integer_rows(m)[:2]), m.cols)
 
 
 def _kernel(re: list[list[int]], im: list[list[int]], n_cols: int) -> Subspace:

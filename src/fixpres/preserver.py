@@ -32,7 +32,9 @@ from .linalg import (
     _P,
     _Rows,
     _bareiss,
+    _common_integer_rows,
     _full_rank_mod_p,
+    _integer_rows_matrix,
     _kernel,
     _primitive,
     _residues,
@@ -46,8 +48,6 @@ from .superop import (
     IntegerL,
     NotRankOne,
     SuperOp,
-    _common_integer_rows,
-    _image_kernel,
     _realigned,
     is_bijective,
     rank_one_factor,
@@ -168,33 +168,25 @@ def _probe_rows(
         yield random_integer_rows(derive_rng(seed, "probe", idx), n, n)
 
 
-def _random_probe(n: int, seed: int, idx: int) -> Matrix:
-    return random_matrix(derive_rng(seed, "probe", idx), n, n)
-
-
-def _probe(n: int, seed: int, k: int) -> Matrix:
-    """Probe k of probe_suite(n, trials, seed), for any trials that has one."""
-    structured = _structured(n)[0]
-    return structured[k] if k < len(structured) else _random_probe(n, seed, k - len(structured))
-
-
 def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
     """Structured probes followed by `trials` seeded random matrices."""
-    return structured_probes(n) + [_random_probe(n, seed, idx) for idx in range(trials)]
+    return structured_probes(n) + [
+        random_matrix(derive_rng(seed, "probe", idx), n, n) for idx in range(trials)
+    ]
 
 
-def _fixed_rows(re: list[list[int]], im: list[list[int]], scales: list[int]) -> _Rows:
-    """Nonzero echelon rows of M - I, for M with row k equal to
-    (re[k] + i*im[k]) / scales[k]; their kernel is F(M).
+def _fixed_rows(re: list[list[int]], im: list[list[int]], e: int) -> _Rows:
+    """Nonzero echelon rows of M - I, for the square M = (re + i*im) / e;
+    their kernel is F(M).
 
-    Row k of M - I is scaled by scales[k], so only its diagonal entry
-    moves, and divided by its content before the forward pass.
+    M - I is scaled by e, so only its diagonal entries move, and each row
+    is divided by its content before the forward pass.
     """
     shifted = [row[:] for row in re]
-    for k, s in enumerate(scales):
-        shifted[k][k] -= s
+    for k, row in enumerate(shifted):
+        row[k] -= e
     x_re, x_im = _primitive(shifted, im)
-    r = len(_bareiss(x_re, x_im, len(scales), reduce=False))
+    r = len(_bareiss(x_re, x_im, len(re), reduce=False))
     return x_re[:r], x_im[:r]
 
 
@@ -213,16 +205,15 @@ def _same_fixed(x: _Rows, y: _Rows, n: int, compare_sets: bool) -> bool:
     return len(_bareiss(*_primitive(x_re + y_re, x_im + y_im), n, reduce=False)) == r
 
 
-def _regular_mod_p(rows: list[list[int]], scales: list[int]) -> bool:
-    """Whether M - I has full rank mod _P, where row k of M is a row of
-    Gaussian integers over scales[k] and rows[k] holds its residues.
+def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
+    """Whether M - I has full rank mod _P, where M is a square matrix of
+    Gaussian integers over the scale e and rows holds their residues.
 
-    Row k of M - I is scaled by scales[k], so only its diagonal entry
-    moves; rows is shifted in place. True proves that M - I is
-    invertible, so F(M) = {0}.
+    M - I is scaled by e, so only its diagonal entries move; rows is
+    shifted in place. True proves that M - I is invertible, so F(M) = {0}.
     """
-    for k, s in enumerate(scales):
-        rows[k][k] = (rows[k][k] - s) % _P
+    for k, row in enumerate(rows):
+        row[k] = (row[k] - e) % _P
     return _full_rank_mod_p(rows)
 
 
@@ -238,29 +229,28 @@ def _check(l: IntegerL, trials: int, seed: int, compare_sets: bool) -> Verdict:
     singular mod _P alone) take the exact path: forward Bareiss passes on
     A - I and phi(A) - I give their echelon rows, and _same_fixed
     compares those. Probes are drawn lazily, so a counterexample at probe
-    k draws no later probe. The dimensions of a counterexample are n
-    minus the numbers of echelon rows; only a set counterexample builds
-    matrices beyond its witness: the canonical kernels of the echelon
-    rows, which are fixed_space of the probe and of its image.
+    k draws no later probe. The witness is built from the rows of the
+    probe just tested, and the dimensions of a counterexample are n minus
+    the numbers of echelon rows; only a set counterexample builds more
+    matrices: the canonical kernels of the echelon rows, which are
+    fixed_space of the probe and of its image.
     """
     n = l.n
-    image, image_mod_p = _image_kernel(l)
     probes_run = 0
     for probes_run, (re, im, e) in enumerate(_probe_rows(n, trials, seed), start=1):
         residues = _residues(re, im)
-        if _regular_mod_p(*image_mod_p(residues, e)) and _regular_mod_p(residues, [e] * n):
+        if _regular_mod_p(*l.image_mod_p(residues, e)) and _regular_mod_p(residues, e):
             continue
-        b = image(re, im, e)
-        x = _fixed_rows(re, im, [e] * n)
-        y = _fixed_rows(*b)
+        x = _fixed_rows(re, im, e)
+        y = _fixed_rows(*l.image(re, im, e))
         if _same_fixed(x, y, n, compare_sets):
             continue
-        a = _probe(n, seed, probes_run - 1)
         if compare_sets:
             detail = (_kernel(*_primitive(*x), n), _kernel(*_primitive(*y), n))
         else:  # dim F(M) = n - rank(M - I)
             detail = (n - len(x[0]), n - len(y[0]))
-        return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
+        witness = _integer_rows_matrix(re, im, e)
+        return Verdict(OUTCOME_COUNTEREXAMPLE, witness, detail, probes_run, seed)
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
@@ -451,23 +441,11 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         classification.tag == SIMILARITY and classification.scale == ONE
     ):
         status = "consistent"
-    elif classification.tag == SIMILARITY and classification.scale == -ONE:
-        status = "consistent"
-        notes.append(
-            "negated similarity passed all probes; unexpected, since the -I probe "
-            "should have failed it"
-        )
     elif classification.tag == TRANSPOSE_SIMILARITY:
         status = "form-outside-conclusion"
         notes.append(
             "transpose-similarity form passed every dimension probe but is not "
             "among the claimed conclusion forms"
-        )
-    elif classification.tag == SIMILARITY:
-        status = "form-outside-conclusion"
-        notes.append(
-            f"similarity with scale {classification.scale} outside {{1, -1}} "
-            "passed every probe; the claim does not address scaled similarities"
         )
     else:
         status = "violation-candidate"

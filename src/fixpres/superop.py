@@ -20,9 +20,8 @@ timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     Matrix,
@@ -31,6 +30,7 @@ from .linalg import (
     _P,
     _Scaled,
     _bareiss,
+    _common_integer_rows,
     _divided_row,
     _full_rank_mod_p,
     _integer_rows_matrix,
@@ -82,11 +82,10 @@ class SuperOp:
             )
 
     def apply(self, a: Matrix) -> Matrix:
-        """The image of a, by the exact map of _image_kernel."""
+        """The image of a, by IntegerL.image."""
         if a.rows != self.n or a.cols != self.n:
             raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
-        image, _ = _image_kernel(IntegerL.of(self))
-        return _integer_rows_matrix(*image(*_common_integer_rows(a)))
+        return _integer_rows_matrix(*IntegerL.of(self).image(*_common_integer_rows(a)))
 
 
 @dataclass(slots=True)
@@ -110,31 +109,20 @@ class IntegerL:
             self.mod_p = _residues(self.re, self.im)
         return self.mod_p
 
+    def image(self, a_re: list[list[int]], a_im: list[list[int]], e: int) -> _Scaled:
+        """The image of the n x n matrix (a_re + i*a_im) / e, as
+        Gaussian-integer rows over the scale d * e.
 
-# The residues mod _P of Gaussian-integer rows, and one scale per row.
-_ScaledMod = tuple[list[list[int]], list[int]]
-
-
-def _image_kernel(l: IntegerL) -> tuple[Callable[..., _Scaled], Callable[..., _ScaledMod]]:
-    """The maps that send an n x n matrix to its image, exactly and mod _P.
-
-    Both read l, L scaled once per call over one common scale d. The
-    first takes an n x n matrix as Gaussian-integer rows over a scale e
-    and returns its image as such rows over the scale d * e: it gathers
-    the columns of L where vec(A) is nonzero, so each entry is an int dot
-    product over the nonzero entries of A alone. The second takes the
-    residues of those rows and e, and returns the residues of that image:
-    each entry is one dot product with l.residues().
-    """
-    n = l.n
-    digits = range(n)
-
-    def image(a_re: list[list[int]], a_im: list[list[int]], e: int) -> _Scaled:
+        It gathers the columns of L where vec(A) is nonzero, so each entry
+        is an int dot product over the nonzero entries of A alone.
+        """
+        n = self.n
+        digits = range(n)
         # vec(A)[j*n + i] = A[i][j]
         nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a_re, a_im))
                    for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
         b_re, b_im = [], []
-        for l_re, l_im in zip(l.re, l.im):
+        for l_re, l_im in zip(self.re, self.im):
             acc_r = acc_i = 0
             for t, x, y in nonzero:
                 p, q = l_re[t], l_im[t]
@@ -142,26 +130,17 @@ def _image_kernel(l: IntegerL) -> tuple[Callable[..., _Scaled], Callable[..., _S
                 acc_i += p * y + q * x
             b_re.append(acc_r)
             b_im.append(acc_i)
-        return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], [l.d * e] * n
+        return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], self.d * e
 
-    def image_mod_p(a: list[list[int]], e: int) -> _ScaledMod:
+    def image_mod_p(self, a: list[list[int]], e: int) -> tuple[list[list[int]], int]:
+        """image(a_re, a_im, e) mod _P, from the residues a of (a_re, a_im):
+        the residues of the image rows and their scale d * e. Each entry is
+        one dot product with residues()."""
+        n = self.n
+        digits = range(n)
         u = [a[i][j] for j in digits for i in digits]
-        b = [sum(map(mul, row, u)) % _P for row in l.residues()]
-        return [b[i::n] for i in digits], [l.d * e] * n
-
-    return image, image_mod_p
-
-
-def _common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    """a as Gaussian-integer rows (re, im) over one common scale e, the
-    lcm of its distinct denominators, in one pass over its entries."""
-    c = a.cols
-    re_q = [z.re.as_integer_ratio() for z in a.entries]
-    im_q = [z.im.as_integer_ratio() for z in a.entries]
-    e = lcm(*{b for _, b in re_q}, *{b for _, b in im_q})
-    re, im = [x * (e // b) for x, b in re_q], [y * (e // b) for y, b in im_q]
-    starts = range(0, len(re), c)
-    return [re[k : k + c] for k in starts], [im[k : k + c] for k in starts], e
+        b = [sum(map(mul, row, u)) % _P for row in self.residues()]
+        return [b[i::n] for i in digits], self.d * e
 
 
 def identity_superop(n: int) -> SuperOp:

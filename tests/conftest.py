@@ -1,7 +1,9 @@
 """Shared strategies for exact-scalar and small-matrix generation, and
 test-only helpers built from the package's public operations."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -16,8 +18,9 @@ from fixpres import (
     random_matrix,
     similarity_superop,
 )
-from fixpres.linalg import _integer_rows, _residues
-from fixpres.superop import _common_integer_rows, rank_one_factor, vec
+from fixpres.cli import matrix_from_doc
+from fixpres.linalg import _common_integer_rows, _residues
+from fixpres.superop import rank_one_factor, vec
 
 settings.register_profile(
     "default",
@@ -63,7 +66,7 @@ def column_at(m: Matrix, j: int) -> Matrix:
 
 def residue_rows(m: Matrix) -> list[list[int]]:
     """The rows of m scaled to Gaussian integers, as residues mod p."""
-    re, im, _ = _integer_rows(m)
+    re, im, _ = _common_integer_rows(m)
     return _residues(re, im)
 
 
@@ -109,3 +112,10 @@ def prime_row_random(n: int, seed: int = 0) -> SuperOp:
     """A random map whose row r of L is divided by the r-th prime."""
     side = n * n
     return SuperOp(n, prime_rows(random_matrix(derive_rng(seed, "prime-rows", n), side, side)))
+
+
+# Row 0 has six distinct denominators near 10**40 and rows 1 and 2 are
+# integers, so one common scale for all three rows sits near 10**240.
+MIXED_DENOMINATORS = matrix_from_doc(json.loads(
+    (Path(__file__).parent / "fixtures" / "matrix_mixed_denominators_n3.json").read_text()
+))

@@ -186,16 +186,18 @@ def test_acceptance_07_transpose_family_recovery():
 
 def test_acceptance_08_negation_falsifier():
     """Negated similarity always dies at the -I probe with detail (0, n),
-    and the claim-2 verdict names the negated branch as unrealizable."""
+    at every n and with no random probe at all, and the claim-2 verdict
+    names the negated branch as unrealizable."""
     for k in range(20):
-        n = 3 + (k % 2)
+        n = 1 + k % 6
+        trials = 0 if k < 10 else 5
         s = random_invertible(derive_rng(37, "negation", k), n)
-        verdict = check_dim_preserving(similarity_superop(s, -1), trials=5, seed=k)
+        verdict = check_dim_preserving(similarity_superop(s, -1), trials=trials, seed=k)
         assert verdict.outcome == "counterexample"
         assert verdict.witness == -Matrix.identity(n)
         assert verdict.detail == (0, n)
 
-        report = dim_preserver_verdict(similarity_superop(s, -1), trials=5, seed=k)
+        report = dim_preserver_verdict(similarity_superop(s, -1), trials=trials, seed=k)
         assert report.status == "counterexample"
         assert report.classification.tag == "similarity"
         assert report.classification.scale == -ONE

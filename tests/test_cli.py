@@ -469,17 +469,15 @@ def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
     def unscaled(m):
         # skips the denominator clearing, so a Bareiss division is inexact
         rows = m.to_rows()
-        return (
-            [[z.re for z in row] for row in rows],
-            [[z.im for z in row] for row in rows],
-            [1] * len(rows),
-        )
+        return [[z.re for z in row] for row in rows], [[z.im for z in row] for row in rows], 1
 
     target = tmp_path / "fractions.json"
     target.write_text(json.dumps(matrix_to_doc(Matrix.from_rows(
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]
     ))))
-    monkeypatch.setattr(linalg, "_integer_rows", unscaled)
+    monkeypatch.setattr(linalg, "_common_integer_rows", unscaled)
+    # the content division would fail on Fraction rows before Bareiss sees them
+    monkeypatch.setattr(linalg, "_primitive", lambda re, im: (re, im))
     with pytest.raises(InexactDivision):
         run(["fixdim", "--matrix", str(target)])
 

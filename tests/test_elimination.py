@@ -8,14 +8,14 @@ exactly what it gives.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, NotSquare, SingularMatrix
 from fixpres.linalg import inverse, kernel_basis, rank, rref
 from fixpres.scalars import ONE, ZERO
 
-from conftest import fractions_st, matrices, scalars
+from conftest import MIXED_DENOMINATORS, fractions_st, matrices, scalars
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +125,7 @@ imaginary_scalars = st.builds(GaussianRational, st.just(Fraction(0)), fractions_
 
 
 @given(any_shape())
+@example(MIXED_DENOMINATORS)
 def test_random_matrices_match_reference(m):
     assert_matches_reference(m)
 

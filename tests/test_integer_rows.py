@@ -2,15 +2,18 @@
 against the two-step references they replaced.
 
 reference_common_integer_rows scales each row over its own lcm with
-linalg._integer_rows and then rescales every row to the lcm of those
+reference_integer_rows and then rescales every row to the lcm of those
 scales. reference_image lists the nonzero entries of every row of L
 with linalg._sparse and multiplies them by vec(A) with linalg._products.
-superop._common_integer_rows and the exact map of superop._image_kernel
-must give exactly what these give, scales included.
+linalg._common_integer_rows and IntegerL.image must give exactly what
+these give, scales included.
+
+Eliminations divide each row by its content, so rows over one common
+scale reach Bareiss no larger than rows over their own scales would.
 """
 
 import random
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,18 +28,49 @@ from fixpres import (
     similarity_superop,
     transpose_similarity_superop,
 )
-from fixpres.linalg import _P, _SQRT_MINUS_ONE, _integer_rows, _products, _sparse
+from fixpres import linalg
+from fixpres.linalg import (
+    _P,
+    _SQRT_MINUS_ONE,
+    _common_integer_rows,
+    _products,
+    _sparse,
+    inverse,
+    kernel_basis,
+    rank,
+    rref,
+)
 from fixpres.preserver import structured_probes
-from fixpres.superop import IntegerL, _common_integer_rows, _image_kernel
+from fixpres.superop import IntegerL
 
-from conftest import matrices, nonzero_scalars, prime_row_random, prime_row_similarity
+from conftest import (
+    MIXED_DENOMINATORS,
+    matrices,
+    nonzero_scalars,
+    prime_row_random,
+    prime_row_similarity,
+)
 
 
 # ---------------------------------------------------------------------------
 # references
 
+def reference_integer_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Real and imaginary parts of m with each row scaled to Gaussian
+    integers by the lcm of its own denominators, and those scales."""
+    re_rows, im_rows, scales = [], [], []
+    c = m.cols
+    for i in range(m.rows):
+        row = m.entries[i * c : (i + 1) * c]
+        scale = lcm(*(q.denominator for z in row for q in (z.re, z.im)))
+        re_rows.append([z.re.numerator * (scale // z.re.denominator) for z in row])
+        im_rows.append([z.im.numerator * (scale // z.im.denominator) for z in row])
+        scales.append(scale)
+    return re_rows, im_rows, scales
+
+
 def reference_common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    re, im, scales = _integer_rows(a)
+    re, im, scales = reference_integer_rows(a)
     e = lcm(*scales)
     return (
         [row if s == e else [x * (e // s) for x in row] for row, s in zip(re, scales)],
@@ -52,7 +86,7 @@ def reference_image(l: IntegerL, a_re: list[list[int]], a_im: list[list[int]], e
     u = [a_re[i][j] for j in digits for i in digits]
     v = [a_im[i][j] for j in digits for i in digits]
     b_re, b_im = _products(_sparse(l.re, l.im), u, v)
-    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], [l.d * e] * n
+    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +179,58 @@ def test_scaling_of_probes_matches_reference(data):
 @given(maps(), st.data())
 def test_gathered_image_matches_reference(phi, data):
     l = IntegerL.of(phi)
-    image, _ = _image_kernel(l)
     rows = _common_integer_rows(data.draw(probes(phi.n)))
-    assert image(*rows) == reference_image(l, *rows)
+    assert l.image(*rows) == reference_image(l, *rows)
 
 
 @given(maps(max_side=3))
 def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi):
     n = phi.n
     l = IntegerL.of(phi)
-    image, _ = _image_kernel(l)
     units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
     for a in [Matrix.zeros(n, n), *units, *structured_probes(n)]:
         rows = _common_integer_rows(a)
-        assert image(*rows) == reference_image(l, *rows)
+        assert l.image(*rows) == reference_image(l, *rows)
+
+
+# ---------------------------------------------------------------------------
+# what Bareiss receives
+
+def _bits(re: list[list[int]], im: list[list[int]]) -> int:
+    return max((abs(x).bit_length() for rows in (re, im) for row in rows for x in row), default=0)
+
+
+def _reference_bits(m: Matrix) -> int:
+    """The largest bit length of the rows of m, each over its own scale
+    and divided by its content."""
+    re, im, _ = reference_integer_rows(m)
+    contents = [gcd(*row_re, *row_im) or 1 for row_re, row_im in zip(re, im)]
+    return _bits(
+        [[x // g for x in row] for row, g in zip(re, contents)],
+        [[x // g for x in row] for row, g in zip(im, contents)],
+    )
+
+
+def test_bareiss_rows_over_a_common_scale_are_no_larger_than_per_row(monkeypatch):
+    """Row 0 of the mixed-denominator matrix is over an lcm near 10**240
+    and rows 1 and 2 are integers, so the common scale multiplies them by
+    about 2**800; the content division takes that off again."""
+    m = MIXED_DENOMINATORS
+    received = []
+    bareiss = linalg._bareiss
+
+    def recorded(re, im, n_cols, reduce):
+        received.append(_bits(re, im))
+        return bareiss(re, im, n_cols, reduce)
+
+    monkeypatch.setattr(linalg, "_bareiss", recorded)
+    for op, eliminated in (
+        (rank, m),
+        (rref, m),
+        (kernel_basis, m),
+        (inverse, m.hstack(Matrix.identity(3))),
+    ):
+        received.clear()
+        op(m)
+        assert len(received) == 1
+        assert received[0] <= _reference_bits(eliminated)

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, random_matrix, transpose_superop
-from fixpres.linalg import _P, _SQRT_MINUS_ONE, _full_rank_mod_p, _integer_rows
+from fixpres.linalg import _P, _SQRT_MINUS_ONE, _common_integer_rows, _full_rank_mod_p
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import IntegerL
 
@@ -26,7 +26,7 @@ from conftest import prime_row_random, prime_row_similarity, residue_rows
 # reference implementation
 
 def reference_full_rank_mod_p(m: Matrix) -> bool:
-    re, im, _ = _integer_rows(m)
+    re, im, _ = _common_integer_rows(m)
     rows = [
         [(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)]
         for xs, ys in zip(re, im)

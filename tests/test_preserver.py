@@ -38,8 +38,8 @@ from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
     _bareiss,
+    _common_integer_rows,
     _full_rank_mod_p,
-    _integer_rows,
     _integer_rows_matrix,
     _residues,
     inverse,
@@ -47,7 +47,6 @@ from fixpres.linalg import (
 )
 from fixpres.preserver import probe_suite, structured_probes
 from fixpres.sampling import random_integer_rows
-from fixpres.superop import _common_integer_rows
 from fixpres.scalars import ONE, ZERO
 
 from conftest import matrices, residue_rows, row_vector, square_matrices, superop_from_action
@@ -137,14 +136,10 @@ def test_refutation_in_structured_prefix_draws_no_random_probe(monkeypatch):
     assert calls == []
 
 
-def _as_matrix(re, im, e) -> Matrix:
-    return _integer_rows_matrix(re, im, [e] * len(re))
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3])
 def test_integer_probe_stream_is_the_probe_suite(n, seed):
-    stream = [_as_matrix(*p) for p in preserver._probe_rows(n, 7, seed)]
+    stream = [_integer_rows_matrix(*p) for p in preserver._probe_rows(n, 7, seed)]
     assert stream == probe_suite(n, 7, seed)
 
 
@@ -154,7 +149,7 @@ def test_passing_check_sees_the_probe_suite_in_order(monkeypatch):
 
     def recorded(*args):
         for probe in stream(*args):
-            seen.append(_as_matrix(*probe))
+            seen.append(_integer_rows_matrix(*probe))
             yield probe
 
     monkeypatch.setattr(preserver, "_probe_rows", recorded)
@@ -468,7 +463,7 @@ def shifted_probes(draw):
 def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
     n = a.rows
     re, im, e = _common_integer_rows(a)
-    if preserver._regular_mod_p(_residues(re, im), [e] * n):
+    if preserver._regular_mod_p(_residues(re, im), e):
         assert rank(a - Matrix.identity(n)) == n
 
 
@@ -478,8 +473,8 @@ def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
 
 
 def _ranks_agree(a: Matrix, b: Matrix, compare_sets: bool) -> bool:
-    x = preserver._fixed_rows(*_integer_rows(a))
-    y = preserver._fixed_rows(*_integer_rows(b))
+    x = preserver._fixed_rows(*_common_integer_rows(a))
+    y = preserver._fixed_rows(*_common_integer_rows(b))
     return preserver._same_fixed(x, y, a.rows, compare_sets)
 
 
@@ -734,10 +729,18 @@ def test_dim_verdict_transpose_family_outside_conclusion():
 
 
 def test_dim_verdict_scaled_similarity_outside_conclusion():
-    phi = similarity_superop(Matrix.identity(3), 2)
-    report = dim_preserver_verdict(phi, trials=5, seed=0)
-    # A -> 2A changes fixed dims (I maps to 2I), so this is a counterexample
-    assert report.status == "counterexample"
+    # With scale c != 1 the probe I (dim F = n) maps to cI (dim F = 0), so
+    # the structured prefix refutes the map by probe 3 whatever trials is.
+    s = random_invertible(derive_rng(0, "scaled-similarity"), 3)
+    for build, tag in (
+        (similarity_superop, "similarity"),
+        (transpose_similarity_superop, "transpose-similarity"),
+    ):
+        for scale in (GaussianRational(-1), GaussianRational(2), GaussianRational(0, 1)):
+            report = dim_preserver_verdict(build(s, scale), trials=0, seed=0)
+            assert report.status == "counterexample"
+            assert (report.classification.tag, report.classification.scale) == (tag, scale)
+            assert report.verdict.probes_run <= 3
 
 
 def test_dim_verdict_non_bijective_hypothesis_not_met():

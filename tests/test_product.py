@@ -8,7 +8,7 @@ must give exactly what it gives.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fixpres import (
@@ -18,17 +18,18 @@ from fixpres import (
     derive_rng,
     random_matrix,
 )
-from fixpres.linalg import _integer_rows_matrix, _residues, inverse, kron, rank
-from fixpres.scalars import ZERO
-from fixpres.superop import (
-    IntegerL,
+from fixpres.linalg import (
     _common_integer_rows,
-    _image_kernel,
-    unvec,
-    vec,
+    _integer_rows_matrix,
+    _residues,
+    inverse,
+    kron,
+    rank,
 )
+from fixpres.scalars import ZERO
+from fixpres.superop import IntegerL, unvec, vec
 
-from conftest import fractions_st, prime_row_random, scalars
+from conftest import MIXED_DENOMINATORS, fractions_st, prime_row_random, scalars
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,8 @@ def similarity_operands(draw):
 
 
 @given(operands())
+@example((MIXED_DENOMINATORS, MIXED_DENOMINATORS))
+@example((MIXED_DENOMINATORS.transpose(), MIXED_DENOMINATORS))
 def test_random_products_match_reference(pair):
     assert_matches_reference(*pair)
 
@@ -143,21 +146,21 @@ def test_empty_shapes_match_reference(left, right):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_apply_each_matches_apply(seed):
-    """One image kernel, prepared once, applied to each of several matrices
-    gives what apply and the reference product give, and its image mod p
-    is the residues of the exact image, over the same scales."""
+    """One IntegerL, made once, gives through its image the same image of
+    each of several matrices as apply and the reference product, and its
+    image mod p is the residues of the exact image, over the same scale."""
     rng = derive_rng(seed, "apply-each")
     n = 3
     phi = SuperOp(n, random_matrix(rng, n * n, n * n))
     ms = [random_matrix(rng, n, n) for _ in range(4)] + [Matrix.zeros(n, n)]
-    image, image_mod_p = _image_kernel(IntegerL.of(phi))
-    assert [_integer_rows_matrix(*image(*_common_integer_rows(m))) for m in ms] == [
+    l = IntegerL.of(phi)
+    assert [_integer_rows_matrix(*l.image(*_common_integer_rows(m))) for m in ms] == [
         phi.apply(m) for m in ms
     ]
     for m in ms:
         re, im, e = _common_integer_rows(m)
-        b_re, b_im, scales = image(re, im, e)
-        assert image_mod_p(_residues(re, im), e) == (_residues(b_re, b_im), scales)
+        b_re, b_im, scale = l.image(re, im, e)
+        assert l.image_mod_p(_residues(re, im), e) == (_residues(b_re, b_im), scale)
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
     ]
