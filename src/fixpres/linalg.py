@@ -10,6 +10,7 @@ plain entrywise comparison.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -379,9 +380,10 @@ def rank(m: Matrix) -> int:
 
 
 # A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that
-# root. p < 2**30, so every residue is one CPython int digit.
-_P = 1073741789
-_SQRT_MINUS_ONE = 933053945
+# root. 257 * p**2 < 2**64, so a sum of up to 256 products of residues fits
+# one 64-bit field, and p < 2**28, so every residue is one CPython int digit.
+_P = 267912649
+_SQRT_MINUS_ONE = 22964409
 
 
 def _residues(re: list[list[int]], im: list[list[int]]) -> list[list[int]]:
@@ -391,9 +393,14 @@ def _residues(re: list[list[int]], im: list[list[int]]) -> list[list[int]]:
     return [[(x + r * y) % p for x, y in zip(xs, ys)] for xs, ys in zip(re, im)]
 
 
-def _pack(residues: list[int], width: int) -> int:
-    """The residues as width-byte fields of one int, the first one highest."""
-    return int.from_bytes(b"".join([x.to_bytes(width, "big") for x in residues]), "big")
+def _packed(values: Sequence[int]) -> int:
+    """The values, each below 2**64, as 64-bit fields of one int, the first lowest."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _fields(packed: int, count: int) -> tuple[int, ...]:
+    """The first count 64-bit fields of packed, lowest first: _packed inverted."""
+    return struct.unpack(f"<{count}Q", packed.to_bytes(8 * count, "little"))
 
 
 def _full_rank_mod_p(rows: list[list[int]]) -> bool:
@@ -406,50 +413,34 @@ def _full_rank_mod_p(rows: list[list[int]]) -> bool:
     invertible over Q(i) when its determinant maps to 0 in GF(_P), and the
     caller must decide that exactly. The input lists are not changed.
 
-    The elimination works on packed rows: row k is one int whose field j,
-    w bits wide with column 0 highest, holds a nonnegative value congruent
-    to entry (k, j) mod _P. Fields are left unreduced. Clearing column col
-    from a row with residue f there is one multiply-add,
-    (row & later) + (_P - f) * t. Here t packs the pivot row's entries
-    right of col, reduced mod _P and divided by the pivot, and the mask
-    later drops the fields of col and left of it, which are never read
-    again. Adding _P - f instead of subtracting f keeps every field
-    nonnegative. A field starts below _P and receives at most N - 1 such
-    additions, each below _P**2, one per column left of its own, so it
-    stays below (N + 1) * _P**2. The width w, in whole bytes, is chosen
-    with (N + 1) * _P**2 < 2**w (9 bytes up to N = 256), so no field
-    overflows and no carry crosses into the next one. Only the pivot row
-    is unpacked and reduced, once per column: the work in Python is
-    O(N**2), and the O(N**3) part is bignum arithmetic. A row whose
-    residue in the pivot column is 0 is kept as it is, and a pivot row
-    that is 0 right of col is not unpacked, so sparse input stays cheap.
+    The rows are packed (see _packed) and fields are left unreduced. For
+    a row whose lowest field, the pivot column col, is f mod _P, clearing
+    col is (row >> 64) + (_P - f) * t, where t packs the pivot row right
+    of col, reduced mod _P and divided by the pivot. The shift drops the
+    cleared field, and adding _P - f keeps every field nonnegative. A
+    field starts below _P and gets at most N - 1 additions, each below
+    _P**2, so it stays below N * _P**2 < 2**64 (N <= 256) and no carry
+    crosses fields. Only the pivot row is unpacked, once per column, so
+    the O(N**3) part is bignum arithmetic. A row that is 0 mod _P in the
+    pivot column is only shifted, and a zero pivot tail is not unpacked.
     """
     n = len(rows)
-    width = -(-((n + 1) * _P * _P).bit_length() // 8)
-    bits = 8 * width
-    field = (1 << bits) - 1
-    packed = [_pack(row, width) for row in rows]
+    low = (1 << 64) - 1
+    packed = [_packed(row) for row in rows]
     for col in range(n):
-        shift = bits * (n - 1 - col)
-        later = (1 << shift) - 1
         t = None
         rest: list[int] = []
         for row in packed:
-            f = (row >> shift & field) % _P
+            f = (row & low) % _P
             if not f:
-                rest.append(row)
+                rest.append(row >> 64)
             elif t is None:
-                t = row & later
+                t = row >> 64
                 if t:
                     inv = pow(f, -1, _P)
-                    tail = t.to_bytes(width * (n - 1 - col), "big")
-                    t = _pack(
-                        [int.from_bytes(tail[k : k + width], "big") * inv % _P
-                         for k in range(0, len(tail), width)],
-                        width,
-                    )
+                    t = _packed([x * inv % _P for x in _fields(t, n - 1 - col)])
             else:
-                rest.append((row & later) + (_P - f) * t)
+                rest.append((row >> 64) + (_P - f) * t)
         if t is None:
             return False
         packed = rest

@@ -20,6 +20,7 @@ timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -32,8 +33,10 @@ from .linalg import (
     _bareiss,
     _common_integer_rows,
     _divided_row,
+    _fields,
     _full_rank_mod_p,
     _integer_rows_matrix,
+    _packed,
     _primitive,
     _residues,
     inverse,
@@ -91,14 +94,16 @@ class SuperOp:
 @dataclass(slots=True)
 class IntegerL:
     """The matrix L of a map as Gaussian integers over one common scale d,
-    L = (re + i*im) / d, with residues mod _P made when first asked for.
-    It lives for one public call and is never stored on the SuperOp."""
+    L = (re + i*im) / d. Its residues mod _P, and its columns packed from
+    them (see linalg._packed), are made when first asked for. It lives
+    for one public call and is never stored on the SuperOp."""
 
     n: int
     re: list[list[int]]
     im: list[list[int]]
     d: int
     mod_p: list[list[int]] | None = None
+    mod_p_columns: list[int] | None = None
 
     @classmethod
     def of(cls, phi: SuperOp) -> IntegerL:
@@ -134,12 +139,16 @@ class IntegerL:
 
     def image_mod_p(self, a: list[list[int]], e: int) -> tuple[list[list[int]], int]:
         """image(a_re, a_im, e) mod _P, from the residues a of (a_re, a_im):
-        the residues of the image rows and their scale d * e. Each entry is
-        one dot product with residues()."""
+        the residues of the image rows and their scale d * e. vec(image) is
+        the sum of L's packed columns times the nonzero entries of vec(a),
+        so each of its N fields is below N * _P**2 < 2**64."""
         n = self.n
         digits = range(n)
+        if self.mod_p_columns is None:
+            self.mod_p_columns = [_packed(column) for column in zip(*self.residues())]
         u = [a[i][j] for j in digits for i in digits]
-        b = [sum(map(mul, row, u)) % _P for row in self.residues()]
+        image = sum(map(mul, compress(u, u), compress(self.mod_p_columns, u)))
+        b = [x % _P for x in _fields(image, n * n)]
         return [b[i::n] for i in digits], self.d * e
 
 

@@ -6,7 +6,10 @@ reference_integer_rows and then rescales every row to the lcm of those
 scales. reference_image lists the nonzero entries of every row of L
 with linalg._sparse and multiplies them by vec(A) with linalg._products.
 linalg._common_integer_rows and IntegerL.image must give exactly what
-these give, scales included.
+these give, scales included. IntegerL.image_mod_p, a sum of L's packed
+columns, must give the residues of the exact image; at the carry limit
+it is compared with reference_image_mod_p, one dense dot product per
+row of residues.
 
 Eliminations divide each row by its content, so rows over one common
 scale reach Bareiss no larger than rows over their own scales would.
@@ -14,6 +17,7 @@ scale reach Bareiss no larger than rows over their own scales would.
 
 import random
 from math import gcd, lcm
+from operator import mul
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +38,7 @@ from fixpres.linalg import (
     _SQRT_MINUS_ONE,
     _common_integer_rows,
     _products,
+    _residues,
     _sparse,
     inverse,
     kernel_basis,
@@ -87,6 +92,14 @@ def reference_image(l: IntegerL, a_re: list[list[int]], a_im: list[list[int]], e
     v = [a_im[i][j] for j in digits for i in digits]
     b_re, b_im = _products(_sparse(l.re, l.im), u, v)
     return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
+
+
+def reference_image_mod_p(l: IntegerL, a: list[list[int]], e: int):
+    n = l.n
+    digits = range(n)
+    u = [a[i][j] for j in digits for i in digits]
+    b = [sum(map(mul, row, u)) % _P for row in l.residues()]
+    return [b[i::n] for i in digits], l.d * e
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +204,26 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
     for a in [Matrix.zeros(n, n), *units, *structured_probes(n)]:
         rows = _common_integer_rows(a)
         assert l.image(*rows) == reference_image(l, *rows)
+
+
+# ---------------------------------------------------------------------------
+# the packed image mod p
+
+@given(maps(), st.data())
+def test_packed_image_mod_p_is_the_exact_image_mod_p(phi, data):
+    l = IntegerL.of(phi)
+    re, im, e = _common_integer_rows(data.draw(probes(phi.n)))
+    assert l.image_mod_p(_residues(re, im), e) == (_residues(*l.image(re, im, e)[:2]), l.d * e)
+
+
+def test_packed_image_mod_p_carries_at_n_16():
+    """Every residue of L and of the probe is p - 1, so each of the 256
+    fields of the packed sum takes 256 products (p - 1)**2, the most it
+    can hold; the image is 256 * (p - 1)**2 = 256 mod p in every entry."""
+    n, side = 16, 256
+    l = IntegerL(n, [[_P - 1] * side for _ in range(side)], [[0] * side for _ in range(side)], 1)
+    a = [[_P - 1] * n for _ in range(n)]
+    assert l.image_mod_p(a, 3) == reference_image_mod_p(l, a, 3) == ([[side] * n] * n, 3)
 
 
 # ---------------------------------------------------------------------------

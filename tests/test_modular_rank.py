@@ -1,4 +1,5 @@
-"""The packed-row full-rank test mod p against the per-entry reference.
+"""The full-rank test mod p on rows packed into 64-bit fields, against
+the per-entry reference, and the prime and the packing it rests on.
 
 reference_full_rank_mod_p is _full_rank_mod_p as it was written before
 rows were packed into ints: one (x - f*y) % p per entry. Rank mod p does
@@ -9,15 +10,23 @@ common scale, which is what is_bijective eliminates.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, random_matrix, transpose_superop
-from fixpres.linalg import _P, _SQRT_MINUS_ONE, _common_integer_rows, _full_rank_mod_p
+from fixpres.linalg import (
+    _P,
+    _SQRT_MINUS_ONE,
+    _common_integer_rows,
+    _fields,
+    _full_rank_mod_p,
+    _packed,
+)
 from fixpres.scalars import ONE, ZERO
-from fixpres.superop import IntegerL
+from fixpres.superop import MAX_SIDE, IntegerL
 
 from conftest import prime_row_random, prime_row_similarity, residue_rows
 
@@ -44,6 +53,28 @@ def reference_full_rank_mod_p(m: Matrix) -> bool:
             if f:
                 row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
     return True
+
+
+# ---------------------------------------------------------------------------
+# the prime and the packing
+
+def test_prime_has_a_square_root_of_minus_one_and_fits_the_fields():
+    assert all(_P % k for k in range(2, isqrt(_P) + 1))
+    assert _P % 4 == 1
+    assert pow(_SQRT_MINUS_ONE, 2, _P) == _P - 1
+    # a field starts below p and takes at most N - 1 products below p**2
+    assert (MAX_SIDE**2 + 1) * _P**2 < 2**64
+
+
+@pytest.mark.parametrize("length", [1, 5, 256])
+def test_packing_matches_shift_and_add(length):
+    rng = random.Random(length)
+    values = [rng.choice([0, 1, _P - 1, rng.randrange(2**64)]) for _ in range(length - 1)]
+    values.append(2**64 - 1)
+    rng.shuffle(values)
+    packed = sum(x << 64 * k for k, x in enumerate(values))
+    assert _packed(values) == packed
+    assert list(_fields(packed, length)) == values
 
 
 # ---------------------------------------------------------------------------
