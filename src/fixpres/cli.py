@@ -19,10 +19,11 @@ import functools
 import json
 import sys
 import traceback
+from itertools import repeat
 
 from . import __version__
 from .fixed_points import fixed_space
-from .linalg import Matrix, Subspace, rank
+from .linalg import Matrix, Subspace, _integers_over_lcm, rank
 from .preserver import (
     Classification,
     IDENTITY,
@@ -36,11 +37,10 @@ from .preserver import (
     dim_preserver_verdict,
     set_preserver_verdict,
 )
-from .sampling import derive_rng, random_invertible, random_matrix
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .sampling import derive_rng, random_integer_rows, random_invertible
+from .scalars import _format_over, _scan_scalar, format_scalar, parse_scalar
 from .superop import (
     MAX_SIDE,
-    IntegerL,
     SuperOp,
     similarity_superop,
     transpose_similarity_superop,
@@ -66,18 +66,19 @@ def _is_int(value) -> bool:
 # ---------------------------------------------------------------------------
 # documents
 
-def _scalar_texts(values) -> list[str]:
-    """format_scalar of each value; an exact result over the interpreter's int
-    digit limit depends on the input alone, so it is an input error (exit 2)."""
+def _scalar_texts(format, *values) -> list[str]:
+    """list(map(format, *values)) for a format that writes scalars; an exact
+    result over the interpreter's int digit limit depends on the input
+    alone, so it is an input error (exit 2)."""
     try:
-        return list(map(format_scalar, values))
+        return list(map(format, *values))
     except ValueError as exc:
         raise InputError(f"result too large to print: {exc}") from exc
 
 
 def matrix_to_doc(m: Matrix) -> dict:
     cols = m.cols
-    texts = _scalar_texts(m.entries)
+    texts = _scalar_texts(format_scalar, m.entries)
     return {
         "n_rows": m.rows,
         "n_cols": cols,
@@ -85,7 +86,10 @@ def matrix_to_doc(m: Matrix) -> dict:
     }
 
 
-def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
+def _read_entries(doc, where: str, read) -> tuple[int, int, list, dict]:
+    """The shape and entry rows of a matrix document, and read(text) for
+    each distinct entry string: a superoperator document repeats few
+    scalars many times, so each is read once."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     try:
@@ -98,32 +102,47 @@ def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
         raise InputError(f"{where}: n_rows and n_cols must be nonnegative integers")
     if not isinstance(entries, list) or len(entries) != n_rows:
         raise InputError(f"{where}: expected {n_rows} entry rows")
-    parsed: list[GaussianRational] = []
-    # Each distinct string is parsed once: a superoperator document
-    # repeats few scalars many times.
-    seen: dict[str, GaussianRational] = {}
+    seen: dict = {}
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n_cols:
             raise InputError(f"{where}: row {i} must hold {n_cols} entries")
         for j, text in enumerate(row):
             if not isinstance(text, str):
                 raise InputError(f"{where}: entry ({i},{j}) must be a string")
-            value = seen.get(text)
-            if value is None:
+            if text not in seen:
                 try:
-                    value = seen[text] = parse_scalar(text)
+                    seen[text] = read(text)
                 except ValueError as exc:
                     # ParseError, or int() refusing a numeral over the digit limit
                     raise InputError(f"{where}: entry ({i},{j}): {exc}") from exc
-            parsed.append(value)
-    return Matrix(n_rows, n_cols, tuple(parsed))
+    return n_rows, n_cols, entries, seen
+
+
+def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
+    n_rows, n_cols, entries, values = _read_entries(doc, where, parse_scalar)
+    return Matrix(n_rows, n_cols, tuple(values[text] for row in entries for text in row))
 
 
 def superop_to_doc(phi: SuperOp) -> dict:
-    return {"n": phi.n, "vec_convention": "column", "L": matrix_to_doc(phi.matrix)}
+    """The superoperator document of phi, each entry of L formatted from its
+    Gaussian integers over phi.d."""
+    side, d = phi.n * phi.n, repeat(phi.d)
+    return {
+        "n": phi.n,
+        "vec_convention": "column",
+        "L": {
+            "n_rows": side,
+            "n_cols": side,
+            "entries": [_scalar_texts(_format_over, x, y, d) for x, y in zip(phi.re, phi.im)],
+        },
+    }
 
 
 def superop_from_doc(doc, where: str = "superop") -> SuperOp:
+    """The map of a superoperator document. Each distinct string of L is
+    scanned once into integer parts, with no Fraction; L is those over the
+    lcm of the written denominators, which SuperOp._of_rows brings to
+    canonical form with one gcd."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     n = doc.get("n")
@@ -136,10 +155,17 @@ def superop_from_doc(doc, where: str = "superop") -> SuperOp:
         )
     if "L" not in doc:
         raise InputError(f"{where}: missing field 'L'")
-    l = matrix_from_doc(doc["L"], where=f"{where}.L")
-    if l.rows != n * n or l.cols != n * n:
-        raise InputError(f"{where}: L must be {n * n}x{n * n}, got {l.rows}x{l.cols}")
-    return SuperOp(n, l)
+    rows, cols, entries, parts = _read_entries(doc["L"], f"{where}.L", _scan_scalar)
+    if rows != n * n or cols != n * n:
+        raise InputError(f"{where}: L must be {n * n}x{n * n}, got {rows}x{cols}")
+    re, im, d = _integers_over_lcm(list(parts.values()))
+    re_of, im_of = dict(zip(parts, re)), dict(zip(parts, im))
+    return SuperOp._of_rows(
+        n,
+        [list(map(re_of.__getitem__, row)) for row in entries],
+        [list(map(im_of.__getitem__, row)) for row in entries],
+        d,
+    )
 
 
 def subspace_to_doc(space: Subspace) -> dict:
@@ -185,7 +211,7 @@ def classification_to_doc(classification: Classification) -> dict:
     if classification.s is not None:
         doc["s"] = matrix_to_doc(classification.s)
     if classification.scale is not None:
-        [doc["lambda"]] = _scalar_texts([classification.scale])
+        [doc["lambda"]] = _scalar_texts(format_scalar, [classification.scale])
     return doc
 
 
@@ -199,7 +225,7 @@ def report_to_doc(report: PreserverReport) -> dict:
     doc["notes"] = list(report.notes)
     if report.discrepancy is not None:
         i, j, found, expected = report.discrepancy
-        found_text, expected_text = _scalar_texts((found, expected))
+        found_text, expected_text = _scalar_texts(format_scalar, (found, expected))
         doc["discrepancy"] = {"row": i, "col": j, "found": found_text, "expected": expected_text}
     return doc
 
@@ -298,7 +324,7 @@ def _fuzz_instance(family: str, n: int, trial_seed: int) -> SuperOp:
         return similarity_superop(random_invertible(rng, n), -1)
     if family == "transpose":
         return transpose_similarity_superop(random_invertible(rng, n), 1)
-    return SuperOp(n, random_matrix(rng, n * n, n * n))
+    return SuperOp._of_rows(n, *random_integer_rows(rng, n * n, n * n))
 
 
 def _cmd_fuzz(args) -> tuple[dict, int]:
@@ -309,9 +335,8 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
     for trial in range(args.trials):
         trial_seed = args.seed + trial
         phi = _fuzz_instance(args.family, args.n, trial_seed)
-        scaled = IntegerL.of(phi)
-        verdict = check_dim_preserving(phi, FUZZ_PROBE_TRIALS, trial_seed, scaled=scaled)
-        classification = classify(phi, scaled=scaled)
+        verdict = check_dim_preserving(phi, FUZZ_PROBE_TRIALS, trial_seed)
+        classification = classify(phi)
         entry = {
             "trial": trial,
             "seed": trial_seed,

@@ -218,7 +218,19 @@ def _common_integer_rows(a: Matrix) -> _Scaled:
     return [re[k * c : (k + 1) * c] for k in rows], [im[k * c : (k + 1) * c] for k in rows], e
 
 
-def _integer_rows_matrix(re: list[list[int]], im: list[list[int]], e: int) -> Matrix:
+def _integers_over_lcm(
+    parts: Sequence[tuple[int, int, int, int]]
+) -> tuple[list[int], list[int], int]:
+    """The Gaussian rationals a/b + (c/e)i, given by their integer parts
+    (a, b, c, e) with b, e > 0 and not necessarily reduced, as Gaussian
+    integers (re, im) over one scale: the lcm of the distinct denominators."""
+    d = lcm(*{b for _, b, _, _ in parts}, *{e for _, _, _, e in parts})
+    return [a * (d // b) for a, b, _, _ in parts], [c * (d // e) for _, _, c, e in parts], d
+
+
+def _integer_rows_matrix(
+    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], e: int
+) -> Matrix:
     """The matrix (re + i*im) / e; the inverse of _common_integer_rows."""
     cols = len(re[0]) if re else 0
     return Matrix(len(re), cols, tuple(
@@ -259,14 +271,14 @@ def _products(rows: _SparseRows, u: list[int], v: list[int]) -> tuple[list[int],
 _Rows = tuple[list[list[int]], list[list[int]]]
 
 
-def _primitive(re: list[list[int]], im: list[list[int]]) -> _Rows:
+def _primitive(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> _Rows:
     """The rows re + i*im, each divided by its content (the gcd of its
     integers), as new lists; the row space does not change."""
     out_re, out_im = [], []
     for row_re, row_im in zip(re, im):
         g = gcd(*row_re, *row_im)
-        out_re.append([x // g for x in row_re] if g > 1 else row_re[:])
-        out_im.append([x // g for x in row_im] if g > 1 else row_im[:])
+        out_re.append([x // g for x in row_re] if g > 1 else list(row_re))
+        out_im.append([x // g for x in row_im] if g > 1 else list(row_im))
     return out_re, out_im
 
 
@@ -393,14 +405,19 @@ def _residues(re: list[list[int]], im: list[list[int]]) -> list[list[int]]:
     return [[(x + r * y) % p for x, y in zip(xs, ys)] for xs, ys in zip(re, im)]
 
 
+# The little-endian layouts of 0..256 unsigned 64-bit fields, compiled
+# once: a row of residues of L has N <= 256 of them.
+_QWORDS = tuple(struct.Struct(f"<{count}Q") for count in range(257))
+
+
 def _packed(values: Sequence[int]) -> int:
     """The values, each below 2**64, as 64-bit fields of one int, the first lowest."""
-    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+    return int.from_bytes(_QWORDS[len(values)].pack(*values), "little")
 
 
 def _fields(packed: int, count: int) -> tuple[int, ...]:
     """The first count 64-bit fields of packed, lowest first: _packed inverted."""
-    return struct.unpack(f"<{count}Q", packed.to_bytes(8 * count, "little"))
+    return _QWORDS[count].unpack(packed.to_bytes(8 * count, "little"))
 
 
 def _full_rank_mod_p(rows: list[list[int]]) -> bool:
@@ -522,18 +539,25 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(n, n, tuple(out))
 
 
+def _kron_rows(a: Matrix, b: Matrix) -> _Scaled:
+    """kron(a, b) as Gaussian-integer rows over one scale, the product of
+    the common scales of a and b: entry (i1*b.rows + i2, j1*b.cols + j2) is
+    the int product of a[i1, j1] and b[i2, j2] as Gaussian integers."""
+    a_re, a_im, e = _common_integer_rows(a)
+    b_re, b_im, f = _common_integer_rows(b)
+    b_pairs = [list(zip(x_row, y_row)) for x_row, y_row in zip(b_re, b_im)]
+    re, im = [], []
+    for p_row, q_row in zip(a_re, a_im):
+        a_pairs = list(zip(p_row, q_row))
+        for pairs in b_pairs:
+            re.append([p * x - q * y for p, q in a_pairs for x, y in pairs])
+            im.append([p * y + q * x for p, q in a_pairs for x, y in pairs])
+    return re, im, e * f
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i, j) equals a[i, j] * b."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    for idx, coeff in enumerate(a.entries):
-        if not coeff:
-            continue
-        i1, j1 = divmod(idx, a.cols)
-        for i2 in range(b.rows):
-            base = (i1 * b.rows + i2) * cols + j1 * b.cols
-            for j2, val in enumerate(b.entries[i2 * b.cols : (i2 + 1) * b.cols]):
-                if val:
-                    out[base + j2] = coeff * val
-    return Matrix(rows, cols, tuple(out))
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    if not rows:
+        return Matrix.zeros(0, cols)
+    return _integer_rows_matrix(*_kron_rows(a, b))

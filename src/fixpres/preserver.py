@@ -17,8 +17,9 @@ The two packaged claims are:
   fixed-point dimension is A -> S @ A @ inv(S) or A -> -S @ A @ inv(S)
   for some invertible S.
 
-Each public function that reads L scales it once, to a superop.IntegerL;
-a verdict passes that one copy to each check and classify as scaled.
+Every function reads L from the canonical Gaussian-integer rows that the
+SuperOp holds; the claim-2 verdict makes L's residues mod p once and
+shares them between the bijectivity test and the probe check.
 """
 
 from __future__ import annotations
@@ -45,11 +46,14 @@ from .sampling import derive_rng, random_integer_rows, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
     MAX_SIDE,
-    IntegerL,
     NotRankOne,
     SuperOp,
+    _image,
+    _image_mod_p,
+    _is_bijective,
+    _packed_columns,
     _realigned,
-    is_bijective,
+    identity_superop,
     rank_one_factor,
     unvec,
 )
@@ -217,32 +221,36 @@ def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
     return _full_rank_mod_p(rows)
 
 
-def _check(l: IntegerL, trials: int, seed: int, compare_sets: bool) -> Verdict:
+def _check(
+    phi: SuperOp, residues: list[list[int]], trials: int, seed: int, compare_sets: bool
+) -> Verdict:
     """Compare F(A) with F(phi(A)), by dimension or as sets, over the probe suite.
 
     Each probe and its image stay Gaussian integers from the draw to the
-    verdict. Most probes are decided modulo _P: the probe's residues and
-    those of its image give A - I and phi(A) - I mod _P, and when both
-    have full rank there, both fixed spaces are {0}, which settles the
-    dimension and the set condition alike. Only the other probes (those
-    with a fixed point on either side, and the rare probe that is
-    singular mod _P alone) take the exact path: forward Bareiss passes on
-    A - I and phi(A) - I give their echelon rows, and _same_fixed
-    compares those. Probes are drawn lazily, so a counterexample at probe
-    k draws no later probe. The witness is built from the rows of the
-    probe just tested, and the dimensions of a counterexample are n minus
-    the numbers of echelon rows; only a set counterexample builds more
-    matrices: the canonical kernels of the echelon rows, which are
-    fixed_space of the probe and of its image.
+    verdict. Most probes are decided modulo _P, from the residue rows of L
+    that the caller made: the probe's residues and those of its image give
+    A - I and phi(A) - I mod _P, and when both have full rank there, both
+    fixed spaces are {0}, which settles the dimension and the set
+    condition alike. Only the other probes (those with a fixed point on
+    either side, and the rare probe that is singular mod _P alone) take
+    the exact path: forward Bareiss passes on A - I and phi(A) - I give
+    their echelon rows, and _same_fixed compares those. Probes are drawn
+    lazily, so a counterexample at probe k draws no later probe. The
+    witness is built from the rows of the probe just tested, and the
+    dimensions of a counterexample are n minus the numbers of echelon
+    rows; only a set counterexample builds more matrices: the canonical
+    kernels of the echelon rows, which are fixed_space of the probe and
+    of its image.
     """
-    n = l.n
+    n, d = phi.n, phi.d
+    columns = _packed_columns(residues)
     probes_run = 0
     for probes_run, (re, im, e) in enumerate(_probe_rows(n, trials, seed), start=1):
-        residues = _residues(re, im)
-        if _regular_mod_p(*l.image_mod_p(residues, e)) and _regular_mod_p(residues, e):
+        a = _residues(re, im)
+        if _regular_mod_p(_image_mod_p(columns, a), d * e) and _regular_mod_p(a, e):
             continue
         x = _fixed_rows(re, im, e)
-        y = _fixed_rows(*l.image(re, im, e))
+        y = _fixed_rows(*_image(phi, re, im, e))
         if _same_fixed(x, y, n, compare_sets):
             continue
         if compare_sets:
@@ -254,18 +262,14 @@ def _check(l: IntegerL, trials: int, seed: int, compare_sets: bool) -> Verdict:
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
-def check_dim_preserving(
-    phi: SuperOp, trials: int = 20, seed: int = 0, *, scaled: IntegerL | None = None
-) -> Verdict:
+def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
-    return _check(scaled or IntegerL.of(phi), trials, seed, compare_sets=False)
+    return _check(phi, _residues(phi.re, phi.im), trials, seed, compare_sets=False)
 
 
-def check_set_preserving(
-    phi: SuperOp, trials: int = 20, seed: int = 0, *, scaled: IntegerL | None = None
-) -> Verdict:
+def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    return _check(scaled or IntegerL.of(phi), trials, seed, compare_sets=True)
+    return _check(phi, _residues(phi.re, phi.im), trials, seed, compare_sets=True)
 
 
 def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRational | None:
@@ -288,14 +292,14 @@ def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRation
 
 
 def _gauge_candidate(
-    l: IntegerL, transpose_first: bool
+    phi: SuperOp, transpose_first: bool
 ) -> tuple[Matrix, Matrix, GaussianRational] | None:
     """Try to read L (L @ K with transpose_first) as T.T kron S from the rank-one
     factor of its realignment; returns (S, inv-check T, scale) or None."""
-    n = l.n
-    rows = zip(_realigned(l.re, n, transpose_first), _realigned(l.im, n, transpose_first))
+    n = phi.n
+    rows = zip(_realigned(phi.re, n, transpose_first), _realigned(phi.im, n, transpose_first))
     try:
-        u, v = rank_one_factor(rows, l.d)
+        u, v = rank_one_factor(rows, phi.d)
     except NotRankOne:
         return None
     s = unvec(u, n)
@@ -309,7 +313,7 @@ def _gauge_candidate(
     return s, t, scale
 
 
-def classify(phi: SuperOp, *, scaled: IntegerL | None = None) -> Classification:
+def classify(phi: SuperOp) -> Classification:
     """Recover the structured form of a map, if it has one.
 
     Decision chain: exact identity; then A -> scale * S @ A @ inv(S) via
@@ -318,33 +322,29 @@ def classify(phi: SuperOp, *, scaled: IntegerL | None = None) -> Classification:
     units before being returned, and malformed factorizations fall
     through to the next branch.
     """
-    l = scaled or IntegerL.of(phi)
-    if all(
-        x_re == [0] * r + [l.d] + [0] * (len(x_re) - r - 1) and not any(x_im)
-        for r, (x_re, x_im) in enumerate(zip(l.re, l.im))
-    ):
+    if phi == identity_superop(phi.n):
         return Classification(IDENTITY)
     for tag, transpose_first in ((SIMILARITY, False), (TRANSPOSE_SIMILARITY, True)):
-        cand = _gauge_candidate(l, transpose_first)
+        cand = _gauge_candidate(phi, transpose_first)
         if cand is not None:
             s, t, scale = cand
-            if _matches_on_units(l, s, t, transpose_first):
+            if _matches_on_units(phi, s, t, transpose_first):
                 return Classification(tag, s, scale)
     return Classification(UNSTRUCTURED)
 
 
-def _matches_on_units(l: IntegerL, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
+def _matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
     """Whether phi(E_ij) == S @ E_ij @ T (S @ E_ji @ T with transpose_first)
-    on every matrix unit E_ij, for the phi whose IntegerL is l.
+    on every matrix unit E_ij.
 
     Column j*n + i of L is the image of E_ij, and entry (a, b) of
     S @ E_ij @ T is s[a, i] * t[j, b], so this is L == T.T kron S entrywise,
     or its transpose-first gather L[b*n + a, j*n + i] == s[a, j] * t[i, b].
-    It is decided in Gaussian integers, with L scaled once per call over
-    one common scale d, S over sigma and T over tau: L_int[r][c] * sigma *
-    tau is compared with d * S_int * T_int, once per entry of L.
+    It is decided in Gaussian integers, with L over its scale d, S over
+    sigma and T over tau: L_int[r][c] * sigma * tau is compared with
+    d * S_int * T_int, once per entry of L.
     """
-    n, d = l.n, l.d
+    n, d = phi.n, phi.d
     s_re, s_im, sigma = _common_integer_rows(s)
     t_re, t_im, tau = _common_integer_rows(t)
     k = sigma * tau
@@ -359,7 +359,7 @@ def _matches_on_units(l: IntegerL, s: Matrix, t: Matrix, transpose_first: bool) 
             expected = [
                 (pr * qr - pi * qi, pr * qi + pi * qr) for pr, pi in outer for qr, qi in inner
             ]
-            for x, y, (er, ei) in zip(l.re[r], l.im[r], expected):
+            for x, y, (er, ei) in zip(phi.re[r], phi.im[r], expected):
                 if x * k != er or y * k != ei:
                     return False
     return True
@@ -367,8 +367,7 @@ def _matches_on_units(l: IntegerL, s: Matrix, t: Matrix, transpose_first: bool) 
 
 def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> PreserverReport:
     """Check claim 1 on probes: set preservers should be the identity."""
-    scaled = IntegerL.of(phi)
-    verdict = check_set_preserving(phi, trials, seed, scaled=scaled)
+    verdict = check_set_preserving(phi, trials, seed)
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         return PreserverReport(
             claim=1,
@@ -377,7 +376,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             classification=None,
             notes=("the map does not preserve every probed fixed-point set",),
         )
-    classification = classify(phi, scaled=scaled)
+    classification = classify(phi)
     if classification.tag == IDENTITY:
         return PreserverReport(
             claim=1,
@@ -389,8 +388,9 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
     # Reaching here would mean a non-identity map survived every probe:
     # either a genuine violation or a gap in the probe suite.
     side = phi.n * phi.n
+    l = phi.matrix
     eye = [ONE if k % (side + 1) == 0 else ZERO for k in range(side * side)]
-    i, j = divmod(next(k for k, x in enumerate(phi.matrix.entries) if x != eye[k]), side)
+    i, j = divmod(next(k for k, x in enumerate(l.entries) if x != eye[k]), side)
     return PreserverReport(
         claim=1,
         status="violation-candidate",
@@ -400,7 +400,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             "all probes passed but the map is not the identity; "
             "treat as a probe-suite gap until re-checked",
         ),
-        discrepancy=(i, j, phi.matrix[i, j], eye[i * side + j]),
+        discrepancy=(i, j, l[i, j], eye[i * side + j]),
     )
 
 
@@ -411,8 +411,8 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         notes.append(
             f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
         )
-    scaled = IntegerL.of(phi)
-    if not is_bijective(phi, scaled=scaled):
+    residues = _residues(phi.re, phi.im)
+    if not _is_bijective(phi, residues):
         notes.append("hypothesis not met: the map is not surjective")
         return PreserverReport(
             claim=2,
@@ -421,8 +421,8 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             classification=None,
             notes=tuple(notes),
         )
-    verdict = check_dim_preserving(phi, trials, seed, scaled=scaled)
-    classification = classify(phi, scaled=scaled)
+    verdict = _check(phi, residues, trials, seed, compare_sets=False)
+    classification = classify(phi)
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         if classification.tag == SIMILARITY and classification.scale == -ONE:
             notes.append(

@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from math import lcm
 
-from .linalg import Matrix, rank
+from .linalg import Matrix, _integers_over_lcm, rank
 from .scalars import GaussianRational
 
 DENOMINATORS = (1, 2, 3)
@@ -74,10 +73,7 @@ def random_integer_rows(
     where e, the lcm of the drawn denominators, is 1, 2, 3 or 6. No
     Fraction is built.
     """
-    draws = _draws(rng, rows * cols)
-    e = lcm(*{b for _, b, _, _ in draws}, *{d for _, _, _, d in draws})
-    re = [a * (e // b) for a, b, _, _ in draws]
-    im = [c * (e // d) for _, _, c, d in draws]
+    re, im, e = _integers_over_lcm(_draws(rng, rows * cols))
     starts = range(0, rows * cols, cols)
     return [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts], e
 

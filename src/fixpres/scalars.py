@@ -4,8 +4,9 @@ Every value is kept canonical: both parts are ``fractions.Fraction``
 instances, which store lowest terms with a positive denominator, so equal
 values always have identical representations (and identical hashes).
 
-``parse_scalar`` scans each rational of its grammar, ``-?digits(/digits)?``
-with ASCII digits only (``[0-9]``), with one match of a compiled regex.
+``_scan_scalar`` scans each rational of the grammar, ``-?digits(/digits)?``
+with ASCII digits only (``[0-9]``), with one match of a compiled regex; it
+is the one scanner behind ``parse_scalar`` and the CLI's integer reader.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 class ParseError(ValueError):
@@ -114,6 +116,11 @@ ZERO = GaussianRational()
 ONE = GaussianRational(1)
 
 _RATIONAL = re.compile(r"(-?)([0-9]*)(?:(/)([0-9]*))?")
+# Every valid string in one pattern: a rational with a nonzero denominator,
+# then nothing, an 'i', or a signed such rational and an 'i'.
+_SCALAR = re.compile(
+    r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?(?:(i)|([+-])(-?[0-9]+)(?:/(0*[1-9][0-9]*))?i)?"
+)
 
 
 def _format_fraction(numerator: int, denominator: int) -> str:
@@ -122,34 +129,88 @@ def _format_fraction(numerator: int, denominator: int) -> str:
     return f"{numerator}/{denominator}"
 
 
+def _format_parts(a: int, b: int, c: int, e: int) -> str:
+    """The canonical string of a/b + (c/e)i, with both fractions in lowest
+    terms and b, e > 0."""
+    if not c:
+        return _format_fraction(a, b)
+    imag = _format_fraction(c, e)
+    if not a:
+        return f"{imag}i"
+    real = _format_fraction(a, b)
+    # a negative imaginary part already starts with its '-'
+    return f"{real}+{imag}i" if c > 0 else f"{real}{imag}i"
+
+
 def format_scalar(z: GaussianRational) -> str:
     """Canonical string form; ``parse_scalar`` inverts it exactly."""
-    b = z.im.numerator
-    if not b:
-        return _format_fraction(z.re.numerator, z.re.denominator)
-    imag = _format_fraction(b, z.im.denominator)
-    if not z.re.numerator:
-        return f"{imag}i"
-    real = _format_fraction(z.re.numerator, z.re.denominator)
-    # a negative imaginary part already starts with its '-'
-    return f"{real}+{imag}i" if b > 0 else f"{real}{imag}i"
+    return _format_parts(z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
 
 
-def _read_rational(text: str, pos: int) -> tuple[Fraction, int]:
-    """The rational that starts at pos, and the position after it."""
+def _format_over(x: int, y: int, d: int) -> str:
+    """format_scalar of (x + y*i) / d, for integers x, y and d > 0, with no
+    Fraction built."""
+    g = gcd(x, d)
+    if not y:
+        return _format_fraction(x // g, d // g)
+    h = gcd(y, d)
+    return _format_parts(x // g, d // g, y // h, d // h)
+
+
+def _read_rational(text: str, pos: int) -> tuple[int, int, int]:
+    """The numerator and denominator of the rational that starts at pos, as
+    written (1 when no denominator is written), and the position after it."""
     m = _RATIONAL.match(text, pos)
     sign, digits, slash, den_digits = m.groups()
     if not digits:
         raise ParseError("expected digits", m.start(2))
     numerator = int(sign + digits)
     if slash is None:
-        return Fraction(numerator), m.end()
+        return numerator, 1, m.end()
     if not den_digits:
         raise ParseError("expected digits after '/'", m.end())
     denominator = int(den_digits)
     if denominator == 0:
         raise ZeroDenominator("denominator is zero", m.start(4))
-    return Fraction(numerator, denominator), m.end()
+    return numerator, denominator, m.end()
+
+
+def _scan_scalar(text: str) -> tuple[int, int, int, int]:
+    """The integer parts (a, b, c, e) of text = a/b + (c/e)i as written: not
+    reduced, with b, e > 0. It accepts and rejects exactly what parse_scalar
+    does, with the same errors.
+
+    A valid string is read by one match of _SCALAR, its numerals converted
+    in the order the scan below converts them; any other string is scanned
+    rational by rational, which finds the position of the error.
+    """
+    m = _SCALAR.fullmatch(text)
+    if m is not None:
+        a, b, unit, sign, c, e = m.groups()
+        a, b = int(a), int(b or 1)
+        if unit:
+            return 0, 1, a, b
+        if sign is None:
+            return a, b, 0, 1
+        c, e = int(c), int(e or 1)
+        return a, b, c if sign == "+" else -c, e
+    end = len(text)
+    a, b, pos = _read_rational(text, 0)
+    if pos == end:
+        return a, b, 0, 1
+    ch = text[pos]
+    if ch == "i":
+        parts = 0, 1, a, b
+    elif ch in "+-":
+        c, e, pos = _read_rational(text, pos + 1)
+        if pos == end or text[pos] != "i":
+            raise ParseError("expected 'i' after imaginary part", pos)
+        parts = a, b, c if ch == "+" else -c, e
+    else:
+        raise ParseError(f"unexpected character {ch!r}", pos)
+    if pos + 1 != end:
+        raise ParseError("trailing characters after 'i'", pos + 1)
+    return parts
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -158,20 +219,5 @@ def parse_scalar(text: str) -> GaussianRational:
     Values are canonicalized on ingest (``2/4`` reads as ``1/2``).
     Raises ParseError with the failing position, or ZeroDenominator.
     """
-    end = len(text)
-    first, pos = _read_rational(text, 0)
-    if pos == end:
-        return GaussianRational(first)
-    ch = text[pos]
-    if ch == "i":
-        real, imag = Fraction(0), first
-    elif ch in "+-":
-        second, pos = _read_rational(text, pos + 1)
-        if pos == end or text[pos] != "i":
-            raise ParseError("expected 'i' after imaginary part", pos)
-        real, imag = first, second if ch == "+" else -second
-    else:
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    if pos + 1 != end:
-        raise ParseError("trailing characters after 'i'", pos + 1)
-    return GaussianRational(real, imag)
+    a, b, c, e = _scan_scalar(text)
+    return GaussianRational(Fraction(a, b), Fraction(c, e))

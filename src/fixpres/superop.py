@@ -7,8 +7,10 @@ permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
 layout; each reshuffle below is a gather over rows or flat entries.
 
-A public call that reads L (is_bijective, the checks, classify, the
-verdicts) scales it once, over one common scale, to an IntegerL.
+A SuperOp holds L as canonical Gaussian-integer rows: every builder
+makes them directly, and SuperOp(n, matrix) scales its matrix once. No
+public call scales L again; the residues mod p that is_bijective and the
+probe checks read are made once per call.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on packed rows; the exact rank over Q(i),
@@ -20,7 +22,8 @@ timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -36,11 +39,11 @@ from .linalg import (
     _fields,
     _full_rank_mod_p,
     _integer_rows_matrix,
+    _kron_rows,
     _packed,
     _primitive,
     _residues,
     inverse,
-    kron,
 )
 
 MAX_SIDE = 16
@@ -68,115 +71,161 @@ def _check_side(n: int) -> None:
         raise ValueError(f"n must be in 1..{MAX_SIDE}, got {n}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SuperOp:
-    """A linear map on n x n matrices, stored as its n^2 x n^2 matrix."""
+    """A linear map on n x n matrices, stored as its n^2 x n^2 matrix L.
+
+    L = (re + i*im) / d in canonical Gaussian-integer rows: d is the lcm
+    of the reduced denominators of L's entries, so gcd(d, every entry) = 1
+    and equal maps have equal fields (and equal hashes).
+    """
 
     n: int
-    matrix: Matrix
-
-    def __post_init__(self):
-        _check_side(self.n)
-        side = self.n * self.n
-        if self.matrix.rows != side or self.matrix.cols != side:
-            raise SizeMismatch(
-                f"superoperator for n={self.n} needs a {side}x{side} matrix, "
-                f"got {self.matrix.rows}x{self.matrix.cols}"
-            )
-
-    def apply(self, a: Matrix) -> Matrix:
-        """The image of a, by IntegerL.image."""
-        if a.rows != self.n or a.cols != self.n:
-            raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
-        return _integer_rows_matrix(*IntegerL.of(self).image(*_common_integer_rows(a)))
-
-
-@dataclass(slots=True)
-class IntegerL:
-    """The matrix L of a map as Gaussian integers over one common scale d,
-    L = (re + i*im) / d. Its residues mod _P, and its columns packed from
-    them (see linalg._packed), are made when first asked for. It lives
-    for one public call and is never stored on the SuperOp."""
-
-    n: int
-    re: list[list[int]]
-    im: list[list[int]]
+    re: tuple[tuple[int, ...], ...]
+    im: tuple[tuple[int, ...], ...]
     d: int
-    mod_p: list[list[int]] | None = None
-    mod_p_columns: list[int] | None = None
+
+    def __init__(self, n: int, matrix: Matrix):
+        """The map whose n^2 x n^2 matrix is matrix, scaled once."""
+        _check_side(n)
+        side = n * n
+        if matrix.rows != side or matrix.cols != side:
+            raise SizeMismatch(
+                f"superoperator for n={n} needs a {side}x{side} matrix, "
+                f"got {matrix.rows}x{matrix.cols}"
+            )
+        _set_rows(self, n, *_common_integer_rows(matrix))
 
     @classmethod
-    def of(cls, phi: SuperOp) -> IntegerL:
-        return cls(phi.n, *_common_integer_rows(phi.matrix))
+    def _of_rows(
+        cls, n: int, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], d: int
+    ) -> SuperOp:
+        """The map with L = (re + i*im) / d, for n^2 rows of n^2 Gaussian
+        integers over any scale d > 0: one gcd over d and every entry brings
+        them to canonical form."""
+        g = gcd(d, *chain.from_iterable(re), *chain.from_iterable(im))
+        if g > 1:
+            re = [[x // g for x in row] for row in re]
+            im = [[y // g for y in row] for row in im]
+        phi = object.__new__(cls)
+        _set_rows(phi, n, re, im, d // g)
+        return phi
 
-    def residues(self) -> list[list[int]]:
-        if self.mod_p is None:
-            self.mod_p = _residues(self.re, self.im)
-        return self.mod_p
+    @property
+    def matrix(self) -> Matrix:
+        """L as a Matrix, built on each request and not kept."""
+        return _integer_rows_matrix(self.re, self.im, self.d)
 
-    def image(self, a_re: list[list[int]], a_im: list[list[int]], e: int) -> _Scaled:
-        """The image of the n x n matrix (a_re + i*a_im) / e, as
-        Gaussian-integer rows over the scale d * e.
+    def apply(self, a: Matrix) -> Matrix:
+        """The image of a, by _image on a scaled once."""
+        if a.rows != self.n or a.cols != self.n:
+            raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
+        return _integer_rows_matrix(*_image(self, *_common_integer_rows(a)))
 
-        It gathers the columns of L where vec(A) is nonzero, so each entry
-        is an int dot product over the nonzero entries of A alone.
-        """
-        n = self.n
-        digits = range(n)
-        # vec(A)[j*n + i] = A[i][j]
-        nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a_re, a_im))
-                   for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
-        b_re, b_im = [], []
-        for l_re, l_im in zip(self.re, self.im):
-            acc_r = acc_i = 0
-            for t, x, y in nonzero:
-                p, q = l_re[t], l_im[t]
-                acc_r += p * x - q * y
-                acc_i += p * y + q * x
-            b_re.append(acc_r)
-            b_im.append(acc_i)
-        return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], self.d * e
 
-    def image_mod_p(self, a: list[list[int]], e: int) -> tuple[list[list[int]], int]:
-        """image(a_re, a_im, e) mod _P, from the residues a of (a_re, a_im):
-        the residues of the image rows and their scale d * e. vec(image) is
-        the sum of L's packed columns times the nonzero entries of vec(a),
-        so each of its N fields is below N * _P**2 < 2**64."""
-        n = self.n
-        digits = range(n)
-        if self.mod_p_columns is None:
-            self.mod_p_columns = [_packed(column) for column in zip(*self.residues())]
-        u = [a[i][j] for j in digits for i in digits]
-        image = sum(map(mul, compress(u, u), compress(self.mod_p_columns, u)))
-        b = [x % _P for x in _fields(image, n * n)]
-        return [b[i::n] for i in digits], self.d * e
+def _set_rows(
+    phi: SuperOp, n: int, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], d: int
+) -> None:
+    """Store n and the canonical rows on the frozen phi, as tuples."""
+    object.__setattr__(phi, "n", n)
+    object.__setattr__(phi, "re", tuple(map(tuple, re)))
+    object.__setattr__(phi, "im", tuple(map(tuple, im)))
+    object.__setattr__(phi, "d", d)
+
+
+def _image(
+    phi: SuperOp, a_re: Sequence[Sequence[int]], a_im: Sequence[Sequence[int]], e: int
+) -> _Scaled:
+    """The image under phi of the n x n matrix (a_re + i*a_im) / e, as
+    Gaussian-integer rows over the scale d * e.
+
+    It gathers the columns of L where vec(A) is nonzero, so each entry
+    is an int dot product over the nonzero entries of A alone.
+    """
+    n = phi.n
+    digits = range(n)
+    # vec(A)[j*n + i] = A[i][j]
+    nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a_re, a_im))
+               for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
+    b_re, b_im = [], []
+    for l_re, l_im in zip(phi.re, phi.im):
+        acc_r = acc_i = 0
+        for t, x, y in nonzero:
+            p, q = l_re[t], l_im[t]
+            acc_r += p * x - q * y
+            acc_i += p * y + q * x
+        b_re.append(acc_r)
+        b_im.append(acc_i)
+    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], phi.d * e
+
+
+def _packed_columns(residues: list[list[int]]) -> list[int]:
+    """The columns of L's residue rows, each packed (see linalg._packed)."""
+    return [_packed(column) for column in zip(*residues)]
+
+
+def _image_mod_p(columns: list[int], a: list[list[int]]) -> list[list[int]]:
+    """The residues mod _P of the image rows _image gives, from the packed
+    residue columns of L and the residues a of the n x n rows of A; the
+    scale is _image's, d * e.
+
+    vec(image) is the sum of L's packed columns times the nonzero entries
+    of vec(a), so each of its N fields is below N * _P**2 < 2**64.
+    """
+    n = len(a)
+    digits = range(n)
+    u = [a[i][j] for j in digits for i in digits]
+    image = sum(map(mul, compress(u, u), compress(columns, u)))
+    b = [x % _P for x in _fields(image, n * n)]
+    return [b[i::n] for i in digits]
 
 
 def identity_superop(n: int) -> SuperOp:
     _check_side(n)
-    return SuperOp(n, Matrix.identity(n * n))
+    side = n * n
+    zeros = [0] * side
+    unit_rows = [zeros[:r] + [1] + zeros[r + 1 :] for r in range(side)]
+    return SuperOp._of_rows(n, unit_rows, [zeros] * side, 1)
 
 
 def transpose_superop(n: int) -> SuperOp:
     """The map A -> A.T, whose matrix is the commutation matrix."""
-    _check_side(n)
-    return SuperOp(n, precompose_transpose(Matrix.identity(n * n), n))
+    return _precomposed_transpose(identity_superop(n))
 
 
 def similarity_superop(s: Matrix, scale) -> SuperOp:
     """The map A -> scale * S @ A @ inv(S); raises SingularMatrix otherwise.
 
     scale is an int, Fraction or GaussianRational; other types raise TypeError.
+    L = scale * inv(S).T kron S is the integer Kronecker product of the
+    rows of scale * inv(S).T and of S, each scaled once.
     """
     if not s.is_square:
         raise SingularMatrix(f"S must be square, got {s.rows}x{s.cols}")
     _check_side(s.rows)
-    return SuperOp(s.rows, scale * kron(inverse(s).transpose(), s))
+    return SuperOp._of_rows(s.rows, *_kron_rows(scale * inverse(s).transpose(), s))
 
 
 def transpose_similarity_superop(s: Matrix, scale) -> SuperOp:
     """The map A -> scale * S @ A.T @ inv(S)."""
-    return SuperOp(s.rows, precompose_transpose(similarity_superop(s, scale).matrix, s.rows))
+    return _precomposed_transpose(similarity_superop(s, scale))
+
+
+def _transpose_partner(n: int) -> list[int]:
+    """K's permutation: column c of L @ K is column partner[c] of L."""
+    return [(j % n) * n + j // n for j in range(n * n)]
+
+
+def _precomposed_transpose(phi: SuperOp) -> SuperOp:
+    """The map A -> phi(A.T): L @ K as a column gather over the rows of L,
+    which keeps them canonical."""
+    partner = _transpose_partner(phi.n)
+    return SuperOp._of_rows(
+        phi.n,
+        [[row[p] for p in partner] for row in phi.re],
+        [[row[p] for p in partner] for row in phi.im],
+        phi.d,
+    )
 
 
 def precompose_transpose(l: Matrix, n: int) -> Matrix:
@@ -184,7 +233,7 @@ def precompose_transpose(l: Matrix, n: int) -> Matrix:
     side = n * n
     if l.rows != side or l.cols != side:
         raise SizeMismatch(f"expected {side}x{side}, got {l.rows}x{l.cols}")
-    partner = [(j % n) * n + j // n for j in range(side)]
+    partner = _transpose_partner(n)
     starts = range(0, side * side, side)
     return Matrix(side, side, tuple(l.entries[r + p] for r in starts for p in partner))
 
@@ -208,17 +257,17 @@ def realign(phi: SuperOp) -> Matrix:
     a, b, g, d < n. When L = T.T kron S this gives exactly
     M = vec(S) @ vec(T).T.
     """
-    side = phi.n * phi.n
-    rows = _realigned(phi.matrix.to_rows(), phi.n)
-    return Matrix(side, side, tuple(x for row in rows for x in row))
+    return _integer_rows_matrix(
+        list(_realigned(phi.re, phi.n)), list(_realigned(phi.im, phi.n)), phi.d
+    )
 
 
 def rank_one_factor(rows: Iterable[tuple[list[int], list[int]]], d: int) -> tuple[Matrix, Matrix]:
     """Columns (u, v) with m = u @ v.T, for rank-one m.
 
     m = (re + i*im) / d comes as rows (re, im) of Gaussian integers read
-    one at a time: classify gathers them from its IntegerL, L scaled once
-    per call over one common scale d. u is normalized so its first
+    one at a time: classify gathers them from the canonical rows of L,
+    over its scale d. u is normalized so its first
     nonzero entry is 1, which pins the gauge and makes recovery deterministic.
 
     No elimination: with the first nonzero entry m[i0, j0] as anchor, m
@@ -253,17 +302,20 @@ def rank_one_factor(rows: Iterable[tuple[list[int], list[int]]], d: int) -> tupl
     return u, v
 
 
-def is_bijective(phi: SuperOp, *, scaled: IntegerL | None = None) -> bool:
-    """True exactly when the n^2 x n^2 matrix has full rank.
+def is_bijective(phi: SuperOp) -> bool:
+    """True exactly when the n^2 x n^2 matrix has full rank."""
+    return _is_bijective(phi, _residues(phi.re, phi.im))
 
-    Both tests read L scaled once per call over one common scale (its
-    IntegerL, built here unless passed in as scaled). Full rank modulo a
-    prime proves full rank, so the elimination of the residues nearly
-    always decides; when it finds the matrix singular, a Bareiss forward
-    pass over a copy of the rows, each divided by its content, decides.
+
+def _is_bijective(phi: SuperOp, residues: list[list[int]]) -> bool:
+    """is_bijective from the residue rows of L, made by the caller.
+
+    Full rank modulo a prime proves full rank, so the elimination of the
+    residues nearly always decides; when it finds the matrix singular, a
+    Bareiss forward pass over a copy of the rows of L, each divided by its
+    content, decides.
     """
-    l = scaled or IntegerL.of(phi)
-    side = l.n * l.n
-    return _full_rank_mod_p(l.residues()) or len(
-        _bareiss(*_primitive(l.re, l.im), side, reduce=False)
+    side = phi.n * phi.n
+    return _full_rank_mod_p(residues) or len(
+        _bareiss(*_primitive(phi.re, phi.im), side, reduce=False)
     ) == side

@@ -37,7 +37,6 @@ from fixpres.preserver import (
 )
 from fixpres.scalars import ONE
 from fixpres.superop import (
-    IntegerL,
     NotRankOne,
     precompose_transpose,
     realign,
@@ -323,7 +322,7 @@ def _units_case(n: int, transpose_first: bool) -> tuple[Matrix, Matrix, Matrix]:
 def test_units_check_accepts_the_sandwich(n, transpose_first):
     l, s, t = _units_case(n, transpose_first)
     phi = SuperOp(n, l)
-    assert _matches_on_units(IntegerL.of(phi), s, t, transpose_first)
+    assert _matches_on_units(phi, s, t, transpose_first)
     assert reference_matches_on_units(phi, s, t, transpose_first)
 
 
@@ -342,7 +341,7 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
     l, s, t = _units_case(n, transpose_first)
     k = {"first": 0, "last": len(l.entries) - 1, "middle": len(l.entries) // 2 + 1}[where]
     phi = SuperOp(n, _moved(l, k, delta))
-    assert not _matches_on_units(IntegerL.of(phi), s, t, transpose_first)
+    assert not _matches_on_units(phi, s, t, transpose_first)
     assert not reference_matches_on_units(phi, s, t, transpose_first)
 
 
@@ -351,5 +350,5 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
 def test_units_check_tells_the_two_gathers_apart(n, transpose_first):
     l, s, t = _units_case(n, not transpose_first)
     phi = SuperOp(n, l)
-    assert not _matches_on_units(IntegerL.of(phi), s, t, transpose_first)
+    assert not _matches_on_units(phi, s, t, transpose_first)
     assert not reference_matches_on_units(phi, s, t, transpose_first)

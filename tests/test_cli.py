@@ -321,7 +321,9 @@ def test_fuzz_neg_similarity_family_fails(capsys):
 
 
 def test_fuzz_scales_each_map_once(capsys, monkeypatch):
-    """One IntegerL per trial serves both the probe check and classify."""
+    """No fuzz trial scales L: the random family builds its canonical rows
+    straight from the drawn integers, and the probe check and classify read
+    those rows."""
     scaled_sides = []
 
     def counting(original):
@@ -331,17 +333,16 @@ def test_fuzz_scales_each_map_once(capsys, monkeypatch):
             return original(m)
         return wrapper
 
-    for module in (fixpres.superop, fixpres.preserver):
+    for module in (fixpres.linalg, fixpres.superop, fixpres.preserver):
         monkeypatch.setattr(
             module, "_common_integer_rows", counting(module._common_integer_rows)
         )
-    code, out, _ = invoke(
-        capsys,
-        "fuzz", "--n", "3", "--family", "similarity", "--trials", "2", "--seed", "0",
-    )
-    assert code == 0
-    assert json.loads(out)["summary"]["passes"] == 2
-    assert scaled_sides == [9, 9]
+    for family, code in (("similarity", 0), ("random", 1)):
+        assert invoke(
+            capsys,
+            "fuzz", "--n", "3", "--family", family, "--trials", "2", "--seed", "0",
+        )[0] == code
+    assert scaled_sides == []
 
 
 def test_fuzz_echoes_seed_per_trial(capsys):

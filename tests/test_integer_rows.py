@@ -5,8 +5,8 @@ reference_common_integer_rows scales each row over its own lcm with
 reference_integer_rows and then rescales every row to the lcm of those
 scales. reference_image lists the nonzero entries of every row of L
 with linalg._sparse and multiplies them by vec(A) with linalg._products.
-linalg._common_integer_rows and IntegerL.image must give exactly what
-these give, scales included. IntegerL.image_mod_p, a sum of L's packed
+linalg._common_integer_rows and superop._image must give exactly what
+these give, scales included. superop._image_mod_p, a sum of L's packed
 columns, must give the residues of the exact image; at the carry limit
 it is compared with reference_image_mod_p, one dense dot product per
 row of residues.
@@ -46,7 +46,7 @@ from fixpres.linalg import (
     rref,
 )
 from fixpres.preserver import structured_probes
-from fixpres.superop import IntegerL
+from fixpres.superop import _image, _image_mod_p, _packed_columns
 
 from conftest import (
     MIXED_DENOMINATORS,
@@ -84,22 +84,22 @@ def reference_common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list
     )
 
 
-def reference_image(l: IntegerL, a_re: list[list[int]], a_im: list[list[int]], e: int):
-    n = l.n
+def reference_image(phi: SuperOp, a_re: list[list[int]], a_im: list[list[int]], e: int):
+    n = phi.n
     digits = range(n)
     # vec(A)[j*n + i] = A[i][j]
     u = [a_re[i][j] for j in digits for i in digits]
     v = [a_im[i][j] for j in digits for i in digits]
-    b_re, b_im = _products(_sparse(l.re, l.im), u, v)
-    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
+    b_re, b_im = _products(_sparse(phi.re, phi.im), u, v)
+    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], phi.d * e
 
 
-def reference_image_mod_p(l: IntegerL, a: list[list[int]], e: int):
-    n = l.n
+def reference_image_mod_p(residues: list[list[int]], a: list[list[int]]):
+    n = len(a)
     digits = range(n)
     u = [a[i][j] for j in digits for i in digits]
-    b = [sum(map(mul, row, u)) % _P for row in l.residues()]
-    return [b[i::n] for i in digits], l.d * e
+    b = [sum(map(mul, row, u)) % _P for row in residues]
+    return [b[i::n] for i in digits]
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +191,17 @@ def test_scaling_of_probes_matches_reference(data):
 
 @given(maps(), st.data())
 def test_gathered_image_matches_reference(phi, data):
-    l = IntegerL.of(phi)
     rows = _common_integer_rows(data.draw(probes(phi.n)))
-    assert l.image(*rows) == reference_image(l, *rows)
+    assert _image(phi, *rows) == reference_image(phi, *rows)
 
 
 @given(maps(max_side=3))
 def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi):
     n = phi.n
-    l = IntegerL.of(phi)
     units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
     for a in [Matrix.zeros(n, n), *units, *structured_probes(n)]:
         rows = _common_integer_rows(a)
-        assert l.image(*rows) == reference_image(l, *rows)
+        assert _image(phi, *rows) == reference_image(phi, *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +209,9 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
 
 @given(maps(), st.data())
 def test_packed_image_mod_p_is_the_exact_image_mod_p(phi, data):
-    l = IntegerL.of(phi)
+    columns = _packed_columns(_residues(phi.re, phi.im))
     re, im, e = _common_integer_rows(data.draw(probes(phi.n)))
-    assert l.image_mod_p(_residues(re, im), e) == (_residues(*l.image(re, im, e)[:2]), l.d * e)
+    assert _image_mod_p(columns, _residues(re, im)) == _residues(*_image(phi, re, im, e)[:2])
 
 
 def test_packed_image_mod_p_carries_at_n_16():
@@ -221,9 +219,10 @@ def test_packed_image_mod_p_carries_at_n_16():
     fields of the packed sum takes 256 products (p - 1)**2, the most it
     can hold; the image is 256 * (p - 1)**2 = 256 mod p in every entry."""
     n, side = 16, 256
-    l = IntegerL(n, [[_P - 1] * side for _ in range(side)], [[0] * side for _ in range(side)], 1)
+    residues = [[_P - 1] * side for _ in range(side)]
     a = [[_P - 1] * n for _ in range(n)]
-    assert l.image_mod_p(a, 3) == reference_image_mod_p(l, a, 3) == ([[side] * n] * n, 3)
+    columns = _packed_columns(residues)
+    assert _image_mod_p(columns, a) == reference_image_mod_p(residues, a) == [[side] * n] * n
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from fixpres.linalg import (
     _fields,
     _full_rank_mod_p,
     _packed,
+    _residues,
 )
 from fixpres.scalars import ONE, ZERO
-from fixpres.superop import MAX_SIDE, IntegerL
+from fixpres.superop import MAX_SIDE
 
 from conftest import prime_row_random, prime_row_similarity, residue_rows
 
@@ -128,7 +129,7 @@ def test_full_rank_mod_p_agrees_with_reference(m):
 def test_common_scale_residues_agree_with_reference(make, n):
     # Every row of L is over the lcm of all rows' scales, far above its own.
     phi = make(n)
-    assert _full_rank_mod_p(IntegerL.of(phi).residues()) == reference_full_rank_mod_p(phi.matrix)
+    assert _full_rank_mod_p(_residues(phi.re, phi.im)) == reference_full_rank_mod_p(phi.matrix)
 
 
 def test_row_swaps_at_every_column():

@@ -33,7 +33,7 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import fixed_points, preserver, superop
+from fixpres import fixed_points, linalg, preserver, superop
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
@@ -767,13 +767,14 @@ def test_dim_verdict_random_bijective_usually_counterexample():
 
 
 # ---------------------------------------------------------------------------
-# L is scaled to Gaussian integers once per public call
+# L is scaled to Gaussian integers once: when SuperOp(n, matrix) is built.
+# The builders make the canonical rows directly, and no public call scales
+# L again.
 
 def _count_scalings(monkeypatch, side: int) -> list:
     """Record each scaling of entries of an N x N matrix to Gaussian
-    integers, by _common_integer_rows where superop and preserver use it,
-    the only place that scales L: the whole of L, or one row of it (a
-    1 x N input)."""
+    integers, by _common_integer_rows in every module that uses it: the
+    whole of L, or one row of it (a 1 x N input)."""
     calls = []
 
     def counted(m):
@@ -781,7 +782,7 @@ def _count_scalings(monkeypatch, side: int) -> list:
             calls.append((m.rows, m.cols))
         return _common_integer_rows(m)
 
-    for module in (superop, preserver):
+    for module in (linalg, superop, preserver):
         monkeypatch.setattr(module, "_common_integer_rows", counted)
     return calls
 
@@ -790,33 +791,46 @@ _S3 = random_invertible(derive_rng(0, "scale-once"), 3)
 
 
 @pytest.mark.parametrize(
-    "phi",
+    "build, scalings",
     [
-        identity_superop(3),
-        similarity_superop(_S3, 1),
-        similarity_superop(_S3, -1),
-        transpose_similarity_superop(_S3, 1),
-        SuperOp(3, random_matrix(derive_rng(0, "scale-once-random"), 9, 9)),
+        (lambda: identity_superop(3), []),
+        (lambda: similarity_superop(_S3, 1), []),
+        (lambda: similarity_superop(_S3, -1), []),
+        (lambda: transpose_similarity_superop(_S3, 1), []),
+        (lambda: SuperOp(3, random_matrix(derive_rng(0, "scale-once-random"), 9, 9)), [(9, 9)]),
     ],
     ids=["identity", "similarity", "negated-similarity", "transpose-similarity", "random"],
 )
-def test_dim_verdict_scales_l_once(phi, monkeypatch):
+def test_dim_verdict_scales_l_once(build, scalings, monkeypatch):
     calls = _count_scalings(monkeypatch, 9)
+    phi = build()
+    assert calls == scalings
     dim_preserver_verdict(phi)
-    assert calls == [(9, 9)]
+    assert calls == scalings
 
 
 def test_set_verdict_scales_l_once(monkeypatch):
     calls = _count_scalings(monkeypatch, 9)
     assert set_preserver_verdict(identity_superop(3)).status == "consistent"
-    assert calls == [(9, 9)]
+    assert calls == []
 
 
-@pytest.mark.parametrize(
-    "call", [is_bijective, classify, check_dim_preserving, check_set_preserving],
-    ids=lambda f: f.__name__,
-)
+_PUBLIC_CALLS = {
+    "is_bijective": is_bijective,
+    "classify": classify,
+    "check_dim_preserving": check_dim_preserving,
+    "check_set_preserving": check_set_preserving,
+    "dim_preserver_verdict": dim_preserver_verdict,
+    "set_preserver_verdict": set_preserver_verdict,
+    "apply": lambda phi: phi.apply(Matrix.unit(3, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("call", list(_PUBLIC_CALLS))
 def test_each_public_call_scales_l_once(call, monkeypatch):
+    """The map is built from a Matrix, which scales L once; the call never
+    scales it again."""
+    phi = SuperOp(3, transpose_similarity_superop(_S3, 1).matrix)
     calls = _count_scalings(monkeypatch, 9)
-    call(transpose_similarity_superop(_S3, 1))
-    assert calls == [(9, 9)]
+    _PUBLIC_CALLS[call](phi)
+    assert calls == []

@@ -27,7 +27,7 @@ from fixpres.linalg import (
     rank,
 )
 from fixpres.scalars import ZERO
-from fixpres.superop import IntegerL, unvec, vec
+from fixpres.superop import _image, _image_mod_p, _packed_columns, unvec, vec
 
 from conftest import MIXED_DENOMINATORS, fractions_st, prime_row_random, scalars
 
@@ -146,21 +146,23 @@ def test_empty_shapes_match_reference(left, right):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_apply_each_matches_apply(seed):
-    """One IntegerL, made once, gives through its image the same image of
-    each of several matrices as apply and the reference product, and its
-    image mod p is the residues of the exact image, over the same scale."""
+    """The rows of L give through _image the same image of each of several
+    matrices as apply and the reference product, and through _image_mod_p,
+    from L's packed residue columns made once, the residues of the exact
+    image."""
     rng = derive_rng(seed, "apply-each")
     n = 3
     phi = SuperOp(n, random_matrix(rng, n * n, n * n))
     ms = [random_matrix(rng, n, n) for _ in range(4)] + [Matrix.zeros(n, n)]
-    l = IntegerL.of(phi)
-    assert [_integer_rows_matrix(*l.image(*_common_integer_rows(m))) for m in ms] == [
+    columns = _packed_columns(_residues(phi.re, phi.im))
+    assert [_integer_rows_matrix(*_image(phi, *_common_integer_rows(m))) for m in ms] == [
         phi.apply(m) for m in ms
     ]
     for m in ms:
         re, im, e = _common_integer_rows(m)
-        b_re, b_im, scale = l.image(re, im, e)
-        assert l.image_mod_p(_residues(re, im), e) == (_residues(b_re, b_im), scale)
+        b_re, b_im, scale = _image(phi, re, im, e)
+        assert scale == phi.d * e
+        assert _image_mod_p(columns, _residues(re, im)) == _residues(b_re, b_im)
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
     ]

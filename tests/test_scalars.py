@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, ParseError, format_scalar, parse_scalar
-from fixpres.scalars import ONE, ZERO, ZeroDenominator
+from fixpres.cli import InputError, superop_from_doc
+from fixpres.scalars import ONE, ZERO, ZeroDenominator, _format_over, _scan_scalar
 
 from conftest import nonzero_scalars, scalars
 
@@ -182,13 +183,37 @@ def outcome(fn, arg):
         return type(exc), str(exc), getattr(exc, "position", None)
 
 
+def scanned(text: str) -> GaussianRational:
+    """The value of the integer parts _scan_scalar reads from text."""
+    a, b, c, e = _scan_scalar(text)
+    assert b > 0 and e > 0
+    return GaussianRational(Fraction(a, b), Fraction(c, e))
+
+
+def read_by_cli(text: str) -> GaussianRational:
+    """The one entry of the n = 1 superoperator document holding text, as
+    the CLI's integer reader takes it; the error it wraps, if any."""
+    l = {"n_rows": 1, "n_cols": 1, "entries": [[text]]}
+    doc = {"n": 1, "vec_convention": "column", "L": l}
+    try:
+        return superop_from_doc(doc).matrix[0, 0]
+    except InputError as exc:
+        raise exc.__cause__
+
+
 PARSE_ALPHABET = "-/+i0123456789 x\u0663"  # U+0663 is ARABIC-INDIC DIGIT THREE
 
 
 @settings(max_examples=500)
 @given(st.one_of(st.text(PARSE_ALPHABET, max_size=12), scalars.map(format_scalar)))
 def test_parse_agrees_with_reference(text):
-    assert outcome(parse_scalar, text) == outcome(reference_parse_scalar, text)
+    """parse_scalar, and the CLI's integer reader through the same scanner,
+    take the reference's value from a valid string and raise its error
+    class at its position on an invalid one."""
+    expected = outcome(reference_parse_scalar, text)
+    assert outcome(parse_scalar, text) == expected
+    assert outcome(scanned, text) == expected
+    assert outcome(read_by_cli, text) == expected
 
 
 @pytest.mark.parametrize(
@@ -197,17 +222,24 @@ def test_parse_agrees_with_reference(text):
      "1+2", "1+2/i", "2/0i", "1-0/0i", "1i ", "--1"],
 )
 def test_parse_pinned_cases_agree_with_reference(text):
-    assert outcome(parse_scalar, text) == outcome(reference_parse_scalar, text)
+    expected = outcome(reference_parse_scalar, text)
+    assert outcome(parse_scalar, text) == outcome(read_by_cli, text) == expected
 
 
 @pytest.mark.parametrize(
-    "text", ["7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000, "1+" + "7" * 5000 + "i"]
+    "text",
+    [
+        "7" * 5000,
+        "-" + "7" * 5000,
+        "1/" + "7" * 5000,
+        "1+" + "7" * 5000 + "i",
+        "1/0+1/" + "7" * 5000 + "i",
+    ],
 )
 def test_numeral_over_the_digit_limit_is_a_plain_value_error(text):
-    with pytest.raises(ValueError) as exc:
-        parse_scalar(text)
-    assert type(exc.value) is ValueError
-    assert outcome(parse_scalar, text) == outcome(reference_parse_scalar, text)
+    expected = outcome(reference_parse_scalar, text)
+    assert outcome(parse_scalar, text) == outcome(read_by_cli, text) == expected
+    assert expected[0] is (ZeroDenominator if "/0" in text else ValueError)
 
 
 wide_fractions = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20)
@@ -225,6 +257,9 @@ def test_format_agrees_with_reference(z):
         GaussianRational(z.re, -abs(z.im)),
     ):
         assert format_scalar(w) == reference_format_scalar(w)
+        # the same text from Gaussian integers over a common scale
+        d = w.re.denominator * w.im.denominator * 6
+        assert _format_over(int(w.re * d), int(w.im * d), d) == reference_format_scalar(w)
 
 
 @pytest.mark.parametrize(
