@@ -19,11 +19,11 @@ import functools
 import json
 import sys
 import traceback
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import __version__
 from .fixed_points import fixed_space
-from .linalg import Matrix, Subspace, _integers_over_lcm, rank
+from .linalg import Matrix, Subspace, _canonical_integers, rank
 from .preserver import (
     Classification,
     IDENTITY,
@@ -76,14 +76,19 @@ def _scalar_texts(format, *values) -> list[str]:
         raise InputError(f"result too large to print: {exc}") from exc
 
 
-def matrix_to_doc(m: Matrix) -> dict:
-    cols = m.cols
-    texts = _scalar_texts(format_scalar, m.entries)
+def _matrix_doc(n_rows: int, n_cols: int, format, *values) -> dict:
+    """The matrix document whose entries, row by row, are the scalars that
+    format writes from values; the one writer of that shape."""
+    texts = _scalar_texts(format, *values)
     return {
-        "n_rows": m.rows,
-        "n_cols": cols,
-        "entries": [texts[i * cols : (i + 1) * cols] for i in range(m.rows)],
+        "n_rows": n_rows,
+        "n_cols": n_cols,
+        "entries": [texts[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)],
     }
+
+
+def matrix_to_doc(m: Matrix) -> dict:
+    return _matrix_doc(m.rows, m.cols, format_scalar, m.entries)
 
 
 def _read_entries(doc, where: str, read) -> tuple[int, int, list, dict]:
@@ -126,23 +131,21 @@ def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
 def superop_to_doc(phi: SuperOp) -> dict:
     """The superoperator document of phi, each entry of L formatted from its
     Gaussian integers over phi.d."""
-    side, d = phi.n * phi.n, repeat(phi.d)
+    side = phi.n * phi.n
     return {
         "n": phi.n,
         "vec_convention": "column",
-        "L": {
-            "n_rows": side,
-            "n_cols": side,
-            "entries": [_scalar_texts(_format_over, x, y, d) for x, y in zip(phi.re, phi.im)],
-        },
+        "L": _matrix_doc(
+            side, side, _format_over,
+            chain.from_iterable(phi.re), chain.from_iterable(phi.im), repeat(phi.d),
+        ),
     }
 
 
 def superop_from_doc(doc, where: str = "superop") -> SuperOp:
     """The map of a superoperator document. Each distinct string of L is
-    scanned once into integer parts, with no Fraction; L is those over the
-    lcm of the written denominators, which SuperOp._of_rows brings to
-    canonical form with one gcd."""
+    scanned once into integer parts, with no Fraction, and L is those over
+    their canonical scale (see linalg._canonical_integers)."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     n = doc.get("n")
@@ -158,7 +161,7 @@ def superop_from_doc(doc, where: str = "superop") -> SuperOp:
     rows, cols, entries, parts = _read_entries(doc["L"], f"{where}.L", _scan_scalar)
     if rows != n * n or cols != n * n:
         raise InputError(f"{where}: L must be {n * n}x{n * n}, got {rows}x{cols}")
-    re, im, d = _integers_over_lcm(list(parts.values()))
+    re, im, d = _canonical_integers(list(parts.values()))
     re_of, im_of = dict(zip(parts, re)), dict(zip(parts, im))
     return SuperOp._of_rows(
         n,

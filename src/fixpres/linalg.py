@@ -218,14 +218,25 @@ def _common_integer_rows(a: Matrix) -> _Scaled:
     return [re[k * c : (k + 1) * c] for k in rows], [im[k * c : (k + 1) * c] for k in rows], e
 
 
-def _integers_over_lcm(
+def _canonical_integers(
     parts: Sequence[tuple[int, int, int, int]]
 ) -> tuple[list[int], list[int], int]:
     """The Gaussian rationals a/b + (c/e)i, given by their integer parts
     (a, b, c, e) with b, e > 0 and not necessarily reduced, as Gaussian
-    integers (re, im) over one scale: the lcm of the distinct denominators."""
-    d = lcm(*{b for _, b, _, _ in parts}, *{e for _, _, _, e in parts})
-    return [a * (d // b) for a, b, _, _ in parts], [c * (d // e) for _, _, c, e in parts], d
+    integers (re, im) over their canonical scale d: the lcm of the reduced
+    denominators, so gcd(d, every entry) = 1.
+
+    No part is reduced on its own. The reduced denominators of the parts
+    over one written denominator b have lcm b / gcd(b, their numerators),
+    one gcd per distinct b that stops at 1, so no scale larger than d is
+    built however the parts are written.
+    """
+    numerators: dict[int, list[int]] = {}
+    for a, b, c, e in parts:
+        numerators.setdefault(b, []).append(a)
+        numerators.setdefault(e, []).append(c)
+    d = lcm(*(b // gcd(b, *over_b) for b, over_b in numerators.items()))
+    return [a * d // b for a, b, _, _ in parts], [c * d // e for _, _, c, e in parts], d
 
 
 def _integer_rows_matrix(

@@ -13,7 +13,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .linalg import Matrix, _integers_over_lcm, rank
+from .linalg import Matrix, _canonical_integers, rank
 from .scalars import GaussianRational
 
 DENOMINATORS = (1, 2, 3)
@@ -70,10 +70,10 @@ def random_integer_rows(
     """random_matrix(rng, rows, cols) as Gaussian-integer rows and one scale.
 
     Returns (re, im, e) with the drawn matrix equal to (re + i*im) / e,
-    where e, the lcm of the drawn denominators, is 1, 2, 3 or 6. No
+    where e, the lcm of the reduced denominators, is 1, 2, 3 or 6. No
     Fraction is built.
     """
-    re, im, e = _integers_over_lcm(_draws(rng, rows * cols))
+    re, im, e = _canonical_integers(_draws(rng, rows * cols))
     starts = range(0, rows * cols, cols)
     return [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts], e
 

@@ -6,7 +6,8 @@ values always have identical representations (and identical hashes).
 
 ``_scan_scalar`` scans each rational of the grammar, ``-?digits(/digits)?``
 with ASCII digits only (``[0-9]``), with one match of a compiled regex; it
-is the one scanner behind ``parse_scalar`` and the CLI's integer reader.
+is the one scanner behind ``parse_scalar`` and the CLI's integer reader,
+and it builds no Fraction.
 """
 
 from __future__ import annotations
@@ -116,11 +117,6 @@ ZERO = GaussianRational()
 ONE = GaussianRational(1)
 
 _RATIONAL = re.compile(r"(-?)([0-9]*)(?:(/)([0-9]*))?")
-# Every valid string in one pattern: a rational with a nonzero denominator,
-# then nothing, an 'i', or a signed such rational and an 'i'.
-_SCALAR = re.compile(
-    r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?(?:(i)|([+-])(-?[0-9]+)(?:/(0*[1-9][0-9]*))?i)?"
-)
 
 
 def _format_fraction(numerator: int, denominator: int) -> str:
@@ -177,23 +173,8 @@ def _read_rational(text: str, pos: int) -> tuple[int, int, int]:
 
 def _scan_scalar(text: str) -> tuple[int, int, int, int]:
     """The integer parts (a, b, c, e) of text = a/b + (c/e)i as written: not
-    reduced, with b, e > 0. It accepts and rejects exactly what parse_scalar
-    does, with the same errors.
-
-    A valid string is read by one match of _SCALAR, its numerals converted
-    in the order the scan below converts them; any other string is scanned
-    rational by rational, which finds the position of the error.
-    """
-    m = _SCALAR.fullmatch(text)
-    if m is not None:
-        a, b, unit, sign, c, e = m.groups()
-        a, b = int(a), int(b or 1)
-        if unit:
-            return 0, 1, a, b
-        if sign is None:
-            return a, b, 0, 1
-        c, e = int(c), int(e or 1)
-        return a, b, c if sign == "+" else -c, e
+    reduced, with b, e > 0. Raises ParseError with the failing position, or
+    ZeroDenominator."""
     end = len(text)
     a, b, pos = _read_rational(text, 0)
     if pos == end:

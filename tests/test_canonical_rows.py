@@ -2,8 +2,8 @@
 
 The builders make those rows directly: identity_superop, an integer
 Kronecker product in similarity_superop, a column gather in
-transpose_similarity_superop, the integer parts of the CLI reader over the
-lcm of the written denominators, and SuperOp(n, matrix), which scales its
+transpose_similarity_superop, the integer parts of the CLI reader over
+their canonical scale, and SuperOp(n, matrix), which scales its
 matrix once. Each must give the map that SuperOp(n, m) gives for the
 Fraction matrix m of the reference construction below (a GaussianRational
 product per entry), with equal hashes; phi.matrix must be m entrywise, and
@@ -13,7 +13,7 @@ the CLI's document must round-trip.
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,7 +31,7 @@ from fixpres import (
     transpose_similarity_superop,
 )
 from fixpres.cli import matrix_to_doc, superop_from_doc, superop_to_doc
-from fixpres.linalg import inverse
+from fixpres.linalg import _canonical_integers, inverse
 from fixpres.superop import precompose_transpose
 
 SCALES = (1, -1, GaussianRational(0, 1))
@@ -125,8 +125,7 @@ def test_document_round_trips(case):
 
 def test_reader_takes_the_canonical_rows_of_mixed_denominators():
     """Non-canonical strings and denominators near 10**40 in one document:
-    one gcd over the lcm of the written denominators gives the rows that
-    scaling the parsed matrix gives."""
+    the reader's rows are the ones that scaling the parsed matrix gives."""
     big = 10**40 + 9
     texts = [
         "2/4", "-6/3", "0/7", "4/2i", "1/2-3/6i", f"{2 * big}/{4 * big}", f"3/{big}i", "0", "7"
@@ -140,6 +139,44 @@ def test_reader_takes_the_canonical_rows_of_mixed_denominators():
         phi = superop_from_doc(doc)
         assert phi == SuperOp(3, m)
         assert phi.matrix == m
+
+
+def test_reader_never_builds_a_scale_beyond_the_canonical_one(monkeypatch):
+    """81 entries k/k over distinct primes k read as the all-ones L with
+    scale 1, and the scale the reader hands to SuperOp is already 1, not
+    the lcm of the 81 primes as written."""
+    sieve = bytearray([1]) * 10**4
+    sieve[:2] = b"\0\0"
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, 10**4, p)))
+    primes = [p for p in range(10**4) if sieve[p]][-81:]
+    texts = [f"{p}/{p}" for p in primes]
+    doc = {"n": 3, "vec_convention": "column",
+           "L": {"n_rows": 9, "n_cols": 9, "entries": [texts[r * 9 : r * 9 + 9] for r in range(9)]}}
+    scales = []
+    of_rows = SuperOp._of_rows.__func__
+    monkeypatch.setattr(SuperOp, "_of_rows", classmethod(
+        lambda cls, n, re, im, d: scales.append(d) or of_rows(cls, n, re, im, d)
+    ))
+    phi = superop_from_doc(doc)
+    assert scales == [1]
+    assert phi.d == 1
+    assert phi.re == ((1,) * 9,) * 9 and phi.im == ((0,) * 9,) * 9
+
+
+@given(st.lists(st.tuples(
+    st.integers(-50, 50), st.integers(1, 12), st.integers(-50, 50), st.integers(1, 12),
+    st.sampled_from((1, 2, 7, 10**40 + 3)), st.sampled_from((1, 3, 10**20 + 39)),
+), max_size=12))
+def test_canonical_integers_match_the_reduced_fractions(draws):
+    """However each part is written, the scale is the lcm of the reduced
+    denominators and every entry is its value times that scale."""
+    parts = [(a * k, b * k, c * h, e * h) for a, b, c, e, k, h in draws]
+    re, im, d = _canonical_integers(parts)
+    values = [(Fraction(a, b), Fraction(c, e)) for a, b, c, e, _, _ in draws]
+    assert d == lcm(1, *(q.denominator for pair in values for q in pair))
+    assert [(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)] == values
 
 
 def test_zero_map_has_scale_one():
