@@ -1,7 +1,8 @@
 """Exact fixed-point subspaces and linear preserver verdicts.
 
 Everything is computed over Gaussian rationals (complex numbers with
-Fraction real and imaginary parts), so ranks, kernels, and verdicts are
+rational real and imaginary parts), held by a Matrix as canonical
+Gaussian-integer rows over one scale, so ranks, kernels, and verdicts are
 exact — no tolerances anywhere.
 
 The package namespace holds the documented surface only (``__all__``);

@@ -7,6 +7,12 @@ Interchange formats (all scalars are exact strings, never floats):
   "L": <matrix document of side N*N>}
 * report document: written to stdout; diagnostics go to stderr.
 
+Matrix documents have one reader, matrix_from_doc, which scans each
+distinct string into integer parts and puts them on the canonical scale,
+and one writer, matrix_to_doc, which formats each entry from the
+Matrix's Gaussian integers over its scale; the superoperator functions
+wrap those two, and no Fraction is built on either path.
+
 Exit codes: 0 = pass/classified/computed, 1 = counterexample or
 hypothesis failure found, 2 = input or parse error, 3 = internal error
 (a bug in fixpres, never a property of the input).
@@ -23,7 +29,7 @@ from itertools import chain, repeat
 
 from . import __version__
 from .fixed_points import fixed_space
-from .linalg import Matrix, Subspace, _canonical_integers, rank
+from .linalg import Matrix, Subspace, _canonical_integers, _matrix, rank
 from .preserver import (
     Classification,
     IDENTITY,
@@ -37,8 +43,8 @@ from .preserver import (
     dim_preserver_verdict,
     set_preserver_verdict,
 )
-from .sampling import derive_rng, random_integer_rows, random_invertible
-from .scalars import _format_over, _scan_scalar, format_scalar, parse_scalar
+from .sampling import derive_rng, random_invertible, random_matrix
+from .scalars import _format_over, _scan_scalar, format_scalar
 from .superop import (
     MAX_SIDE,
     SuperOp,
@@ -76,25 +82,25 @@ def _scalar_texts(format, *values) -> list[str]:
         raise InputError(f"result too large to print: {exc}") from exc
 
 
-def _matrix_doc(n_rows: int, n_cols: int, format, *values) -> dict:
-    """The matrix document whose entries, row by row, are the scalars that
-    format writes from values; the one writer of that shape."""
-    texts = _scalar_texts(format, *values)
+def matrix_to_doc(m: Matrix) -> dict:
+    """The matrix document of m, each entry formatted from its Gaussian
+    integers over m.d."""
+    texts = _scalar_texts(
+        _format_over, chain.from_iterable(m.re), chain.from_iterable(m.im), repeat(m.d)
+    )
+    c = m.cols
     return {
-        "n_rows": n_rows,
-        "n_cols": n_cols,
-        "entries": [texts[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)],
+        "n_rows": m.rows,
+        "n_cols": c,
+        "entries": [texts[i * c : (i + 1) * c] for i in range(m.rows)],
     }
 
 
-def matrix_to_doc(m: Matrix) -> dict:
-    return _matrix_doc(m.rows, m.cols, format_scalar, m.entries)
-
-
-def _read_entries(doc, where: str, read) -> tuple[int, int, list, dict]:
-    """The shape and entry rows of a matrix document, and read(text) for
-    each distinct entry string: a superoperator document repeats few
-    scalars many times, so each is read once."""
+def _read_entries(doc, where: str) -> tuple[int, int, list, dict]:
+    """The shape and entry rows of a matrix document, and the integer
+    parts (see scalars._scan_scalar) of each distinct entry string: a
+    superoperator document repeats few scalars many times, so each is
+    scanned once."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     try:
@@ -116,7 +122,7 @@ def _read_entries(doc, where: str, read) -> tuple[int, int, list, dict]:
                 raise InputError(f"{where}: entry ({i},{j}) must be a string")
             if text not in seen:
                 try:
-                    seen[text] = read(text)
+                    seen[text] = _scan_scalar(text)
                 except ValueError as exc:
                     # ParseError, or int() refusing a numeral over the digit limit
                     raise InputError(f"{where}: entry ({i},{j}): {exc}") from exc
@@ -124,28 +130,26 @@ def _read_entries(doc, where: str, read) -> tuple[int, int, list, dict]:
 
 
 def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
-    n_rows, n_cols, entries, values = _read_entries(doc, where, parse_scalar)
-    return Matrix(n_rows, n_cols, tuple(values[text] for row in entries for text in row))
+    """The matrix of a matrix document. Each distinct string is scanned
+    once into integer parts, with no Fraction, and the entries are those
+    over their canonical scale (see linalg._canonical_integers)."""
+    _, n_cols, entries, parts = _read_entries(doc, where)
+    re, im, d = _canonical_integers(list(parts.values()))
+    re_of, im_of = dict(zip(parts, re)), dict(zip(parts, im))
+    return _matrix(
+        n_cols,
+        [list(map(re_of.__getitem__, row)) for row in entries],
+        [list(map(im_of.__getitem__, row)) for row in entries],
+        d,
+    )
 
 
 def superop_to_doc(phi: SuperOp) -> dict:
-    """The superoperator document of phi, each entry of L formatted from its
-    Gaussian integers over phi.d."""
-    side = phi.n * phi.n
-    return {
-        "n": phi.n,
-        "vec_convention": "column",
-        "L": _matrix_doc(
-            side, side, _format_over,
-            chain.from_iterable(phi.re), chain.from_iterable(phi.im), repeat(phi.d),
-        ),
-    }
+    return {"n": phi.n, "vec_convention": "column", "L": matrix_to_doc(phi.matrix)}
 
 
 def superop_from_doc(doc, where: str = "superop") -> SuperOp:
-    """The map of a superoperator document. Each distinct string of L is
-    scanned once into integer parts, with no Fraction, and L is those over
-    their canonical scale (see linalg._canonical_integers)."""
+    """The map of a superoperator document; L is read by matrix_from_doc."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     n = doc.get("n")
@@ -158,17 +162,10 @@ def superop_from_doc(doc, where: str = "superop") -> SuperOp:
         )
     if "L" not in doc:
         raise InputError(f"{where}: missing field 'L'")
-    rows, cols, entries, parts = _read_entries(doc["L"], f"{where}.L", _scan_scalar)
-    if rows != n * n or cols != n * n:
-        raise InputError(f"{where}: L must be {n * n}x{n * n}, got {rows}x{cols}")
-    re, im, d = _canonical_integers(list(parts.values()))
-    re_of, im_of = dict(zip(parts, re)), dict(zip(parts, im))
-    return SuperOp._of_rows(
-        n,
-        [list(map(re_of.__getitem__, row)) for row in entries],
-        [list(map(im_of.__getitem__, row)) for row in entries],
-        d,
-    )
+    l = matrix_from_doc(doc["L"], f"{where}.L")
+    if l.rows != n * n or l.cols != n * n:
+        raise InputError(f"{where}: L must be {n * n}x{n * n}, got {l.rows}x{l.cols}")
+    return SuperOp(n, l)
 
 
 def subspace_to_doc(space: Subspace) -> dict:
@@ -327,7 +324,7 @@ def _fuzz_instance(family: str, n: int, trial_seed: int) -> SuperOp:
         return similarity_superop(random_invertible(rng, n), -1)
     if family == "transpose":
         return transpose_similarity_superop(random_invertible(rng, n), 1)
-    return SuperOp._of_rows(n, *random_integer_rows(rng, n * n, n * n))
+    return SuperOp(n, random_matrix(rng, n * n, n * n))
 
 
 def _cmd_fuzz(args) -> tuple[dict, int]:

@@ -1,30 +1,45 @@
 """Fixed-point subspaces of square matrices.
 
 The fixed-point space of A is the kernel of A - I. Its dimension is the
-geometric multiplicity of eigenvalue 1 and is computed exactly.
+geometric multiplicity of eigenvalue 1 and is computed exactly, from the
+echelon rows of A - I that _fixed_rows gives: dim_fixed, fixed_space and
+the probe checks of the preserver module all read them.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, NotSquare, Subspace, kernel_basis, rank
-from .scalars import ONE
+from typing import Sequence
+
+from .linalg import Matrix, NotSquare, Subspace, _Rows, _bareiss, _kernel, _primitive
 
 
-def _minus_identity(a: Matrix) -> Matrix:
-    """A - I for square A; only the n diagonal entries change."""
+def _fixed_rows(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], e: int) -> _Rows:
+    """Nonzero echelon rows of M - I, for the square M = (re + i*im) / e
+    given by Gaussian-integer rows over any scale e; their kernel is F(M).
+
+    M - I is scaled by e, so only its diagonal entries move, and each row
+    is divided by its content before the forward pass.
+    """
+    shifted = [list(row) for row in re]
+    for k, row in enumerate(shifted):
+        row[k] -= e
+    x_re, x_im = _primitive(shifted, im)
+    r = len(_bareiss(x_re, x_im, len(re), reduce=False))
+    return x_re[:r], x_im[:r]
+
+
+def _square_rows(a: Matrix) -> _Rows:
+    """_fixed_rows of the rows of a, which must be square."""
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols}")
-    entries = list(a.entries)
-    for k in range(0, len(entries), a.rows + 1):
-        entries[k] = entries[k] - ONE
-    return Matrix(a.rows, a.cols, tuple(entries))
+    return _fixed_rows(a.re, a.im, a.d)
 
 
 def fixed_space(a: Matrix) -> Subspace:
     """All vectors v with a @ v = v, as a canonical subspace."""
-    return kernel_basis(_minus_identity(a))
+    return _kernel(*_square_rows(a), a.rows)
 
 
 def dim_fixed(a: Matrix) -> int:
     """Dimension of the fixed-point space: n - rank(A - I)."""
-    return a.rows - rank(_minus_identity(a))
+    return a.rows - len(_square_rows(a)[0])

@@ -1,7 +1,13 @@
 """Exact dense linear algebra over Gaussian-rational scalars.
 
-All values are immutable and every operation is pure. Rank and kernel
-decisions are bit-exact: there is no tolerance anywhere in this module.
+A Matrix has one exact form: canonical Gaussian-integer rows re + i*im
+over one scale d, the lcm of the reduced denominators of its entries, so
+gcd(d, every entry) = 1 and equal matrices have equal fields. Every
+operation reads and builds those rows; GaussianRational entries are
+views built on request. All values are immutable and every operation is
+pure. Rank and kernel decisions are bit-exact: there is no tolerance
+anywhere in this module, and fraction-free Bareiss elimination over the
+Gaussian integers is its one elimination kernel.
 
 Subspaces are stored in a unique canonical form (the transpose of the
 stored basis is in reduced row echelon form), so subspace equality is a
@@ -13,10 +19,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ZERO, _format_over
 
 
 class NotSquare(ValueError):
@@ -48,25 +55,42 @@ def _as_scalar(value) -> GaussianRational:
     raise TypeError(f"cannot use {value!r} as a matrix entry")
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
-    """Dense rows x cols matrix, entries stored row-major.
+# Integer parts (a, b, c, e) of the Gaussian rational a/b + (c/e)i, with
+# b, e > 0 and not necessarily reduced.
+_Parts = tuple[int, int, int, int]
+_ZERO_PARTS = (0, 1, 0, 1)
 
-    Zero rows or columns are allowed; the empty basis of the zero
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class Matrix:
+    """Dense rows x cols matrix (re + i*im) / d in canonical Gaussian-integer rows.
+
+    re and im hold the rows of real and imaginary parts as tuples of ints,
+    and d is the lcm of the reduced denominators of the entries, so
+    gcd(d, every entry) = 1: equal matrices have equal fields (and equal
+    hashes). Zero rows or columns are allowed; the empty basis of the zero
     subspace is an n x 0 matrix.
     """
 
     rows: int
     cols: int
-    entries: tuple[GaussianRational, ...]
+    re: tuple[tuple[int, ...], ...]
+    im: tuple[tuple[int, ...], ...]
+    d: int
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence):
+        """The matrix of the row-major entries, each an int, Fraction or
+        GaussianRational (anything else raises TypeError), put on the
+        canonical scale once."""
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        parts = [
+            (z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
+            for z in map(_as_scalar, entries)
+        ]
+        _from_parts(rows, cols, parts, self)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -76,38 +100,48 @@ class Matrix:
         for row in rows:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
-            flat.extend(_as_scalar(v) for v in row)
-        return cls(n_rows, n_cols, tuple(flat))
+            flat.extend(row)
+        return cls(n_rows, n_cols, flat)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        zero_rows = [(0,) * cols] * rows
+        return _matrix(cols, zero_rows, zero_rows, 1)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        zeros = (0,) * n
+        return _matrix(n, [zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n)], [zeros] * n, 1)
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Matrix":
         """Matrix unit with a single 1 at (i, j)."""
-        entries = [ZERO] * (n * n)
-        entries[i * n + j] = ONE
-        return cls(n, n, tuple(entries))
+        re = [[0] * n for _ in range(n)]
+        re[i][j] = 1
+        return _matrix(n, re, [(0,) * n] * n, 1)
 
     @classmethod
     def column(cls, values: Sequence) -> "Matrix":
-        vals = tuple(_as_scalar(v) for v in values)
-        return cls(len(vals), 1, vals)
+        values = tuple(values)
+        return cls(len(values), 1, values)
+
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        """The entries row by row, built on each request."""
+        d = self.d
+        return tuple(
+            _entry(x, y, d) for xs, ys in zip(self.re, self.im) for x, y in zip(xs, ys)
+        )
 
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return _entry(self.re[i][j], self.im[i][j], self.d)
 
     def to_rows(self) -> list[list[GaussianRational]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        d = self.d
+        return [[_entry(x, y, d) for x, y in zip(xs, ys)] for xs, ys in zip(self.re, self.im)]
 
     @property
     def is_square(self) -> bool:
@@ -115,121 +149,125 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(map(any, self.re + self.im))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        if not self.rows:
+            return Matrix.zeros(self.cols, 0)
+        return _matrix(self.rows, list(zip(*self.re)), list(zip(*self.im)), self.d)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise SizeMismatch(f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise SizeMismatch(f"{self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return self * -1
 
     def __mul__(self, scalar) -> "Matrix":
         try:
             s = _as_scalar(scalar)
         except TypeError:
             return NotImplemented
-        return Matrix(self.rows, self.cols, tuple(s * a for a in self.entries))
+        # s = (p + q*i) / t
+        (a, b), (c, e) = s.re.as_integer_ratio(), s.im.as_integer_ratio()
+        p, q, t = a * e, c * b, b * e
+        return _over(
+            [[p * x - q * y for x, y in zip(xs, ys)] for xs, ys in zip(self.re, self.im)],
+            [[p * y + q * x for x, y in zip(xs, ys)] for xs, ys in zip(self.re, self.im)],
+            self.d * t,
+            self.cols,
+        )
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Exact product, computed over the Gaussian integers.
 
-        self and the transpose of other are scaled to Gaussian integers
-        over their common scales d and e. Entry (i, j) is then a plain int
-        dot product, skipping zero left entries, divided once by d * e:
-        one GaussianRational per output entry and no Fraction arithmetic
-        in the inner loop.
+        Entry (i, j) is a plain int dot product of row i of self and
+        column j of other, skipping zero left entries, over the product
+        of the two scales; the result is put on its canonical scale once.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        l_re, l_im, d = _common_integer_rows(self)
-        r_re, r_im, e = _common_integer_rows(other.transpose())
-        left = _sparse(l_re, l_im)
-        columns = [_products(left, b_re, b_im) for b_re, b_im in zip(r_re, r_im)]
-        de = d * e
-        return Matrix(self.rows, other.cols, tuple(
-            GaussianRational(Fraction(c_re[i], de), Fraction(c_im[i], de))
-            if c_re[i] or c_im[i]
-            else ZERO
-            for i in range(self.rows)
-            for c_re, c_im in columns
-        ))
+        left = _sparse(self.re, self.im)
+        right = other.transpose()
+        columns = [_products(left, b_re, b_im) for b_re, b_im in zip(right.re, right.im)]
+        rows = range(self.rows)
+        return _over(
+            [[c_re[i] for c_re, _ in columns] for i in rows],
+            [[c_im[i] for _, c_im in columns] for i in rows],
+            self.d * other.d,
+            other.cols,
+        )
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise SizeMismatch(f"hstack of {self.rows} and {other.rows} rows")
-        rows = []
-        for i in range(self.rows):
-            rows.append(
-                self.entries[i * self.cols : (i + 1) * self.cols]
-                + other.entries[i * other.cols : (i + 1) * other.cols]
-            )
-        return Matrix(self.rows, self.cols + other.cols, tuple(v for row in rows for v in row))
+        e = lcm(self.d, other.d)
+        p, q = e // self.d, e // other.d
+        return _over(
+            [[p * x for x in a] + [q * y for y in b] for a, b in zip(self.re, other.re)],
+            [[p * x for x in a] + [q * y for y in b] for a, b in zip(self.im, other.im)],
+            e,
+            self.cols + other.cols,
+        )
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
 
     def __str__(self) -> str:
+        d = self.d
         body = "; ".join(
-            " ".join(str(v) for v in self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
+            " ".join(_format_over(x, y, d) for x, y in zip(xs, ys))
+            for xs, ys in zip(self.re, self.im)
         )
         return f"[{body}]"
 
 
-# Real parts, imaginary parts and the common scale of a matrix of
-# Gaussian rationals scaled to Gaussian integers.
-_Scaled = tuple[list[list[int]], list[list[int]], int]
+def _entry(x: int, y: int, d: int) -> GaussianRational:
+    return GaussianRational(Fraction(x, d), Fraction(y, d)) if x or y else ZERO
 
 
-def _common_integer_rows(a: Matrix) -> _Scaled:
-    """a as Gaussian-integer rows (re, im) over one common scale e, the
-    lcm of its distinct denominators, in one pass over its entries.
-
-    Scaling every row by the same nonzero constant changes neither the
-    rank nor the RREF; eliminations divide each row by its content first
-    (see _primitive), which undoes the extra factor a row picks up from
-    the denominators of other rows.
-    """
-    c = a.cols
-    re_q = [z.re.as_integer_ratio() for z in a.entries]
-    im_q = [z.im.as_integer_ratio() for z in a.entries]
-    e = lcm(*{b for _, b in re_q}, *{b for _, b in im_q})
-    re, im = [x * (e // b) for x, b in re_q], [y * (e // b) for y, b in im_q]
-    rows = range(a.rows)
-    return [re[k * c : (k + 1) * c] for k in rows], [im[k * c : (k + 1) * c] for k in rows], e
+def _matrix(
+    cols: int,
+    re: Sequence[Sequence[int]],
+    im: Sequence[Sequence[int]],
+    d: int,
+    m: Matrix | None = None,
+) -> Matrix:
+    """The matrix (re + i*im) / d of rows that are already canonical over
+    d, stored in m when given (Matrix.__init__ passes itself)."""
+    if m is None:
+        m = object.__new__(Matrix)
+    object.__setattr__(m, "rows", len(re))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "re", tuple(map(tuple, re)))
+    object.__setattr__(m, "im", tuple(map(tuple, im)))
+    object.__setattr__(m, "d", d)
+    return m
 
 
 def _canonical_integers(
-    parts: Sequence[tuple[int, int, int, int]]
+    parts: Sequence[_Parts]
 ) -> tuple[list[int], list[int], int]:
     """The Gaussian rationals a/b + (c/e)i, given by their integer parts
     (a, b, c, e) with b, e > 0 and not necessarily reduced, as Gaussian
     integers (re, im) over their canonical scale d: the lcm of the reduced
     denominators, so gcd(d, every entry) = 1.
 
-    No part is reduced on its own. The reduced denominators of the parts
-    over one written denominator b have lcm b / gcd(b, their numerators),
-    one gcd per distinct b that stops at 1, so no scale larger than d is
-    built however the parts are written.
+    It canonicalises parts written over any denominators; _over is its
+    special case for rows over one scale. No part is reduced on its own. The reduced denominators of the parts over one written
+    denominator b have lcm b / gcd(b, their numerators), one gcd per
+    distinct b that stops at 1, so no scale larger than d is built
+    however the parts are written.
     """
     numerators: dict[int, list[int]] = {}
     for a, b, c, e in parts:
@@ -239,31 +277,66 @@ def _canonical_integers(
     return [a * d // b for a, b, _, _ in parts], [c * d // e for _, _, c, e in parts], d
 
 
-def _integer_rows_matrix(
-    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], e: int
+def _from_parts(
+    rows: int, cols: int, parts: Sequence[_Parts], m: Matrix | None = None
 ) -> Matrix:
-    """The matrix (re + i*im) / e; the inverse of _common_integer_rows."""
-    cols = len(re[0]) if re else 0
-    return Matrix(len(re), cols, tuple(
-        GaussianRational(Fraction(x, e), Fraction(y, e)) if x or y else ZERO
-        for row_re, row_im in zip(re, im)
-        for x, y in zip(row_re, row_im)
-    ))
+    """The rows x cols matrix of the row-major integer parts of its
+    entries, on their canonical scale (stored in m when given)."""
+    re, im, d = _canonical_integers(parts)
+    starts = [k * cols for k in range(rows)]
+    re_rows, im_rows = [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts]
+    return _matrix(cols, re_rows, im_rows, d, m)
 
+
+def _over(
+    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], e: int, cols: int
+) -> Matrix:
+    """The matrix (re + i*im) / e, for Gaussian-integer rows over any scale
+    e > 0. Every part is over e, so the canonical scale of
+    _canonical_integers is e / g for g the gcd of e and every entry, and
+    one gcd finds it."""
+    g = gcd(e, *chain.from_iterable(re), *chain.from_iterable(im))
+    if g > 1:
+        re = [[x // g for x in row] for row in re]
+        im = [[y // g for y in row] for row in im]
+    return _matrix(cols, re, im, e // g)
+
+
+def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """a + b, or a - b for sign -1, over the lcm of the two scales."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        op = "+" if sign > 0 else "-"
+        raise SizeMismatch(f"{a.rows}x{a.cols} {op} {b.rows}x{b.cols}")
+    e = lcm(a.d, b.d)
+    p, q = e // a.d, sign * (e // b.d)
+    return _over(
+        [[p * x + q * y for x, y in zip(xs, ys)] for xs, ys in zip(a.re, b.re)],
+        [[p * x + q * y for x, y in zip(xs, ys)] for xs, ys in zip(a.im, b.im)],
+        e,
+        a.cols,
+    )
+
+
+# Real and imaginary parts of rows of Gaussian integers, and the same over
+# a scale.
+_Rows = tuple[list[list[int]], list[list[int]]]
+_Scaled = tuple[list[list[int]], list[list[int]], int]
 
 # The nonzero (column, real part, imaginary part) entries of each row of
 # a matrix of Gaussian integers.
 _SparseRows = list[list[tuple[int, int, int]]]
 
 
-def _sparse(re: list[list[int]], im: list[list[int]]) -> _SparseRows:
+def _sparse(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> _SparseRows:
     return [
         [(t, x, y) for t, (x, y) in enumerate(zip(a_re, a_im)) if x or y]
         for a_re, a_im in zip(re, im)
     ]
 
 
-def _products(rows: _SparseRows, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+def _products(
+    rows: _SparseRows, u: Sequence[int], v: Sequence[int]
+) -> tuple[list[int], list[int]]:
     """Real and imaginary parts of rows @ (u + i*v), all Gaussian integers."""
     out_re: list[int] = []
     out_im: list[int] = []
@@ -276,10 +349,6 @@ def _products(rows: _SparseRows, u: list[int], v: list[int]) -> tuple[list[int],
         out_re.append(acc_r)
         out_im.append(acc_i)
     return out_re, out_im
-
-
-# Real and imaginary parts of rows of Gaussian integers.
-_Rows = tuple[list[list[int]], list[list[int]]]
 
 
 def _primitive(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> _Rows:
@@ -358,28 +427,23 @@ def _bareiss(
 def _eliminate(
     m: Matrix, reduce: bool
 ) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """_bareiss on the rows of m scaled to Gaussian integers, each
-    divided by its content.
+    """_bareiss on the rows of m, each divided by its content.
 
     Returns the real parts, imaginary parts and pivot columns of the
     eliminated rows.
     """
-    re, im = _primitive(*_common_integer_rows(m)[:2])
+    re, im = _primitive(m.re, m.im)
     return re, im, _bareiss(re, im, m.cols, reduce)
 
 
 def _divided_row(
-    row_r: list[int], row_i: list[int], d_r: int, d_i: int
-) -> list[GaussianRational]:
-    """Entries of the Gaussian-integer row divided by d_r + d_i*i."""
+    row_r: Sequence[int], row_i: Sequence[int], d_r: int, d_i: int
+) -> list[_Parts]:
+    """The integer parts of the entries of the Gaussian-integer row
+    divided by d_r + d_i*i."""
     norm = d_r * d_r + d_i * d_i
     return [
-        GaussianRational(
-            Fraction(ar * d_r + ai * d_i, norm), Fraction(ai * d_r - ar * d_i, norm)
-        )
-        if ar or ai
-        else ZERO
-        for ar, ai in zip(row_r, row_i)
+        (ar * d_r + ai * d_i, norm, ai * d_r - ar * d_i, norm) for ar, ai in zip(row_r, row_i)
     ]
 
 
@@ -390,11 +454,11 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     bitwise subspace equality possible downstream.
     """
     re, im, pivots = _eliminate(m, reduce=True)
-    out: list[GaussianRational] = []
+    parts: list[_Parts] = []
     for row, col in enumerate(pivots):
-        out.extend(_divided_row(re[row], im[row], re[row][col], im[row][col]))
-    out.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(out)), len(pivots), tuple(pivots)
+        parts += _divided_row(re[row], im[row], re[row][col], im[row][col])
+    parts += [_ZERO_PARTS] * ((m.rows - len(pivots)) * m.cols)
+    return _from_parts(m.rows, m.cols, parts), len(pivots), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -409,7 +473,7 @@ _P = 267912649
 _SQRT_MINUS_ONE = 22964409
 
 
-def _residues(re: list[list[int]], im: list[list[int]]) -> list[list[int]]:
+def _residues(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> list[list[int]]:
     """The Gaussian-integer rows re + i*im sent to GF(_P) by the ring
     homomorphism Z[i] -> GF(_P) with i -> _SQRT_MINUS_ONE."""
     r, p = _SQRT_MINUS_ONE, _P
@@ -497,42 +561,47 @@ class Subspace:
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, Matrix(n, 0, ()))
+        return cls(n, Matrix.zeros(n, 0))
 
     @classmethod
     def spanned_by_columns(cls, m: Matrix) -> "Subspace":
         """Canonical subspace spanned by the columns of m."""
         reduced, r, _ = rref(m.transpose())
-        rows = reduced.to_rows()[:r]
-        basis_t = Matrix(r, m.rows, tuple(v for row in rows for v in row))
+        # the rows dropped are zero, so the rows kept stay canonical over d
+        basis_t = _matrix(m.rows, reduced.re[:r], reduced.im[:r], reduced.d)
         return cls(m.rows, basis_t.transpose())
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the null space of m."""
-    return _kernel(*_primitive(*_common_integer_rows(m)[:2]), m.cols)
+    return _kernel(m.re, m.im, m.cols)
 
 
-def _kernel(re: list[list[int]], im: list[list[int]], n_cols: int) -> Subspace:
-    """Canonical basis of the null space of the Gaussian-integer rows re + i*im.
-
-    The rows are eliminated in place.
-    """
+def _kernel(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], n_cols: int) -> Subspace:
+    """Canonical basis of the null space of the Gaussian-integer rows
+    re + i*im, from a Gauss-Jordan pass over copies divided by their content."""
+    re, im = _primitive(re, im)
     pivots = _bareiss(re, im, n_cols, reduce=True)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     if not free_cols:
         return Subspace.zero(n_cols)
-    reduced = [_divided_row(re[k], im[k], re[k][c], im[k][c]) for k, c in enumerate(pivots)]
-    vectors = []
-    for free in free_cols:
-        entries = [ZERO] * n_cols
-        entries[free] = ONE
-        for row, piv in zip(reduced, pivots):
-            entries[piv] = -row[free]
-        vectors.append(entries)
-    spanning = Matrix(len(vectors), n_cols, tuple(v for vec_ in vectors for v in vec_)).transpose()
-    return Subspace.spanned_by_columns(spanning)
+    # Entry pivots[k] of the vector of a free column f is -R[k][f], with R
+    # the RREF: minus[k] holds those entries of row k, over its pivot.
+    minus = [
+        _divided_row(
+            [-re[k][f] for f in free_cols], [-im[k][f] for f in free_cols], re[k][c], im[k][c]
+        )
+        for k, c in enumerate(pivots)
+    ]
+    parts: list[_Parts] = []
+    for t, free in enumerate(free_cols):
+        vector = [_ZERO_PARTS] * n_cols
+        vector[free] = (1, 1, 0, 1)
+        for k, piv in enumerate(pivots):
+            vector[piv] = minus[k][t]
+        parts += vector
+    return Subspace.spanned_by_columns(_from_parts(len(free_cols), n_cols, parts).transpose())
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -544,31 +613,23 @@ def inverse(m: Matrix) -> Matrix:
     left_rank = sum(1 for p in pivots if p < n)
     if left_rank < n:
         raise SingularMatrix(f"rank {left_rank} < {n}")
-    out: list[GaussianRational] = []
+    parts: list[_Parts] = []
     for i in range(n):
-        out.extend(_divided_row(re[i][n:], im[i][n:], re[i][i], im[i][i]))
-    return Matrix(n, n, tuple(out))
+        parts += _divided_row(re[i][n:], im[i][n:], re[i][i], im[i][i])
+    return _from_parts(n, n, parts)
 
 
-def _kron_rows(a: Matrix, b: Matrix) -> _Scaled:
-    """kron(a, b) as Gaussian-integer rows over one scale, the product of
-    the common scales of a and b: entry (i1*b.rows + i2, j1*b.cols + j2) is
-    the int product of a[i1, j1] and b[i2, j2] as Gaussian integers."""
-    a_re, a_im, e = _common_integer_rows(a)
-    b_re, b_im, f = _common_integer_rows(b)
-    b_pairs = [list(zip(x_row, y_row)) for x_row, y_row in zip(b_re, b_im)]
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product; block (i, j) equals a[i, j] * b.
+
+    Entry (i1*b.rows + i2, j1*b.cols + j2) is the int product of the
+    Gaussian integers of a[i1, j1] and b[i2, j2], over the scale a.d * b.d.
+    """
+    b_pairs = [list(zip(x_row, y_row)) for x_row, y_row in zip(b.re, b.im)]
     re, im = [], []
-    for p_row, q_row in zip(a_re, a_im):
+    for p_row, q_row in zip(a.re, a.im):
         a_pairs = list(zip(p_row, q_row))
         for pairs in b_pairs:
             re.append([p * x - q * y for p, q in a_pairs for x, y in pairs])
             im.append([p * y + q * x for p, q in a_pairs for x, y in pairs])
-    return re, im, e * f
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; block (i, j) equals a[i, j] * b."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    if not rows:
-        return Matrix.zeros(0, cols)
-    return _integer_rows_matrix(*_kron_rows(a, b))
+    return _over(re, im, a.d * b.d, a.cols * b.cols)

@@ -17,9 +17,10 @@ The two packaged claims are:
   fixed-point dimension is A -> S @ A @ inv(S) or A -> -S @ A @ inv(S)
   for some invertible S.
 
-Every function reads L from the canonical Gaussian-integer rows that the
-SuperOp holds; the claim-2 verdict makes L's residues mod p once and
-shares them between the bijectivity test and the probe check.
+Every function reads L from the canonical Gaussian-integer rows of the
+Matrix that the SuperOp holds, and each probe from the rows of its own
+Matrix; the claim-2 verdict makes L's residues mod p once and shares them
+between the bijectivity test and the probe check.
 """
 
 from __future__ import annotations
@@ -28,21 +29,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .linalg import (
-    Matrix,
-    _P,
-    _Rows,
-    _bareiss,
-    _common_integer_rows,
-    _full_rank_mod_p,
-    _integer_rows_matrix,
-    _kernel,
-    _primitive,
-    _residues,
-    rank,
-)
+from .fixed_points import _fixed_rows, fixed_space
+from .linalg import Matrix, _P, _Rows, _bareiss, _full_rank_mod_p, _primitive, _residues, rank
 from .rank_one import is_idempotent
-from .sampling import derive_rng, random_integer_rows, random_matrix
+from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
     MAX_SIDE,
@@ -115,12 +105,6 @@ class PreserverReport:
     discrepancy: tuple[int, int, GaussianRational, GaussianRational] | None = None
 
 
-# Entries of the structured probes, built once so that no probe costs
-# scalar arithmetic.
-_NEG_ONE = -ONE
-_TWO = ONE + ONE
-
-
 def structured_probes(n: int) -> list[Matrix]:
     """Fixed witness list pinning every fixed dimension 0..n.
 
@@ -130,68 +114,45 @@ def structured_probes(n: int) -> list[Matrix]:
     with eigenvalue 1, a rank-one idempotent, and a rank-one
     non-idempotent.
     """
-    return list(_structured(n)[0])
+    return list(_structured(n))
 
 
 @lru_cache(maxsize=MAX_SIDE)
-def _structured(n: int) -> tuple[tuple[Matrix, ...], tuple[tuple, ...]]:
-    """The structured probes of side n and their Gaussian-integer rows,
-    built once per n. The probe loop reads the rows and never mutates them."""
+def _structured(n: int) -> tuple[Matrix, ...]:
+    """The structured probes of side n, built once per n."""
     if n < 1:
         raise ValueError("n must be at least 1")
     cells = [(i, j) for i in range(n) for j in range(n)]
 
-    def square(entry: Callable[[int, int], GaussianRational]) -> Matrix:
-        return Matrix(n, n, tuple(entry(i, j) for i, j in cells))
+    def square(entry: Callable[[int, int], int]) -> Matrix:
+        return Matrix(n, n, [entry(i, j) for i, j in cells])
 
     probes = [
         Matrix.zeros(n, n),
-        square(lambda i, j: _NEG_ONE if i == j else ZERO),
+        square(lambda i, j: -1 if i == j else 0),
         Matrix.identity(n),
     ]
     for k in range(n - 1):
-        probes.append(square(lambda i, j: ONE if i == j <= k else ZERO))
+        probes.append(square(lambda i, j: int(i == j <= k)))
     if n >= 2:
         probes.append(Matrix.unit(n, 0, 1))
-    probes.append(square(lambda i, j: ONE if j in (i, i + 1) else ZERO))
-    probes.append(square(lambda i, j: ONE if j == 0 else ZERO))
-    probes.append(square(lambda i, j: _TWO if i == j == 0 else ZERO))
-    return tuple(probes), tuple(_common_integer_rows(p) for p in probes)
+    probes.append(square(lambda i, j: int(j in (i, i + 1))))
+    probes.append(square(lambda i, j: int(j == 0)))
+    probes.append(square(lambda i, j: 2 if i == j == 0 else 0))
+    return tuple(probes)
 
 
-def _probe_rows(
-    n: int, trials: int, seed: int
-) -> Iterator[tuple[list[list[int]], list[list[int]], int]]:
-    """probe_suite(n, trials, seed) as Gaussian-integer rows over one scale.
-
-    Item k is (re, im, e) with (re + i*im) / e equal to probe k; the
-    structured rows are cached, and each random probe is drawn when asked for.
-    """
-    yield from _structured(n)[1]
+def _probes(n: int, trials: int, seed: int) -> Iterator[Matrix]:
+    """The probes of probe_suite(n, trials, seed), each random one drawn
+    when asked for."""
+    yield from _structured(n)
     for idx in range(trials):
-        yield random_integer_rows(derive_rng(seed, "probe", idx), n, n)
+        yield random_matrix(derive_rng(seed, "probe", idx), n, n)
 
 
 def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
     """Structured probes followed by `trials` seeded random matrices."""
-    return structured_probes(n) + [
-        random_matrix(derive_rng(seed, "probe", idx), n, n) for idx in range(trials)
-    ]
-
-
-def _fixed_rows(re: list[list[int]], im: list[list[int]], e: int) -> _Rows:
-    """Nonzero echelon rows of M - I, for the square M = (re + i*im) / e;
-    their kernel is F(M).
-
-    M - I is scaled by e, so only its diagonal entries move, and each row
-    is divided by its content before the forward pass.
-    """
-    shifted = [row[:] for row in re]
-    for k, row in enumerate(shifted):
-        row[k] -= e
-    x_re, x_im = _primitive(shifted, im)
-    r = len(_bareiss(x_re, x_im, len(re), reduce=False))
-    return x_re[:r], x_im[:r]
+    return list(_probes(n, trials, seed))
 
 
 def _same_fixed(x: _Rows, y: _Rows, n: int, compare_sets: bool) -> bool:
@@ -234,42 +195,40 @@ def _check(
     condition alike. Only the other probes (those with a fixed point on
     either side, and the rare probe that is singular mod _P alone) take
     the exact path: forward Bareiss passes on A - I and phi(A) - I give
-    their echelon rows, and _same_fixed compares those. Probes are drawn
-    lazily, so a counterexample at probe k draws no later probe. The
-    witness is built from the rows of the probe just tested, and the
-    dimensions of a counterexample are n minus the numbers of echelon
-    rows; only a set counterexample builds more matrices: the canonical
-    kernels of the echelon rows, which are fixed_space of the probe and
-    of its image.
+    their echelon rows (fixed_points._fixed_rows), and _same_fixed
+    compares those. Probes are drawn lazily, so a counterexample at probe
+    k draws no later probe. The dimensions of a counterexample are n minus
+    the numbers of echelon rows; only a set counterexample builds more
+    matrices: fixed_space of the probe and of its image.
     """
-    n, d = phi.n, phi.d
+    n, d = phi.n, phi.matrix.d
     columns = _packed_columns(residues)
     probes_run = 0
-    for probes_run, (re, im, e) in enumerate(_probe_rows(n, trials, seed), start=1):
-        a = _residues(re, im)
-        if _regular_mod_p(_image_mod_p(columns, a), d * e) and _regular_mod_p(a, e):
+    for probes_run, a in enumerate(_probes(n, trials, seed), start=1):
+        re, im, e = a.re, a.im, a.d
+        a_mod_p = _residues(re, im)
+        if _regular_mod_p(_image_mod_p(columns, a_mod_p), d * e) and _regular_mod_p(a_mod_p, e):
             continue
         x = _fixed_rows(re, im, e)
         y = _fixed_rows(*_image(phi, re, im, e))
         if _same_fixed(x, y, n, compare_sets):
             continue
         if compare_sets:
-            detail = (_kernel(*_primitive(*x), n), _kernel(*_primitive(*y), n))
+            detail = (fixed_space(a), fixed_space(phi.apply(a)))
         else:  # dim F(M) = n - rank(M - I)
             detail = (n - len(x[0]), n - len(y[0]))
-        witness = _integer_rows_matrix(re, im, e)
-        return Verdict(OUTCOME_COUNTEREXAMPLE, witness, detail, probes_run, seed)
+        return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
 def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
-    return _check(phi, _residues(phi.re, phi.im), trials, seed, compare_sets=False)
+    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, compare_sets=False)
 
 
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    return _check(phi, _residues(phi.re, phi.im), trials, seed, compare_sets=True)
+    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, compare_sets=True)
 
 
 def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRational | None:
@@ -296,10 +255,10 @@ def _gauge_candidate(
 ) -> tuple[Matrix, Matrix, GaussianRational] | None:
     """Try to read L (L @ K with transpose_first) as T.T kron S from the rank-one
     factor of its realignment; returns (S, inv-check T, scale) or None."""
-    n = phi.n
-    rows = zip(_realigned(phi.re, n, transpose_first), _realigned(phi.im, n, transpose_first))
+    n, l = phi.n, phi.matrix
+    rows = zip(_realigned(l.re, n, transpose_first), _realigned(l.im, n, transpose_first))
     try:
-        u, v = rank_one_factor(rows, phi.d)
+        u, v = rank_one_factor(rows, l.d)
     except NotRankOne:
         return None
     s = unvec(u, n)
@@ -340,18 +299,16 @@ def _matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool)
     Column j*n + i of L is the image of E_ij, and entry (a, b) of
     S @ E_ij @ T is s[a, i] * t[j, b], so this is L == T.T kron S entrywise,
     or its transpose-first gather L[b*n + a, j*n + i] == s[a, j] * t[i, b].
-    It is decided in Gaussian integers, with L over its scale d, S over
-    sigma and T over tau: L_int[r][c] * sigma * tau is compared with
+    It is decided in the Gaussian-integer rows of L, S and T over their
+    scales d, s.d and t.d: L_int[r][c] * s.d * t.d is compared with
     d * S_int * T_int, once per entry of L.
     """
-    n, d = phi.n, phi.d
-    s_re, s_im, sigma = _common_integer_rows(s)
-    t_re, t_im, tau = _common_integer_rows(t)
-    k = sigma * tau
+    n, l = phi.n, phi.matrix
+    d, k = l.d, s.d * t.d
     digits = range(n)
-    s_rows = [[(d * x, d * y) for x, y in zip(s_re[a], s_im[a])] for a in digits]
+    s_rows = [[(d * x, d * y) for x, y in zip(s.re[a], s.im[a])] for a in digits]
     for b in digits:
-        t_col = [(t_re[j][b], t_im[j][b]) for j in digits]
+        t_col = [(t.re[j][b], t.im[j][b]) for j in digits]
         for a in digits:
             r = b * n + a
             # entry j*n + i of row r is expected to be outer[j] * inner[i]
@@ -359,7 +316,7 @@ def _matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool)
             expected = [
                 (pr * qr - pi * qi, pr * qi + pi * qr) for pr, pi in outer for qr, qi in inner
             ]
-            for x, y, (er, ei) in zip(phi.re[r], phi.im[r], expected):
+            for x, y, (er, ei) in zip(l.re[r], l.im[r], expected):
                 if x * k != er or y * k != ei:
                     return False
     return True
@@ -387,10 +344,13 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         )
     # Reaching here would mean a non-identity map survived every probe:
     # either a genuine violation or a gap in the probe suite.
+    # the first entry of L, row by row, that is not the identity's d / d or 0
     side = phi.n * phi.n
     l = phi.matrix
-    eye = [ONE if k % (side + 1) == 0 else ZERO for k in range(side * side)]
-    i, j = divmod(next(k for k, x in enumerate(l.entries) if x != eye[k]), side)
+    i, j = next(
+        (r, c) for r in range(side) for c in range(side)
+        if l.re[r][c] != (l.d if r == c else 0) or l.im[r][c]
+    )
     return PreserverReport(
         claim=1,
         status="violation-candidate",
@@ -400,7 +360,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             "all probes passed but the map is not the identity; "
             "treat as a probe-suite gap until re-checked",
         ),
-        discrepancy=(i, j, l[i, j], eye[i * side + j]),
+        discrepancy=(i, j, l[i, j], ONE if i == j else ZERO),
     )
 
 
@@ -411,7 +371,7 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         notes.append(
             f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
         )
-    residues = _residues(phi.re, phi.im)
+    residues = _residues(phi.matrix.re, phi.matrix.im)
     if not _is_bijective(phi, residues):
         notes.append("hypothesis not met: the map is not surjective")
         return PreserverReport(

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
-from .linalg import Matrix, _canonical_integers, rank
-from .scalars import GaussianRational
+from .linalg import Matrix, _from_parts, rank
 
 DENOMINATORS = (1, 2, 3)
 
@@ -58,24 +56,9 @@ def _draws(rng: random.Random, count: int) -> list[tuple[int, int, int, int]]:
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, tuple(
-        GaussianRational(Fraction(a, b), Fraction(c, d))
-        for a, b, c, d in _draws(rng, rows * cols)
-    ))
-
-
-def random_integer_rows(
-    rng: random.Random, rows: int, cols: int
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """random_matrix(rng, rows, cols) as Gaussian-integer rows and one scale.
-
-    Returns (re, im, e) with the drawn matrix equal to (re + i*im) / e,
-    where e, the lcm of the reduced denominators, is 1, 2, 3 or 6. No
-    Fraction is built.
-    """
-    re, im, e = _canonical_integers(_draws(rng, rows * cols))
-    starts = range(0, rows * cols, cols)
-    return [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts], e
+    """rows x cols entries from _draws, put on their canonical scale with
+    no Fraction built."""
+    return _from_parts(rows, cols, _draws(rng, rows * cols))
 
 
 def random_nonzero_column(rng: random.Random, n: int) -> Matrix:

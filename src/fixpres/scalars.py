@@ -2,12 +2,17 @@
 
 Every value is kept canonical: both parts are ``fractions.Fraction``
 instances, which store lowest terms with a positive denominator, so equal
-values always have identical representations (and identical hashes).
+values always have identical representations (and identical hashes). A
+GaussianRational is a single scalar: matrix entries are coerced from it
+and read back as it, but a Matrix stores Gaussian-integer rows, not
+scalars (see linalg).
 
 ``_scan_scalar`` scans each rational of the grammar, ``-?digits(/digits)?``
 with ASCII digits only (``[0-9]``), with one match of a compiled regex; it
 is the one scanner behind ``parse_scalar`` and the CLI's integer reader,
-and it builds no Fraction.
+and it builds no Fraction. ``_format_over`` writes an integer over a
+scale as ``format_scalar`` writes its value, also with no Fraction; it
+prints every matrix entry.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
 layout; each reshuffle below is a gather over rows or flat entries.
 
-A SuperOp holds L as canonical Gaussian-integer rows: every builder
-makes them directly, and SuperOp(n, matrix) scales its matrix once. No
-public call scales L again; the residues mod p that is_bijective and the
-probe checks read are made once per call.
+A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
+every builder makes them with the integer Matrix operations (kron,
+precompose_transpose), and no call converts L to another form. The
+residues mod p that is_bijective and the probe checks read are made once
+per call.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on packed rows; the exact rank over Q(i),
@@ -22,8 +23,7 @@ timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
-from math import gcd
+from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -34,16 +34,17 @@ from .linalg import (
     _P,
     _Scaled,
     _bareiss,
-    _common_integer_rows,
     _divided_row,
     _fields,
+    _from_parts,
     _full_rank_mod_p,
-    _integer_rows_matrix,
-    _kron_rows,
+    _matrix,
+    _over,
     _packed,
     _primitive,
     _residues,
     inverse,
+    kron,
 )
 
 MAX_SIDE = 16
@@ -55,7 +56,9 @@ class NotRankOne(ValueError):
 
 def vec(a: Matrix) -> Matrix:
     """Column-stacking vectorization: entry (i, j) goes to index j*rows + i."""
-    return Matrix(a.rows * a.cols, 1, a.transpose().entries)
+    t = a.transpose()
+    re, im = [(x,) for row in t.re for x in row], [(y,) for row in t.im for y in row]
+    return _matrix(1, re, im, a.d)
 
 
 def unvec(v: Matrix, rows: int, cols: int | None = None) -> Matrix:
@@ -63,7 +66,11 @@ def unvec(v: Matrix, rows: int, cols: int | None = None) -> Matrix:
         cols = rows
     if v.cols != 1 or v.rows != rows * cols:
         raise SizeMismatch(f"cannot unvec {v.rows}x{v.cols} into {rows}x{cols}")
-    return Matrix(cols, rows, v.entries).transpose()
+    # the cols x rows matrix whose row j is column j of the result
+    re, im = [x for (x,) in v.re], [y for (y,) in v.im]
+    starts = range(0, rows * cols, rows)
+    t_re, t_im = [re[k : k + rows] for k in starts], [im[k : k + rows] for k in starts]
+    return _matrix(rows, t_re, t_im, v.d).transpose()
 
 
 def _check_side(n: int) -> None:
@@ -71,84 +78,49 @@ def _check_side(n: int) -> None:
         raise ValueError(f"n must be in 1..{MAX_SIDE}, got {n}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SuperOp:
     """A linear map on n x n matrices, stored as its n^2 x n^2 matrix L.
 
-    L = (re + i*im) / d in canonical Gaussian-integer rows: d is the lcm
-    of the reduced denominators of L's entries, so gcd(d, every entry) = 1
-    and equal maps have equal fields (and equal hashes).
+    L is a Matrix, held in canonical Gaussian-integer rows, so equal maps
+    have equal fields (and equal hashes).
     """
 
     n: int
-    re: tuple[tuple[int, ...], ...]
-    im: tuple[tuple[int, ...], ...]
-    d: int
+    matrix: Matrix
 
-    def __init__(self, n: int, matrix: Matrix):
-        """The map whose n^2 x n^2 matrix is matrix, scaled once."""
-        _check_side(n)
-        side = n * n
-        if matrix.rows != side or matrix.cols != side:
+    def __post_init__(self):
+        _check_side(self.n)
+        side = self.n * self.n
+        if self.matrix.rows != side or self.matrix.cols != side:
             raise SizeMismatch(
-                f"superoperator for n={n} needs a {side}x{side} matrix, "
-                f"got {matrix.rows}x{matrix.cols}"
+                f"superoperator for n={self.n} needs a {side}x{side} matrix, "
+                f"got {self.matrix.rows}x{self.matrix.cols}"
             )
-        _set_rows(self, n, *_common_integer_rows(matrix))
-
-    @classmethod
-    def _of_rows(
-        cls, n: int, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], d: int
-    ) -> SuperOp:
-        """The map with L = (re + i*im) / d, for n^2 rows of n^2 Gaussian
-        integers over any scale d > 0: one gcd over d and every entry brings
-        them to canonical form."""
-        g = gcd(d, *chain.from_iterable(re), *chain.from_iterable(im))
-        if g > 1:
-            re = [[x // g for x in row] for row in re]
-            im = [[y // g for y in row] for row in im]
-        phi = object.__new__(cls)
-        _set_rows(phi, n, re, im, d // g)
-        return phi
-
-    @property
-    def matrix(self) -> Matrix:
-        """L as a Matrix, built on each request and not kept."""
-        return _integer_rows_matrix(self.re, self.im, self.d)
 
     def apply(self, a: Matrix) -> Matrix:
-        """The image of a, by _image on a scaled once."""
+        """The image of a, by _image on the rows of a."""
         if a.rows != self.n or a.cols != self.n:
             raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
-        return _integer_rows_matrix(*_image(self, *_common_integer_rows(a)))
-
-
-def _set_rows(
-    phi: SuperOp, n: int, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], d: int
-) -> None:
-    """Store n and the canonical rows on the frozen phi, as tuples."""
-    object.__setattr__(phi, "n", n)
-    object.__setattr__(phi, "re", tuple(map(tuple, re)))
-    object.__setattr__(phi, "im", tuple(map(tuple, im)))
-    object.__setattr__(phi, "d", d)
+        return _over(*_image(self, a.re, a.im, a.d), self.n)
 
 
 def _image(
     phi: SuperOp, a_re: Sequence[Sequence[int]], a_im: Sequence[Sequence[int]], e: int
 ) -> _Scaled:
     """The image under phi of the n x n matrix (a_re + i*a_im) / e, as
-    Gaussian-integer rows over the scale d * e.
+    Gaussian-integer rows over the scale d * e, with d the scale of L.
 
     It gathers the columns of L where vec(A) is nonzero, so each entry
     is an int dot product over the nonzero entries of A alone.
     """
-    n = phi.n
+    n, l = phi.n, phi.matrix
     digits = range(n)
     # vec(A)[j*n + i] = A[i][j]
     nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a_re, a_im))
                for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
     b_re, b_im = [], []
-    for l_re, l_im in zip(phi.re, phi.im):
+    for l_re, l_im in zip(l.re, l.im):
         acc_r = acc_i = 0
         for t, x, y in nonzero:
             p, q = l_re[t], l_im[t]
@@ -156,7 +128,7 @@ def _image(
             acc_i += p * y + q * x
         b_re.append(acc_r)
         b_im.append(acc_i)
-    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], phi.d * e
+    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
 
 
 def _packed_columns(residues: list[list[int]]) -> list[int]:
@@ -182,60 +154,46 @@ def _image_mod_p(columns: list[int], a: list[list[int]]) -> list[list[int]]:
 
 def identity_superop(n: int) -> SuperOp:
     _check_side(n)
-    side = n * n
-    zeros = [0] * side
-    unit_rows = [zeros[:r] + [1] + zeros[r + 1 :] for r in range(side)]
-    return SuperOp._of_rows(n, unit_rows, [zeros] * side, 1)
+    return SuperOp(n, Matrix.identity(n * n))
 
 
 def transpose_superop(n: int) -> SuperOp:
     """The map A -> A.T, whose matrix is the commutation matrix."""
-    return _precomposed_transpose(identity_superop(n))
+    return SuperOp(n, precompose_transpose(identity_superop(n).matrix, n))
 
 
 def similarity_superop(s: Matrix, scale) -> SuperOp:
     """The map A -> scale * S @ A @ inv(S); raises SingularMatrix otherwise.
 
     scale is an int, Fraction or GaussianRational; other types raise TypeError.
-    L = scale * inv(S).T kron S is the integer Kronecker product of the
-    rows of scale * inv(S).T and of S, each scaled once.
+    L = scale * inv(S).T kron S.
     """
     if not s.is_square:
         raise SingularMatrix(f"S must be square, got {s.rows}x{s.cols}")
     _check_side(s.rows)
-    return SuperOp._of_rows(s.rows, *_kron_rows(scale * inverse(s).transpose(), s))
+    return SuperOp(s.rows, kron(scale * inverse(s).transpose(), s))
 
 
 def transpose_similarity_superop(s: Matrix, scale) -> SuperOp:
     """The map A -> scale * S @ A.T @ inv(S)."""
-    return _precomposed_transpose(similarity_superop(s, scale))
-
-
-def _transpose_partner(n: int) -> list[int]:
-    """K's permutation: column c of L @ K is column partner[c] of L."""
-    return [(j % n) * n + j // n for j in range(n * n)]
-
-
-def _precomposed_transpose(phi: SuperOp) -> SuperOp:
-    """The map A -> phi(A.T): L @ K as a column gather over the rows of L,
-    which keeps them canonical."""
-    partner = _transpose_partner(phi.n)
-    return SuperOp._of_rows(
-        phi.n,
-        [[row[p] for p in partner] for row in phi.re],
-        [[row[p] for p in partner] for row in phi.im],
-        phi.d,
-    )
+    phi = similarity_superop(s, scale)
+    return SuperOp(phi.n, precompose_transpose(phi.matrix, phi.n))
 
 
 def precompose_transpose(l: Matrix, n: int) -> Matrix:
-    """l @ K for the permutation K with K @ vec(A) = vec(A.T), as a column gather."""
+    """l @ K for the permutation K with K @ vec(A) = vec(A.T): column c of
+    l @ K is column (c % n)*n + c // n of l, a gather that keeps the rows
+    canonical."""
     side = n * n
     if l.rows != side or l.cols != side:
         raise SizeMismatch(f"expected {side}x{side}, got {l.rows}x{l.cols}")
-    partner = _transpose_partner(n)
-    starts = range(0, side * side, side)
-    return Matrix(side, side, tuple(l.entries[r + p] for r in starts for p in partner))
+    partner = [(c % n) * n + c // n for c in range(side)]
+    return _matrix(
+        side,
+        [[row[p] for p in partner] for row in l.re],
+        [[row[p] for p in partner] for row in l.im],
+        l.d,
+    )
 
 
 def _realigned(rows: Sequence[Sequence], n: int, transpose_first: bool = False) -> Iterator[list]:
@@ -257,9 +215,8 @@ def realign(phi: SuperOp) -> Matrix:
     a, b, g, d < n. When L = T.T kron S this gives exactly
     M = vec(S) @ vec(T).T.
     """
-    return _integer_rows_matrix(
-        list(_realigned(phi.re, phi.n)), list(_realigned(phi.im, phi.n)), phi.d
-    )
+    n, l = phi.n, phi.matrix
+    return _matrix(n * n, list(_realigned(l.re, n)), list(_realigned(l.im, n)), l.d)
 
 
 def rank_one_factor(rows: Iterable[tuple[list[int], list[int]]], d: int) -> tuple[Matrix, Matrix]:
@@ -297,14 +254,14 @@ def rank_one_factor(rows: Iterable[tuple[list[int], list[int]]], d: int) -> tupl
                 )
         left_re.append(l_re)
         left_im.append(l_im)
-    u = Matrix(len(left_re), 1, tuple(_divided_row(left_re, left_im, p, q)))
-    v = Matrix(len(a_re), 1, tuple(_divided_row(a_re, a_im, d, 0)))
+    u = _from_parts(len(left_re), 1, _divided_row(left_re, left_im, p, q))
+    v = _from_parts(len(a_re), 1, _divided_row(a_re, a_im, d, 0))
     return u, v
 
 
 def is_bijective(phi: SuperOp) -> bool:
     """True exactly when the n^2 x n^2 matrix has full rank."""
-    return _is_bijective(phi, _residues(phi.re, phi.im))
+    return _is_bijective(phi, _residues(phi.matrix.re, phi.matrix.im))
 
 
 def _is_bijective(phi: SuperOp, residues: list[list[int]]) -> bool:
@@ -315,7 +272,7 @@ def _is_bijective(phi: SuperOp, residues: list[list[int]]) -> bool:
     Bareiss forward pass over a copy of the rows of L, each divided by its
     content, decides.
     """
-    side = phi.n * phi.n
+    side, l = phi.n * phi.n, phi.matrix
     return _full_rank_mod_p(residues) or len(
-        _bareiss(*_primitive(phi.re, phi.im), side, reduce=False)
+        _bareiss(*_primitive(l.re, l.im), side, reduce=False)
     ) == side

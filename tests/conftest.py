@@ -19,7 +19,7 @@ from fixpres import (
     similarity_superop,
 )
 from fixpres.cli import matrix_from_doc
-from fixpres.linalg import _common_integer_rows, _residues
+from fixpres.linalg import _residues
 from fixpres.superop import rank_one_factor, vec
 
 settings.register_profile(
@@ -65,9 +65,23 @@ def column_at(m: Matrix, j: int) -> Matrix:
 
 
 def residue_rows(m: Matrix) -> list[list[int]]:
-    """The rows of m scaled to Gaussian integers, as residues mod p."""
-    re, im, _ = _common_integer_rows(m)
-    return _residues(re, im)
+    """The Gaussian-integer rows of m, as residues mod p."""
+    return _residues(m.re, m.im)
+
+
+def count_entry_reads(monkeypatch, cols: int) -> list:
+    """Record the shape of each read of Matrix.entries, the GaussianRational
+    view, on a matrix with cols columns, such as the L of a map."""
+    reads = []
+    entries = Matrix.entries
+
+    def counted(m):
+        if m.cols == cols:
+            reads.append((m.rows, m.cols))
+        return entries.__get__(m)
+
+    monkeypatch.setattr(Matrix, "entries", property(counted))
+    return reads
 
 
 def contains(space: Subspace, v: Matrix) -> bool:
@@ -85,10 +99,8 @@ def superop_from_action(n: int, action) -> SuperOp:
 
 
 def factor(m: Matrix) -> tuple[Matrix, Matrix]:
-    """rank_one_factor on the rows of m, scaled to Gaussian integers over
-    one common scale."""
-    re, im, d = _common_integer_rows(m)
-    return rank_one_factor(zip(re, im), d)
+    """rank_one_factor on the Gaussian-integer rows of m over its scale."""
+    return rank_one_factor(zip(m.re, m.im), m.d)
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)

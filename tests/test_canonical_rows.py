@@ -1,13 +1,13 @@
-"""SuperOp holds L as canonical Gaussian-integer rows, from every builder.
+"""SuperOp holds L as a Matrix in canonical Gaussian-integer rows, from
+every builder.
 
-The builders make those rows directly: identity_superop, an integer
-Kronecker product in similarity_superop, a column gather in
+The builders make those rows with integer Matrix operations:
+identity_superop, kron in similarity_superop, precompose_transpose in
 transpose_similarity_superop, the integer parts of the CLI reader over
-their canonical scale, and SuperOp(n, matrix), which scales its
-matrix once. Each must give the map that SuperOp(n, m) gives for the
-Fraction matrix m of the reference construction below (a GaussianRational
-product per entry), with equal hashes; phi.matrix must be m entrywise, and
-the CLI's document must round-trip.
+their canonical scale, and random_matrix. Each must give the map that
+SuperOp(n, m) gives for the matrix m of the reference construction below
+(a GaussianRational product per entry), with equal hashes; phi.matrix must
+be m entrywise, and the CLI's document must round-trip.
 """
 
 import random
@@ -18,6 +18,7 @@ from math import gcd, lcm
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fixpres import cli
 from fixpres import (
     GaussianRational,
     Matrix,
@@ -109,10 +110,11 @@ def test_matrix_view_is_the_reference_construction(case):
 def test_rows_are_canonical(case):
     phi, _ = case
     side = phi.n * phi.n
-    assert phi.d > 0
-    assert gcd(phi.d, *chain.from_iterable(phi.re), *chain.from_iterable(phi.im)) == 1
-    assert len(phi.re) == len(phi.im) == side
-    assert all(type(row) is tuple and len(row) == side for row in phi.re + phi.im)
+    l = phi.matrix
+    assert l.d > 0
+    assert gcd(l.d, *chain.from_iterable(l.re), *chain.from_iterable(l.im)) == 1
+    assert len(l.re) == len(l.im) == side
+    assert all(type(row) is tuple and len(row) == side for row in l.re + l.im)
 
 
 @given(built_maps())
@@ -143,8 +145,8 @@ def test_reader_takes_the_canonical_rows_of_mixed_denominators():
 
 def test_reader_never_builds_a_scale_beyond_the_canonical_one(monkeypatch):
     """81 entries k/k over distinct primes k read as the all-ones L with
-    scale 1, and the scale the reader hands to SuperOp is already 1, not
-    the lcm of the 81 primes as written."""
+    scale 1, and the scale the reader builds its Matrix over is already 1,
+    not the lcm of the 81 primes as written."""
     sieve = bytearray([1]) * 10**4
     sieve[:2] = b"\0\0"
     for p in range(2, 100):
@@ -155,14 +157,14 @@ def test_reader_never_builds_a_scale_beyond_the_canonical_one(monkeypatch):
     doc = {"n": 3, "vec_convention": "column",
            "L": {"n_rows": 9, "n_cols": 9, "entries": [texts[r * 9 : r * 9 + 9] for r in range(9)]}}
     scales = []
-    of_rows = SuperOp._of_rows.__func__
-    monkeypatch.setattr(SuperOp, "_of_rows", classmethod(
-        lambda cls, n, re, im, d: scales.append(d) or of_rows(cls, n, re, im, d)
-    ))
+    matrix = cli._matrix
+    monkeypatch.setattr(
+        cli, "_matrix", lambda cols, re, im, d: scales.append(d) or matrix(cols, re, im, d)
+    )
     phi = superop_from_doc(doc)
     assert scales == [1]
-    assert phi.d == 1
-    assert phi.re == ((1,) * 9,) * 9 and phi.im == ((0,) * 9,) * 9
+    assert phi.matrix.d == 1
+    assert phi.matrix.re == ((1,) * 9,) * 9 and phi.matrix.im == ((0,) * 9,) * 9
 
 
 @given(st.lists(st.tuples(
@@ -183,5 +185,5 @@ def test_zero_map_has_scale_one():
     doc = {"n": 1, "vec_convention": "column",
            "L": {"n_rows": 1, "n_cols": 1, "entries": [["0/7"]]}}
     phi = superop_from_doc(doc)
-    assert (phi.re, phi.im, phi.d) == (((0,),), ((0,),), 1)
+    assert (phi.matrix.re, phi.matrix.im, phi.matrix.d) == (((0,),), ((0,),), 1)
     assert similarity_superop(Matrix.identity(2), 0) == SuperOp(2, Matrix.zeros(4, 4))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fixpres
-from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_space, linalg
+from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_points, fixed_space, linalg
 from fixpres.cli import (
     EXIT_INTERNAL,
     InputError,
@@ -25,7 +25,7 @@ from fixpres.cli import (
 )
 from fixpres.linalg import InexactDivision
 
-from conftest import superop_from_action
+from conftest import count_entry_reads, superop_from_action
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -321,28 +321,16 @@ def test_fuzz_neg_similarity_family_fails(capsys):
 
 
 def test_fuzz_scales_each_map_once(capsys, monkeypatch):
-    """No fuzz trial scales L: the random family builds its canonical rows
-    straight from the drawn integers, and the probe check and classify read
-    those rows."""
-    scaled_sides = []
-
-    def counting(original):
-        def wrapper(m):
-            if m.cols == 9:  # L of an n = 3 map, not an n x n probe
-                scaled_sides.append(m.rows)
-            return original(m)
-        return wrapper
-
-    for module in (fixpres.linalg, fixpres.superop, fixpres.preserver):
-        monkeypatch.setattr(
-            module, "_common_integer_rows", counting(module._common_integer_rows)
-        )
+    """No fuzz trial reads L as GaussianRational entries: the random family
+    builds its canonical rows straight from the drawn integers, and the
+    probe check and classify read those rows."""
+    reads = count_entry_reads(monkeypatch, 9)  # L of an n = 3 map, not an n x n probe
     for family, code in (("similarity", 0), ("random", 1)):
         assert invoke(
             capsys,
             "fuzz", "--n", "3", "--family", family, "--trials", "2", "--seed", "0",
         )[0] == code
-    assert scaled_sides == []
+    assert reads == []
 
 
 def test_fuzz_echoes_seed_per_trial(capsys):
@@ -467,18 +455,20 @@ def test_result_over_the_digit_limit_exit_two(tmp_path, capsys):
 def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
     """A broken elimination invariant must surface, not become exit 2."""
 
-    def unscaled(m):
-        # skips the denominator clearing, so a Bareiss division is inexact
-        rows = m.to_rows()
-        return [[z.re for z in row] for row in rows], [[z.im for z in row] for row in rows], 1
+    m = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]])
+    assert m.d == 30
+
+    def unscaled(re, im):
+        # undoes the denominator clearing, so a Bareiss division is inexact
+        return (
+            [[Fraction(x, 30) for x in row] for row in re],
+            [[Fraction(y, 30) for y in row] for row in im],
+        )
 
     target = tmp_path / "fractions.json"
-    target.write_text(json.dumps(matrix_to_doc(Matrix.from_rows(
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]
-    ))))
-    monkeypatch.setattr(linalg, "_common_integer_rows", unscaled)
-    # the content division would fail on Fraction rows before Bareiss sees them
-    monkeypatch.setattr(linalg, "_primitive", lambda re, im: (re, im))
+    target.write_text(json.dumps(matrix_to_doc(m)))
+    for module in (linalg, fixed_points):
+        monkeypatch.setattr(module, "_primitive", unscaled)
     with pytest.raises(InexactDivision):
         run(["fixdim", "--matrix", str(target)])
 

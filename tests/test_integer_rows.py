@@ -1,12 +1,12 @@
-"""One-pass scaling to Gaussian integers and the column-gather image,
-against the two-step references they replaced.
+"""The rows a Matrix stores and the column-gather image, against the
+two-step references they replaced.
 
 reference_common_integer_rows scales each row over its own lcm with
 reference_integer_rows and then rescales every row to the lcm of those
 scales. reference_image lists the nonzero entries of every row of L
 with linalg._sparse and multiplies them by vec(A) with linalg._products.
-linalg._common_integer_rows and superop._image must give exactly what
-these give, scales included. superop._image_mod_p, a sum of L's packed
+The rows (re, im, d) that a Matrix holds and superop._image must give
+exactly what these give, scales included. superop._image_mod_p, a sum of L's packed
 columns, must give the residues of the exact image; at the carry limit
 it is compared with reference_image_mod_p, one dense dot product per
 row of residues.
@@ -36,7 +36,6 @@ from fixpres import linalg
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
-    _common_integer_rows,
     _products,
     _residues,
     _sparse,
@@ -90,8 +89,9 @@ def reference_image(phi: SuperOp, a_re: list[list[int]], a_im: list[list[int]], 
     # vec(A)[j*n + i] = A[i][j]
     u = [a_re[i][j] for j in digits for i in digits]
     v = [a_im[i][j] for j in digits for i in digits]
-    b_re, b_im = _products(_sparse(phi.re, phi.im), u, v)
-    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], phi.d * e
+    l = phi.matrix
+    b_re, b_im = _products(_sparse(l.re, l.im), u, v)
+    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
 
 
 def reference_image_mod_p(residues: list[list[int]], a: list[list[int]]):
@@ -165,25 +165,30 @@ def probes(draw, n):
 # ---------------------------------------------------------------------------
 # scaling
 
+def stored_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
+    """The rows (re, im) and scale d that m holds, as lists."""
+    return list(map(list, m.re)), list(map(list, m.im)), m.d
+
+
 @given(maps())
 def test_scaling_of_l_matches_reference(phi):
-    assert _common_integer_rows(phi.matrix) == reference_common_integer_rows(phi.matrix)
+    assert stored_rows(phi.matrix) == reference_common_integer_rows(phi.matrix)
 
 
 @given(matrices())
 def test_scaling_of_drawn_matrices_matches_reference(m):
-    assert _common_integer_rows(m) == reference_common_integer_rows(m)
+    assert stored_rows(m) == reference_common_integer_rows(m)
 
 
 @given(matrices(rows=1, cols=1))
 def test_scaling_of_one_by_one_matches_reference(m):
-    assert _common_integer_rows(m) == reference_common_integer_rows(m)
+    assert stored_rows(m) == reference_common_integer_rows(m)
 
 
 @given(st.data())
 def test_scaling_of_probes_matches_reference(data):
     a = data.draw(probes(data.draw(st.integers(1, 5))))
-    assert _common_integer_rows(a) == reference_common_integer_rows(a)
+    assert stored_rows(a) == reference_common_integer_rows(a)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +196,7 @@ def test_scaling_of_probes_matches_reference(data):
 
 @given(maps(), st.data())
 def test_gathered_image_matches_reference(phi, data):
-    rows = _common_integer_rows(data.draw(probes(phi.n)))
+    rows = stored_rows(data.draw(probes(phi.n)))
     assert _image(phi, *rows) == reference_image(phi, *rows)
 
 
@@ -200,7 +205,7 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
     n = phi.n
     units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
     for a in [Matrix.zeros(n, n), *units, *structured_probes(n)]:
-        rows = _common_integer_rows(a)
+        rows = stored_rows(a)
         assert _image(phi, *rows) == reference_image(phi, *rows)
 
 
@@ -209,8 +214,8 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
 
 @given(maps(), st.data())
 def test_packed_image_mod_p_is_the_exact_image_mod_p(phi, data):
-    columns = _packed_columns(_residues(phi.re, phi.im))
-    re, im, e = _common_integer_rows(data.draw(probes(phi.n)))
+    columns = _packed_columns(_residues(phi.matrix.re, phi.matrix.im))
+    re, im, e = stored_rows(data.draw(probes(phi.n)))
     assert _image_mod_p(columns, _residues(re, im)) == _residues(*_image(phi, re, im, e)[:2])
 
 

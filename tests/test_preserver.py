@@ -33,23 +33,27 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import fixed_points, linalg, preserver, superop
+from fixpres import fixed_points, preserver
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
     _bareiss,
-    _common_integer_rows,
     _full_rank_mod_p,
-    _integer_rows_matrix,
     _residues,
     inverse,
     rank,
 )
 from fixpres.preserver import probe_suite, structured_probes
-from fixpres.sampling import random_integer_rows
 from fixpres.scalars import ONE, ZERO
 
-from conftest import matrices, residue_rows, row_vector, square_matrices, superop_from_action
+from conftest import (
+    count_entry_reads,
+    matrices,
+    residue_rows,
+    row_vector,
+    square_matrices,
+    superop_from_action,
+)
 
 
 def _first_nonzero_gauge(m: Matrix) -> Matrix:
@@ -129,7 +133,6 @@ def test_refutation_in_structured_prefix_draws_no_random_probe(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(preserver, "random_integer_rows", counted(random_integer_rows))
     monkeypatch.setattr(preserver, "random_matrix", counted(random_matrix))
     verdict = check_dim_preserving(phi, trials=20, seed=0)
     assert (verdict.outcome, verdict.probes_run) == ("counterexample", 3)
@@ -139,20 +142,23 @@ def test_refutation_in_structured_prefix_draws_no_random_probe(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3])
 def test_integer_probe_stream_is_the_probe_suite(n, seed):
-    stream = [_integer_rows_matrix(*p) for p in preserver._probe_rows(n, 7, seed)]
-    assert stream == probe_suite(n, 7, seed)
+    """The lazy stream the checks walk is the structured probes, then one
+    random_matrix per trial from its own derived generator."""
+    stream = list(preserver._probes(n, 7, seed))
+    drawn = [random_matrix(derive_rng(seed, "probe", k), n, n) for k in range(7)]
+    assert stream == probe_suite(n, 7, seed) == structured_probes(n) + drawn
 
 
 def test_passing_check_sees_the_probe_suite_in_order(monkeypatch):
     seen = []
-    stream = preserver._probe_rows
+    stream = preserver._probes
 
     def recorded(*args):
         for probe in stream(*args):
-            seen.append(_integer_rows_matrix(*probe))
+            seen.append(probe)
             yield probe
 
-    monkeypatch.setattr(preserver, "_probe_rows", recorded)
+    monkeypatch.setattr(preserver, "_probes", recorded)
     suite = probe_suite(3, trials=6, seed=11)
     for check in (check_dim_preserving, check_set_preserving):
         seen.clear()
@@ -334,7 +340,8 @@ def _count_bareiss_calls(monkeypatch) -> list:
         calls.append(args)
         return _bareiss(*args, **kwargs)
 
-    monkeypatch.setattr(preserver, "_bareiss", counted)
+    for module in (fixed_points, preserver):
+        monkeypatch.setattr(module, "_bareiss", counted)
     return calls
 
 
@@ -367,8 +374,7 @@ def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
     shifted = (probe - eye, phi.apply(probe) - eye)
     assert not all(_full_rank_mod_p(residue_rows(m)) for m in shifted)
     assert rank(shifted[0]) == 3
-    rows = _common_integer_rows(probe)
-    monkeypatch.setattr(preserver, "_structured", lambda n: ((probe,), (rows,)))
+    monkeypatch.setattr(preserver, "_structured", lambda n: (probe,))
     calls = _count_bareiss_calls(monkeypatch)
     verdict = check_dim_preserving(phi, 0, 0)
     assert len(calls) == 2
@@ -382,27 +388,27 @@ def test_certified_probes_skip_bareiss(monkeypatch):
     point reach Bareiss: two forward passes each, on A - I and phi(A) - I."""
     n = 4
     phi = similarity_superop(random_invertible(derive_rng(0, "certificate"), n), 1)
+    with_fixed_points = [p for p in structured_probes(n) if dim_fixed(p) > 0]
+    assert len(with_fixed_points) == 6
     calls = _count_bareiss_calls(monkeypatch)
     verdict = check_dim_preserving(phi, trials=50, seed=0)
     assert (verdict.outcome, verdict.probes_run) == ("pass", len(structured_probes(n)) + 50)
-    with_fixed_points = [p for p in structured_probes(n) if dim_fixed(p) > 0]
-    assert len(with_fixed_points) == 6
     assert len(calls) == 2 * len(with_fixed_points)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cached_structured_rows_survive_checks(n):
-    """The structured probes and their integer rows are built once per n
-    and shared by every check; no pass or counterexample mutates them."""
+    """The structured probes are built once per n and shared by every
+    check; no pass or counterexample changes them."""
     phi = similarity_superop(random_invertible(derive_rng(0, "cache", n), n), 1)
     side = n * n
     random_map = SuperOp(n, random_matrix(derive_rng(0, "cache-random", n), side, side))
     assert check_dim_preserving(phi, trials=5).outcome == "pass"
     assert check_dim_preserving(random_map, trials=5).outcome == "counterexample"
     assert check_set_preserving(phi, trials=5).outcome == "counterexample"
-    cached_probes, cached_rows = preserver._structured(n)
-    assert list(cached_probes) == structured_probes(n) == _arithmetic_structured_probes(n)
-    assert list(cached_rows) == [_common_integer_rows(p) for p in _arithmetic_structured_probes(n)]
+    cached = preserver._structured(n)
+    assert list(cached) == structured_probes(n) == _arithmetic_structured_probes(n)
+    assert [str(p) for p in cached] == [str(p) for p in _arithmetic_structured_probes(n)]
 
 
 def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
@@ -462,8 +468,7 @@ def shifted_probes(draw):
 @given(shifted_probes())
 def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
     n = a.rows
-    re, im, e = _common_integer_rows(a)
-    if preserver._regular_mod_p(_residues(re, im), e):
+    if preserver._regular_mod_p(_residues(a.re, a.im), a.d):
         assert rank(a - Matrix.identity(n)) == n
 
 
@@ -473,8 +478,8 @@ def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
 
 
 def _ranks_agree(a: Matrix, b: Matrix, compare_sets: bool) -> bool:
-    x = preserver._fixed_rows(*_common_integer_rows(a))
-    y = preserver._fixed_rows(*_common_integer_rows(b))
+    x = fixed_points._fixed_rows(a.re, a.im, a.d)
+    y = fixed_points._fixed_rows(b.re, b.im, b.d)
     return preserver._same_fixed(x, y, a.rows, compare_sets)
 
 
@@ -767,52 +772,35 @@ def test_dim_verdict_random_bijective_usually_counterexample():
 
 
 # ---------------------------------------------------------------------------
-# L is scaled to Gaussian integers once: when SuperOp(n, matrix) is built.
-# The builders make the canonical rows directly, and no public call scales
-# L again.
-
-def _count_scalings(monkeypatch, side: int) -> list:
-    """Record each scaling of entries of an N x N matrix to Gaussian
-    integers, by _common_integer_rows in every module that uses it: the
-    whole of L, or one row of it (a 1 x N input)."""
-    calls = []
-
-    def counted(m):
-        if m.cols == side:
-            calls.append((m.rows, m.cols))
-        return _common_integer_rows(m)
-
-    for module in (linalg, superop, preserver):
-        monkeypatch.setattr(module, "_common_integer_rows", counted)
-    return calls
-
+# L is put on its canonical scale once: when its Matrix is built. The
+# builders make the canonical rows with integer operations, and no call
+# reads L as GaussianRational entries (Matrix.entries) after that.
 
 _S3 = random_invertible(derive_rng(0, "scale-once"), 3)
 
 
 @pytest.mark.parametrize(
-    "build, scalings",
+    "build",
     [
-        (lambda: identity_superop(3), []),
-        (lambda: similarity_superop(_S3, 1), []),
-        (lambda: similarity_superop(_S3, -1), []),
-        (lambda: transpose_similarity_superop(_S3, 1), []),
-        (lambda: SuperOp(3, random_matrix(derive_rng(0, "scale-once-random"), 9, 9)), [(9, 9)]),
+        lambda: identity_superop(3),
+        lambda: similarity_superop(_S3, 1),
+        lambda: similarity_superop(_S3, -1),
+        lambda: transpose_similarity_superop(_S3, 1),
+        lambda: SuperOp(3, random_matrix(derive_rng(0, "scale-once-random"), 9, 9)),
     ],
     ids=["identity", "similarity", "negated-similarity", "transpose-similarity", "random"],
 )
-def test_dim_verdict_scales_l_once(build, scalings, monkeypatch):
-    calls = _count_scalings(monkeypatch, 9)
+def test_dim_verdict_scales_l_once(build, monkeypatch):
+    reads = count_entry_reads(monkeypatch, 9)
     phi = build()
-    assert calls == scalings
     dim_preserver_verdict(phi)
-    assert calls == scalings
+    assert reads == []
 
 
 def test_set_verdict_scales_l_once(monkeypatch):
-    calls = _count_scalings(monkeypatch, 9)
+    reads = count_entry_reads(monkeypatch, 9)
     assert set_preserver_verdict(identity_superop(3)).status == "consistent"
-    assert calls == []
+    assert reads == []
 
 
 _PUBLIC_CALLS = {
@@ -828,9 +816,9 @@ _PUBLIC_CALLS = {
 
 @pytest.mark.parametrize("call", list(_PUBLIC_CALLS))
 def test_each_public_call_scales_l_once(call, monkeypatch):
-    """The map is built from a Matrix, which scales L once; the call never
-    scales it again."""
+    """The map's L is a Matrix, put on its canonical scale once; the call
+    never reads it as GaussianRational entries."""
     phi = SuperOp(3, transpose_similarity_superop(_S3, 1).matrix)
-    calls = _count_scalings(monkeypatch, 9)
+    reads = count_entry_reads(monkeypatch, 9)
     _PUBLIC_CALLS[call](phi)
-    assert calls == []
+    assert reads == []

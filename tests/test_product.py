@@ -18,14 +18,7 @@ from fixpres import (
     derive_rng,
     random_matrix,
 )
-from fixpres.linalg import (
-    _common_integer_rows,
-    _integer_rows_matrix,
-    _residues,
-    inverse,
-    kron,
-    rank,
-)
+from fixpres.linalg import _over, _residues, inverse, kron, rank
 from fixpres.scalars import ZERO
 from fixpres.superop import _image, _image_mod_p, _packed_columns, unvec, vec
 
@@ -154,14 +147,13 @@ def test_apply_each_matches_apply(seed):
     n = 3
     phi = SuperOp(n, random_matrix(rng, n * n, n * n))
     ms = [random_matrix(rng, n, n) for _ in range(4)] + [Matrix.zeros(n, n)]
-    columns = _packed_columns(_residues(phi.re, phi.im))
-    assert [_integer_rows_matrix(*_image(phi, *_common_integer_rows(m))) for m in ms] == [
-        phi.apply(m) for m in ms
-    ]
+    l = phi.matrix
+    columns = _packed_columns(_residues(l.re, l.im))
+    assert [_over(*_image(phi, m.re, m.im, m.d), n) for m in ms] == [phi.apply(m) for m in ms]
     for m in ms:
-        re, im, e = _common_integer_rows(m)
+        re, im, e = m.re, m.im, m.d
         b_re, b_im, scale = _image(phi, re, im, e)
-        assert scale == phi.d * e
+        assert scale == l.d * e
         assert _image_mod_p(columns, _residues(re, im)) == _residues(b_re, b_im)
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
