@@ -26,14 +26,12 @@ from .superop import (
 from .sampling import derive_rng, random_invertible, random_matrix, random_rank_one_idempotent
 from .preserver import (
     Classification,
-    NotRankOneIdempotent,
     PreserverReport,
     Verdict,
     check_dim_preserving,
     check_set_preserving,
     classify,
     dim_preserver_verdict,
-    idempotent_shift_ratio,
     set_preserver_verdict,
 )
 
@@ -71,8 +69,6 @@ __all__ = [
     "check_set_preserving",
     "set_preserver_verdict",
     "dim_preserver_verdict",
-    "idempotent_shift_ratio",
-    "NotRankOneIdempotent",
     "Classification",
     "Verdict",
     "PreserverReport",

@@ -185,6 +185,8 @@ def _load_json(path: str):
     except ValueError as exc:
         # JSONDecodeError, bad UTF-8, or an integer over the digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def verdict_to_doc(verdict: Verdict, condition: str) -> dict:

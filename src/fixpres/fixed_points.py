@@ -2,29 +2,30 @@
 
 The fixed-point space of A is the kernel of A - I. Its dimension is the
 geometric multiplicity of eigenvalue 1 and is computed exactly, from the
-echelon rows of A - I that _fixed_rows gives: dim_fixed, fixed_space and
-the probe checks of the preserver module all read them.
+echelon rows of A - I that _fixed_rows gives by one forward pass of
+linalg._echelon: dim_fixed, fixed_space and the probe checks of the
+preserver module all read them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, NotSquare, Subspace, _Rows, _bareiss, _kernel, _primitive
+from .linalg import Matrix, NotSquare, Subspace, _Rows, _echelon, _kernel
 
 
 def _fixed_rows(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], e: int) -> _Rows:
     """Nonzero echelon rows of M - I, for the square M = (re + i*im) / e
     given by Gaussian-integer rows over any scale e; their kernel is F(M).
 
-    M - I is scaled by e, so only its diagonal entries move, and each row
-    is divided by its content before the forward pass.
+    M - I is scaled by e, so only its diagonal entries move; one forward
+    pass of _echelon gives the rows.
     """
     shifted = [list(row) for row in re]
     for k, row in enumerate(shifted):
         row[k] -= e
-    x_re, x_im = _primitive(shifted, im)
-    r = len(_bareiss(x_re, x_im, len(re), reduce=False))
+    x_re, x_im, pivots = _echelon(shifted, im, len(re))
+    r = len(pivots)
     return x_re[:r], x_im[:r]
 
 

@@ -6,8 +6,13 @@ gcd(d, every entry) = 1 and equal matrices have equal fields. Every
 operation reads and builds those rows; GaussianRational entries are
 views built on request. All values are immutable and every operation is
 pure. Rank and kernel decisions are bit-exact: there is no tolerance
-anywhere in this module, and fraction-free Bareiss elimination over the
-Gaussian integers is its one elimination kernel.
+anywhere in this module.
+
+Every exact elimination in the package (rank, echelon rows, RREF,
+kernel, inverse) goes through _echelon: fraction-free Bareiss
+elimination over the Gaussian integers on rows divided by their content.
+Its Gauss-Jordan pass leaves one common pivot, so an RREF, an inverse or
+a kernel vector is read with one division by it, or none.
 
 Subspaces are stored in a unique canonical form (the transpose of the
 stored basis is in reduced row echelon form), so subspace equality is a
@@ -56,9 +61,9 @@ def _as_scalar(value) -> GaussianRational:
 
 
 # Integer parts (a, b, c, e) of the Gaussian rational a/b + (c/e)i, with
-# b, e > 0 and not necessarily reduced.
+# b, e > 0 and not necessarily reduced: the form of entries written over
+# many denominators (the constructor, random draws, the CLI reader).
 _Parts = tuple[int, int, int, int]
-_ZERO_PARTS = (0, 1, 0, 1)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -351,17 +356,6 @@ def _products(
     return out_re, out_im
 
 
-def _primitive(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> _Rows:
-    """The rows re + i*im, each divided by its content (the gcd of its
-    integers), as new lists; the row space does not change."""
-    out_re, out_im = [], []
-    for row_re, row_im in zip(re, im):
-        g = gcd(*row_re, *row_im)
-        out_re.append([x // g for x in row_re] if g > 1 else list(row_re))
-        out_im.append([x // g for x in row_im] if g > 1 else list(row_im))
-    return out_re, out_im
-
-
 def _bareiss(
     re: list[list[int]], im: list[list[int]], n_cols: int, reduce: bool
 ) -> list[int]:
@@ -374,10 +368,12 @@ def _bareiss(
     Sylvester's identity makes every division exact, so the entries stay
     Gaussian integers (minors of the input). The forward pass clears the
     rows below each pivot and leaves a row echelon form whose first
-    len(pivots) rows are nonzero and span the input's row space. With
-    reduce, the rows above are cleared too (fraction-free Gauss-Jordan):
-    then each pivot row divided by its pivot is the corresponding row of
-    the RREF.
+    len(pivots) rows are nonzero and span the input's row space; the rows
+    below them are zero. With reduce, the rows above are cleared too
+    (fraction-free Gauss-Jordan), which leaves every pivot entry equal to
+    the last pivot: the rows over that one pivot are the RREF.
+
+    Call it through _echelon, which copies the rows first.
     """
     n_rows = len(re)
     pivots: list[int] = []
@@ -424,46 +420,67 @@ def _bareiss(
     return pivots
 
 
-def _eliminate(
-    m: Matrix, reduce: bool
+def _echelon(
+    re: Sequence[Sequence[int]],
+    im: Sequence[Sequence[int]],
+    n_cols: int,
+    reduce: bool = False,
 ) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """_bareiss on the rows of m, each divided by its content.
+    """The one way into elimination: _bareiss on copies of the rows
+    re + i*im, each divided by its content (the gcd of its integers),
+    which leaves the row space as it is.
 
     Returns the real parts, imaginary parts and pivot columns of the
-    eliminated rows.
+    eliminated rows. With reduce, every pivot entry equals the last one
+    (see _bareiss), which _pivot reads.
     """
-    re, im = _primitive(m.re, m.im)
-    return re, im, _bareiss(re, im, m.cols, reduce)
+    out_re, out_im = [], []
+    for row_re, row_im in zip(re, im):
+        g = gcd(*row_re, *row_im)
+        out_re.append([x // g for x in row_re] if g > 1 else list(row_re))
+        out_im.append([x // g for x in row_im] if g > 1 else list(row_im))
+    return out_re, out_im, _bareiss(out_re, out_im, n_cols, reduce)
 
 
-def _divided_row(
-    row_r: Sequence[int], row_i: Sequence[int], d_r: int, d_i: int
-) -> list[_Parts]:
-    """The integer parts of the entries of the Gaussian-integer row
-    divided by d_r + d_i*i."""
-    norm = d_r * d_r + d_i * d_i
-    return [
-        (ar * d_r + ai * d_i, norm, ai * d_r - ar * d_i, norm) for ar, ai in zip(row_r, row_i)
-    ]
+def _pivot(
+    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], pivots: Sequence[int]
+) -> tuple[int, int]:
+    """The common pivot (real, imaginary) of Gauss-Jordan rows from
+    _echelon, or 1 when there is no pivot."""
+    if not pivots:
+        return 1, 0
+    k, col = len(pivots) - 1, pivots[-1]
+    return re[k][col], im[k][col]
+
+
+def _divided(
+    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], pr: int, pi: int, cols: int
+) -> Matrix:
+    """The matrix (re + i*im) / (pr + i*pi): the rows times the conjugate
+    pr - i*pi, over the norm pr**2 + pi**2."""
+    return _over(
+        [[x * pr + y * pi for x, y in zip(xs, ys)] for xs, ys in zip(re, im)],
+        [[y * pr - x * pi for x, y in zip(xs, ys)] for xs, ys in zip(re, im)],
+        pr * pr + pi * pi,
+        cols,
+    )
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form of m with rank and pivot columns.
 
     The RREF is unique, which is what makes canonical subspace bases and
-    bitwise subspace equality possible downstream.
+    bitwise subspace equality possible downstream. It is the Gauss-Jordan
+    rows of _echelon over their one common pivot; the rows below the
+    pivot rows are zero.
     """
-    re, im, pivots = _eliminate(m, reduce=True)
-    parts: list[_Parts] = []
-    for row, col in enumerate(pivots):
-        parts += _divided_row(re[row], im[row], re[row][col], im[row][col])
-    parts += [_ZERO_PARTS] * ((m.rows - len(pivots)) * m.cols)
-    return _from_parts(m.rows, m.cols, parts), len(pivots), tuple(pivots)
+    re, im, pivots = _echelon(m.re, m.im, m.cols, reduce=True)
+    return _divided(re, im, *_pivot(re, im, pivots), m.cols), len(pivots), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     """Rank of m, from the forward elimination pass alone."""
-    return len(_eliminate(m, reduce=False)[2])
+    return len(_echelon(m.re, m.im, m.cols)[2])
 
 
 # A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that
@@ -579,44 +596,42 @@ def kernel_basis(m: Matrix) -> Subspace:
 
 def _kernel(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], n_cols: int) -> Subspace:
     """Canonical basis of the null space of the Gaussian-integer rows
-    re + i*im, from a Gauss-Jordan pass over copies divided by their content."""
-    re, im = _primitive(re, im)
-    pivots = _bareiss(re, im, n_cols, reduce=True)
+    re + i*im, from one Gauss-Jordan pass (_echelon)."""
+    re, im, pivots = _echelon(re, im, n_cols, reduce=True)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     if not free_cols:
         return Subspace.zero(n_cols)
-    # Entry pivots[k] of the vector of a free column f is -R[k][f], with R
-    # the RREF: minus[k] holds those entries of row k, over its pivot.
-    minus = [
-        _divided_row(
-            [-re[k][f] for f in free_cols], [-im[k][f] for f in free_cols], re[k][c], im[k][c]
-        )
-        for k, c in enumerate(pivots)
-    ]
-    parts: list[_Parts] = []
-    for t, free in enumerate(free_cols):
-        vector = [_ZERO_PARTS] * n_cols
-        vector[free] = (1, 1, 0, 1)
+    # The vector of a free column f is 1 at f and -R[k][f] at pivots[k],
+    # with R the RREF; scaled by the common pivot p it is p at f and minus
+    # the Gauss-Jordan entry at pivots[k], Gaussian integers that
+    # spanned_by_columns puts on their canonical scale.
+    pr, pi = _pivot(re, im, pivots)
+    vectors_re, vectors_im = [], []
+    for free in free_cols:
+        v_re, v_im = [0] * n_cols, [0] * n_cols
+        v_re[free], v_im[free] = pr, pi
         for k, piv in enumerate(pivots):
-            vector[piv] = minus[k][t]
-        parts += vector
-    return Subspace.spanned_by_columns(_from_parts(len(free_cols), n_cols, parts).transpose())
+            v_re[piv], v_im[piv] = -re[k][free], -im[k][free]
+        vectors_re.append(v_re)
+        vectors_im.append(v_im)
+    return Subspace.spanned_by_columns(_matrix(n_cols, vectors_re, vectors_im, 1).transpose())
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrix when rank is deficient."""
+    """Exact inverse; raises SingularMatrix when rank is deficient.
+
+    The right half of the Gauss-Jordan rows of [m, I] over their common
+    pivot."""
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
     n = m.rows
-    re, im, pivots = _eliminate(m.hstack(Matrix.identity(n)), reduce=True)
+    aug = m.hstack(Matrix.identity(n))
+    re, im, pivots = _echelon(aug.re, aug.im, 2 * n, reduce=True)
     left_rank = sum(1 for p in pivots if p < n)
     if left_rank < n:
         raise SingularMatrix(f"rank {left_rank} < {n}")
-    parts: list[_Parts] = []
-    for i in range(n):
-        parts += _divided_row(re[i][n:], im[i][n:], re[i][i], im[i][i])
-    return _from_parts(n, n, parts)
+    return _divided([row[n:] for row in re], [row[n:] for row in im], *_pivot(re, im, pivots), n)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -30,8 +30,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import _fixed_rows, fixed_space
-from .linalg import Matrix, _P, _Rows, _bareiss, _full_rank_mod_p, _primitive, _residues, rank
-from .rank_one import is_idempotent
+from .linalg import Matrix, _P, _Rows, _echelon, _full_rank_mod_p, _residues, rank
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -55,10 +54,6 @@ UNSTRUCTURED = "unstructured"
 
 OUTCOME_PASS = "pass"
 OUTCOME_COUNTEREXAMPLE = "counterexample"
-
-
-class NotRankOneIdempotent(ValueError):
-    """The supplied P is not a rank-one idempotent."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +162,7 @@ def _same_fixed(x: _Rows, y: _Rows, n: int, compare_sets: bool) -> bool:
     r = len(x_re)
     if r != len(y_re) or not compare_sets or r == n:
         return r == len(y_re)
-    return len(_bareiss(*_primitive(x_re + y_re, x_im + y_im), n, reduce=False)) == r
+    return len(_echelon(x_re + y_re, x_im + y_im, n)[2]) == r
 
 
 def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
@@ -229,25 +224,6 @@ def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdi
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
     return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, compare_sets=True)
-
-
-def idempotent_shift_ratio(phi: SuperOp, p: Matrix, a: Matrix) -> GaussianRational | None:
-    """Scalar r with phi(A) + P = r * (A + P), or None if not proportional.
-
-    P must be a rank-one idempotent. The ratio is decided exactly: the
-    two shifted matrices must be proportional entrywise.
-    """
-    if not (p.is_square and p.rows == phi.n and rank(p) == 1 and is_idempotent(p)):
-        raise NotRankOneIdempotent("P must be a rank-one idempotent of matching size")
-    left = phi.apply(a) + p
-    right = a + p
-    if right.is_zero:
-        return ONE if left.is_zero else None
-    anchor = next(idx for idx, val in enumerate(right.entries) if val)
-    ratio = left.entries[anchor] / right.entries[anchor]
-    if left == ratio * right:
-        return ratio
-    return None
 
 
 def _gauge_candidate(

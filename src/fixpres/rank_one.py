@@ -1,4 +1,4 @@
-"""Rank-one operator calculus: outer products x.f and idempotency.
+"""Rank-one operator calculus: outer products x.f and idempotent completion.
 
 A rank-one operator maps y to f(y)*x for a column x and a functional f
 (a row vector). It is idempotent exactly when f(x) = 1, and then its
@@ -7,7 +7,7 @@ fixed-point space is the line spanned by x.
 
 from __future__ import annotations
 
-from .linalg import Matrix, NotSquare, SizeMismatch, inverse, rank
+from .linalg import Matrix, NotSquare, SizeMismatch, _divided, _echelon, _pivot
 
 
 class ZeroFactor(ValueError):
@@ -29,42 +29,25 @@ def rank_one(x: Matrix, f: Matrix) -> Matrix:
     return x @ f
 
 
-def is_idempotent(p: Matrix) -> bool:
-    if not p.is_square:
-        raise NotSquare(f"{p.rows}x{p.cols}")
-    return p @ p == p
-
-
-def _dual_functional(x: Matrix, ax: Matrix) -> Matrix:
-    """Functional f with f(x) = 1 and f(ax) = 0.
-
-    Extends {x, ax} to a basis by appending standard basis vectors in
-    index order whenever they keep the set independent, then takes the
-    first row of the inverse basis matrix. Deterministic and exact.
-    """
-    n = x.rows
-    basis = x.hstack(ax)
-    for k in range(n):
-        if basis.cols == n:
-            break
-        candidate = basis.hstack(Matrix.column([1 if i == k else 0 for i in range(n)]))
-        if rank(candidate) > basis.cols:
-            basis = candidate
-    return Matrix(1, n, tuple(inverse(basis)[0, j] for j in range(n)))
-
-
 def completion_idempotent(a: Matrix, x: Matrix) -> Matrix:
     """Rank-one idempotent P with (a + P) @ x = x.
 
     Requires x and a@x linearly independent. P = (x - a@x) @ f where f
-    sends x to 1 and a@x to 0.
+    sends x to 1 and a@x to 0: f is the first row of inv(B), for B the
+    basis [x, a@x, e_k, ...] that adds the standard basis vectors e_k in
+    index order whenever they keep the set independent. Those are the
+    pivot columns of [x, a@x, I], so the last n columns of its RREF are
+    inv(B), and one Gauss-Jordan pass gives f.
     """
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols}")
     if x.cols != 1 or x.rows != a.rows:
         raise SizeMismatch(f"x must be {a.rows}x1, got {x.rows}x{x.cols}")
+    n = a.rows
     ax = a @ x
-    if rank(x.hstack(ax)) != 2:
+    aug = x.hstack(ax).hstack(Matrix.identity(n))
+    re, im, pivots = _echelon(aug.re, aug.im, n + 2, reduce=True)
+    if pivots[:2] != [0, 1]:
         raise DependentPair("x and A@x are linearly dependent")
-    f = _dual_functional(x, ax)
+    f = _divided([re[0][2:]], [im[0][2:]], *_pivot(re, im, pivots), n)
     return (x - ax) @ f

@@ -14,10 +14,12 @@ residues mod p that is_bijective and the probe checks read are made once
 per call.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
-elimination modulo a prime on packed rows; the exact rank over Q(i),
-which the minors of a similarity's Kronecker product make slow, runs
-only when that elimination finds the matrix singular. The README gives
-timings.
+elimination modulo a prime on packed rows; the exact rank over Q(i)
+(linalg.rank), which the minors of a similarity's Kronecker product make
+slow, runs only when that elimination finds the matrix singular. The
+README gives timings. No elimination over Q(i) runs here other than
+through linalg: rank_one_factor reads u and v off the anchor row and
+column with one division each.
 """
 
 from __future__ import annotations
@@ -33,18 +35,16 @@ from .linalg import (
     SizeMismatch,
     _P,
     _Scaled,
-    _bareiss,
-    _divided_row,
+    _divided,
     _fields,
-    _from_parts,
     _full_rank_mod_p,
     _matrix,
     _over,
     _packed,
-    _primitive,
     _residues,
     inverse,
     kron,
+    rank,
 )
 
 MAX_SIDE = 16
@@ -254,8 +254,8 @@ def rank_one_factor(rows: Iterable[tuple[list[int], list[int]]], d: int) -> tupl
                 )
         left_re.append(l_re)
         left_im.append(l_im)
-    u = _from_parts(len(left_re), 1, _divided_row(left_re, left_im, p, q))
-    v = _from_parts(len(a_re), 1, _divided_row(a_re, a_im, d, 0))
+    u = _divided([[x] for x in left_re], [[y] for y in left_im], p, q, 1)
+    v = _over([[x] for x in a_re], [[y] for y in a_im], d, 1)
     return u, v
 
 
@@ -268,11 +268,7 @@ def _is_bijective(phi: SuperOp, residues: list[list[int]]) -> bool:
     """is_bijective from the residue rows of L, made by the caller.
 
     Full rank modulo a prime proves full rank, so the elimination of the
-    residues nearly always decides; when it finds the matrix singular, a
-    Bareiss forward pass over a copy of the rows of L, each divided by its
-    content, decides.
+    residues nearly always decides; when it finds the matrix singular, the
+    exact rank of L decides.
     """
-    side, l = phi.n * phi.n, phi.matrix
-    return _full_rank_mod_p(residues) or len(
-        _bareiss(*_primitive(l.re, l.im), side, reduce=False)
-    ) == side
+    return _full_rank_mod_p(residues) or rank(phi.matrix) == phi.n * phi.n

@@ -35,7 +35,6 @@ from fixpres import (
 )
 from fixpres.linalg import inverse, kernel_basis, rank
 from fixpres.preserver import probe_suite, structured_probes
-from fixpres.rank_one import is_idempotent
 from fixpres.sampling import random_nonzero_column, random_nonzero_row
 from fixpres.scalars import ONE
 from fixpres.cli import matrix_from_doc, matrix_to_doc, run, superop_from_doc
@@ -114,7 +113,7 @@ def test_acceptance_04_idempotent_completion():
             continue
         p = completion_idempotent(a, x)
         assert rank(p) == 1
-        assert is_idempotent(p)
+        assert p @ p == p
         assert (a + p) @ x == x
         built += 1
     print("ACCEPTANCE 4: PASS")
@@ -134,7 +133,7 @@ def test_acceptance_05_rank_one_idempotent_calculus():
             f = (ONE / value) * f       # normalize half the corpus to f(x) = 1
             value = ONE
         m = rank_one(x, f)
-        assert is_idempotent(m) == (value == ONE)
+        assert (m @ m == m) == (value == ONE)
         if value == ONE:
             assert fixed_space(m) == Subspace.spanned_by_columns(x)
             checked_idempotent += 1
@@ -244,11 +243,11 @@ def test_acceptance_10_similarity_forward_behavior():
         p, _, _ = random_rank_one_idempotent(rng, n)
         image = phi.apply(p)
         assert rank(image) == 1
-        assert is_idempotent(image)
+        assert image @ image == image
 
         p1, p2 = random_orthogonal_idempotent_pair(rng, n)
         q1, q2 = phi.apply(p1), phi.apply(p2)
-        assert is_idempotent(q1) and is_idempotent(q2)
+        assert q1 @ q1 == q1 and q2 @ q2 == q2
         assert (q1 @ q2).is_zero and (q2 @ q1).is_zero
         assert dim_fixed(q1 + q2) == 2
     print("ACCEPTANCE 10: PASS")

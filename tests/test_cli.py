@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fixpres
-from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_points, fixed_space, linalg
+from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_space, linalg
 from fixpres.cli import (
     EXIT_INTERNAL,
     InputError,
@@ -439,6 +439,25 @@ def test_numerals_over_the_digit_limit_exit_two(
     assert message_part in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixdim", "--matrix"),
+        ("check", "--condition", "dim", "--superop"),
+    ],
+    ids=["fixdim", "check"],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, argv):
+    """json.load raises RecursionError, not ValueError, on deep nesting."""
+    target = tmp_path / "nested.json"
+    target.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = invoke(capsys, *argv, str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "nested too deeply" in err
+
+
 def test_result_over_the_digit_limit_exit_two(tmp_path, capsys):
     """Entries under the limit whose exact fixed-space basis is over it."""
     rng = random.Random(1)
@@ -458,17 +477,20 @@ def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
     m = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]])
     assert m.d == 30
 
-    def unscaled(re, im):
+    bareiss = linalg._bareiss
+
+    def unscaled(re, im, n_cols, reduce):
         # undoes the denominator clearing, so a Bareiss division is inexact
-        return (
+        return bareiss(
             [[Fraction(x, 30) for x in row] for row in re],
             [[Fraction(y, 30) for y in row] for row in im],
+            n_cols,
+            reduce,
         )
 
     target = tmp_path / "fractions.json"
     target.write_text(json.dumps(matrix_to_doc(m)))
-    for module in (linalg, fixed_points):
-        monkeypatch.setattr(module, "_primitive", unscaled)
+    monkeypatch.setattr(linalg, "_bareiss", unscaled)
     with pytest.raises(InexactDivision):
         run(["fixdim", "--matrix", str(target)])
 

@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, NotSquare, SingularMatrix
-from fixpres.linalg import inverse, kernel_basis, rank, rref
+from fixpres.linalg import _echelon, inverse, kernel_basis, rank, rref
 from fixpres.scalars import ONE, ZERO
 
 from conftest import MIXED_DENOMINATORS, fractions_st, matrices, scalars
@@ -149,3 +149,44 @@ def test_imaginary_matrices_match_reference(m):
 def test_empty_shapes_match_reference(rows, cols):
     assert_matches_reference(Matrix.zeros(rows, cols))
 
+
+
+# ---------------------------------------------------------------------------
+# the one common pivot of a Gauss-Jordan pass, which rref, inverse and the
+# kernel divide by once
+
+gaussian_digits = st.integers(-9, 9)
+
+
+@st.composite
+def gaussian_integer_rows(draw):
+    """Gaussian-integer rows at sides 1..6, some rows Gaussian-integer
+    combinations of two earlier ones and some columns zero."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(gaussian_digits, min_size=c, max_size=c)
+    re = [draw(row) for _ in range(r)]
+    im = [draw(row) for _ in range(r)]
+    for k in range(2, r):
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            ar, ai, br, bi = (draw(gaussian_digits) for _ in range(4))
+            # row k = (ar + ai*i) * row i + (br + bi*i) * row j
+            re[k] = [ar * x - ai * y + br * u - bi * v
+                     for x, y, u, v in zip(re[i], im[i], re[j], im[j])]
+            im[k] = [ar * y + ai * x + br * v + bi * u
+                     for x, y, u, v in zip(re[i], im[i], re[j], im[j])]
+    for col in draw(st.sets(st.integers(0, c - 1), max_size=c)):
+        for values in re + im:
+            values[col] = 0
+    return re, im, c
+
+
+@given(gaussian_integer_rows())
+def test_gauss_jordan_pivots_all_equal_the_last(case):
+    re, im, c = case
+    before = ([list(v) for v in re], [list(v) for v in im])
+    out_re, out_im, pivots = _echelon(re, im, c, reduce=True)
+    assert (re, im) == before
+    entries = [(out_re[k][col], out_im[k][col]) for k, col in enumerate(pivots)]
+    assert entries == entries[-1:] * len(pivots)
+    assert all(not any(v) for v in out_re[len(pivots):] + out_im[len(pivots):])

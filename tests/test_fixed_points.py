@@ -2,11 +2,12 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from fixpres import Matrix, NotSquare, Subspace, dim_fixed, fixed_space
 from fixpres.linalg import kernel_basis, rank
 
-from conftest import column_at, contains, square_matrices
+from conftest import column_at, contains, matrices, square_matrices
 
 
 def test_identity_fixes_everything():
@@ -68,7 +69,18 @@ def test_dim_is_side_minus_rank_of_shift(a):
     assert dim_fixed(a) == a.rows - rank(a - Matrix.identity(a.rows))
 
 
-@given(square_matrices(max_side=4))
+@st.composite
+def dependent_shifts(draw):
+    """I + D for an n x n D whose last row is the sum of its first two, so
+    A - I = D is rank-deficient and F(A) is not zero."""
+    n = draw(st.integers(3, 4))
+    d = draw(matrices(rows=n - 1, cols=n))
+    rows = d.to_rows()
+    d = Matrix.from_rows(rows + [[x + y for x, y in zip(rows[0], rows[1])]])
+    return Matrix.identity(n) + d
+
+
+@given(st.one_of(square_matrices(max_side=4), dependent_shifts()))
 def test_fixed_space_is_kernel_of_shift(a):
     """The diagonal-only A - I agrees with subtracting the full identity."""
     assert fixed_space(a) == kernel_basis(a - Matrix.identity(a.rows))

@@ -56,6 +56,13 @@ def grids(draw, rows=None, cols=None) -> Rows:
     return [draw(st.lists(scalars, min_size=c, max_size=c)) for _ in range(r)]
 
 
+@st.composite
+def dependent_grids(draw) -> Rows:
+    """A rank-deficient grid: 2 or 3 drawn rows and the sum of the first two."""
+    rows = draw(grids(rows=draw(st.integers(2, 3))))
+    return rows + [[x + y for x, y in zip(rows[0], rows[1])]]
+
+
 def matrix(rows: Rows) -> Matrix:
     return Matrix.from_rows(rows)
 
@@ -190,7 +197,7 @@ def test_hstack(data):
     assert_form(matrix(a).hstack(matrix(b)), expected, len(a[0]) + len(b[0]))
 
 
-@given(grids())
+@given(st.one_of(grids(), dependent_grids()))
 def test_rref(a):
     reduced, pivots = ref_rref(a)
     m, r, got_pivots = rref(matrix(a))
@@ -207,7 +214,7 @@ def test_inverse(a):
     assert_form(inverse(matrix(a)), [row[n:] for row in reduced], n)
 
 
-@given(grids())
+@given(st.one_of(grids(), dependent_grids()))
 def test_kernel_basis(a):
     cols = len(a[0])
     basis = kernel_basis(matrix(a)).basis

@@ -12,7 +12,6 @@ import fixpres
 from fixpres import (
     GaussianRational,
     Matrix,
-    NotRankOneIdempotent,
     SuperOp,
     Verdict,
     check_dim_preserving,
@@ -23,7 +22,6 @@ from fixpres import (
     dim_preserver_verdict,
     fixed_space,
     identity_superop,
-    idempotent_shift_ratio,
     is_bijective,
     random_invertible,
     random_matrix,
@@ -33,7 +31,7 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import fixed_points, preserver
+from fixpres import fixed_points, linalg, preserver
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
@@ -340,8 +338,7 @@ def _count_bareiss_calls(monkeypatch) -> list:
         calls.append(args)
         return _bareiss(*args, **kwargs)
 
-    for module in (fixed_points, preserver):
-        monkeypatch.setattr(module, "_bareiss", counted)
+    monkeypatch.setattr(linalg, "_bareiss", counted)
     return calls
 
 
@@ -542,40 +539,6 @@ def test_rank_lemma_on_drawn_pairs(a, data):
     b = data.draw(matrices(rows=a.rows, cols=a.cols))
     _assert_lemma(a, b)
     _assert_lemma(a, a)
-
-
-# ---------------------------------------------------------------------------
-# shift ratio
-
-def test_shift_ratio_identity_map_is_one():
-    phi = identity_superop(3)
-    rng = derive_rng(0, "ratio")
-    from fixpres import random_rank_one_idempotent
-
-    p, _, _ = random_rank_one_idempotent(rng, 3)
-    a = random_matrix(rng, 3, 3)
-    assert idempotent_shift_ratio(phi, p, a) == ONE
-
-
-def test_shift_ratio_doubling_map_on_p_is_three_halves():
-    phi = similarity_superop(Matrix.identity(3), 2)
-    p = Matrix.unit(3, 0, 0)
-    assert idempotent_shift_ratio(phi, p, p) == GaussianRational(3) / GaussianRational(2)
-
-
-def test_shift_ratio_absent_for_transpose_probe():
-    phi = transpose_superop(3)
-    p = Matrix.unit(3, 0, 0)
-    a = Matrix.unit(3, 0, 1)
-    assert idempotent_shift_ratio(phi, p, a) is None
-
-
-def test_shift_ratio_validates_idempotent():
-    phi = identity_superop(2)
-    with pytest.raises(NotRankOneIdempotent):
-        idempotent_shift_ratio(phi, Matrix.identity(2), Matrix.zeros(2, 2))
-    with pytest.raises(NotRankOneIdempotent):
-        idempotent_shift_ratio(phi, 2 * Matrix.unit(2, 0, 0), Matrix.zeros(2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from fixpres import (
     rank_one,
 )
 from fixpres.linalg import rank
-from fixpres.rank_one import is_idempotent
 from fixpres.sampling import random_nonzero_column, random_nonzero_row
 from fixpres.scalars import ONE
 
@@ -52,8 +51,10 @@ def test_idempotent_iff_functional_hits_one():
     x = Matrix.column([1, 1])
     f_good = row_vector([1, 0])       # f(x) = 1
     f_bad = row_vector([1, 1])        # f(x) = 2
-    assert is_idempotent(rank_one(x, f_good))
-    assert not is_idempotent(rank_one(x, f_bad))
+    good = rank_one(x, f_good)
+    assert good @ good == good
+    bad = rank_one(x, f_bad)
+    assert bad @ bad != bad
 
 
 def test_fixed_space_of_idempotent_is_its_line():
@@ -77,7 +78,7 @@ def test_random_rank_one_has_rank_one(seed):
     m = rank_one(x, f)
     assert rank(m) == 1
     value = _functional_value(f, x)
-    assert is_idempotent(m) == (value == ONE)
+    assert (m @ m == m) == (value == ONE)
 
 
 def are_orthogonal(p: Matrix, q: Matrix) -> bool:
@@ -105,7 +106,7 @@ def test_completion_known_case():
     x = Matrix.column([1, 0])
     p = completion_idempotent(a, x)
     assert rank(p) == 1
-    assert is_idempotent(p)
+    assert p @ p == p
     assert (a + p) @ x == x
 
 
@@ -134,7 +135,7 @@ def test_completion_properties_hold_generically(seed, n):
         return
     p = completion_idempotent(a, x)
     assert rank(p) == 1
-    assert is_idempotent(p)
+    assert p @ p == p
     assert (a + p) @ x == x
     # the fixed space of A + P contains the line through x
     assert contains(fixed_space(a + p), x)
