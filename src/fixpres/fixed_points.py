@@ -1,10 +1,11 @@
 """Fixed-point subspaces of square matrices.
 
 The fixed-point space of A is the kernel of A - I. Its dimension is the
-geometric multiplicity of eigenvalue 1 and is computed exactly, from the
-echelon rows of A - I that _fixed_rows gives by one forward pass of
-linalg._echelon: dim_fixed, fixed_space and the probe checks of the
-preserver module all read them.
+geometric multiplicity of eigenvalue 1 and is computed exactly. A - I
+is A's rows with the diagonal shifted (_shifted): fixed_space takes one
+Gauss-Jordan pass of them (linalg._kernel), and dim_fixed and the probe
+checks of the preserver module read the echelon rows that _fixed_rows
+gives by one forward pass of linalg._echelon.
 """
 
 from __future__ import annotations
@@ -14,33 +15,35 @@ from typing import Sequence
 from .linalg import Matrix, NotSquare, Subspace, _Rows, _echelon, _kernel
 
 
-def _fixed_rows(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], e: int) -> _Rows:
-    """Nonzero echelon rows of M - I, for the square M = (re + i*im) / e
-    given by Gaussian-integer rows over any scale e; their kernel is F(M).
-
-    M - I is scaled by e, so only its diagonal entries move; one forward
-    pass of _echelon gives the rows.
-    """
+def _shifted(re: Sequence[Sequence[int]], e: int) -> list[list[int]]:
+    """The real parts of the rows of M - I scaled by e, for the square
+    M = (re + i*im) / e: only the diagonal entries move."""
     shifted = [list(row) for row in re]
     for k, row in enumerate(shifted):
         row[k] -= e
-    x_re, x_im, pivots = _echelon(shifted, im, len(re))
+    return shifted
+
+
+def _fixed_rows(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], e: int) -> _Rows:
+    """Nonzero echelon rows of M - I, for the square M = (re + i*im) / e
+    given by Gaussian-integer rows over any scale e; their kernel is F(M)."""
+    x_re, x_im, pivots = _echelon(_shifted(re, e), im, len(re))
     r = len(pivots)
     return x_re[:r], x_im[:r]
 
 
-def _square_rows(a: Matrix) -> _Rows:
-    """_fixed_rows of the rows of a, which must be square."""
+def _require_square(a: Matrix) -> None:
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols}")
-    return _fixed_rows(a.re, a.im, a.d)
 
 
 def fixed_space(a: Matrix) -> Subspace:
     """All vectors v with a @ v = v, as a canonical subspace."""
-    return _kernel(*_square_rows(a), a.rows)
+    _require_square(a)
+    return _kernel(_shifted(a.re, a.d), a.im, a.rows)
 
 
 def dim_fixed(a: Matrix) -> int:
     """Dimension of the fixed-point space: n - rank(A - I)."""
-    return a.rows - len(_square_rows(a)[0])
+    _require_square(a)
+    return a.rows - len(_fixed_rows(a.re, a.im, a.d)[0])

@@ -269,10 +269,11 @@ def _canonical_integers(
     denominators, so gcd(d, every entry) = 1.
 
     It canonicalises parts written over any denominators; _over is its
-    special case for rows over one scale. No part is reduced on its own. The reduced denominators of the parts over one written
-    denominator b have lcm b / gcd(b, their numerators), one gcd per
-    distinct b that stops at 1, so no scale larger than d is built
-    however the parts are written.
+    special case for rows over one scale. No part is reduced on its own:
+    the reduced denominators of the parts over one written denominator b
+    have lcm b / gcd(b, their numerators), one gcd per distinct b that
+    stops at 1, so no scale larger than d is built however the parts are
+    written.
     """
     numerators: dict[int, list[int]] = {}
     for a, b, c, e in parts:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import _fixed_rows, fixed_space
-from .linalg import Matrix, _P, _Rows, _echelon, _full_rank_mod_p, _residues, rank
+from .linalg import Matrix, _P, _Rows, _echelon, _full_rank_mod_p, _residues
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -61,9 +61,9 @@ class Classification:
     """Recovered form of a map on M_n.
 
     For the two structured tags, apply(A) = scale * S @ A @ inv(S)
-    (or with A.T in the transpose family) holds exactly on all matrix
-    units, and S is gauge-normalized: its first nonzero entry in
-    column-major order is 1.
+    (or with A.T in the transpose family) holds exactly for every A, as
+    classify proves, and S is gauge-normalized: its first nonzero entry
+    in column-major order is 1.
     """
 
     tag: str
@@ -226,76 +226,37 @@ def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdi
     return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, compare_sets=True)
 
 
-def _gauge_candidate(
-    phi: SuperOp, transpose_first: bool
-) -> tuple[Matrix, Matrix, GaussianRational] | None:
-    """Try to read L (L @ K with transpose_first) as T.T kron S from the rank-one
-    factor of its realignment; returns (S, inv-check T, scale) or None."""
-    n, l = phi.n, phi.matrix
-    rows = zip(_realigned(l.re, n, transpose_first), _realigned(l.im, n, transpose_first))
-    try:
-        u, v = rank_one_factor(rows, l.d)
-    except NotRankOne:
-        return None
-    s = unvec(u, n)
-    t = unvec(v, n)
-    if rank(s) < n:
-        return None
-    ts = t @ s
-    scale = ts[0, 0]
-    if not scale or ts != scale * Matrix.identity(n):
-        return None
-    return s, t, scale
-
-
 def classify(phi: SuperOp) -> Classification:
     """Recover the structured form of a map, if it has one.
 
     Decision chain: exact identity; then A -> scale * S @ A @ inv(S) via
     realignment; then the same with a leading transpose; otherwise
-    unstructured. Structured results are verified exactly on all matrix
-    units before being returned, and malformed factorizations fall
-    through to the next branch.
-    """
-    if phi == identity_superop(phi.n):
-        return Classification(IDENTITY)
-    for tag, transpose_first in ((SIMILARITY, False), (TRANSPOSE_SIMILARITY, True)):
-        cand = _gauge_candidate(phi, transpose_first)
-        if cand is not None:
-            s, t, scale = cand
-            if _matches_on_units(phi, s, t, transpose_first):
-                return Classification(tag, s, scale)
-    return Classification(UNSTRUCTURED)
+    unstructured. No branch runs an exact elimination.
 
-
-def _matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
-    """Whether phi(E_ij) == S @ E_ij @ T (S @ E_ji @ T with transpose_first)
-    on every matrix unit E_ij.
-
-    Column j*n + i of L is the image of E_ij, and entry (a, b) of
-    S @ E_ij @ T is s[a, i] * t[j, b], so this is L == T.T kron S entrywise,
-    or its transpose-first gather L[b*n + a, j*n + i] == s[a, j] * t[i, b].
-    It is decided in the Gaussian-integer rows of L, S and T over their
-    scales d, s.d and t.d: L_int[r][c] * s.d * t.d is compared with
-    d * S_int * T_int, once per entry of L.
+    A structured branch is exact by construction. rank_one_factor checks
+    every 2x2 minor of realign(L) (realign(L @ K), K the transpose, in
+    the transpose branch) through its anchor in exact integers, so when
+    it returns, the realigned matrix is u @ v.T entry for entry. realign
+    only permutes entries, so L (L @ K) is T.T kron S with S = unvec(u),
+    T = unvec(v): apply(A) = S @ A @ T (S @ A.T @ T). The branch fires
+    when T @ S = scale * I with scale nonzero, which makes S invertible
+    and T = scale * inv(S); any other factorization falls through.
     """
     n, l = phi.n, phi.matrix
-    d, k = l.d, s.d * t.d
-    digits = range(n)
-    s_rows = [[(d * x, d * y) for x, y in zip(s.re[a], s.im[a])] for a in digits]
-    for b in digits:
-        t_col = [(t.re[j][b], t.im[j][b]) for j in digits]
-        for a in digits:
-            r = b * n + a
-            # entry j*n + i of row r is expected to be outer[j] * inner[i]
-            outer, inner = (s_rows[a], t_col) if transpose_first else (t_col, s_rows[a])
-            expected = [
-                (pr * qr - pi * qi, pr * qi + pi * qr) for pr, pi in outer for qr, qi in inner
-            ]
-            for x, y, (er, ei) in zip(l.re[r], l.im[r], expected):
-                if x * k != er or y * k != ei:
-                    return False
-    return True
+    if phi == identity_superop(n):
+        return Classification(IDENTITY)
+    for tag, transpose_first in ((SIMILARITY, False), (TRANSPOSE_SIMILARITY, True)):
+        rows = zip(_realigned(l.re, n, transpose_first), _realigned(l.im, n, transpose_first))
+        try:
+            u, v = rank_one_factor(rows, l.d)
+        except NotRankOne:
+            continue
+        s = unvec(u, n)
+        ts = unvec(v, n) @ s
+        scale = ts[0, 0]
+        if scale and ts == scale * Matrix.identity(n):
+            return Classification(tag, s, scale)
+    return Classification(UNSTRUCTURED)
 
 
 def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> PreserverReport:

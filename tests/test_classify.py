@@ -6,6 +6,10 @@ minor, and the Matrix triple product S @ E_ij @ T on every matrix unit.
 classify and rank_one_factor must give exactly what they give, also on
 maps whose rows have very different scales, where the one common scale of
 L sits far above the scale of any one row.
+
+The reference classify still takes the rank of S and checks every matrix
+unit, which classify no longer does; equal results on every family show
+that neither step could change a classification.
 """
 
 from fractions import Fraction
@@ -26,6 +30,7 @@ from fixpres import (
     similarity_superop,
     transpose_similarity_superop,
 )
+from fixpres import linalg
 from fixpres.linalg import kron, rank
 from fixpres.preserver import (
     IDENTITY,
@@ -33,7 +38,6 @@ from fixpres.preserver import (
     TRANSPOSE_SIMILARITY,
     UNSTRUCTURED,
     Classification,
-    _matches_on_units,
 )
 from fixpres.scalars import ONE
 from fixpres.superop import (
@@ -198,7 +202,19 @@ FAMILIES = {
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**32))
 def test_classify_matches_reference(family, n, seed):
     phi = FAMILIES[family](derive_rng(seed, "classify-reference", family, n), n)
-    assert classify(phi) == reference_classify(phi)
+    result = classify(phi)
+    assert result == reference_classify(phi)
+    # a structured result is the map itself: its form rebuilds L exactly
+    rebuild = {
+        SIMILARITY: similarity_superop,
+        TRANSPOSE_SIMILARITY: transpose_similarity_superop,
+    }.get(result.tag)
+    if rebuild is not None:
+        assert rebuild(result.s, result.scale) == phi
+
+
+def _no_elimination(*args, **kwargs):
+    raise AssertionError("classify ran an exact elimination")
 
 
 @pytest.mark.parametrize(
@@ -214,10 +230,13 @@ def test_classify_matches_reference(family, n, seed):
         ("prime-row-random", UNSTRUCTURED),
     ],
 )
-def test_families_reach_their_branch(family, tag):
-    # The property above compares only; this pins that each branch is hit.
+def test_families_reach_their_branch(family, tag, monkeypatch):
+    # The property above compares only; this pins that each branch is hit,
+    # with no exact elimination on the way.
     phi = FAMILIES[family](derive_rng(0, "classify-reference", family, 3), 3)
-    result = classify(phi)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_echelon", _no_elimination)
+        result = classify(phi)
     assert result == reference_classify(phi)
     assert result.tag == tag
 
@@ -305,8 +324,9 @@ def test_last_minor_cases_fail_at_the_last_entry():
 
 
 # ---------------------------------------------------------------------------
-# the all-units check, directly: after a passing rank-one test classify
-# cannot reach its False branch
+# the all-units check of the reference, against the rank-one test that
+# classify runs in its place: a passing rank-one test proves the sandwich on
+# every unit, and a map that fails on some unit fails the rank-one test
 
 def _units_case(n: int, transpose_first: bool) -> tuple[Matrix, Matrix, Matrix]:
     """(L, S, T) with L the matrix of A -> S @ A @ T, or of A -> S @ A.T @ T
@@ -317,13 +337,20 @@ def _units_case(n: int, transpose_first: bool) -> tuple[Matrix, Matrix, Matrix]:
     return (precompose_transpose(l, n) if transpose_first else l), s, t
 
 
+def _gathered(phi: SuperOp, transpose_first: bool) -> Matrix:
+    """The matrix whose rank one classify tests in the given branch."""
+    n = phi.n
+    return realign(SuperOp(n, precompose_transpose(phi.matrix, n)) if transpose_first else phi)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("transpose_first", [False, True])
 def test_units_check_accepts_the_sandwich(n, transpose_first):
     l, s, t = _units_case(n, transpose_first)
     phi = SuperOp(n, l)
-    assert _matches_on_units(phi, s, t, transpose_first)
     assert reference_matches_on_units(phi, s, t, transpose_first)
+    u, v = factor(_gathered(phi, transpose_first))
+    assert reference_matches_on_units(phi, unvec(u, n), unvec(v, n), transpose_first)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -341,8 +368,9 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
     l, s, t = _units_case(n, transpose_first)
     k = {"first": 0, "last": len(l.entries) - 1, "middle": len(l.entries) // 2 + 1}[where]
     phi = SuperOp(n, _moved(l, k, delta))
-    assert not _matches_on_units(phi, s, t, transpose_first)
     assert not reference_matches_on_units(phi, s, t, transpose_first)
+    with pytest.raises(NotRankOne):
+        factor(_gathered(phi, transpose_first))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -350,5 +378,6 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
 def test_units_check_tells_the_two_gathers_apart(n, transpose_first):
     l, s, t = _units_case(n, not transpose_first)
     phi = SuperOp(n, l)
-    assert not _matches_on_units(phi, s, t, transpose_first)
     assert not reference_matches_on_units(phi, s, t, transpose_first)
+    with pytest.raises(NotRankOne):
+        factor(_gathered(phi, transpose_first))

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixpres import Matrix, NotSquare, Subspace, dim_fixed, fixed_space
-from fixpres.linalg import kernel_basis, rank
+from fixpres import fixed_points, linalg
+from fixpres.linalg import _echelon, _over, kernel_basis, rank
 
 from conftest import column_at, contains, matrices, square_matrices
 
@@ -59,16 +60,6 @@ def test_fixed_vectors_are_actually_fixed():
         assert a @ v == v
 
 
-@given(square_matrices(max_side=4))
-def test_dim_matches_basis_column_count(a):
-    assert dim_fixed(a) == fixed_space(a).dim
-
-
-@given(square_matrices(max_side=4))
-def test_dim_is_side_minus_rank_of_shift(a):
-    assert dim_fixed(a) == a.rows - rank(a - Matrix.identity(a.rows))
-
-
 @st.composite
 def dependent_shifts(draw):
     """I + D for an n x n D whose last row is the sum of its first two, so
@@ -78,6 +69,18 @@ def dependent_shifts(draw):
     rows = d.to_rows()
     d = Matrix.from_rows(rows + [[x + y for x, y in zip(rows[0], rows[1])]])
     return Matrix.identity(n) + d
+
+
+@given(st.one_of(square_matrices(max_side=4), dependent_shifts()))
+def test_dim_matches_basis_column_count(a):
+    """dim_fixed (a forward pass) and fixed_space (a Gauss-Jordan pass)
+    agree, also where F(A) is not zero."""
+    assert dim_fixed(a) == fixed_space(a).dim
+
+
+@given(square_matrices(max_side=4))
+def test_dim_is_side_minus_rank_of_shift(a):
+    assert dim_fixed(a) == a.rows - rank(a - Matrix.identity(a.rows))
 
 
 @given(st.one_of(square_matrices(max_side=4), dependent_shifts()))
@@ -100,3 +103,32 @@ def test_kernel_via_fixed_agrees_with_kernel(a):
 @given(square_matrices(max_side=4))
 def test_rank_dominates_fixed_dimension(a):
     assert rank(a) >= dim_fixed(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        Matrix.identity(3),
+        Matrix.zeros(3, 3),
+        Matrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+        Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        Matrix.from_rows([[2, 1, 0], [0, 3, 1], [2, 4, 2]]),
+    ],
+    ids=["identity", "zero", "jordan", "projection", "dependent-shift"],
+)
+def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
+    """One Gauss-Jordan pass of A - I; the only other elimination is the
+    rref of Subspace.spanned_by_columns that puts a nonzero basis in
+    canonical form."""
+    calls = []
+
+    def counted(re, im, n_cols, reduce=False):
+        calls.append((_over(re, im, a.d, n_cols), reduce))
+        return _echelon(re, im, n_cols, reduce)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(fixed_points, "_echelon", counted)
+    space = fixed_space(a)
+    assert calls[0] == (a - Matrix.identity(a.rows), True)
+    assert [reduce for _, reduce in calls[1:]] == [True] * (space.dim > 0)
+    assert [m.rows for m, _ in calls[1:]] == [space.dim] * (space.dim > 0)
