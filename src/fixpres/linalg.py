@@ -12,7 +12,7 @@ Every exact elimination in the package (rank, echelon rows, RREF,
 kernel, inverse) goes through _echelon: fraction-free Bareiss
 elimination over the Gaussian integers on rows divided by their content.
 Its Gauss-Jordan pass leaves one common pivot, so an RREF, an inverse or
-a kernel vector is read with one division by it, or none.
+a canonical kernel basis is read with one division by it, or none.
 
 Subspaces are stored in a unique canonical form (the transpose of the
 stored basis is in reduced row echelon form), so subspace equality is a
@@ -323,11 +323,6 @@ def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
     )
 
 
-# Real and imaginary parts of rows of Gaussian integers, and the same over
-# a scale.
-_Rows = tuple[list[list[int]], list[list[int]]]
-_Scaled = tuple[list[list[int]], list[list[int]], int]
-
 # The nonzero (column, real part, imaginary part) entries of each row of
 # a matrix of Gaussian integers.
 _SparseRows = list[list[tuple[int, int, int]]]
@@ -597,26 +592,31 @@ def kernel_basis(m: Matrix) -> Subspace:
 
 def _kernel(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], n_cols: int) -> Subspace:
     """Canonical basis of the null space of the Gaussian-integer rows
-    re + i*im, from one Gauss-Jordan pass (_echelon)."""
-    re, im, pivots = _echelon(re, im, n_cols, reduce=True)
+    re + i*im, from one Gauss-Jordan pass (_echelon) of the rows with their
+    columns reversed. There the vector of a free column f is the common
+    pivot p at f, 0 at the other free columns and minus row k's entry at f
+    at pivots[k] < f. In the original order f is its first nonzero entry,
+    so the vectors in descending reversed f, over p, are the RREF rows of
+    the kernel: the transpose of its canonical basis.
+    """
+    last = n_cols - 1
+    re, im, pivots = _echelon(
+        [row[::-1] for row in re], [row[::-1] for row in im], n_cols, reduce=True
+    )
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
+    free_cols = [c for c in range(last, -1, -1) if c not in pivot_set]
     if not free_cols:
         return Subspace.zero(n_cols)
-    # The vector of a free column f is 1 at f and -R[k][f] at pivots[k],
-    # with R the RREF; scaled by the common pivot p it is p at f and minus
-    # the Gauss-Jordan entry at pivots[k], Gaussian integers that
-    # spanned_by_columns puts on their canonical scale.
     pr, pi = _pivot(re, im, pivots)
     vectors_re, vectors_im = [], []
     for free in free_cols:
         v_re, v_im = [0] * n_cols, [0] * n_cols
-        v_re[free], v_im[free] = pr, pi
+        v_re[last - free], v_im[last - free] = pr, pi
         for k, piv in enumerate(pivots):
-            v_re[piv], v_im[piv] = -re[k][free], -im[k][free]
+            v_re[last - piv], v_im[last - piv] = -re[k][free], -im[k][free]
         vectors_re.append(v_re)
         vectors_im.append(v_im)
-    return Subspace.spanned_by_columns(_matrix(n_cols, vectors_re, vectors_im, 1).transpose())
+    return Subspace(n_cols, _divided(vectors_re, vectors_im, pr, pi, n_cols).transpose())
 
 
 def inverse(m: Matrix) -> Matrix:

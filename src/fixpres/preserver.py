@@ -17,10 +17,11 @@ The two packaged claims are:
   fixed-point dimension is A -> S @ A @ inv(S) or A -> -S @ A @ inv(S)
   for some invertible S.
 
-Every function reads L from the canonical Gaussian-integer rows of the
-Matrix that the SuperOp holds, and each probe from the rows of its own
-Matrix; the claim-2 verdict makes L's residues mod p once and shares them
-between the bijectivity test and the probe check.
+A probe that the certificate mod p does not settle is decided by the
+public dim_fixed or fixed_space of the probe and of its image under
+SuperOp.apply, so a counterexample's detail is the pair the loop
+compared. L's residues mod p are made once per call; the claim-2 verdict
+shares them between the bijectivity test and the probe check.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .fixed_points import _fixed_rows, fixed_space
-from .linalg import Matrix, _P, _Rows, _echelon, _full_rank_mod_p, _residues
+from .fixed_points import dim_fixed, fixed_space
+from .linalg import Matrix, _P, _full_rank_mod_p, _residues
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
     MAX_SIDE,
     NotRankOne,
     SuperOp,
-    _image,
     _image_mod_p,
     _is_bijective,
     _packed_columns,
@@ -150,21 +150,6 @@ def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
     return list(_probes(n, trials, seed))
 
 
-def _same_fixed(x: _Rows, y: _Rows, n: int, compare_sets: bool) -> bool:
-    """Whether the kernels of the n-column echelon rows x and y have one
-    dimension or, with compare_sets, are one subspace.
-
-    ker X = ker Y exactly when rank X = rank Y = rank [X; Y], and x and y
-    span the row spaces of X and Y, so one forward pass over them,
-    stacked, decides it.
-    """
-    (x_re, x_im), (y_re, y_im) = x, y
-    r = len(x_re)
-    if r != len(y_re) or not compare_sets or r == n:
-        return r == len(y_re)
-    return len(_echelon(x_re + y_re, x_im + y_im, n)[2]) == r
-
-
 def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
     """Whether M - I has full rank mod _P, where M is a square matrix of
     Gaussian integers over the scale e and rows holds their residues.
@@ -178,52 +163,42 @@ def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
 
 
 def _check(
-    phi: SuperOp, residues: list[list[int]], trials: int, seed: int, compare_sets: bool
+    phi: SuperOp, residues: list[list[int]], trials: int, seed: int, measure: Callable
 ) -> Verdict:
-    """Compare F(A) with F(phi(A)), by dimension or as sets, over the probe suite.
+    """Compare measure(A) with measure(phi(A)) over the probe suite, for
+    measure dim_fixed or fixed_space.
 
-    Each probe and its image stay Gaussian integers from the draw to the
-    verdict. Most probes are decided modulo _P, from the residue rows of L
-    that the caller made: the probe's residues and those of its image give
-    A - I and phi(A) - I mod _P, and when both have full rank there, both
-    fixed spaces are {0}, which settles the dimension and the set
-    condition alike. Only the other probes (those with a fixed point on
-    either side, and the rare probe that is singular mod _P alone) take
-    the exact path: forward Bareiss passes on A - I and phi(A) - I give
-    their echelon rows (fixed_points._fixed_rows), and _same_fixed
-    compares those. Probes are drawn lazily, so a counterexample at probe
-    k draws no later probe. The dimensions of a counterexample are n minus
-    the numbers of echelon rows; only a set counterexample builds more
-    matrices: fixed_space of the probe and of its image.
+    Most probes are decided modulo _P, from the residue rows of L that the
+    caller made: the probe's residues and those of its image give A - I
+    and phi(A) - I mod _P, and when both have full rank there, both fixed
+    spaces are {0}, which settles the dimension and the set condition
+    alike. Every other probe (one with a fixed point on either side, or
+    the rare probe that is singular mod _P alone) is decided by measure of
+    A and of phi.apply(A), the pair a counterexample reports as its
+    detail. Probes are drawn lazily, so a counterexample at probe k draws
+    no later probe.
     """
     n, d = phi.n, phi.matrix.d
     columns = _packed_columns(residues)
     probes_run = 0
     for probes_run, a in enumerate(_probes(n, trials, seed), start=1):
-        re, im, e = a.re, a.im, a.d
-        a_mod_p = _residues(re, im)
-        if _regular_mod_p(_image_mod_p(columns, a_mod_p), d * e) and _regular_mod_p(a_mod_p, e):
+        a_mod_p = _residues(a.re, a.im)
+        if _regular_mod_p(_image_mod_p(columns, a_mod_p), d * a.d) and _regular_mod_p(a_mod_p, a.d):
             continue
-        x = _fixed_rows(re, im, e)
-        y = _fixed_rows(*_image(phi, re, im, e))
-        if _same_fixed(x, y, n, compare_sets):
-            continue
-        if compare_sets:
-            detail = (fixed_space(a), fixed_space(phi.apply(a)))
-        else:  # dim F(M) = n - rank(M - I)
-            detail = (n - len(x[0]), n - len(y[0]))
-        return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
+        detail = measure(a), measure(phi.apply(a))
+        if detail[0] != detail[1]:
+            return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
 def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
-    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, compare_sets=False)
+    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, dim_fixed)
 
 
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, compare_sets=True)
+    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, fixed_space)
 
 
 def classify(phi: SuperOp) -> Classification:
@@ -318,7 +293,7 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             classification=None,
             notes=tuple(notes),
         )
-    verdict = _check(phi, residues, trials, seed, compare_sets=False)
+    verdict = _check(phi, residues, trials, seed, dim_fixed)
     classification = classify(phi)
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         if classification.tag == SIMILARITY and classification.scale == -ONE:

@@ -37,16 +37,20 @@ class ZeroDenominator(ParseError):
 
 @dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """An exact complex number ``re + im*i`` over the rationals."""
+    """An exact complex number ``re + im*i`` over the rationals, each part
+    given as an int or a Fraction."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+        re, im = self.re, self.im
+        if not (isinstance(re, Fraction) and isinstance(im, Fraction)):
+            # a float would round and a string would skip parse_scalar's grammar
+            if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+                raise TypeError(f"GaussianRational parts must be int or Fraction: {re!r}, {im!r}")
+            object.__setattr__(self, "re", Fraction(re))
+            object.__setattr__(self, "im", Fraction(im))
 
     @staticmethod
     def _coerce(value) -> "GaussianRational":

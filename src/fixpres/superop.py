@@ -9,9 +9,11 @@ layout; each reshuffle below is a gather over rows or flat entries.
 
 A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
 every builder makes them with the integer Matrix operations (kron,
-precompose_transpose), and no call converts L to another form. The
-residues mod p that is_bijective and the probe checks read are made once
-per call.
+precompose_transpose), and no call converts L to another form.
+SuperOp.apply is the one exact image. The residues mod p that
+is_bijective and the probe checks read are made once per call, and a
+probe's image mod p is a sum of L's packed residue columns
+(_image_mod_p).
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on packed rows; the exact rank over Q(i)
@@ -34,7 +36,6 @@ from .linalg import (
     SingularMatrix,
     SizeMismatch,
     _P,
-    _Scaled,
     _divided,
     _fields,
     _full_rank_mod_p,
@@ -99,36 +100,30 @@ class SuperOp:
             )
 
     def apply(self, a: Matrix) -> Matrix:
-        """The image of a, by _image on the rows of a."""
-        if a.rows != self.n or a.cols != self.n:
-            raise SizeMismatch(f"expected {self.n}x{self.n} input, got {a.rows}x{a.cols}")
-        return _over(*_image(self, a.re, a.im, a.d), self.n)
+        """The image of a, the one exact image in the package.
 
-
-def _image(
-    phi: SuperOp, a_re: Sequence[Sequence[int]], a_im: Sequence[Sequence[int]], e: int
-) -> _Scaled:
-    """The image under phi of the n x n matrix (a_re + i*a_im) / e, as
-    Gaussian-integer rows over the scale d * e, with d the scale of L.
-
-    It gathers the columns of L where vec(A) is nonzero, so each entry
-    is an int dot product over the nonzero entries of A alone.
-    """
-    n, l = phi.n, phi.matrix
-    digits = range(n)
-    # vec(A)[j*n + i] = A[i][j]
-    nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a_re, a_im))
-               for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
-    b_re, b_im = [], []
-    for l_re, l_im in zip(l.re, l.im):
-        acc_r = acc_i = 0
-        for t, x, y in nonzero:
-            p, q = l_re[t], l_im[t]
-            acc_r += p * x - q * y
-            acc_i += p * y + q * x
-        b_re.append(acc_r)
-        b_im.append(acc_i)
-    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
+        It gathers the columns of L where vec(A) is nonzero, so each entry
+        is an int dot product over the nonzero entries of A alone; the
+        rows over the scale d * e, with d the scale of L and e that of A,
+        are put on their canonical scale once.
+        """
+        n, l = self.n, self.matrix
+        if a.rows != n or a.cols != n:
+            raise SizeMismatch(f"expected {n}x{n} input, got {a.rows}x{a.cols}")
+        # vec(A)[j*n + i] = A[i][j]
+        nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a.re, a.im))
+                   for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
+        b_re, b_im = [], []
+        for l_re, l_im in zip(l.re, l.im):
+            acc_r = acc_i = 0
+            for t, x, y in nonzero:
+                p, q = l_re[t], l_im[t]
+                acc_r += p * x - q * y
+                acc_i += p * y + q * x
+            b_re.append(acc_r)
+            b_im.append(acc_i)
+        digits = range(n)
+        return _over([b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * a.d, n)
 
 
 def _packed_columns(residues: list[list[int]]) -> list[int]:
@@ -137,9 +132,9 @@ def _packed_columns(residues: list[list[int]]) -> list[int]:
 
 
 def _image_mod_p(columns: list[int], a: list[list[int]]) -> list[list[int]]:
-    """The residues mod _P of the image rows _image gives, from the packed
-    residue columns of L and the residues a of the n x n rows of A; the
-    scale is _image's, d * e.
+    """The residues mod _P of the image of A as Gaussian-integer rows over
+    the scale d * e, with d the scale of L and e that of A, from the packed
+    residue columns of L and the residues a of the n x n rows of A.
 
     vec(image) is the sum of L's packed columns times the nonzero entries
     of vec(a), so each of its N fields is below N * _P**2 < 2**64.

@@ -5,11 +5,12 @@ reference_common_integer_rows scales each row over its own lcm with
 reference_integer_rows and then rescales every row to the lcm of those
 scales. reference_image lists the nonzero entries of every row of L
 with linalg._sparse and multiplies them by vec(A) with linalg._products.
-The rows (re, im, d) that a Matrix holds and superop._image must give
-exactly what these give, scales included. superop._image_mod_p, a sum of L's packed
-columns, must give the residues of the exact image; at the carry limit
-it is compared with reference_image_mod_p, one dense dot product per
-row of residues.
+The rows (re, im, d) that a Matrix holds must be exactly what these
+give, scales included, and SuperOp.apply must be the reference image
+put on its canonical scale. superop._image_mod_p, a sum of L's packed
+columns, must give the residues of the reference image over its scale
+d * e; at the carry limit it is compared with reference_image_mod_p,
+one dense dot product per row of residues.
 
 Eliminations divide each row by its content, so rows over one common
 scale reach Bareiss no larger than rows over their own scales would.
@@ -36,6 +37,7 @@ from fixpres import linalg
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
+    _over,
     _products,
     _residues,
     _sparse,
@@ -45,7 +47,7 @@ from fixpres.linalg import (
     rref,
 )
 from fixpres.preserver import structured_probes
-from fixpres.superop import _image, _image_mod_p, _packed_columns
+from fixpres.superop import _image_mod_p, _packed_columns
 
 from conftest import (
     MIXED_DENOMINATORS,
@@ -196,8 +198,8 @@ def test_scaling_of_probes_matches_reference(data):
 
 @given(maps(), st.data())
 def test_gathered_image_matches_reference(phi, data):
-    rows = stored_rows(data.draw(probes(phi.n)))
-    assert _image(phi, *rows) == reference_image(phi, *rows)
+    a = data.draw(probes(phi.n))
+    assert phi.apply(a) == _over(*reference_image(phi, *stored_rows(a)), phi.n)
 
 
 @given(maps(max_side=3))
@@ -205,8 +207,7 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
     n = phi.n
     units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
     for a in [Matrix.zeros(n, n), *units, *structured_probes(n)]:
-        rows = stored_rows(a)
-        assert _image(phi, *rows) == reference_image(phi, *rows)
+        assert phi.apply(a) == _over(*reference_image(phi, *stored_rows(a)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,9 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
 def test_packed_image_mod_p_is_the_exact_image_mod_p(phi, data):
     columns = _packed_columns(_residues(phi.matrix.re, phi.matrix.im))
     re, im, e = stored_rows(data.draw(probes(phi.n)))
-    assert _image_mod_p(columns, _residues(re, im)) == _residues(*_image(phi, re, im, e)[:2])
+    assert _image_mod_p(columns, _residues(re, im)) == _residues(
+        *reference_image(phi, re, im, e)[:2]
+    )
 
 
 def test_packed_image_mod_p_carries_at_n_16():

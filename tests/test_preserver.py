@@ -409,8 +409,8 @@ def test_cached_structured_rows_survive_checks(n):
 
 
 def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
-    """A random map fails at the probe I. Its detail is n minus the
-    numbers of echelon rows of the two forward passes, with no dim_fixed."""
+    """A random map fails at the probe I. Its detail is the loop's two
+    dim_fixed values, of I and of its image, each one forward pass."""
     phi = SuperOp(3, random_matrix(derive_rng(0, "dim-detail"), 9, 9))
     dim_calls = []
 
@@ -425,8 +425,8 @@ def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
     assert (verdict.outcome, verdict.witness, verdict.probes_run) == (
         "counterexample", Matrix.identity(3), 3
     )
-    assert (len(calls), dim_calls) == (2, [])
     w = verdict.witness
+    assert (len(calls), dim_calls) == (2, [w, phi.apply(w)])
     assert verdict.detail == (dim_fixed(w), dim_fixed(phi.apply(w))) == (3, 0)
 
 
@@ -470,14 +470,19 @@ def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
 
 
 # ---------------------------------------------------------------------------
-# the rank lemma behind the set check: ker X = ker Y iff
-# rank X = rank Y = rank [X; Y]
+# the rank lemma: ker X = ker Y iff rank X = rank Y = rank [X; Y]; the set
+# check compares canonical kernels, which must be equal exactly then
 
 
 def _ranks_agree(a: Matrix, b: Matrix, compare_sets: bool) -> bool:
-    x = fixed_points._fixed_rows(a.re, a.im, a.d)
-    y = fixed_points._fixed_rows(b.re, b.im, b.d)
-    return preserver._same_fixed(x, y, a.rows, compare_sets)
+    """The lemma's side for X = A - I and Y = B - I: rank X = rank Y and,
+    with compare_sets, both equal rank [X; Y]."""
+    eye = Matrix.identity(a.rows)
+    x, y = a - eye, b - eye
+    r = rank(x)
+    if r != rank(y):
+        return False
+    return not compare_sets or rank(Matrix.from_rows(x.to_rows() + y.to_rows())) == r
 
 
 def _with_fixed_points(rng, n: int, k: int) -> Matrix:
@@ -489,6 +494,8 @@ def _with_fixed_points(rng, n: int, k: int) -> Matrix:
 
 
 def _assert_lemma(a: Matrix, b: Matrix) -> None:
+    """The one-pass kernels of A - I and B - I are equal exactly when F(A)
+    and F(B) are one subspace, so fixed_space is canonical."""
     assert _ranks_agree(a, b, compare_sets=True) == (fixed_space(a) == fixed_space(b))
     assert _ranks_agree(a, b, compare_sets=False) == (dim_fixed(a) == dim_fixed(b))
 

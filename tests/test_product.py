@@ -18,9 +18,9 @@ from fixpres import (
     derive_rng,
     random_matrix,
 )
-from fixpres.linalg import _over, _residues, inverse, kron, rank
+from fixpres.linalg import _residues, inverse, kron, rank
 from fixpres.scalars import ZERO
-from fixpres.superop import _image, _image_mod_p, _packed_columns, unvec, vec
+from fixpres.superop import _image_mod_p, _packed_columns, unvec, vec
 
 from conftest import MIXED_DENOMINATORS, fractions_st, prime_row_random, scalars
 
@@ -139,22 +139,23 @@ def test_empty_shapes_match_reference(left, right):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_apply_each_matches_apply(seed):
-    """The rows of L give through _image the same image of each of several
-    matrices as apply and the reference product, and through _image_mod_p,
-    from L's packed residue columns made once, the residues of the exact
-    image."""
+    """apply gives the reference product's image of each of several
+    matrices, and _image_mod_p, from L's packed residue columns made once,
+    the residues of that exact image brought back to its scale l.d * m.d."""
     rng = derive_rng(seed, "apply-each")
     n = 3
     phi = SuperOp(n, random_matrix(rng, n * n, n * n))
     ms = [random_matrix(rng, n, n) for _ in range(4)] + [Matrix.zeros(n, n)]
     l = phi.matrix
     columns = _packed_columns(_residues(l.re, l.im))
-    assert [_over(*_image(phi, m.re, m.im, m.d), n) for m in ms] == [phi.apply(m) for m in ms]
     for m in ms:
-        re, im, e = m.re, m.im, m.d
-        b_re, b_im, scale = _image(phi, re, im, e)
-        assert scale == l.d * e
-        assert _image_mod_p(columns, _residues(re, im)) == _residues(b_re, b_im)
+        image = phi.apply(m)
+        scale = l.d * m.d
+        assert scale % image.d == 0
+        k = scale // image.d
+        b_re = [[k * x for x in row] for row in image.re]
+        b_im = [[k * y for y in row] for row in image.im]
+        assert _image_mod_p(columns, _residues(m.re, m.im)) == _residues(b_re, b_im)
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
     ]

@@ -25,6 +25,19 @@ def test_construction_coerces_to_fraction():
     assert isinstance(s.re, Fraction)
 
 
+@pytest.mark.parametrize(
+    "re,im",
+    [(0.1, 0), ("1e-3", 0), (1, 2.0)],
+    ids=["float", "string", "float-imaginary-part"],
+)
+def test_construction_rejects_inexact_parts(re, im):
+    """Parts are ints or Fractions, as for Matrix entries: a float would
+    become its binary expansion (0.1 as 3602879701896397/2**55) and a
+    string would bypass parse_scalar's grammar."""
+    with pytest.raises(TypeError):
+        GaussianRational(re, im)
+
+
 def test_reduction_is_automatic():
     assert GaussianRational(Fraction(2, 4)) == GaussianRational(Fraction(1, 2))
 
