@@ -576,19 +576,6 @@ class Subspace:
     def zero(cls, n: int) -> "Subspace":
         return cls(n, Matrix.zeros(n, 0))
 
-    @classmethod
-    def spanned_by_columns(cls, m: Matrix) -> "Subspace":
-        """Canonical subspace spanned by the columns of m."""
-        reduced, r, _ = rref(m.transpose())
-        # the rows dropped are zero, so the rows kept stay canonical over d
-        basis_t = _matrix(m.rows, reduced.re[:r], reduced.im[:r], reduced.d)
-        return cls(m.rows, basis_t.transpose())
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the null space of m."""
-    return _kernel(m.re, m.im, m.cols)
-
 
 def _kernel(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], n_cols: int) -> Subspace:
     """Canonical basis of the null space of the Gaussian-integer rows

@@ -20,8 +20,9 @@ The two packaged claims are:
 A probe that the certificate mod p does not settle is decided by the
 public dim_fixed or fixed_space of the probe and of its image under
 SuperOp.apply, so a counterexample's detail is the pair the loop
-compared. L's residues mod p are made once per call; the claim-2 verdict
-shares them between the bijectivity test and the probe check.
+compared. L's residues mod p belong to the SuperOp, which makes them once,
+so the claim-2 verdict's bijectivity test and probe check share them while
+each step runs through its public name.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .superop import (
     NotRankOne,
     SuperOp,
     _image_mod_p,
-    _is_bijective,
     _packed_columns,
     _realigned,
     identity_superop,
+    is_bijective,
     rank_one_factor,
     unvec,
 )
@@ -137,17 +138,12 @@ def _structured(n: int) -> tuple[Matrix, ...]:
     return tuple(probes)
 
 
-def _probes(n: int, trials: int, seed: int) -> Iterator[Matrix]:
-    """The probes of probe_suite(n, trials, seed), each random one drawn
-    when asked for."""
+def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
+    """Structured probes followed by `trials` seeded random matrices, as an
+    iterator that draws each random probe when it is asked for."""
     yield from _structured(n)
     for idx in range(trials):
         yield random_matrix(derive_rng(seed, "probe", idx), n, n)
-
-
-def probe_suite(n: int, trials: int, seed: int) -> list[Matrix]:
-    """Structured probes followed by `trials` seeded random matrices."""
-    return list(_probes(n, trials, seed))
 
 
 def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
@@ -162,14 +158,12 @@ def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
     return _full_rank_mod_p(rows)
 
 
-def _check(
-    phi: SuperOp, residues: list[list[int]], trials: int, seed: int, measure: Callable
-) -> Verdict:
+def _check(phi: SuperOp, trials: int, seed: int, measure: Callable) -> Verdict:
     """Compare measure(A) with measure(phi(A)) over the probe suite, for
     measure dim_fixed or fixed_space.
 
     Most probes are decided modulo _P, from the residue rows of L that the
-    caller made: the probe's residues and those of its image give A - I
+    SuperOp caches: the probe's residues and those of its image give A - I
     and phi(A) - I mod _P, and when both have full rank there, both fixed
     spaces are {0}, which settles the dimension and the set condition
     alike. Every other probe (one with a fixed point on either side, or
@@ -179,9 +173,9 @@ def _check(
     no later probe.
     """
     n, d = phi.n, phi.matrix.d
-    columns = _packed_columns(residues)
+    columns = _packed_columns(phi._residues)
     probes_run = 0
-    for probes_run, a in enumerate(_probes(n, trials, seed), start=1):
+    for probes_run, a in enumerate(probe_suite(n, trials, seed), start=1):
         a_mod_p = _residues(a.re, a.im)
         if _regular_mod_p(_image_mod_p(columns, a_mod_p), d * a.d) and _regular_mod_p(a_mod_p, a.d):
             continue
@@ -193,12 +187,12 @@ def _check(
 
 def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
-    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, dim_fixed)
+    return _check(phi, trials, seed, dim_fixed)
 
 
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    return _check(phi, _residues(phi.matrix.re, phi.matrix.im), trials, seed, fixed_space)
+    return _check(phi, trials, seed, fixed_space)
 
 
 def classify(phi: SuperOp) -> Classification:
@@ -283,8 +277,7 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         notes.append(
             f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
         )
-    residues = _residues(phi.matrix.re, phi.matrix.im)
-    if not _is_bijective(phi, residues):
+    if not is_bijective(phi):
         notes.append("hypothesis not met: the map is not surjective")
         return PreserverReport(
             claim=2,
@@ -293,7 +286,7 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             classification=None,
             notes=tuple(notes),
         )
-    verdict = _check(phi, residues, trials, seed, dim_fixed)
+    verdict = check_dim_preserving(phi, trials, seed)
     classification = classify(phi)
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         if classification.tag == SIMILARITY and classification.scale == -ONE:

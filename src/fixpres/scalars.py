@@ -119,7 +119,12 @@ class GaussianRational:
         return format_scalar(self)
 
     def __repr__(self) -> str:
-        return f"GaussianRational({format_scalar(self)!r})"
+        """A call that evaluates back to this value, given GaussianRational
+        and Fraction: an int for a whole part, the imaginary part only when
+        nonzero."""
+        parts = (self.re, self.im) if self.im else (self.re,)
+        args = ", ".join(str(q) if q.denominator == 1 else repr(q) for q in parts)
+        return f"GaussianRational({args})"
 
 
 ZERO = GaussianRational()

@@ -10,10 +10,10 @@ layout; each reshuffle below is a gather over rows or flat entries.
 A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
 every builder makes them with the integer Matrix operations (kron,
 precompose_transpose), and no call converts L to another form.
-SuperOp.apply is the one exact image. The residues mod p that
-is_bijective and the probe checks read are made once per call, and a
-probe's image mod p is a sum of L's packed residue columns
-(_image_mod_p).
+SuperOp.apply is the one exact image. L's residues mod p are made once
+per SuperOp, on first use (SuperOp._residues), and is_bijective and the
+probe checks all read them; a probe's image mod p is a sum of L's packed
+residue columns (_image_mod_p).
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on packed rows; the exact rank over Q(i)
@@ -27,6 +27,7 @@ column with one division each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -79,12 +80,13 @@ def _check_side(n: int) -> None:
         raise ValueError(f"n must be in 1..{MAX_SIDE}, got {n}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SuperOp:
     """A linear map on n x n matrices, stored as its n^2 x n^2 matrix L.
 
     L is a Matrix, held in canonical Gaussian-integer rows, so equal maps
-    have equal fields (and equal hashes).
+    have equal fields (and equal hashes). Equality and hashing read n and
+    L alone, never the cached residues.
     """
 
     n: int
@@ -124,6 +126,12 @@ class SuperOp:
             b_im.append(acc_i)
         digits = range(n)
         return _over([b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * a.d, n)
+
+    @cached_property
+    def _residues(self) -> list[list[int]]:
+        """The rows of L mod _P (see linalg._residues), made on first use.
+        Callers read them and never change them."""
+        return _residues(self.matrix.re, self.matrix.im)
 
 
 def _packed_columns(residues: list[list[int]]) -> list[int]:
@@ -255,15 +263,10 @@ def rank_one_factor(rows: Iterable[tuple[list[int], list[int]]], d: int) -> tupl
 
 
 def is_bijective(phi: SuperOp) -> bool:
-    """True exactly when the n^2 x n^2 matrix has full rank."""
-    return _is_bijective(phi, _residues(phi.matrix.re, phi.matrix.im))
+    """True exactly when the n^2 x n^2 matrix has full rank.
 
-
-def _is_bijective(phi: SuperOp, residues: list[list[int]]) -> bool:
-    """is_bijective from the residue rows of L, made by the caller.
-
-    Full rank modulo a prime proves full rank, so the elimination of the
-    residues nearly always decides; when it finds the matrix singular, the
-    exact rank of L decides.
+    Full rank modulo a prime proves full rank, so the elimination of L's
+    cached residues nearly always decides; when it finds the matrix
+    singular, the exact rank of L decides.
     """
-    return _full_rank_mod_p(residues) or rank(phi.matrix) == phi.n * phi.n
+    return _full_rank_mod_p(phi._residues) or rank(phi.matrix) == phi.n * phi.n

@@ -19,7 +19,7 @@ from fixpres import (
     similarity_superop,
 )
 from fixpres.cli import matrix_from_doc
-from fixpres.linalg import _residues
+from fixpres.linalg import _residues, rref
 from fixpres.superop import rank_one_factor, vec
 
 settings.register_profile(
@@ -84,9 +84,30 @@ def count_entry_reads(monkeypatch, cols: int) -> list:
     return reads
 
 
+def spanned_by_columns(m: Matrix) -> Subspace:
+    """The canonical subspace spanned by the columns of m: the nonzero rows
+    of rref(m.T), transposed."""
+    reduced, r, _ = rref(m.transpose())
+    return Subspace(m.rows, Matrix(r, m.rows, reduced.entries[: r * m.rows]).transpose())
+
+
+def null_space(m: Matrix) -> Subspace:
+    """ker(m) read off rref(m): for each free column f, the vector that is 1
+    at f and minus row k's entry at f at pivot k, spanned canonically."""
+    reduced, _, pivots = rref(m)
+    free_cols = [c for c in range(m.cols) if c not in pivots]
+    vectors = []
+    for free in free_cols:
+        v = [GaussianRational(int(c == free)) for c in range(m.cols)]
+        for k, piv in enumerate(pivots):
+            v[piv] = -reduced[k, free]
+        vectors.extend(v)
+    return spanned_by_columns(Matrix(len(free_cols), m.cols, vectors).transpose())
+
+
 def contains(space: Subspace, v: Matrix) -> bool:
     """Whether the column v lies in space: adjoining it leaves the span unchanged."""
-    return Subspace.spanned_by_columns(space.basis.hstack(v)) == space
+    return spanned_by_columns(space.basis.hstack(v)) == space
 
 
 def superop_from_action(n: int, action) -> SuperOp:

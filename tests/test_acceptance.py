@@ -30,14 +30,15 @@ from fixpres import (
     completion_idempotent,
     set_preserver_verdict,
     similarity_superop,
-    Subspace,
     transpose_similarity_superop,
 )
-from fixpres.linalg import inverse, kernel_basis, rank
+from fixpres.linalg import inverse, rank
 from fixpres.preserver import probe_suite, structured_probes
 from fixpres.sampling import random_nonzero_column, random_nonzero_row
 from fixpres.scalars import ONE
 from fixpres.cli import matrix_from_doc, matrix_to_doc, run, superop_from_doc
+
+from conftest import null_space, spanned_by_columns
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,11 +84,11 @@ def test_acceptance_01_fixed_point_dimension_agreement():
 
 
 def test_acceptance_02_kernel_equals_fixed_space_of_shift():
-    """ker(A) coincides with the fixed space of A + I, exactly."""
+    """ker(A), read off rref(A), coincides with the fixed space of A + I, exactly."""
     for n in SIDES:
         targets = list(probe_suite(n, trials=20, seed=0)) + _corpus(n)
         for a in targets:
-            assert kernel_basis(a) == fixed_space(a + Matrix.identity(n))
+            assert null_space(a) == fixed_space(a + Matrix.identity(n))
     print("ACCEPTANCE 2: PASS")
 
 
@@ -135,7 +136,7 @@ def test_acceptance_05_rank_one_idempotent_calculus():
         m = rank_one(x, f)
         assert (m @ m == m) == (value == ONE)
         if value == ONE:
-            assert fixed_space(m) == Subspace.spanned_by_columns(x)
+            assert fixed_space(m) == spanned_by_columns(x)
             checked_idempotent += 1
         else:
             assert fixed_space(m).dim == 0

@@ -1,4 +1,4 @@
-"""Fixed-point spaces F(A) = ker(A - I): dimension, basis, kernel bridge."""
+"""Fixed-point spaces F(A) = ker(A - I): dimension and basis."""
 
 import pytest
 from hypothesis import given
@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from fixpres import Matrix, NotSquare, Subspace, dim_fixed, fixed_space
 from fixpres import fixed_points, linalg
-from fixpres.linalg import _echelon, _over, kernel_basis, rank
+from fixpres.linalg import _echelon, _over, rank
 
-from conftest import column_at, contains, matrices, square_matrices
+from conftest import column_at, contains, matrices, null_space, spanned_by_columns, square_matrices
 
 
 def test_identity_fixes_everything():
@@ -85,19 +85,9 @@ def test_dim_is_side_minus_rank_of_shift(a):
 
 @given(st.one_of(square_matrices(max_side=4), dependent_shifts()))
 def test_fixed_space_is_kernel_of_shift(a):
-    """The diagonal-only A - I agrees with subtracting the full identity."""
-    assert fixed_space(a) == kernel_basis(a - Matrix.identity(a.rows))
-
-
-def kernel_via_fixed(a: Matrix) -> Subspace:
-    """ker(A) computed as the fixed-point space of A + I."""
-    return fixed_space(a + Matrix.identity(a.rows))
-
-
-@given(square_matrices(max_side=4))
-def test_kernel_via_fixed_agrees_with_kernel(a):
-    """ker(A) computed through the fixed space of A + I."""
-    assert kernel_via_fixed(a) == kernel_basis(a)
+    """The diagonal-only A - I agrees with subtracting the full identity,
+    whose kernel is read off its rref."""
+    assert fixed_space(a) == null_space(a - Matrix.identity(a.rows))
 
 
 @given(square_matrices(max_side=4))
@@ -119,7 +109,7 @@ def test_rank_dominates_fixed_dimension(a):
 def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
     """One Gauss-Jordan pass of A - I with its columns reversed and no
     other elimination: the kernel vectors of that pass are already the
-    canonical basis, which spanned_by_columns leaves as it is."""
+    canonical basis, which the span of its columns leaves as it is."""
     calls = []
 
     def counted(re, im, n_cols, reduce=False):
@@ -132,4 +122,4 @@ def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
     monkeypatch.undo()
     shifted = (a - Matrix.identity(a.rows)).to_rows()
     assert calls == [(Matrix.from_rows([row[::-1] for row in shifted]), True)]
-    assert Subspace.spanned_by_columns(space.basis) == space
+    assert spanned_by_columns(space.basis) == space

@@ -10,13 +10,14 @@ from fixpres import (
     SingularMatrix,
     SizeMismatch,
     Subspace,
+    fixed_space,
     transpose_superop,
 )
-from fixpres.linalg import inverse, kernel_basis, kron, rank, rref
+from fixpres.linalg import inverse, kron, rank, rref
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import vec
 
-from conftest import column_at, contains, matrices, square_matrices
+from conftest import column_at, contains, matrices, spanned_by_columns, square_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +124,26 @@ def test_complex_rank():
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernels, each read as the fixed space of m + I
+
+def kernel(m: Matrix) -> Subspace:
+    return fixed_space(m + Matrix.identity(m.rows))
+
 
 def test_kernel_of_identity_is_zero_space():
-    space = kernel_basis(Matrix.identity(3))
+    space = kernel(Matrix.identity(3))
     assert space.dim == 0
     assert space.ambient_dim == 3
 
 
 def test_kernel_of_zero_is_full_space():
-    space = kernel_basis(Matrix.zeros(3, 3))
+    space = kernel(Matrix.zeros(3, 3))
     assert space.dim == 3
 
 
 def test_kernel_known_case():
     m = Matrix.from_rows([[1, 2], [2, 4]])
-    space = kernel_basis(m)
+    space = kernel(m)
     assert space.dim == 1
     v = column_at(space.basis, 0)
     assert (m @ v).is_zero
@@ -146,7 +151,7 @@ def test_kernel_known_case():
 
 @given(square_matrices(max_side=4))
 def test_kernel_vectors_are_annihilated(m):
-    space = kernel_basis(m)
+    space = kernel(m)
     for j in range(space.dim):
         assert (m @ column_at(space.basis, j)).is_zero
     assert space.dim == m.cols - rank(m)
@@ -155,15 +160,17 @@ def test_kernel_vectors_are_annihilated(m):
 # ---------------------------------------------------------------------------
 # subspaces
 
-def test_spanned_by_columns_canonicalizes():
-    a = Subspace.spanned_by_columns(Matrix.from_rows([[1, 2], [1, 2]]))
-    b = Subspace.spanned_by_columns(Matrix.from_rows([[3], [3]]))
+def test_fixed_spaces_of_one_line_are_equal_entrywise():
+    """The swap and the idempotent x (x) e1, x = (1, 1), both fix the line
+    of x alone; their fixed spaces have the one canonical basis."""
+    a = fixed_space(Matrix.from_rows([[0, 1], [1, 0]]))
+    b = fixed_space(Matrix.from_rows([[1, 0], [1, 0]]))
     assert a == b
-    assert a.basis == b.basis
+    assert a.basis == b.basis == Matrix.column([1, 1])
 
 
 def test_subspace_contains():
-    space = Subspace.spanned_by_columns(Matrix.from_rows([[1], [1], [0]]))
+    space = spanned_by_columns(Matrix.from_rows([[1], [1], [0]]))
     assert contains(space, Matrix.column([2, 2, 0]))
     assert not contains(space, Matrix.column([1, 0, 0]))
 
@@ -173,12 +180,6 @@ def test_zero_subspace_contains_only_zero():
     assert z.dim == 0
     assert contains(z, Matrix.column([0, 0, 0]))
     assert not contains(z, Matrix.column([1, 0, 0]))
-
-
-@given(matrices(max_side=3))
-def test_span_unchanged_by_duplicating_columns(m):
-    doubled = m.hstack(m)
-    assert Subspace.spanned_by_columns(m) == Subspace.spanned_by_columns(doubled)
 
 
 # ---------------------------------------------------------------------------

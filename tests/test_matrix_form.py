@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fixpres import GaussianRational, Matrix, SuperOp, derive_rng, random_matrix
-from fixpres.linalg import inverse, kernel_basis, kron, rank, rref
+from fixpres import GaussianRational, Matrix, SuperOp, derive_rng, fixed_space, random_matrix
+from fixpres.linalg import inverse, kron, rank, rref
 from fixpres.sampling import _draws
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import precompose_transpose
@@ -57,9 +57,11 @@ def grids(draw, rows=None, cols=None) -> Rows:
 
 
 @st.composite
-def dependent_grids(draw) -> Rows:
-    """A rank-deficient grid: 2 or 3 drawn rows and the sum of the first two."""
-    rows = draw(grids(rows=draw(st.integers(2, 3))))
+def dependent_grids(draw, square: bool = False) -> Rows:
+    """A rank-deficient grid: 2 or 3 drawn rows and the sum of the first
+    two, with one column per row when square."""
+    r = draw(st.integers(2, 3))
+    rows = draw(grids(rows=r, cols=r + 1 if square else None))
     return rows + [[x + y for x, y in zip(rows[0], rows[1])]]
 
 
@@ -214,10 +216,11 @@ def test_inverse(a):
     assert_form(inverse(matrix(a)), [row[n:] for row in reduced], n)
 
 
-@given(st.one_of(grids(), dependent_grids()))
+@given(st.one_of(sides.flatmap(lambda n: grids(n, n)), dependent_grids(square=True)))
 def test_kernel_basis(a):
-    cols = len(a[0])
-    basis = kernel_basis(matrix(a)).basis
+    """The kernel basis of a square matrix, read as the fixed space of a + I."""
+    cols = len(a)
+    basis = fixed_space(matrix(a) + Matrix.identity(cols)).basis
     expected = ref_kernel(a, cols)
     assert_form(basis, expected, len(expected[0]))
 
@@ -271,10 +274,10 @@ def test_constructor_rejects_inexact_entries(entry):
 
 
 def test_repr_shows_the_entries():
-    """repr names the entries, as when a Matrix stored them, so reprs of
-    verdict details keep their bytes."""
+    """repr names the entries, as when a Matrix stored them, each as a
+    GaussianRational call that evaluates back to it."""
     m = Matrix.from_rows([[1, Fraction(-1, 2)], [GaussianRational(0, 3), 0]])
     assert repr(m) == (
-        "Matrix(rows=2, cols=2, entries=(GaussianRational('1'), GaussianRational('-1/2'), "
-        "GaussianRational('3i'), GaussianRational('0')))"
+        "Matrix(rows=2, cols=2, entries=(GaussianRational(1), GaussianRational(Fraction(-1, 2)), "
+        "GaussianRational(0, 3), GaussianRational(0)))"
     )

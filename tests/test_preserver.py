@@ -31,7 +31,7 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import fixed_points, linalg, preserver
+from fixpres import fixed_points, linalg, preserver, superop
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
@@ -81,15 +81,15 @@ def test_structured_probe_fixed_dims_cover_full_range():
 
 
 def test_probe_suite_is_deterministic():
-    a = probe_suite(3, trials=5, seed=42)
-    b = probe_suite(3, trials=5, seed=42)
+    a = list(probe_suite(3, trials=5, seed=42))
+    b = list(probe_suite(3, trials=5, seed=42))
     assert a == b
-    c = probe_suite(3, trials=5, seed=43)
+    c = list(probe_suite(3, trials=5, seed=43))
     assert a != c
 
 
 def test_probe_suite_length():
-    assert len(probe_suite(3, trials=7, seed=0)) == 9 + 7
+    assert len(list(probe_suite(3, trials=7, seed=0))) == 9 + 7
 
 
 def _arithmetic_structured_probes(n: int) -> list[Matrix]:
@@ -140,24 +140,23 @@ def test_refutation_in_structured_prefix_draws_no_random_probe(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3])
 def test_integer_probe_stream_is_the_probe_suite(n, seed):
-    """The lazy stream the checks walk is the structured probes, then one
-    random_matrix per trial from its own derived generator."""
-    stream = list(preserver._probes(n, 7, seed))
+    """The lazy probe suite the checks walk is the structured probes, then
+    one random_matrix per trial from its own derived generator."""
     drawn = [random_matrix(derive_rng(seed, "probe", k), n, n) for k in range(7)]
-    assert stream == probe_suite(n, 7, seed) == structured_probes(n) + drawn
+    assert list(probe_suite(n, 7, seed)) == structured_probes(n) + drawn
 
 
 def test_passing_check_sees_the_probe_suite_in_order(monkeypatch):
     seen = []
-    stream = preserver._probes
+    stream = preserver.probe_suite
 
     def recorded(*args):
         for probe in stream(*args):
             seen.append(probe)
             yield probe
 
-    monkeypatch.setattr(preserver, "_probes", recorded)
-    suite = probe_suite(3, trials=6, seed=11)
+    suite = list(probe_suite(3, trials=6, seed=11))
+    monkeypatch.setattr(preserver, "probe_suite", recorded)
     for check in (check_dim_preserving, check_set_preserving):
         seen.clear()
         verdict = check(identity_superop(3), trials=6, seed=11)
@@ -321,7 +320,7 @@ def test_random_probe_witness_is_rebuilt_from_its_draw():
     phi = similarity_superop(Matrix.from_rows([[1, 1], [0, 2]]), 1)
     verdict = check_set_preserving(phi, trials=1532, seed=4)
     assert (verdict.outcome, verdict.probes_run) == ("counterexample", 1540)
-    assert verdict.witness == probe_suite(2, 1532, 4)[-1]
+    assert verdict.witness == list(probe_suite(2, 1532, 4))[-1]
     assert verdict.detail == (fixed_space(verdict.witness), fixed_space(phi.apply(verdict.witness)))
     assert verdict.detail[0].dim == 1
     assert check_dim_preserving(phi, trials=1532, seed=4).outcome == "pass"
@@ -739,6 +738,37 @@ def test_dim_verdict_random_bijective_usually_counterexample():
             break
     report = dim_preserver_verdict(SuperOp(3, l), trials=10, seed=0)
     assert report.status in ("counterexample", "violation-candidate")
+
+
+def test_dim_verdict_runs_each_step_through_its_public_name(monkeypatch):
+    """The verdict calls is_bijective, then check_dim_preserving, which walks
+    probe_suite, each by the module-level name a tracer rebinds; L is
+    reduced mod p once per SuperOp, and a second is_bijective reuses it."""
+    phi = SuperOp(3, random_matrix(derive_rng(8, "public-steps"), 9, 9))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("is_bijective", "check_dim_preserving", "probe_suite"):
+        monkeypatch.setattr(preserver, name, counted(name, getattr(preserver, name)))
+    reductions = []
+
+    def reduced(re, im):
+        reductions.append(len(re))
+        return _residues(re, im)
+
+    monkeypatch.setattr(superop, "_residues", reduced)
+    report = dim_preserver_verdict(phi, trials=5, seed=0)
+    assert report.status == "counterexample"
+    assert calls == ["is_bijective", "check_dim_preserving", "probe_suite"]
+    assert reductions == [9]
+    assert superop.is_bijective(phi)
+    assert reductions == [9]
 
 
 # ---------------------------------------------------------------------------

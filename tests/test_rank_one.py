@@ -9,7 +9,6 @@ from fixpres import (
     GaussianRational,
     Matrix,
     SizeMismatch,
-    Subspace,
     ZeroFactor,
     completion_idempotent,
     derive_rng,
@@ -22,7 +21,7 @@ from fixpres.linalg import rank
 from fixpres.sampling import random_nonzero_column, random_nonzero_row
 from fixpres.scalars import ONE
 
-from conftest import contains, row_vector
+from conftest import contains, row_vector, spanned_by_columns
 
 
 def _functional_value(f: Matrix, x: Matrix) -> GaussianRational:
@@ -61,7 +60,7 @@ def test_fixed_space_of_idempotent_is_its_line():
     x = Matrix.column([1, 2, 0])
     f = row_vector([1, 0, 0])
     p = rank_one(x, f)
-    assert fixed_space(p) == Subspace.spanned_by_columns(x)
+    assert fixed_space(p) == spanned_by_columns(x)
 
 
 def test_fixed_space_of_non_idempotent_rank_one_is_zero():

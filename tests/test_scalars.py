@@ -120,6 +120,14 @@ def test_parse_format_round_trip(s):
     assert parse_scalar(format_scalar(s)) == s
 
 
+@given(st.one_of(scalars, scalars.map(lambda z: GaussianRational(z.re)),
+                 scalars.map(lambda z: GaussianRational(0, z.im))))
+def test_repr_evaluates_to_the_value(z):
+    """repr is a constructor call that rebuilds the value, also with a
+    zero real or imaginary part."""
+    assert eval(repr(z), {"GaussianRational": GaussianRational, "Fraction": Fraction}) == z
+
+
 # ---------------------------------------------------------------------------
 # the scanner and formatter against character-by-character references
 
