@@ -394,6 +394,9 @@ def _bareiss(
             start = pivots[r] if r < p else col
             dst_r, dst_i = re[r], im[r]
             fr, fi = dst_r[col], dst_i[col]
+            # a row that is zero from start on stays zero
+            if not (fr or fi or any(dst_r[start:]) or any(dst_i[start:])):
+                continue
             out_r: list[int] = []
             out_i: list[int] = []
             for ar, ai, br, bi in zip(
@@ -480,10 +483,11 @@ def rank(m: Matrix) -> int:
 
 
 # A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that
-# root. 257 * p**2 < 2**64, so a sum of up to 256 products of residues fits
-# one 64-bit field, and p < 2**28, so every residue is one CPython int digit.
-_P = 267912649
-_SQRT_MINUS_ONE = 22964409
+# root. (N + n) * p**2 < 2**64 for n <= 16 and N = n**2, so a field of
+# _full_rank_mod_p cannot carry into the next (see there), and p < 2**28,
+# so every residue is one CPython int digit.
+_P = 260420617
+_SQRT_MINUS_ONE = 141801490
 
 
 def _residues(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -494,7 +498,7 @@ def _residues(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> list[
 
 
 # The little-endian layouts of 0..256 unsigned 64-bit fields, compiled
-# once: a row of residues of L has N <= 256 of them.
+# once: a column of residues of L has N <= 256 of them.
 _QWORDS = tuple(struct.Struct(f"<{count}Q") for count in range(257))
 
 
@@ -508,34 +512,37 @@ def _fields(packed: int, count: int) -> tuple[int, ...]:
     return _QWORDS[count].unpack(packed.to_bytes(8 * count, "little"))
 
 
-def _full_rank_mod_p(rows: list[list[int]]) -> bool:
-    """True when the square matrix of residues mod _P has full rank in GF(_P).
+def _full_rank_mod_p(rows: list[int]) -> bool:
+    """True when the square matrix of packed rows (see _packed) has full
+    rank mod _P.
 
-    The rows are residues of a Gaussian-integer matrix (see _residues). A
-    homomorphism cannot raise the rank, so True proves that the integer
-    matrix, and any matrix whose rows are nonzero multiples of its rows,
-    is invertible over Q(i). False proves nothing: the matrix may still be
-    invertible over Q(i) when its determinant maps to 0 in GF(_P), and the
-    caller must decide that exactly. The input lists are not changed.
+    A field of a row is a residue of a Gaussian-integer matrix (see
+    _residues), or a sum of products of residues not yet reduced: below
+    _P for the N x N residues of an L, below N * _P**2 + _P for an n x n
+    image (n <= 16, N = n**2 <= 256). A homomorphism cannot raise the
+    rank, so True proves that the integer matrix, its transpose, and any
+    matrix whose rows are nonzero multiples of its rows are invertible
+    over Q(i). False proves nothing: the matrix may still be invertible
+    over Q(i) when its determinant maps to 0 in GF(_P), and the caller
+    must decide that exactly. The input list is not changed.
 
-    The rows are packed (see _packed) and fields are left unreduced. For
-    a row whose lowest field, the pivot column col, is f mod _P, clearing
-    col is (row >> 64) + (_P - f) * t, where t packs the pivot row right
-    of col, reduced mod _P and divided by the pivot. The shift drops the
-    cleared field, and adding _P - f keeps every field nonnegative. A
-    field starts below _P and gets at most N - 1 additions, each below
-    _P**2, so it stays below N * _P**2 < 2**64 (N <= 256) and no carry
-    crosses fields. Only the pivot row is unpacked, once per column, so
-    the O(N**3) part is bignum arithmetic. A row that is 0 mod _P in the
-    pivot column is only shifted, and a zero pivot tail is not unpacked.
+    For a row whose lowest field, the pivot column col, is f mod _P,
+    clearing col is (row >> 64) + (_P - f) * t, where t packs the pivot
+    row right of col, reduced mod _P and divided by the pivot. The shift
+    drops the cleared field, and adding _P - f keeps every field
+    nonnegative. A field gets one addition below _P**2 per earlier
+    column, so it stays below N * _P**2 for L and (N + n) * _P**2 for an
+    image, both below 2**64, and no carry crosses fields. Only the pivot
+    row is unpacked, once per column, so the cubic part is bignum
+    arithmetic. A row that is 0 mod _P in the pivot column is only
+    shifted, and a zero pivot tail is not unpacked.
     """
     n = len(rows)
     low = (1 << 64) - 1
-    packed = [_packed(row) for row in rows]
     for col in range(n):
         t = None
         rest: list[int] = []
-        for row in packed:
+        for row in rows:
             f = (row & low) % _P
             if not f:
                 rest.append(row >> 64)
@@ -548,7 +555,7 @@ def _full_rank_mod_p(rows: list[list[int]]) -> bool:
                 rest.append((row >> 64) + (_P - f) * t)
         if t is None:
             return False
-        packed = rest
+        rows = rest
     return True
 
 

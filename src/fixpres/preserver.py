@@ -20,9 +20,9 @@ The two packaged claims are:
 A probe that the certificate mod p does not settle is decided by the
 public dim_fixed or fixed_space of the probe and of its image under
 SuperOp.apply, so a counterexample's detail is the pair the loop
-compared. L's residues mod p belong to the SuperOp, which makes them once,
-so the claim-2 verdict's bijectivity test and probe check share them while
-each step runs through its public name.
+compared. L's residues mod p belong to the SuperOp, which makes them once
+as packed columns, so the claim-2 verdict's bijectivity test and probe
+check share them while each step runs through its public name.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, _P, _full_rank_mod_p, _residues
+from .linalg import Matrix, _full_rank_mod_p, _packed, _residues
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -40,8 +40,8 @@ from .superop import (
     NotRankOne,
     SuperOp,
     _image_mod_p,
-    _packed_columns,
     _realigned,
+    _shifted_columns,
     identity_superop,
     is_bijective,
     rank_one_factor,
@@ -146,38 +146,32 @@ def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
         yield random_matrix(derive_rng(seed, "probe", idx), n, n)
 
 
-def _regular_mod_p(rows: list[list[int]], e: int) -> bool:
-    """Whether M - I has full rank mod _P, where M is a square matrix of
-    Gaussian integers over the scale e and rows holds their residues.
-
-    M - I is scaled by e, so only its diagonal entries move; rows is
-    shifted in place. True proves that M - I is invertible, so F(M) = {0}.
-    """
-    for k, row in enumerate(rows):
-        row[k] = (row[k] - e) % _P
-    return _full_rank_mod_p(rows)
-
-
 def _check(phi: SuperOp, trials: int, seed: int, measure: Callable) -> Verdict:
     """Compare measure(A) with measure(phi(A)) over the probe suite, for
     measure dim_fixed or fixed_space.
 
-    Most probes are decided modulo _P, from the residue rows of L that the
-    SuperOp caches: the probe's residues and those of its image give A - I
-    and phi(A) - I mod _P, and when both have full rank there, both fixed
-    spaces are {0}, which settles the dimension and the set condition
-    alike. Every other probe (one with a fixed point on either side, or
-    the rare probe that is singular mod _P alone) is decided by measure of
-    A and of phi.apply(A), the pair a counterexample reports as its
-    detail. Probes are drawn lazily, so a counterexample at probe k draws
-    no later probe.
+    Most probes are decided modulo _P, from the packed residue columns of
+    L that the SuperOp caches. vec(A) mod _P is u, A's residues column
+    after column; vec(phi(A)) mod _P is the sum of L's columns times u,
+    whose fields stay unreduced below N * _P**2. Both are cut into packed
+    columns of A - I and phi(A) - I (over their scales e and d * e), which
+    _full_rank_mod_p takes as they are. When both have full rank there,
+    both fixed spaces are {0}, which settles the dimension and the set
+    condition alike. Every other probe (one with a fixed point on either
+    side, or the rare probe that is singular mod _P alone) is decided by
+    measure of A and of phi.apply(A), the pair a counterexample reports as
+    its detail. Probes are drawn lazily, so a counterexample at probe k
+    draws no later probe.
     """
     n, d = phi.n, phi.matrix.d
-    columns = _packed_columns(phi._residues)
+    columns = phi._residue_columns
     probes_run = 0
     for probes_run, a in enumerate(probe_suite(n, trials, seed), start=1):
-        a_mod_p = _residues(a.re, a.im)
-        if _regular_mod_p(_image_mod_p(columns, a_mod_p), d * a.d) and _regular_mod_p(a_mod_p, a.d):
+        u = [x for column in _residues(zip(*a.re), zip(*a.im)) for x in column]
+        image = _image_mod_p(columns, u)
+        if _full_rank_mod_p(_shifted_columns(image, n, d * a.d)) and _full_rank_mod_p(
+            _shifted_columns(_packed(u), n, a.d)
+        ):
             continue
         detail = measure(a), measure(phi.apply(a))
         if detail[0] != detail[1]:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import lcm
 
-from .linalg import Matrix, _from_parts, rank
+from .linalg import Matrix, _over, rank
 
 DENOMINATORS = (1, 2, 3)
+_SCALE = lcm(*DENOMINATORS)
 
 
 def derive_rng(seed: int, *labels: object) -> random.Random:
@@ -24,20 +26,23 @@ def derive_rng(seed: int, *labels: object) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _draws(rng: random.Random, count: int) -> list[tuple[int, int, int, int]]:
-    """Raw draws for count entries, as (re numerator, re denominator, im
-    numerator, im denominator).
+# The numerator over _SCALE of (k - 9) / DENOMINATORS[j], at [k][j].
+_NUMERATORS = tuple(tuple((k - 9) * (_SCALE // b) for b in DENOMINATORS) for k in range(19))
+
+
+def _draws(rng: random.Random, count: int) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of count entries, as numerators over
+    _SCALE, the lcm of DENOMINATORS.
 
     This is the only place that consumes the stream for matrix entries,
     so every generator below draws the same entries from the same rng.
-    Each numerator is getrandbits(5), redrawn while at least 19, minus 9,
-    and each denominator is DENOMINATORS[getrandbits(2)], redrawn while
-    the index is 3. These are the very calls that rng.randint(-9, 9) and
-    rng.choice(DENOMINATORS) make, without their Python-level overhead,
-    so the stream is the same.
+    Each part is (k - 9) / DENOMINATORS[j] with k getrandbits(5), redrawn
+    while at least 19, and j getrandbits(2), redrawn while 3. These are
+    the very calls that rng.randint(-9, 9) and rng.choice(DENOMINATORS)
+    make, without their Python-level overhead, so the stream is the same.
     """
     bits = rng.getrandbits
-    out = []
+    re, im = [], []
     for _ in range(count):
         a = bits(5)
         while a >= 19:
@@ -51,14 +56,18 @@ def _draws(rng: random.Random, count: int) -> list[tuple[int, int, int, int]]:
         d = bits(2)
         while d == 3:
             d = bits(2)
-        out.append((a - 9, DENOMINATORS[b], c - 9, DENOMINATORS[d]))
-    return out
+        re.append(_NUMERATORS[a][b])
+        im.append(_NUMERATORS[c][d])
+    return re, im
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
-    """rows x cols entries from _draws, put on their canonical scale with
-    no Fraction built."""
-    return _from_parts(rows, cols, _draws(rng, rows * cols))
+    """rows x cols entries from _draws, put on their canonical scale by
+    one gcd with _SCALE."""
+    re, im = _draws(rng, rows * cols)
+    starts = [k * cols for k in range(rows)]
+    re_rows, im_rows = [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts]
+    return _over(re_rows, im_rows, _SCALE, cols)
 
 
 def random_nonzero_column(rng: random.Random, n: int) -> Matrix:

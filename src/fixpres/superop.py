@@ -11,12 +11,14 @@ A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
 every builder makes them with the integer Matrix operations (kron,
 precompose_transpose), and no call converts L to another form.
 SuperOp.apply is the one exact image. L's residues mod p are made once
-per SuperOp, on first use (SuperOp._residues), and is_bijective and the
-probe checks all read them; a probe's image mod p is a sum of L's packed
-residue columns (_image_mod_p).
+per SuperOp, on first use, and kept as packed columns of 64-bit fields
+(SuperOp._residue_columns), about 8 bytes per entry; is_bijective and
+the probe checks all read them. A probe's image mod p is a sum of those
+columns, left unreduced (_image_mod_p), and _shifted_columns cuts it into
+the packed columns of phi(A) - I.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
-elimination modulo a prime on packed rows; the exact rank over Q(i)
+elimination modulo a prime on L's packed columns; the exact rank over Q(i)
 (linalg.rank), which the minors of a similarity's Kronecker product make
 slow, runs only when that elimination finds the matrix singular. The
 README gives timings. No elimination over Q(i) runs here other than
@@ -38,7 +40,6 @@ from .linalg import (
     SizeMismatch,
     _P,
     _divided,
-    _fields,
     _full_rank_mod_p,
     _matrix,
     _over,
@@ -128,31 +129,29 @@ class SuperOp:
         return _over([b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * a.d, n)
 
     @cached_property
-    def _residues(self) -> list[list[int]]:
-        """The rows of L mod _P (see linalg._residues), made on first use.
+    def _residue_columns(self) -> list[int]:
+        """The columns of L mod _P (see linalg._residues), each packed into
+        one int of 64-bit fields (see linalg._packed), made on first use.
         Callers read them and never change them."""
-        return _residues(self.matrix.re, self.matrix.im)
+        return [_packed(column) for column in zip(*_residues(self.matrix.re, self.matrix.im))]
 
 
-def _packed_columns(residues: list[list[int]]) -> list[int]:
-    """The columns of L's residue rows, each packed (see linalg._packed)."""
-    return [_packed(column) for column in zip(*residues)]
+def _image_mod_p(columns: list[int], u: list[int]) -> int:
+    """vec(phi(A)) mod _P as packed fields, from L's packed residue columns
+    and u = vec(A) mod _P: the sum of the columns times the nonzero
+    entries of u. The fields are left unreduced, each below N * _P**2."""
+    return sum(map(mul, compress(u, u), compress(columns, u)))
 
 
-def _image_mod_p(columns: list[int], a: list[list[int]]) -> list[list[int]]:
-    """The residues mod _P of the image of A as Gaussian-integer rows over
-    the scale d * e, with d the scale of L and e that of A, from the packed
-    residue columns of L and the residues a of the n x n rows of A.
-
-    vec(image) is the sum of L's packed columns times the nonzero entries
-    of vec(a), so each of its N fields is below N * _P**2 < 2**64.
-    """
-    n = len(a)
-    digits = range(n)
-    u = [a[i][j] for j in digits for i in digits]
-    image = sum(map(mul, compress(u, u), compress(columns, u)))
-    b = [x % _P for x in _fields(image, n * n)]
-    return [b[i::n] for i in digits]
+def _shifted_columns(vec: int, n: int, e: int) -> list[int]:
+    """The n packed columns of e * (M - I) mod _P, for vec the packed
+    fields of vec(e * M) mod _P: column j of M is fields j*n to j*n + n - 1
+    of vec, and _P - e % _P is added to its field j, so fields stay
+    unreduced and grow by at most _P."""
+    width = 64 * n
+    mask = (1 << width) - 1
+    shift = _P - e % _P
+    return [((vec >> width * j) & mask) + (shift << 64 * j) for j in range(n)]
 
 
 def identity_superop(n: int) -> SuperOp:
@@ -266,7 +265,7 @@ def is_bijective(phi: SuperOp) -> bool:
     """True exactly when the n^2 x n^2 matrix has full rank.
 
     Full rank modulo a prime proves full rank, so the elimination of L's
-    cached residues nearly always decides; when it finds the matrix
-    singular, the exact rank of L decides.
+    cached residue columns (rank L = rank L.T) nearly always decides; when
+    it finds the matrix singular, the exact rank of L decides.
     """
-    return _full_rank_mod_p(phi._residues) or rank(phi.matrix) == phi.n * phi.n
+    return _full_rank_mod_p(phi._residue_columns) or rank(phi.matrix) == phi.n * phi.n

@@ -19,7 +19,7 @@ from fixpres import (
     similarity_superop,
 )
 from fixpres.cli import matrix_from_doc
-from fixpres.linalg import _residues, rref
+from fixpres.linalg import _P, _SQRT_MINUS_ONE, _packed, _residues, rref
 from fixpres.superop import rank_one_factor, vec
 
 settings.register_profile(
@@ -64,9 +64,38 @@ def column_at(m: Matrix, j: int) -> Matrix:
     return Matrix(m.rows, 1, m.entries[j :: m.cols])
 
 
-def residue_rows(m: Matrix) -> list[list[int]]:
-    """The Gaussian-integer rows of m, as residues mod p."""
-    return _residues(m.re, m.im)
+def packed_rows(m: Matrix) -> list[int]:
+    """The Gaussian-integer rows of m as residues mod p, each packed into
+    64-bit fields: what _full_rank_mod_p takes."""
+    return [_packed(row) for row in _residues(m.re, m.im)]
+
+
+def vec_mod_p(m: Matrix) -> list[int]:
+    """vec(m) mod p over m's scale: the residues of its columns, one
+    after another."""
+    return [x for column in _residues(list(zip(*m.re)), list(zip(*m.im))) for x in column]
+
+
+def reference_full_rank_mod_p(m: Matrix) -> bool:
+    """Full rank mod p of m's Gaussian-integer rows, one (x - f*y) % p per
+    entry: _full_rank_mod_p as it was written before rows were packed."""
+    rows = [
+        [(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)]
+        for xs, ys in zip(m.re, m.im)
+    ]
+    for col in range(m.cols):
+        hit = next((r for r in range(col, m.rows) if rows[r][col]), None)
+        if hit is None:
+            return False
+        rows[col], rows[hit] = rows[hit], rows[col]
+        pivot = rows[col]
+        inv = pow(pivot[col], -1, _P)
+        tail = [x * inv % _P for x in pivot[col + 1 :]]
+        for row in rows[col + 1 :]:
+            f = row[col]
+            if f:
+                row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
+    return True
 
 
 def count_entry_reads(monkeypatch, cols: int) -> list:

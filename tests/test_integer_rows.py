@@ -8,9 +8,10 @@ with linalg._sparse and multiplies them by vec(A) with linalg._products.
 The rows (re, im, d) that a Matrix holds must be exactly what these
 give, scales included, and SuperOp.apply must be the reference image
 put on its canonical scale. superop._image_mod_p, a sum of L's packed
-columns, must give the residues of the reference image over its scale
-d * e; at the carry limit it is compared with reference_image_mod_p,
-one dense dot product per row of residues.
+residue columns with unreduced fields, must give the residues of the
+reference image over its scale d * e; at the carry limit it is compared
+with reference_image_mod_p, one dense dot product per row of residues,
+and its columns with the diagonal shift go through _full_rank_mod_p.
 
 Eliminations divide each row by its content, so rows over one common
 scale reach Bareiss no larger than rows over their own scales would.
@@ -38,7 +39,10 @@ from fixpres import linalg
 from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
+    _fields,
+    _full_rank_mod_p,
     _over,
+    _packed,
     _products,
     _residues,
     _sparse,
@@ -47,7 +51,7 @@ from fixpres.linalg import (
     rref,
 )
 from fixpres.preserver import structured_probes
-from fixpres.superop import _image_mod_p, _packed_columns
+from fixpres.superop import _image_mod_p, _shifted_columns
 
 from conftest import (
     MIXED_DENOMINATORS,
@@ -55,6 +59,8 @@ from conftest import (
     nonzero_scalars,
     prime_row_random,
     prime_row_similarity,
+    reference_full_rank_mod_p,
+    vec_mod_p,
 )
 
 
@@ -215,22 +221,35 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
 
 @given(maps(), st.data())
 def test_packed_image_mod_p_is_the_exact_image_mod_p(phi, data):
-    columns = _packed_columns(_residues(phi.matrix.re, phi.matrix.im))
-    re, im, e = stored_rows(data.draw(probes(phi.n)))
-    assert _image_mod_p(columns, _residues(re, im)) == _residues(
-        *reference_image(phi, re, im, e)[:2]
-    )
+    n = phi.n
+    a = data.draw(probes(n))
+    re, im, e = stored_rows(a)
+    fields = [x % _P for x in _fields(_image_mod_p(phi._residue_columns, vec_mod_p(a)), n * n)]
+    assert [fields[i::n] for i in range(n)] == _residues(*reference_image(phi, re, im, e)[:2])
 
 
 def test_packed_image_mod_p_carries_at_n_16():
     """Every residue of L and of the probe is p - 1, so each of the 256
     fields of the packed sum takes 256 products (p - 1)**2, the most it
-    can hold; the image is 256 * (p - 1)**2 = 256 mod p in every entry."""
+    can hold; the image is 256 * (p - 1)**2 = 256 mod p in every entry.
+
+    Cut into columns with the diagonal shift p - e % p added, the
+    unreduced fields go through the kernel as they are: the matrix mod p
+    is 256 - e on the diagonal and 256 elsewhere, of full rank unless e is
+    16 * 256 or 0 mod p. At e = p the shift is p itself, so each diagonal
+    field starts at 256 * (p - 1)**2 + p."""
     n, side = 16, 256
     residues = [[_P - 1] * side for _ in range(side)]
     a = [[_P - 1] * n for _ in range(n)]
-    columns = _packed_columns(residues)
-    assert _image_mod_p(columns, a) == reference_image_mod_p(residues, a) == [[side] * n] * n
+    image = _image_mod_p([_packed(column) for column in zip(*residues)], [_P - 1] * side)
+    assert _fields(image, side) == (side * (_P - 1) ** 2,) * side
+    fields = [x % _P for x in _fields(image, side)]
+    assert [fields[i::n] for i in range(n)] == reference_image_mod_p(residues, a)
+    assert reference_image_mod_p(residues, a) == [[side] * n] * n
+    for e, full in ((1, True), (n * side, False), (_P, False), (_P + 1, True)):
+        shifted = Matrix.from_rows([[side - e * (i == j) for j in range(n)] for i in range(n)])
+        assert reference_full_rank_mod_p(shifted) == full
+        assert _full_rank_mod_p(_shifted_columns(image, n, e)) == full
 
 
 # ---------------------------------------------------------------------------

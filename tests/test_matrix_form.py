@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, SuperOp, derive_rng, fixed_space, random_matrix
 from fixpres.linalg import inverse, kron, rank, rref
-from fixpres.sampling import _draws
+from fixpres.sampling import DENOMINATORS
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import precompose_transpose
 
@@ -147,10 +147,13 @@ def test_column(column):
 
 @given(sides, sides, st.integers(0, 2**32))
 def test_random_matrix(rows, cols, seed):
-    expected = [
-        GaussianRational(Fraction(a, b), Fraction(c, e))
-        for a, b, c, e in _draws(derive_rng(seed, "form"), rows * cols)
-    ]
+    # each part is randint(-9, 9) / choice(DENOMINATORS), drawn in that order
+    rng = derive_rng(seed, "form")
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+
+    expected = [GaussianRational(part(), part()) for _ in range(rows * cols)]
     grid = [expected[k * cols : (k + 1) * cols] for k in range(rows)]
     assert_form(random_matrix(derive_rng(seed, "form"), rows, cols), grid, cols)
 

@@ -1,11 +1,11 @@
 """The full-rank test mod p on rows packed into 64-bit fields, against
 the per-entry reference, and the prime and the packing it rests on.
 
-reference_full_rank_mod_p is _full_rank_mod_p as it was written before
-rows were packed into ints: one (x - f*y) % p per entry. Rank mod p does
-not depend on how the elimination is organised, so the two must agree on
-every square matrix, including the rows of a map's L over their one
-common scale, which is what is_bijective eliminates.
+conftest.reference_full_rank_mod_p is _full_rank_mod_p as it was written
+before rows were packed into ints: one (x - f*y) % p per entry. Rank mod
+p does not depend on how the elimination is organised, so the two must
+agree on every square matrix, including the packed residue columns of a
+map's L over its one common scale, which is what is_bijective eliminates.
 """
 
 import random
@@ -23,35 +23,16 @@ from fixpres.linalg import (
     _fields,
     _full_rank_mod_p,
     _packed,
-    _residues,
 )
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import MAX_SIDE
 
-from conftest import prime_row_random, prime_row_similarity, residue_rows
-
-
-# ---------------------------------------------------------------------------
-# reference implementation
-
-def reference_full_rank_mod_p(m: Matrix) -> bool:
-    rows = [
-        [(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)]
-        for xs, ys in zip(m.re, m.im)
-    ]
-    for col in range(m.cols):
-        hit = next((r for r in range(col, m.rows) if rows[r][col]), None)
-        if hit is None:
-            return False
-        rows[col], rows[hit] = rows[hit], rows[col]
-        pivot = rows[col]
-        inv = pow(pivot[col], -1, _P)
-        tail = [x * inv % _P for x in pivot[col + 1 :]]
-        for row in rows[col + 1 :]:
-            f = row[col]
-            if f:
-                row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
-    return True
+from conftest import (
+    packed_rows,
+    prime_row_random,
+    prime_row_similarity,
+    reference_full_rank_mod_p,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +42,9 @@ def test_prime_has_a_square_root_of_minus_one_and_fits_the_fields():
     assert all(_P % k for k in range(2, isqrt(_P) + 1))
     assert _P % 4 == 1
     assert pow(_SQRT_MINUS_ONE, 2, _P) == _P - 1
-    # a field starts below p and takes at most N - 1 products below p**2
-    assert (MAX_SIDE**2 + 1) * _P**2 < 2**64
+    # a field of an image starts below N * p**2 + p and takes at most
+    # n - 1 products below p**2; one of L starts below p and takes N - 1
+    assert (MAX_SIDE**2 + MAX_SIDE) * _P**2 < 2**64
 
 
 @pytest.mark.parametrize("length", [1, 5, 256])
@@ -116,7 +98,7 @@ def square_matrices_mod_p(draw):
 @example(prime_row_similarity(4).matrix)
 @example(prime_row_random(4).matrix)
 def test_full_rank_mod_p_agrees_with_reference(m):
-    assert _full_rank_mod_p(residue_rows(m)) == reference_full_rank_mod_p(m)
+    assert _full_rank_mod_p(packed_rows(m)) == reference_full_rank_mod_p(m)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +109,12 @@ def test_full_rank_mod_p_agrees_with_reference(m):
 def test_common_scale_residues_agree_with_reference(make, n):
     # Every row of L is over the lcm of all rows' scales, far above its own.
     phi = make(n)
-    l = phi.matrix
-    assert _full_rank_mod_p(_residues(l.re, l.im)) == reference_full_rank_mod_p(l)
+    assert _full_rank_mod_p(phi._residue_columns) == reference_full_rank_mod_p(phi.matrix)
 
 
 def test_row_swaps_at_every_column():
     m = transpose_superop(4).matrix
-    assert _full_rank_mod_p(residue_rows(m))
+    assert _full_rank_mod_p(packed_rows(m))
     assert reference_full_rank_mod_p(m)
 
 
@@ -148,7 +129,7 @@ def test_first_column_nonzero_mod_p_only_in_the_last_row():
     ]
     rows.append([GaussianRational(int(j == 0)) for j in range(side)])
     m = Matrix.from_rows(rows)
-    assert _full_rank_mod_p(residue_rows(m))
+    assert _full_rank_mod_p(packed_rows(m))
     assert reference_full_rank_mod_p(m)
 
 
@@ -157,7 +138,7 @@ def test_lower_triangle_of_p_minus_one_at_n_256():
     m = Matrix.from_rows(
         [[_P - 1 if j <= i else 0 for j in range(side)] for i in range(side)]
     )
-    assert _full_rank_mod_p(residue_rows(m))
+    assert _full_rank_mod_p(packed_rows(m))
 
 
 def _lu_with_corner(side: int, corner: int) -> Matrix:
@@ -188,13 +169,13 @@ def _lu_with_corner(side: int, corner: int) -> Matrix:
 
 
 def test_every_field_at_its_growth_bound_at_n_256():
-    assert _full_rank_mod_p(residue_rows(_lu_with_corner(256, 1)))
+    assert _full_rank_mod_p(packed_rows(_lu_with_corner(256, 1)))
     # det = corner = p: invertible over Q(i), singular mod p, decided by
     # the last field after its 255 additions.
-    assert not _full_rank_mod_p(residue_rows(_lu_with_corner(256, _P)))
+    assert not _full_rank_mod_p(packed_rows(_lu_with_corner(256, _P)))
 
 
 def test_growth_bound_matrices_agree_with_reference_at_n_36():
     for corner in (1, _P):
         m = _lu_with_corner(36, corner)
-        assert _full_rank_mod_p(residue_rows(m)) == reference_full_rank_mod_p(m) == (corner == 1)
+        assert _full_rank_mod_p(packed_rows(m)) == reference_full_rank_mod_p(m) == (corner == 1)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import fixpres
@@ -37,20 +37,24 @@ from fixpres.linalg import (
     _SQRT_MINUS_ONE,
     _bareiss,
     _full_rank_mod_p,
+    _packed,
     _residues,
     inverse,
     rank,
 )
 from fixpres.preserver import probe_suite, structured_probes
 from fixpres.scalars import ONE, ZERO
+from fixpres.superop import _image_mod_p, _shifted_columns
 
 from conftest import (
     count_entry_reads,
     matrices,
-    residue_rows,
+    packed_rows,
+    reference_full_rank_mod_p,
     row_vector,
     square_matrices,
     superop_from_action,
+    vec_mod_p,
 )
 
 
@@ -368,7 +372,7 @@ def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
     phi = superop_from_action(3, action)
     eye = Matrix.identity(3)
     shifted = (probe - eye, phi.apply(probe) - eye)
-    assert not all(_full_rank_mod_p(residue_rows(m)) for m in shifted)
+    assert not all(_full_rank_mod_p(packed_rows(m)) for m in shifted)
     assert rank(shifted[0]) == 3
     monkeypatch.setattr(preserver, "_structured", lambda n: (probe,))
     calls = _count_bareiss_calls(monkeypatch)
@@ -377,6 +381,18 @@ def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
     assert verdict.outcome == outcome
     assert verdict == _reference_check(phi, 0, 0, dim_fixed)
     assert check_set_preserving(phi, 0, 0) == _reference_check(phi, 0, 0, fixed_space)
+
+
+def test_image_certificate_is_over_the_scales_of_l_and_the_probe(monkeypatch):
+    """A -> A / 2 has L over the scale 2 and sends diag(2, 3, 3), for which
+    A - I is invertible, to diag(1, 3/2, 3/2), which fixes e_1. The image's
+    residues are over 2 * e, so only a shift by 2 * e, not by e, shows
+    that fixed point."""
+    phi = superop_from_action(3, lambda a: a * Fraction(1, 2))
+    assert phi.matrix.d == 2
+    monkeypatch.setattr(preserver, "_structured", lambda n: (_diagonal(2, 3, 3),))
+    verdict = check_dim_preserving(phi, 0, 0)
+    assert (verdict.outcome, verdict.detail) == ("counterexample", (0, 1))
 
 
 def test_certified_probes_skip_bareiss(monkeypatch):
@@ -443,11 +459,11 @@ _COLLIDING = (
 
 
 @st.composite
-def shifted_probes(draw):
-    """n x n probes for n <= 6: drawn from the probe stream with some
-    entries replaced by colliding ones, structured probes, and I + X @ Y
-    with X n x k, so that dim F >= n - k."""
-    n = draw(st.integers(1, 6))
+def shifted_probes(draw, max_side=6):
+    """n x n probes for n <= max_side: drawn from the probe stream with
+    some entries replaced by colliding ones, structured probes, and
+    I + X @ Y with X n x k, so that dim F >= n - k."""
+    n = draw(st.integers(1, max_side))
     rng = random.Random(draw(st.integers(0, 2**32)))
     kind = draw(st.sampled_from(["stream", "structured", "fixed-points"]))
     if kind == "structured":
@@ -464,8 +480,52 @@ def shifted_probes(draw):
 @given(shifted_probes())
 def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
     n = a.rows
-    if preserver._regular_mod_p(_residues(a.re, a.im), a.d):
+    if _full_rank_mod_p(_shifted_columns(_packed(vec_mod_p(a)), n, a.d)):
         assert rank(a - Matrix.identity(n)) == n
+
+
+@st.composite
+def certificate_cases(draw):
+    """A probe from shifted_probes for n <= 5 and a map on M_n: the
+    identity, a similarity, a random map, or one with colliding entries
+    in L."""
+    a = draw(shifted_probes(max_side=5))
+    n = a.rows
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["identity", "similarity", "random", "colliding"]))
+    if kind == "identity":
+        return identity_superop(n), a
+    if kind == "similarity":
+        return similarity_superop(random_invertible(rng, n), rng.choice([1, -1, 2])), a
+    l = random_matrix(rng, n * n, n * n)
+    if kind == "colliding":
+        entries = list(l.entries)
+        for _ in range(n * n):
+            entries[rng.randrange(len(entries))] = rng.choice(_COLLIDING)
+        l = Matrix(n * n, n * n, tuple(entries))
+    return SuperOp(n, l), a
+
+
+@given(certificate_cases())
+@example((identity_superop(3), _diagonal(_P + 1, 2, 2)))
+@example((superop_from_action(3, lambda a: a * Fraction(1, 2)), _diagonal(_P + 1, 2, 2)))
+def test_packed_certificate_agrees_with_reference_rank_mod_p(case):
+    """The certificate of the probe loop, on packed columns of A - I and
+    of phi(A) - I whose image fields arrive unreduced with the diagonal
+    shift added, is the per-entry rank mod p of e * (A - I) and of
+    d * e * (phi(A) - I), e the scale of A and d that of L."""
+    phi, a = case
+    n, e = a.rows, a.d
+    de = phi.matrix.d * e
+    eye = Matrix.identity(n)
+    u = vec_mod_p(a)
+    image = _image_mod_p(phi._residue_columns, u)
+    assert _full_rank_mod_p(_shifted_columns(_packed(u), n, e)) == reference_full_rank_mod_p(
+        (a - eye) * e
+    )
+    assert _full_rank_mod_p(_shifted_columns(image, n, de)) == reference_full_rank_mod_p(
+        (phi.apply(a) - eye) * de
+    )
 
 
 # ---------------------------------------------------------------------------

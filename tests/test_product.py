@@ -18,11 +18,11 @@ from fixpres import (
     derive_rng,
     random_matrix,
 )
-from fixpres.linalg import _residues, inverse, kron, rank
+from fixpres.linalg import _P, _fields, inverse, kron, rank
 from fixpres.scalars import ZERO
-from fixpres.superop import _image_mod_p, _packed_columns, unvec, vec
+from fixpres.superop import _image_mod_p, unvec, vec
 
-from conftest import MIXED_DENOMINATORS, fractions_st, prime_row_random, scalars
+from conftest import MIXED_DENOMINATORS, fractions_st, prime_row_random, scalars, vec_mod_p
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +147,17 @@ def test_apply_each_matches_apply(seed):
     phi = SuperOp(n, random_matrix(rng, n * n, n * n))
     ms = [random_matrix(rng, n, n) for _ in range(4)] + [Matrix.zeros(n, n)]
     l = phi.matrix
-    columns = _packed_columns(_residues(l.re, l.im))
+    columns = phi._residue_columns
     for m in ms:
         image = phi.apply(m)
         scale = l.d * m.d
         assert scale % image.d == 0
-        k = scale // image.d
-        b_re = [[k * x for x in row] for row in image.re]
-        b_im = [[k * y for y in row] for row in image.im]
-        assert _image_mod_p(columns, _residues(m.re, m.im)) == _residues(b_re, b_im)
+        # the image's Gaussian integers over the scale l.d * m.d
+        b = image * scale
+        assert b.d == 1
+        fields = _fields(_image_mod_p(columns, vec_mod_p(m)), n * n)
+        assert [x % _P for x in fields] == vec_mod_p(b)
+    assert phi._residue_columns is columns
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
     ]

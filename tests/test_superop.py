@@ -37,7 +37,7 @@ from conftest import (
     prime_row_random,
     prime_row_similarity,
     prime_rows,
-    residue_rows,
+    packed_rows,
     row_vector,
     superop_from_action,
 )
@@ -188,7 +188,7 @@ def test_bijective_map_singular_mod_p_falls_back_to_exact_rank(corner, monkeypat
     # Both corners are nonzero over Q(i) but vanish mod p: p itself, and
     # r - i with i -> r, a square root of -1 mod p.
     phi = _identity_with_corner(2, corner)
-    assert not _full_rank_mod_p(residue_rows(phi.matrix))
+    assert not _full_rank_mod_p(packed_rows(phi.matrix))
     calls = _count_exact_ranks(monkeypatch)
     assert is_bijective(phi)
     assert calls == [(4, 4)]
@@ -241,7 +241,7 @@ def test_prime_row_maps_are_decided_by_the_certificate(make, monkeypatch):
     # L's common scale is far above each row's own; full rank mod p holds
     # for the common-scale rows just as it does for rows over their own scale.
     phi = make(4)
-    assert _full_rank_mod_p(residue_rows(phi.matrix))
+    assert _full_rank_mod_p(packed_rows(phi.matrix))
     _no_exact_rank(monkeypatch)
     assert is_bijective(phi)
 
