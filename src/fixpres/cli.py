@@ -189,7 +189,9 @@ def _load_json(path: str):
         raise InputError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def verdict_to_doc(verdict: Verdict, condition: str) -> dict:
+def verdict_to_doc(verdict: Verdict) -> dict:
+    """The verdict document; a counterexample's detail says its condition:
+    fixed spaces for "set", their dimensions for "dim"."""
     doc = {
         "outcome": verdict.outcome,
         "probes_run": verdict.probes_run,
@@ -198,13 +200,13 @@ def verdict_to_doc(verdict: Verdict, condition: str) -> dict:
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         doc["witness"] = matrix_to_doc(verdict.witness)
         left, right = verdict.detail
-        if condition == "dim":
-            doc["detail"] = {"dim_fixed_input": left, "dim_fixed_image": right}
-        else:
+        if isinstance(left, Subspace):
             doc["detail"] = {
                 "fixed_space_input": subspace_to_doc(left),
                 "fixed_space_image": subspace_to_doc(right),
             }
+        else:
+            doc["detail"] = {"dim_fixed_input": left, "dim_fixed_image": right}
     return doc
 
 
@@ -220,8 +222,7 @@ def classification_to_doc(classification: Classification) -> dict:
 def report_to_doc(report: PreserverReport) -> dict:
     doc: dict = {"claim": report.claim, "status": report.status}
     if report.verdict is not None:
-        condition = "set" if report.claim == 1 else "dim"
-        doc["verdict"] = verdict_to_doc(report.verdict, condition)
+        doc["verdict"] = verdict_to_doc(report.verdict)
     if report.classification is not None:
         doc["classification"] = classification_to_doc(report.classification)
     doc["notes"] = list(report.notes)
@@ -241,8 +242,6 @@ def _cmd_fixdim(args) -> tuple[dict, int]:
         raise InputError(f"fixdim needs a square matrix, got {matrix.rows}x{matrix.cols}")
     space = fixed_space(matrix)
     report = {
-        "command": "fixdim",
-        "tool_version": __version__,
         "matrix": matrix_to_doc(matrix),
         "n": matrix.rows,
         "dim_fixed": space.dim,
@@ -256,8 +255,6 @@ def _cmd_classify(args) -> tuple[dict, int]:
     phi = superop_from_doc(_load_json(args.superop))
     classification = classify(phi)
     report = {
-        "command": "classify",
-        "tool_version": __version__,
         "superop": superop_to_doc(phi),
         "classification": classification_to_doc(classification),
     }
@@ -287,13 +284,11 @@ def _cmd_check(args) -> tuple[dict, int]:
     else:
         verdict = check_set_preserving(phi, trials=args.trials, seed=args.seed)
     report = {
-        "command": "check",
-        "tool_version": __version__,
         "condition": args.condition,
         "seed": args.seed,
         "trials": args.trials,
         "superop": superop_to_doc(phi),
-        "verdict": verdict_to_doc(verdict, args.condition),
+        "verdict": verdict_to_doc(verdict),
     }
     code = EXIT_OK if verdict.outcome == OUTCOME_PASS else EXIT_FINDING
     return report, code
@@ -306,8 +301,6 @@ def _cmd_verdict(args) -> tuple[dict, int]:
     else:
         result = dim_preserver_verdict(phi, trials=args.trials, seed=args.seed)
     report = {
-        "command": "verdict",
-        "tool_version": __version__,
         "theorem": args.theorem,
         "seed": args.seed,
         "trials": args.trials,
@@ -343,14 +336,12 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
             "trial": trial,
             "seed": trial_seed,
             "classification": classification_to_doc(classification),
-            "verdict": verdict_to_doc(verdict, "dim"),
+            "verdict": verdict_to_doc(verdict),
         }
         if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
             counterexamples += 1
         results.append(entry)
     report = {
-        "command": "fuzz",
-        "tool_version": __version__,
         "n": args.n,
         "family": args.family,
         "trials": args.trials,
@@ -434,10 +425,11 @@ def run(argv: list[str]) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        report, code = _HANDLERS[args.command](args)
+        body, code = _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report = {"command": args.command, "tool_version": __version__, **body}
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return code

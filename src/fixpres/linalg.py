@@ -8,6 +8,10 @@ views built on request. All values are immutable and every operation is
 pure. Rank and kernel decisions are bit-exact: there is no tolerance
 anywhere in this module.
 
+Every exact product in the package (Matrix @ and SuperOp.apply) goes
+through _products: each row of the left operand dotted with the nonzero
+entries of one column of the right.
+
 Every exact elimination in the package (rank, echelon rows, RREF,
 kernel, inverse) goes through _echelon: fraction-free Bareiss
 elimination over the Gaussian integers on rows divided by their content.
@@ -194,17 +198,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Exact product, computed over the Gaussian integers.
 
-        Entry (i, j) is a plain int dot product of row i of self and
-        column j of other, skipping zero left entries, over the product
-        of the two scales; the result is put on its canonical scale once.
+        Column j is _products of the rows of self with column j of other,
+        over the product of the two scales; the result is put on its
+        canonical scale once.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise SizeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        left = _sparse(self.re, self.im)
         right = other.transpose()
-        columns = [_products(left, b_re, b_im) for b_re, b_im in zip(right.re, right.im)]
+        columns = [_products(self.re, self.im, u, v) for u, v in zip(right.re, right.im)]
         rows = range(self.rows)
         return _over(
             [[c_re[i] for c_re, _ in columns] for i in rows],
@@ -323,30 +326,25 @@ def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
     )
 
 
-# The nonzero (column, real part, imaginary part) entries of each row of
-# a matrix of Gaussian integers.
-_SparseRows = list[list[tuple[int, int, int]]]
-
-
-def _sparse(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> _SparseRows:
-    return [
-        [(t, x, y) for t, (x, y) in enumerate(zip(a_re, a_im)) if x or y]
-        for a_re, a_im in zip(re, im)
-    ]
-
-
 def _products(
-    rows: _SparseRows, u: Sequence[int], v: Sequence[int]
+    re: Sequence[Sequence[int]],
+    im: Sequence[Sequence[int]],
+    u: Sequence[int],
+    v: Sequence[int],
 ) -> tuple[list[int], list[int]]:
-    """Real and imaginary parts of rows @ (u + i*v), all Gaussian integers."""
+    """Real and imaginary parts of (re + i*im) @ (u + i*v), all Gaussian
+    integers: each row dotted with the nonzero entries of the column
+    u + i*v alone. Matrix @ calls it once per column of its right
+    operand, SuperOp.apply once with vec(A)."""
+    nonzero = [(t, x, y) for t, (x, y) in enumerate(zip(u, v)) if x or y]
     out_re: list[int] = []
     out_im: list[int] = []
-    for nonzero in rows:
+    for a_re, a_im in zip(re, im):
         acc_r = acc_i = 0
         for t, x, y in nonzero:
-            p, q = u[t], v[t]
-            acc_r += x * p - y * q
-            acc_i += x * q + y * p
+            p, q = a_re[t], a_im[t]
+            acc_r += p * x - q * y
+            acc_i += p * y + q * x
         out_re.append(acc_r)
         out_im.append(acc_i)
     return out_re, out_im

@@ -10,12 +10,14 @@ layout; each reshuffle below is a gather over rows or flat entries.
 A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
 every builder makes them with the integer Matrix operations (kron,
 precompose_transpose), and no call converts L to another form.
-SuperOp.apply is the one exact image. L's residues mod p are made once
-per SuperOp, on first use, and kept as packed columns of 64-bit fields
-(SuperOp._residue_columns), about 8 bytes per entry; is_bijective and
-the probe checks all read them. A probe's image mod p is a sum of those
-columns, left unreduced (_image_mod_p), and _shifted_columns cuts it into
-the packed columns of phi(A) - I.
+SuperOp.apply is the one exact image: L's rows times vec(A) through
+linalg._products, the one exact product kernel, which Matrix @ also
+calls. L's residues mod p are made once per SuperOp, on first use, and
+kept as packed columns of 64-bit fields (SuperOp._residue_columns),
+about 8 bytes per entry; is_bijective and the probe checks all read
+them. A probe's image mod p is a sum of those columns, left unreduced
+(_image_mod_p), and _shifted_columns cuts it into the packed columns of
+phi(A) - I.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on L's packed columns; the exact rank over Q(i)
@@ -44,6 +46,7 @@ from .linalg import (
     _matrix,
     _over,
     _packed,
+    _products,
     _residues,
     inverse,
     kron,
@@ -64,16 +67,13 @@ def vec(a: Matrix) -> Matrix:
     return _matrix(1, re, im, a.d)
 
 
-def unvec(v: Matrix, rows: int, cols: int | None = None) -> Matrix:
-    if cols is None:
-        cols = rows
-    if v.cols != 1 or v.rows != rows * cols:
-        raise SizeMismatch(f"cannot unvec {v.rows}x{v.cols} into {rows}x{cols}")
-    # the cols x rows matrix whose row j is column j of the result
-    re, im = [x for (x,) in v.re], [y for (y,) in v.im]
-    starts = range(0, rows * cols, rows)
-    t_re, t_im = [re[k : k + rows] for k in starts], [im[k : k + rows] for k in starts]
-    return _matrix(rows, t_re, t_im, v.d).transpose()
+def unvec(v: Matrix, n: int) -> Matrix:
+    """The n x n matrix whose vec is the column v: vec inverted."""
+    if v.cols != 1 or v.rows != n * n:
+        raise SizeMismatch(f"cannot unvec {v.rows}x{v.cols} into {n}x{n}")
+    # vec(A)[j*n + i] = A[i][j], so row i of A is v[i::n]
+    re, im, digits = [x for (x,) in v.re], [y for (y,) in v.im], range(n)
+    return _matrix(n, [re[i::n] for i in digits], [im[i::n] for i in digits], v.d)
 
 
 def _check_side(n: int) -> None:
@@ -103,28 +103,18 @@ class SuperOp:
             )
 
     def apply(self, a: Matrix) -> Matrix:
-        """The image of a, the one exact image in the package.
-
-        It gathers the columns of L where vec(A) is nonzero, so each entry
-        is an int dot product over the nonzero entries of A alone; the
-        rows over the scale d * e, with d the scale of L and e that of A,
-        are put on their canonical scale once.
+        """The image of a: linalg._products of L's rows with vec(A), the
+        one exact product kernel, which skips the zero entries of vec(A);
+        the n rows over the scale d * e, with d the scale of L and e that
+        of A, are put on their canonical scale once.
         """
         n, l = self.n, self.matrix
         if a.rows != n or a.cols != n:
             raise SizeMismatch(f"expected {n}x{n} input, got {a.rows}x{a.cols}")
-        # vec(A)[j*n + i] = A[i][j]
-        nonzero = [(j * n + i, x, y) for i, (x_row, y_row) in enumerate(zip(a.re, a.im))
-                   for j, (x, y) in enumerate(zip(x_row, y_row)) if x or y]
-        b_re, b_im = [], []
-        for l_re, l_im in zip(l.re, l.im):
-            acc_r = acc_i = 0
-            for t, x, y in nonzero:
-                p, q = l_re[t], l_im[t]
-                acc_r += p * x - q * y
-                acc_i += p * y + q * x
-            b_re.append(acc_r)
-            b_im.append(acc_i)
+        # vec(A)[j*n + i] = A[i][j]: A's columns, flattened
+        u = [x for column in zip(*a.re) for x in column]
+        v = [y for column in zip(*a.im) for y in column]
+        b_re, b_im = _products(l.re, l.im, u, v)
         digits = range(n)
         return _over([b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * a.d, n)
 

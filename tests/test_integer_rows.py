@@ -1,17 +1,18 @@
-"""The rows a Matrix stores and the column-gather image, against the
-two-step references they replaced.
+"""The rows a Matrix stores and the image SuperOp.apply gives, against
+references that share no code with the package.
 
 reference_common_integer_rows scales each row over its own lcm with
 reference_integer_rows and then rescales every row to the lcm of those
-scales. reference_image lists the nonzero entries of every row of L
-with linalg._sparse and multiplies them by vec(A) with linalg._products.
-The rows (re, im, d) that a Matrix holds must be exactly what these
-give, scales included, and SuperOp.apply must be the reference image
-put on its canonical scale. superop._image_mod_p, a sum of L's packed
-residue columns with unreduced fields, must give the residues of the
-reference image over its scale d * e; at the carry limit it is compared
-with reference_image_mod_p, one dense dot product per row of residues,
-and its columns with the diagonal shift go through _full_rank_mod_p.
+scales. reference_image dots every row of L with all of vec(A), zero
+entries included, as a plain sum, not through linalg._products, the
+product kernel that SuperOp.apply runs. The rows (re, im, d) that a
+Matrix holds must be exactly what these give, scales included, and
+SuperOp.apply must be the reference image put on its canonical scale.
+superop._image_mod_p, a sum of L's packed residue columns with
+unreduced fields, must give the residues of the reference image over
+its scale d * e; at the carry limit it is compared with
+reference_image_mod_p, one dense dot product per row of residues, and
+its columns with the diagonal shift go through _full_rank_mod_p.
 
 Eliminations divide each row by its content, so rows over one common
 scale reach Bareiss no larger than rows over their own scales would.
@@ -43,9 +44,7 @@ from fixpres.linalg import (
     _full_rank_mod_p,
     _over,
     _packed,
-    _products,
     _residues,
-    _sparse,
     inverse,
     rank,
     rref,
@@ -98,7 +97,8 @@ def reference_image(phi: SuperOp, a_re: list[list[int]], a_im: list[list[int]], 
     u = [a_re[i][j] for j in digits for i in digits]
     v = [a_im[i][j] for j in digits for i in digits]
     l = phi.matrix
-    b_re, b_im = _products(_sparse(l.re, l.im), u, v)
+    b_re = [sum(p * x - q * y for p, q, x, y in zip(*row, u, v)) for row in zip(l.re, l.im)]
+    b_im = [sum(p * y + q * x for p, q, x, y in zip(*row, u, v)) for row in zip(l.re, l.im)]
     return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
 
 
@@ -200,7 +200,7 @@ def test_scaling_of_probes_matches_reference(data):
 
 
 # ---------------------------------------------------------------------------
-# the gathered image
+# the exact image
 
 @given(maps(), st.data())
 def test_gathered_image_matches_reference(phi, data):

@@ -127,10 +127,10 @@ def test_vec_matches_reference(a):
     assert vec(a) == reference_vec(a)
 
 
-@given(sides, sides, st.data())
-def test_unvec_matches_reference(rows, cols, data):
-    v = data.draw(matrices(rows=rows * cols, cols=1))
-    assert unvec(v, rows, cols) == reference_unvec(v, rows, cols)
+@given(sides, st.data())
+def test_unvec_matches_reference(n, data):
+    v = data.draw(matrices(rows=n * n, cols=1))
+    assert unvec(v, n) == reference_unvec(v, n, n)
 
 
 # ---------------------------------------------------------------------------

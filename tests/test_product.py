@@ -1,8 +1,8 @@
 """The fraction-free product kernel against the GaussianRational reference.
 
 The reference below is the triple loop that adds and multiplies a
-GaussianRational per term; Matrix @ and the superoperator image kernel
-must give exactly what it gives.
+GaussianRational per term; Matrix @ and SuperOp.apply, which share the
+one kernel linalg._products, must give exactly what it gives.
 """
 
 from fractions import Fraction
