@@ -20,9 +20,14 @@ The two packaged claims are:
 A probe that the certificate mod p does not settle is decided by the
 public dim_fixed or fixed_space of the probe and of its image under
 SuperOp.apply, so a counterexample's detail is the pair the loop
-compared. L's residues mod p belong to the SuperOp, which makes them once
-as packed columns, so the claim-2 verdict's bijectivity test and probe
-check share them while each step runs through its public name.
+compared. The certificate runs on the probe's own side, A - I, before its
+image. What a structured probe gives of its own side (vec(A) mod p, its
+certificate and F(A), from fixed_space only where the certificate fails)
+depends on the probe alone, so it is made on first need and kept for the
+process. L's residues mod p
+belong to the SuperOp, which makes them once as packed columns, so the
+claim-2 verdict's bijectivity test and probe check share them while each
+step runs through its public name.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, _full_rank_mod_p, _packed, _residues
+from .linalg import Matrix, Subspace, _full_rank_mod_p, _packed, _residues
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -42,7 +47,6 @@ from .superop import (
     _image_mod_p,
     _realigned,
     _shifted_columns,
-    identity_superop,
     is_bijective,
     rank_one_factor,
     unvec,
@@ -146,34 +150,61 @@ def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
         yield random_matrix(derive_rng(seed, "probe", idx), n, n)
 
 
-def _check(phi: SuperOp, trials: int, seed: int, measure: Callable) -> Verdict:
-    """Compare measure(A) with measure(phi(A)) over the probe suite, for
-    measure dim_fixed or fixed_space.
+def _own_side(a: Matrix) -> tuple[list[int], bool]:
+    """vec(A) mod _P, A's residues column after column, and whether A - I
+    has full rank mod _P."""
+    u = [x for column in _residues(zip(*a.re), zip(*a.im)) for x in column]
+    return u, _full_rank_mod_p(_shifted_columns(_packed(u), a.rows, a.d))
+
+
+@lru_cache(maxsize=MAX_SIDE * (MAX_SIDE + 13) // 2)
+def _structured_side(a: Matrix) -> tuple[tuple[int, ...], bool, Subspace]:
+    """_own_side of a structured probe, its residues as a tuple, and F(A):
+    {0} where the certificate proves A - I invertible, and from fixed_space
+    only where it fails. Made once per probe on first need; the bound is
+    the number of structured probes of all sides 1..MAX_SIDE, at most
+    n + 6 each."""
+    u, regular = _own_side(a)
+    return tuple(u), regular, Subspace.zero(a.rows) if regular else fixed_space(a)
+
+
+def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
+    """Compare F(A) with F(phi(A)) when sets is true, and dim F(A) with
+    dim F(phi(A)) otherwise, over the probe suite.
 
     Most probes are decided modulo _P, from the packed residue columns of
-    L that the SuperOp caches. vec(A) mod _P is u, A's residues column
-    after column; vec(phi(A)) mod _P is the sum of L's columns times u,
-    whose fields stay unreduced below N * _P**2. Both are cut into packed
-    columns of A - I and phi(A) - I (over their scales e and d * e), which
-    _full_rank_mod_p takes as they are. When both have full rank there,
+    L that the SuperOp caches. The probe's own side comes first: vec(A)
+    mod _P is u, A's residues column after column, cut into the packed
+    columns of A - I over A's scale e. Only when _full_rank_mod_p proves
+    those invertible is the image made: vec(phi(A)) mod _P is the sum of
+    L's columns times u, whose fields stay unreduced below N * _P**2, cut
+    into the columns of phi(A) - I over d * e. When both have full rank,
     both fixed spaces are {0}, which settles the dimension and the set
     condition alike. Every other probe (one with a fixed point on either
     side, or the rare probe that is singular mod _P alone) is decided by
-    measure of A and of phi.apply(A), the pair a counterexample reports as
-    its detail. Probes are drawn lazily, so a counterexample at probe k
-    draws no later probe.
+    fixed_space or dim_fixed of A and of phi.apply(A), the pair a
+    counterexample reports as its detail.
+
+    The own side of a structured probe depends on the probe alone, so
+    _structured_side keeps it for the process: u, its certificate and
+    F(A), whose dim is dim_fixed(A). Random probes are fresh for each seed
+    and are drawn lazily, so a counterexample at probe k draws no later
+    probe.
     """
     n, d = phi.n, phi.matrix.d
+    measure = fixed_space if sets else dim_fixed
     columns = phi._residue_columns
+    prefix = len(_structured(n))
     probes_run = 0
     for probes_run, a in enumerate(probe_suite(n, trials, seed), start=1):
-        u = [x for column in _residues(zip(*a.re), zip(*a.im)) for x in column]
-        image = _image_mod_p(columns, u)
-        if _full_rank_mod_p(_shifted_columns(image, n, d * a.d)) and _full_rank_mod_p(
-            _shifted_columns(_packed(u), n, a.d)
-        ):
+        if probes_run <= prefix:
+            u, regular, space = _structured_side(a)
+        else:
+            (u, regular), space = _own_side(a), None
+        if regular and _full_rank_mod_p(_shifted_columns(_image_mod_p(columns, u), n, d * a.d)):
             continue
-        detail = measure(a), measure(phi.apply(a))
+        own = measure(a) if space is None else space if sets else space.dim
+        detail = own, measure(phi.apply(a))
         if detail[0] != detail[1]:
             return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
@@ -181,12 +212,12 @@ def _check(phi: SuperOp, trials: int, seed: int, measure: Callable) -> Verdict:
 
 def check_dim_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare dim F(A) with dim F(phi(A)) over the probe suite."""
-    return _check(phi, trials, seed, dim_fixed)
+    return _check(phi, trials, seed, sets=False)
 
 
 def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdict:
     """Compare F(A) with F(phi(A)) as subspaces over the probe suite."""
-    return _check(phi, trials, seed, fixed_space)
+    return _check(phi, trials, seed, sets=True)
 
 
 def classify(phi: SuperOp) -> Classification:
@@ -206,7 +237,12 @@ def classify(phi: SuperOp) -> Classification:
     and T = scale * inv(S); any other factorization falls through.
     """
     n, l = phi.n, phi.matrix
-    if phi == identity_superop(n):
+    # canonical rows make L = I exactly d = 1, no imaginary part and one 1
+    # per row, on the diagonal
+    side = n * n
+    if l.d == 1 and not any(map(any, l.im)) and all(
+        row[k] == 1 and row.count(0) == side - 1 for k, row in enumerate(l.re)
+    ):
         return Classification(IDENTITY)
     for tag, transpose_first in ((SIMILARITY, False), (TRANSPOSE_SIMILARITY, True)):
         rows = zip(_realigned(l.re, n, transpose_first), _realigned(l.im, n, transpose_first))

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from fixpres import (
 )
 from fixpres.cli import matrix_from_doc
 from fixpres.linalg import _P, _SQRT_MINUS_ONE, _packed, _residues, rref
+from fixpres.preserver import _structured_side
 from fixpres.superop import rank_one_factor, vec
 
 settings.register_profile(
@@ -29,6 +31,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def cold_structured_side():
+    """Each test starts with no structured probe's own side kept, so a test
+    that patches _structured, _full_rank_mod_p or _bareiss sees the probe
+    loop work it out, whatever ran before."""
+    _structured_side.cache_clear()
 
 
 fractions_st = st.fractions(

@@ -164,6 +164,13 @@ def _rank_deficient(rng, n: int) -> SuperOp:
 
 FAMILIES = {
     "identity": lambda rng, n: identity_superop(n),
+    # L's real rows are the identity's; only an imaginary part differs
+    "identity-times-1+i": lambda rng, n: similarity_superop(
+        Matrix.identity(n), GaussianRational(1, 1)
+    ),
+    "identity-plus-i-entry": lambda rng, n: SuperOp(
+        n, _moved(identity_superop(n).matrix, rng.randrange(n**4), I_UNIT)
+    ),
     **{
         f"similarity-{name}": (
             lambda rng, n, scale=scale: similarity_superop(random_invertible(rng, n), scale)
@@ -221,6 +228,8 @@ def _no_elimination(*args, **kwargs):
     "family, tag",
     [
         ("identity", IDENTITY),
+        ("identity-times-1+i", SIMILARITY),
+        ("identity-plus-i-entry", UNSTRUCTURED),
         ("similarity-i", SIMILARITY),
         ("transpose-similarity-1", TRANSPOSE_SIMILARITY),
         ("non-scalar-sandwich", UNSTRUCTURED),

@@ -377,9 +377,16 @@ def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
     monkeypatch.setattr(preserver, "_structured", lambda n: (probe,))
     calls = _count_bareiss_calls(monkeypatch)
     verdict = check_dim_preserving(phi, 0, 0)
-    assert len(calls) == 2
+    # the image takes an exact pass in every check, and the probe once, the
+    # first time, when probe - I is singular mod p; the probe's F is then
+    # kept with its own side, and is {0} where the certificate proves it
+    own_singular = not _full_rank_mod_p(packed_rows(shifted[0]))
+    assert len(calls) == 1 + own_singular
     assert verdict.outcome == outcome
     assert verdict == _reference_check(phi, 0, 0, dim_fixed)
+    calls.clear()
+    assert check_dim_preserving(phi, 0, 0) == verdict
+    assert len(calls) == 1
     assert check_set_preserving(phi, 0, 0) == _reference_check(phi, 0, 0, fixed_space)
 
 
@@ -397,7 +404,8 @@ def test_image_certificate_is_over_the_scales_of_l_and_the_probe(monkeypatch):
 
 def test_certified_probes_skip_bareiss(monkeypatch):
     """On a passing similarity only the structured probes with a fixed
-    point reach Bareiss: two forward passes each, on A - I and phi(A) - I."""
+    point reach Bareiss: one pass each on A - I, kept for the process, and
+    one on phi(A) - I in every check."""
     n = 4
     phi = similarity_superop(random_invertible(derive_rng(0, "certificate"), n), 1)
     with_fixed_points = [p for p in structured_probes(n) if dim_fixed(p) > 0]
@@ -406,6 +414,9 @@ def test_certified_probes_skip_bareiss(monkeypatch):
     verdict = check_dim_preserving(phi, trials=50, seed=0)
     assert (verdict.outcome, verdict.probes_run) == ("pass", len(structured_probes(n)) + 50)
     assert len(calls) == 2 * len(with_fixed_points)
+    calls.clear()
+    assert check_dim_preserving(phi, trials=50, seed=1).outcome == "pass"
+    assert len(calls) == len(with_fixed_points)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -423,26 +434,103 @@ def test_cached_structured_rows_survive_checks(n):
     assert [str(p) for p in cached] == [str(p) for p in _arithmetic_structured_probes(n)]
 
 
-def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
-    """A random map fails at the probe I. Its detail is the loop's two
-    dim_fixed values, of I and of its image, each one forward pass."""
-    phi = SuperOp(3, random_matrix(derive_rng(0, "dim-detail"), 9, 9))
-    dim_calls = []
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structured_side_is_a_fresh_computation(n):
+    """After a check, each structured probe's kept own side is vec(A) mod p,
+    whether A - I has full rank mod p, and F(A), whose dim is dim_fixed(A);
+    equal probes (I three times at n = 1) share one."""
+    assert check_set_preserving(identity_superop(n), trials=0).outcome == "pass"
+    probes = structured_probes(n)
+    assert preserver._structured_side.cache_info().currsize == len(set(probes))
+    eye = Matrix.identity(n)
+    for a in probes:
+        u, regular, space = preserver._structured_side(a)
+        assert u == tuple(vec_mod_p(a))
+        assert regular == reference_full_rank_mod_p(a - eye)
+        assert space == fixed_space(a)
+        assert space.dim == dim_fixed(a)
+    assert preserver._structured_side.cache_info().currsize == len(set(probes))
+
+
+def _kept_side_maps(n: int) -> dict:
+    rng = derive_rng(0, "kept-side", n)
+    side = n * n
+    return {
+        "identity": identity_superop(n),
+        "similarity": similarity_superop(random_invertible(rng, n), 1),
+        "negated-similarity": similarity_superop(random_invertible(rng, n), -1),
+        "random": SuperOp(n, random_matrix(rng, side, side)),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", ["identity", "similarity", "negated-similarity", "random"])
+def test_cold_and_warm_checks_agree(family, n):
+    """A check with no own side kept and the same check again, with every
+    structured probe's own side kept, give equal verdicts, equal to the
+    reference loop's, for both conditions."""
+    phi = _kept_side_maps(n)[family]
+    for check, measure in ((check_dim_preserving, dim_fixed), (check_set_preserving, fixed_space)):
+        preserver._structured_side.cache_clear()
+        cold = check(phi, trials=5, seed=3)
+        assert preserver._structured_side.cache_info().currsize > 0
+        warm = check(phi, trials=5, seed=3)
+        assert cold == warm == _reference_check(phi, 5, 3, measure)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_second_check_runs_no_own_side_bareiss(n, monkeypatch):
+    """Once a check at side n has run, a check of another map at n takes
+    Bareiss only on the images of the probes with a fixed point."""
+    maps = _kept_side_maps(n)
+    phi = maps["similarity"]
+    with_fixed_points = [a for a in structured_probes(n) if dim_fixed(a) > 0]
+    images = [phi.apply(a) for a in with_fixed_points]
+    assert check_dim_preserving(maps["identity"], trials=0).outcome == "pass"
+    calls = _count_bareiss_calls(monkeypatch)
+    measured = []
 
     def counted(a):
-        dim_calls.append(a)
+        measured.append(a)
         return dim_fixed(a)
 
-    for module in (fixed_points, fixpres, preserver):
-        monkeypatch.setattr(module, "dim_fixed", counted, raising=False)
+    monkeypatch.setattr(preserver, "dim_fixed", counted)
+    assert check_dim_preserving(phi, trials=0).outcome == "pass"
+    assert measured == images
+    assert len(calls) == len(images)
+
+
+def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
+    """A random map fails at the probe I. Its detail is the loop's two
+    measured values: dim F(I) from the kept fixed_space of I, one
+    Gauss-Jordan pass made once, and dim_fixed of the image, one forward
+    pass in every check."""
+    phi = SuperOp(3, random_matrix(derive_rng(0, "dim-detail"), 9, 9))
+    measured = []
+
+    def counted(name, fn):
+        def wrapper(a):
+            measured.append((name, a))
+            return fn(a)
+
+        return wrapper
+
+    for name, fn in (("dim_fixed", dim_fixed), ("fixed_space", fixed_space)):
+        for module in (fixed_points, fixpres, preserver):
+            monkeypatch.setattr(module, name, counted(name, fn), raising=False)
     calls = _count_bareiss_calls(monkeypatch)
     verdict = check_dim_preserving(phi)
     assert (verdict.outcome, verdict.witness, verdict.probes_run) == (
         "counterexample", Matrix.identity(3), 3
     )
     w = verdict.witness
-    assert (len(calls), dim_calls) == (2, [w, phi.apply(w)])
-    assert verdict.detail == (dim_fixed(w), dim_fixed(phi.apply(w))) == (3, 0)
+    image = phi.apply(w)
+    assert (len(calls), measured) == (2, [("fixed_space", w), ("dim_fixed", image)])
+    assert verdict.detail == (dim_fixed(w), dim_fixed(image)) == (3, 0)
+    calls.clear()
+    measured.clear()
+    assert check_dim_preserving(phi) == verdict
+    assert (len(calls), measured) == (1, [("dim_fixed", image)])
 
 
 # Entries that vanish mod p or collide there, next to the sampled ones:
