@@ -12,8 +12,8 @@ everything else is imported from its own module, for instance
 
 from .scalars import GaussianRational, ParseError, format_scalar, parse_scalar
 from .linalg import Matrix, NotSquare, SingularMatrix, SizeMismatch, Subspace
+from .linalg import DependentPair, ZeroFactor, completion_idempotent, rank_one
 from .fixed_points import dim_fixed, fixed_space
-from .rank_one import DependentPair, ZeroFactor, completion_idempotent, rank_one
 from .superop import (
     SuperOp,
     identity_superop,

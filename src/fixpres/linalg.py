@@ -15,12 +15,16 @@ entries of one column of the right.
 Every exact elimination in the package (rank, echelon rows, RREF,
 kernel, inverse) goes through _echelon: fraction-free Bareiss
 elimination over the Gaussian integers on rows divided by their content.
-Its Gauss-Jordan pass leaves one common pivot, so an RREF, an inverse or
-a canonical kernel basis is read with one division by it, or none.
+Its Gauss-Jordan pass leaves one common pivot, and two readers divide by
+it: rref, which inverse and completion_idempotent read their rows from,
+and _kernel, which divides only the kernel vectors.
 
 Subspaces are stored in a unique canonical form (the transpose of the
 stored basis is in reduced row echelon form), so subspace equality is a
 plain entrywise comparison.
+
+The rank-one calculus is here too: rank_one(x, f) maps y to f(y)*x, an
+idempotent with F = span(x) exactly when f(x) = 1.
 """
 
 from __future__ import annotations
@@ -56,12 +60,19 @@ class InexactDivision(ArithmeticError):
     """
 
 
+class ZeroFactor(ValueError):
+    """x or f is zero, so the outer product is not rank one."""
+
+
+class DependentPair(ValueError):
+    """x and A@x are linearly dependent; no completion exists."""
+
+
 def _as_scalar(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
-    raise TypeError(f"cannot use {value!r} as a matrix entry")
+    scalar = GaussianRational._coerce(value)
+    if scalar is NotImplemented:
+        raise TypeError(f"cannot use {value!r} as a matrix entry")
+    return scalar
 
 
 # Integer parts (a, b, c, e) of the Gaussian rational a/b + (c/e)i, with
@@ -614,17 +625,15 @@ def _kernel(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], n_cols: in
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrix when rank is deficient.
 
-    The right half of the Gauss-Jordan rows of [m, I] over their common
-    pivot."""
+    The right half of the RREF of [m, I]."""
     if not m.is_square:
         raise NotSquare(f"{m.rows}x{m.cols}")
     n = m.rows
-    aug = m.hstack(Matrix.identity(n))
-    re, im, pivots = _echelon(aug.re, aug.im, 2 * n, reduce=True)
+    r, _, pivots = rref(m.hstack(Matrix.identity(n)))
     left_rank = sum(1 for p in pivots if p < n)
     if left_rank < n:
         raise SingularMatrix(f"rank {left_rank} < {n}")
-    return _divided([row[n:] for row in re], [row[n:] for row in im], *_pivot(re, im, pivots), n)
+    return _over([row[n:] for row in r.re], [row[n:] for row in r.im], r.d, n)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -641,3 +650,35 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             re.append([p * x - q * y for p, q in a_pairs for x, y in pairs])
             im.append([p * y + q * x for p, q in a_pairs for x, y in pairs])
     return _over(re, im, a.d * b.d, a.cols * b.cols)
+
+
+def rank_one(x: Matrix, f: Matrix) -> Matrix:
+    """Outer product x @ f of a column x and a functional f."""
+    if x.cols != 1:
+        raise SizeMismatch(f"x must be a column, got {x.rows}x{x.cols}")
+    if f.rows != 1:
+        raise SizeMismatch(f"f must be a row, got {f.rows}x{f.cols}")
+    if x.is_zero or f.is_zero:
+        raise ZeroFactor("both factors must be nonzero")
+    return x @ f
+
+
+def completion_idempotent(a: Matrix, x: Matrix) -> Matrix:
+    """Rank-one idempotent P with (a + P) @ x = x.
+
+    Requires x and a@x linearly independent. P = (x - a@x) @ f where f
+    sends x to 1 and a@x to 0: f is the first row of inv(B), for B the
+    basis [x, a@x, e_k, ...] that adds the standard basis vectors e_k in
+    index order whenever they keep the set independent. Those are the
+    pivot columns of [x, a@x, I], so the last n columns of its RREF are
+    inv(B), and f is the first row of them.
+    """
+    if not a.is_square:
+        raise NotSquare(f"{a.rows}x{a.cols}")
+    if x.cols != 1 or x.rows != a.rows:
+        raise SizeMismatch(f"x must be {a.rows}x1, got {x.rows}x{x.cols}")
+    ax = a @ x
+    r, _, pivots = rref(x.hstack(ax).hstack(Matrix.identity(a.rows)))
+    if pivots[:2] != (0, 1):
+        raise DependentPair("x and A@x are linearly dependent")
+    return (x - ax) @ _over([r.re[0][2:]], [r.im[0][2:]], r.d, a.rows)

@@ -20,14 +20,14 @@ The two packaged claims are:
 A probe that the certificate mod p does not settle is decided by the
 public dim_fixed or fixed_space of the probe and of its image under
 SuperOp.apply, so a counterexample's detail is the pair the loop
-compared. The certificate runs on the probe's own side, A - I, before its
+compared. The certificate (superop's one mod-p test of M - I) runs on
+the probe's own side, A - I, flattened as apply flattens it, before its
 image. What a structured probe gives of its own side (vec(A) mod p, its
 certificate and F(A), from fixed_space only where the certificate fails)
 depends on the probe alone, so it is made on first need and kept for the
-process. L's residues mod p
-belong to the SuperOp, which makes them once as packed columns, so the
-claim-2 verdict's bijectivity test and probe check share them while each
-step runs through its public name.
+process. L's residues mod p belong to the SuperOp, which makes them once
+as packed columns, so the claim-2 verdict's bijectivity test and probe
+check share them while each step runs through its public name.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, Subspace, _full_rank_mod_p, _packed, _residues
+from .linalg import Matrix, Subspace, _packed, _residues
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -46,7 +46,8 @@ from .superop import (
     SuperOp,
     _image_mod_p,
     _realigned,
-    _shifted_columns,
+    _regular_mod_p,
+    _vec,
     is_bijective,
     rank_one_factor,
     unvec,
@@ -153,8 +154,9 @@ def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
 def _own_side(a: Matrix) -> tuple[list[int], bool]:
     """vec(A) mod _P, A's residues column after column, and whether A - I
     has full rank mod _P."""
-    u = [x for column in _residues(zip(*a.re), zip(*a.im)) for x in column]
-    return u, _full_rank_mod_p(_shifted_columns(_packed(u), a.rows, a.d))
+    re, im = _vec(a)
+    u = _residues([re], [im])[0]
+    return u, _regular_mod_p(_packed(u), a.rows, a.d)
 
 
 @lru_cache(maxsize=MAX_SIDE * (MAX_SIDE + 13) // 2)
@@ -174,11 +176,11 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
 
     Most probes are decided modulo _P, from the packed residue columns of
     L that the SuperOp caches. The probe's own side comes first: vec(A)
-    mod _P is u, A's residues column after column, cut into the packed
-    columns of A - I over A's scale e. Only when _full_rank_mod_p proves
+    mod _P is u, A's residues column after column, read by _regular_mod_p
+    as the packed columns of A - I over A's scale e. Only when it proves
     those invertible is the image made: vec(phi(A)) mod _P is the sum of
-    L's columns times u, whose fields stay unreduced below N * _P**2, cut
-    into the columns of phi(A) - I over d * e. When both have full rank,
+    L's columns times u, whose fields stay unreduced below N * _P**2, read
+    as the columns of phi(A) - I over d * e. When both have full rank,
     both fixed spaces are {0}, which settles the dimension and the set
     condition alike. Every other probe (one with a fixed point on either
     side, or the rare probe that is singular mod _P alone) is decided by
@@ -201,7 +203,7 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
             u, regular, space = _structured_side(a)
         else:
             (u, regular), space = _own_side(a), None
-        if regular and _full_rank_mod_p(_shifted_columns(_image_mod_p(columns, u), n, d * a.d)):
+        if regular and _regular_mod_p(_image_mod_p(columns, u), n, d * a.d):
             continue
         own = measure(a) if space is None else space if sets else space.dim
         detail = own, measure(phi.apply(a))

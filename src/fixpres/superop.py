@@ -5,7 +5,8 @@ entry (i, j) of an n x n matrix lands at vec index j*n + i. Under that
 convention a map A -> S @ A @ T has matrix T.T kron S, and the realign
 permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
-layout; each reshuffle below is a gather over rows or flat entries.
+layout: _vec flattens A for vec, apply and the probe loop, and each
+reshuffle below is a gather over rows or flat entries.
 
 A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
 every builder makes them with the integer Matrix operations (kron,
@@ -16,8 +17,8 @@ calls. L's residues mod p are made once per SuperOp, on first use, and
 kept as packed columns of 64-bit fields (SuperOp._residue_columns),
 about 8 bytes per entry; is_bijective and the probe checks all read
 them. A probe's image mod p is a sum of those columns, left unreduced
-(_image_mod_p), and _shifted_columns cuts it into the packed columns of
-phi(A) - I.
+(_image_mod_p); _regular_mod_p, the one mod-p test of M - I, reads it
+or a probe's own vec(A) mod p.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on L's packed columns; the exact rank over Q(i)
@@ -60,11 +61,19 @@ class NotRankOne(ValueError):
     """rank_one_factor was given a matrix whose rank is not 1."""
 
 
+def _vec(a: Matrix) -> tuple[list[int], list[int]]:
+    """vec(A)'s real and imaginary Gaussian-integer parts over A's scale:
+    A's columns, flattened, as vec(A)[j*rows + i] = A[i][j]."""
+    return (
+        [x for column in zip(*a.re) for x in column],
+        [y for column in zip(*a.im) for y in column],
+    )
+
+
 def vec(a: Matrix) -> Matrix:
     """Column-stacking vectorization: entry (i, j) goes to index j*rows + i."""
-    t = a.transpose()
-    re, im = [(x,) for row in t.re for x in row], [(y,) for row in t.im for y in row]
-    return _matrix(1, re, im, a.d)
+    re, im = _vec(a)
+    return _matrix(1, [(x,) for x in re], [(y,) for y in im], a.d)
 
 
 def unvec(v: Matrix, n: int) -> Matrix:
@@ -111,10 +120,7 @@ class SuperOp:
         n, l = self.n, self.matrix
         if a.rows != n or a.cols != n:
             raise SizeMismatch(f"expected {n}x{n} input, got {a.rows}x{a.cols}")
-        # vec(A)[j*n + i] = A[i][j]: A's columns, flattened
-        u = [x for column in zip(*a.re) for x in column]
-        v = [y for column in zip(*a.im) for y in column]
-        b_re, b_im = _products(l.re, l.im, u, v)
+        b_re, b_im = _products(l.re, l.im, *_vec(a))
         digits = range(n)
         return _over([b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * a.d, n)
 
@@ -133,15 +139,15 @@ def _image_mod_p(columns: list[int], u: list[int]) -> int:
     return sum(map(mul, compress(u, u), compress(columns, u)))
 
 
-def _shifted_columns(vec: int, n: int, e: int) -> list[int]:
-    """The n packed columns of e * (M - I) mod _P, for vec the packed
-    fields of vec(e * M) mod _P: column j of M is fields j*n to j*n + n - 1
-    of vec, and _P - e % _P is added to its field j, so fields stay
-    unreduced and grow by at most _P."""
+def _regular_mod_p(vec: int, n: int, e: int) -> bool:
+    """True when e * (M - I) has full rank mod _P (so M - I is invertible),
+    for vec the packed fields of vec(e * M) mod _P: column j of M is fields
+    j*n to j*n + n - 1 of vec, and _P - e % _P is added to its field j, so
+    fields stay unreduced and grow by at most _P."""
     width = 64 * n
     mask = (1 << width) - 1
     shift = _P - e % _P
-    return [((vec >> width * j) & mask) + (shift << 64 * j) for j in range(n)]
+    return _full_rank_mod_p([((vec >> width * j) & mask) + (shift << 64 * j) for j in range(n)])
 
 
 def identity_superop(n: int) -> SuperOp:

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixpres import GaussianRational, Matrix, NotSquare, SingularMatrix, fixed_space
+from fixpres import completion_idempotent, linalg
 from fixpres.linalg import _echelon, inverse, rank, rref
 from fixpres.scalars import ONE, ZERO
 
@@ -191,3 +192,24 @@ def test_gauss_jordan_pivots_all_equal_the_last(case):
     entries = [(out_re[k][col], out_im[k][col]) for k, col in enumerate(pivots)]
     assert entries == entries[-1:] * len(pivots)
     assert all(not any(v) for v in out_re[len(pivots):] + out_im[len(pivots):])
+
+
+def test_inverse_and_completion_read_their_rows_from_rref(monkeypatch):
+    """Gauss-Jordan rows are read over their common pivot in one place:
+    inverse and completion_idempotent each call rref by the module-level
+    name a tracer rebinds, and give what they gave before."""
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    a = Matrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 1]])
+    assert inverse(a) == reference_inverse(a)
+    assert calls == [(3, 6)]
+    calls.clear()
+    x = Matrix.column([1, 0, 0])
+    p = completion_idempotent(a, x)
+    assert calls == [(3, 5)]
+    assert (a + p) @ x == x and p @ p == p

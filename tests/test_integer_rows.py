@@ -12,7 +12,7 @@ superop._image_mod_p, a sum of L's packed residue columns with
 unreduced fields, must give the residues of the reference image over
 its scale d * e; at the carry limit it is compared with
 reference_image_mod_p, one dense dot product per row of residues, and
-its columns with the diagonal shift go through _full_rank_mod_p.
+it goes with the diagonal shift through superop._regular_mod_p.
 
 Eliminations divide each row by its content, so rows over one common
 scale reach Bareiss no larger than rows over their own scales would.
@@ -41,7 +41,6 @@ from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
     _fields,
-    _full_rank_mod_p,
     _over,
     _packed,
     _residues,
@@ -50,7 +49,7 @@ from fixpres.linalg import (
     rref,
 )
 from fixpres.preserver import structured_probes
-from fixpres.superop import _image_mod_p, _shifted_columns
+from fixpres.superop import _image_mod_p, _regular_mod_p
 
 from conftest import (
     MIXED_DENOMINATORS,
@@ -249,7 +248,7 @@ def test_packed_image_mod_p_carries_at_n_16():
     for e, full in ((1, True), (n * side, False), (_P, False), (_P + 1, True)):
         shifted = Matrix.from_rows([[side - e * (i == j) for j in range(n)] for i in range(n)])
         assert reference_full_rank_mod_p(shifted) == full
-        assert _full_rank_mod_p(_shifted_columns(image, n, e)) == full
+        assert _regular_mod_p(image, n, e) == full
 
 
 # ---------------------------------------------------------------------------

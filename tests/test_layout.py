@@ -7,11 +7,14 @@ kron became gathers over the flat row-major entries. The package must
 give exactly what they give.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fixpres import (
+    GaussianRational,
     Matrix,
     SuperOp,
     derive_rng,
@@ -23,7 +26,7 @@ from fixpres import (
 )
 from fixpres.linalg import inverse, kron
 from fixpres.scalars import ONE, ZERO
-from fixpres.superop import unvec, vec
+from fixpres.superop import _vec, unvec, vec
 from fixpres.superop import precompose_transpose
 
 from conftest import matrices, nonzero_scalars, scalars, superop_from_action
@@ -125,6 +128,10 @@ def sparse_matrices(draw, max_side=3):
 @given(matrices(max_side=4))
 def test_vec_matches_reference(a):
     assert vec(a) == reference_vec(a)
+    # the flattener behind vec, SuperOp.apply and the probe loop's own side
+    re, im = _vec(a)
+    entries = [GaussianRational(Fraction(x, a.d), Fraction(y, a.d)) for x, y in zip(re, im)]
+    assert Matrix(len(entries), 1, entries) == reference_vec(a)
 
 
 @given(sides, st.data())
