@@ -7,11 +7,16 @@ Interchange formats (all scalars are exact strings, never floats):
   "L": <matrix document of side N*N>}
 * report document: written to stdout; diagnostics go to stderr.
 
-Matrix documents have one reader, matrix_from_doc, which scans each
-distinct string into integer parts and puts them on the canonical scale,
-and one writer, matrix_to_doc, which formats each entry from the
-Matrix's Gaussian integers over its scale; the superoperator functions
-wrap those two, and no Fraction is built on either path.
+Matrix documents have one reader, _read_matrix. It reads each distinct
+entry string once into integer parts and into its canonical text (see
+scalars._read_scalar), and puts the parts on the canonical scale. A
+report repeats the canonical texts of its input map, or of fixdim's
+matrix, from that read, so no input entry is formatted again. Matrices
+the package computes (a witness, a basis, S) have one writer,
+matrix_to_doc, which formats each entry from the Matrix's Gaussian
+integers over its scale. matrix_from_doc and the superoperator functions
+wrap these two for library callers, and no Fraction is built on either
+path.
 
 Exit codes: 0 = pass/classified/computed, 1 = counterexample or
 hypothesis failure found, 2 = input or parse error, 3 = internal error
@@ -44,7 +49,7 @@ from .preserver import (
     set_preserver_verdict,
 )
 from .sampling import derive_rng, random_invertible, random_matrix
-from .scalars import _format_over, _scan_scalar, format_scalar
+from .scalars import _format_over, _read_scalar, format_scalar
 from .superop import (
     MAX_SIDE,
     SuperOp,
@@ -96,11 +101,15 @@ def matrix_to_doc(m: Matrix) -> dict:
     }
 
 
-def _read_entries(doc, where: str) -> tuple[int, int, list, dict]:
-    """The shape and entry rows of a matrix document, and the integer
-    parts (see scalars._scan_scalar) of each distinct entry string: a
-    superoperator document repeats few scalars many times, so each is
-    scanned once."""
+def _read_matrix(doc, where: str = "matrix") -> tuple[Matrix, dict]:
+    """The matrix of a matrix document, and the document of its canonical
+    entry texts, which matrix_to_doc writes of that matrix.
+
+    Each distinct entry string is read once (see scalars._read_scalar)
+    into integer parts, with no Fraction, and its canonical text; a
+    superoperator document repeats few scalars many times. The entries
+    are the parts over their canonical scale (see
+    linalg._canonical_integers)."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     try:
@@ -122,34 +131,36 @@ def _read_entries(doc, where: str) -> tuple[int, int, list, dict]:
                 raise InputError(f"{where}: entry ({i},{j}) must be a string")
             if text not in seen:
                 try:
-                    seen[text] = _scan_scalar(text)
+                    seen[text] = _read_scalar(text)
                 except ValueError as exc:
                     # ParseError, or int() refusing a numeral over the digit limit
                     raise InputError(f"{where}: entry ({i},{j}): {exc}") from exc
-    return n_rows, n_cols, entries, seen
-
-
-def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
-    """The matrix of a matrix document. Each distinct string is scanned
-    once into integer parts, with no Fraction, and the entries are those
-    over their canonical scale (see linalg._canonical_integers)."""
-    _, n_cols, entries, parts = _read_entries(doc, where)
-    re, im, d = _canonical_integers(list(parts.values()))
-    re_of, im_of = dict(zip(parts, re)), dict(zip(parts, im))
-    return _matrix(
+    re, im, d = _canonical_integers([parts[:4] for parts in seen.values()])
+    re_of, im_of = dict(zip(seen, re)), dict(zip(seen, im))
+    canonical = {text: parts[4] for text, parts in seen.items()}
+    matrix = _matrix(
         n_cols,
         [list(map(re_of.__getitem__, row)) for row in entries],
         [list(map(im_of.__getitem__, row)) for row in entries],
         d,
     )
+    texts = [list(map(canonical.__getitem__, row)) for row in entries]
+    return matrix, {"n_rows": n_rows, "n_cols": n_cols, "entries": texts}
+
+
+def matrix_from_doc(doc, where: str = "matrix") -> Matrix:
+    """The matrix of a matrix document."""
+    return _read_matrix(doc, where)[0]
 
 
 def superop_to_doc(phi: SuperOp) -> dict:
     return {"n": phi.n, "vec_convention": "column", "L": matrix_to_doc(phi.matrix)}
 
 
-def superop_from_doc(doc, where: str = "superop") -> SuperOp:
-    """The map of a superoperator document; L is read by matrix_from_doc."""
+def _read_superop(doc, where: str = "superop") -> tuple[SuperOp, dict]:
+    """The map of a superoperator document, and the document of its
+    canonical texts, which superop_to_doc writes of that map; L is read by
+    _read_matrix."""
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     n = doc.get("n")
@@ -162,10 +173,15 @@ def superop_from_doc(doc, where: str = "superop") -> SuperOp:
         )
     if "L" not in doc:
         raise InputError(f"{where}: missing field 'L'")
-    l = matrix_from_doc(doc["L"], f"{where}.L")
+    l, l_doc = _read_matrix(doc["L"], f"{where}.L")
     if l.rows != n * n or l.cols != n * n:
         raise InputError(f"{where}: L must be {n * n}x{n * n}, got {l.rows}x{l.cols}")
-    return SuperOp(n, l)
+    return SuperOp(n, l), {"n": n, "vec_convention": "column", "L": l_doc}
+
+
+def superop_from_doc(doc, where: str = "superop") -> SuperOp:
+    """The map of a superoperator document."""
+    return _read_superop(doc, where)[0]
 
 
 def subspace_to_doc(space: Subspace) -> dict:
@@ -237,12 +253,12 @@ def report_to_doc(report: PreserverReport) -> dict:
 # subcommands
 
 def _cmd_fixdim(args) -> tuple[dict, int]:
-    matrix = matrix_from_doc(_load_json(args.matrix))
+    matrix, matrix_doc = _read_matrix(_load_json(args.matrix))
     if not matrix.is_square:
         raise InputError(f"fixdim needs a square matrix, got {matrix.rows}x{matrix.cols}")
     space = fixed_space(matrix)
     report = {
-        "matrix": matrix_to_doc(matrix),
+        "matrix": matrix_doc,
         "n": matrix.rows,
         "dim_fixed": space.dim,
         "rank": rank(matrix),
@@ -252,10 +268,10 @@ def _cmd_fixdim(args) -> tuple[dict, int]:
 
 
 def _cmd_classify(args) -> tuple[dict, int]:
-    phi = superop_from_doc(_load_json(args.superop))
+    phi, superop_doc = _read_superop(_load_json(args.superop))
     classification = classify(phi)
     report = {
-        "superop": superop_to_doc(phi),
+        "superop": superop_doc,
         "classification": classification_to_doc(classification),
     }
     if args.emit_s:
@@ -278,7 +294,7 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    phi = superop_from_doc(_load_json(args.superop))
+    phi, superop_doc = _read_superop(_load_json(args.superop))
     if args.condition == "dim":
         verdict = check_dim_preserving(phi, trials=args.trials, seed=args.seed)
     else:
@@ -287,7 +303,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         "condition": args.condition,
         "seed": args.seed,
         "trials": args.trials,
-        "superop": superop_to_doc(phi),
+        "superop": superop_doc,
         "verdict": verdict_to_doc(verdict),
     }
     code = EXIT_OK if verdict.outcome == OUTCOME_PASS else EXIT_FINDING
@@ -295,7 +311,7 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_verdict(args) -> tuple[dict, int]:
-    phi = superop_from_doc(_load_json(args.superop))
+    phi, superop_doc = _read_superop(_load_json(args.superop))
     if args.theorem == 1:
         result = set_preserver_verdict(phi, trials=args.trials, seed=args.seed)
     else:
@@ -304,7 +320,7 @@ def _cmd_verdict(args) -> tuple[dict, int]:
         "theorem": args.theorem,
         "seed": args.seed,
         "trials": args.trials,
-        "superop": superop_to_doc(phi),
+        "superop": superop_doc,
     }
     report.update(report_to_doc(result))
     code = EXIT_FINDING if result.status in ("counterexample", "hypothesis-not-met") else EXIT_OK

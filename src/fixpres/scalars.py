@@ -10,9 +10,13 @@ scalars (see linalg).
 ``_scan_scalar`` scans each rational of the grammar, ``-?digits(/digits)?``
 with ASCII digits only (``[0-9]``), with one match of a compiled regex; it
 is the one scanner behind ``parse_scalar`` and the CLI's integer reader,
-and it builds no Fraction. ``_format_over`` writes an integer over a
-scale as ``format_scalar`` writes its value, also with no Fraction; it
-prints every matrix entry.
+and it builds no Fraction. The CLI reads through ``_read_scalar``, which
+takes a text already in canonical form with one match of its own and
+leaves every other text to ``_scan_scalar``; either way a bad text
+raises what ``_scan_scalar`` raises.
+``_format_over`` writes an integer over a scale as ``format_scalar``
+writes its value, also with no Fraction; it prints every matrix entry
+that the package computes.
 """
 
 from __future__ import annotations
@@ -132,6 +136,21 @@ ONE = GaussianRational(1)
 
 _RATIONAL = re.compile(r"(-?)([0-9]*)(?:(/)([0-9]*))?")
 
+# The texts format_scalar writes, but for lowest terms: a numerator has no
+# leading zero, a written denominator is at least 2, zero is written only
+# as "0", and an imaginary part only when nonzero. The groups are the real
+# numerator and denominator, then the signed numerator and denominator of
+# an imaginary part after a real part, or of one written alone. This is not
+# a second grammar: it matches a subset of what _scan_scalar accepts, with
+# the same parts, and decides no error; it lets the documents the package
+# writes be read with one match and repeated without formatting.
+_NUMERATOR = r"[1-9][0-9]*"
+_DENOMINATOR = r"(?:/([1-9][0-9]+|[2-9]))?"
+_CANONICAL = re.compile(
+    rf"(-?{_NUMERATOR}){_DENOMINATOR}(?:([+-]{_NUMERATOR}){_DENOMINATOR}i)?"
+    rf"|(-?{_NUMERATOR}){_DENOMINATOR}i|0"
+)
+
 
 def _format_fraction(numerator: int, denominator: int) -> str:
     if denominator == 1:
@@ -206,6 +225,31 @@ def _scan_scalar(text: str) -> tuple[int, int, int, int]:
     if pos + 1 != end:
         raise ParseError("trailing characters after 'i'", pos + 1)
     return parts
+
+
+def _read_scalar(text: str) -> tuple[int, int, int, int, str]:
+    """The integer parts of text as _scan_scalar reads them, and
+    format_scalar's text of their value.
+
+    A text of the canonical grammar is read with one match, and is its own
+    canonical text when its fractions are in lowest terms. Every other text
+    goes through _scan_scalar, which raises its errors. A text that is not
+    its own canonical text has it formatted once from the reduced parts."""
+    m = _CANONICAL.fullmatch(text)
+    if m is None:
+        a, b, c, e = _scan_scalar(text)
+    else:
+        re_num, re_den, im_num, im_den, only_num, only_den = m.groups()
+        if only_num is not None:
+            im_num, im_den = only_num, only_den
+        # int() of the matched numerals, so a numeral over the digit limit
+        # raises the same ValueError as in _scan_scalar
+        a, b = int(re_num or 0), int(re_den or 1)
+        c, e = int(im_num or 0), int(im_den or 1)
+        if gcd(a, b) == 1 and gcd(c, e) == 1:
+            return a, b, c, e, text
+    g, h = gcd(a, b), gcd(c, e)
+    return a, b, c, e, _format_parts(a // g, b // g, c // h, e // h)
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -12,7 +12,17 @@ from pathlib import Path
 import pytest
 
 import fixpres
-from fixpres import Matrix, SingularMatrix, dim_fixed, fixed_space, linalg
+from fixpres import (
+    Matrix,
+    SingularMatrix,
+    derive_rng,
+    dim_fixed,
+    fixed_space,
+    linalg,
+    parse_scalar,
+    random_invertible,
+    similarity_superop,
+)
 from fixpres.cli import (
     EXIT_INTERNAL,
     InputError,
@@ -88,6 +98,91 @@ def test_superop_doc_rejects_wrong_block_size():
     doc["n"] = 3
     with pytest.raises(InputError):
         superop_from_doc(doc)
+
+
+# ---------------------------------------------------------------------------
+# the input as the report repeats it
+
+def unreduced(text: str) -> str:
+    """The value of text written with both fractions over three times
+    their denominators, which is never canonical."""
+    z = parse_scalar(text)
+    sign = "-" if z.im < 0 else "+"
+    return (
+        f"{3 * z.re.numerator}/{3 * z.re.denominator}"
+        f"{sign}{3 * abs(z.im.numerator)}/{3 * z.im.denominator}i"
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(FIXTURES.glob("superop_*.json")) + sorted(FIXTURES.glob("matrix_*.json")),
+    ids=lambda path: path.stem,
+)
+def test_report_repeats_the_input_as_the_writer_writes_it(capsys, path):
+    """The report's copy of the input is the read map (or matrix) written
+    by the writer, also for superop_noncanonical_n3.json."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if "L" in doc:
+        _, out, _ = invoke(capsys, "classify", "--superop", str(path))
+        assert json.loads(out)["superop"] == superop_to_doc(superop_from_doc(doc))
+    else:
+        _, out, _ = invoke(capsys, "fixdim", "--matrix", str(path))
+        assert json.loads(out)["matrix"] == matrix_to_doc(matrix_from_doc(doc))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify",),
+        ("check", "--condition", "dim", "--trials", "2"),
+        ("verdict", "--theorem", "2", "--trials", "2"),
+    ],
+    ids=["classify", "check", "verdict"],
+)
+def test_report_repeats_a_partly_noncanonical_input_canonically(tmp_path, capsys, argv):
+    canonical = superop_to_doc(similarity_superop(random_invertible(derive_rng(5, "echo"), 4), 1))
+    doc = json.loads(json.dumps(canonical))
+    rows = doc["L"]["entries"]
+    for i, row in enumerate(rows):
+        for j in range(i % 3, len(row), 3):
+            row[j] = unreduced(row[j])
+    assert doc != canonical
+    target = tmp_path / "partly_noncanonical_n4.json"
+    target.write_text(json.dumps(doc))
+    _, out, _ = invoke(capsys, argv[0], "--superop", str(target), *argv[1:])
+    assert json.loads(out)["superop"] == superop_to_doc(superop_from_doc(doc)) == canonical
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # a bad scalar in an earlier row than an entry that is no string
+        ([["1", "0", "0"], ["0", "1", "1/"], [5, "0", "1"]],
+         "entry (1,2): expected digits after '/' (at position 2)"),
+        # within a row, the first bad entry, whatever its kind
+        ([["1", "0", "0"], [["0"], "1", "x"], ["0", "0", "1"]], "entry (1,0) must be a string"),
+        ([["1", "0", "0"], ["0", "x", ["0"]], ["0", "0", "1"]],
+         "entry (1,1): expected digits (at position 0)"),
+    ],
+    ids=["bad-scalar-before-non-string", "unhashable-first", "bad-scalar-first"],
+)
+def test_input_error_names_the_first_bad_entry(tmp_path, capsys, rows, message):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps({"n_rows": 3, "n_cols": 3, "entries": rows}))
+    code, out, err = invoke(capsys, "fixdim", "--matrix", str(target))
+    assert (code, out, err) == (2, "", f"error: matrix: {message}\n")
+
+
+def test_numeral_over_the_digit_limit_names_its_entry(tmp_path, capsys):
+    huge = "7" * 5000
+    with pytest.raises(ValueError) as refused:
+        int(huge)
+    rows = [["1", "0", "0"], ["0", "1", "0"], ["0", huge, "1"]]
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps({"n_rows": 3, "n_cols": 3, "entries": rows}))
+    code, out, err = invoke(capsys, "fixdim", "--matrix", str(target))
+    assert (code, out, err) == (2, "", f"error: matrix: entry (2,1): {refused.value}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from fixpres import GaussianRational, ParseError, format_scalar, parse_scalar
 from fixpres.cli import InputError, superop_from_doc
-from fixpres.scalars import ONE, ZERO, ZeroDenominator, _format_over, _scan_scalar
+from fixpres.scalars import (
+    ONE,
+    ZERO,
+    ZeroDenominator,
+    _format_over,
+    _read_scalar,
+    _scan_scalar,
+)
 
 from conftest import nonzero_scalars, scalars
 
@@ -222,29 +229,80 @@ def read_by_cli(text: str) -> GaussianRational:
         raise exc.__cause__
 
 
+def assert_read_like_the_scanner(text: str) -> None:
+    """_read_scalar gives _scan_scalar's parts and the canonical text of
+    their value, or raises _scan_scalar's error class, message and
+    position."""
+    scanned_parts = outcome(_scan_scalar, text)
+    if isinstance(scanned_parts[0], type):
+        assert outcome(_read_scalar, text) == scanned_parts
+    else:
+        assert _read_scalar(text) == (*scanned_parts, format_scalar(parse_scalar(text)))
+
+
 PARSE_ALPHABET = "-/+i0123456789 x\u0663"  # U+0663 is ARABIC-INDIC DIGIT THREE
+
+wide_fractions = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20)
+wide_scalars = st.builds(GaussianRational, wide_fractions, wide_fractions)
+
+
+@st.composite
+def written_rationals(draw, signed: bool = True) -> str:
+    """A rational written as the grammar allows: with leading zeros, as
+    -0, over a written /1, or over a denominator that shares a factor
+    with its numerator, as well as in lowest terms."""
+    numerator = draw(st.integers(-(10**12), 10**12) if signed else st.integers(0, 10**12))
+    denominator = draw(st.integers(1, 10**6))
+    factor = draw(st.sampled_from([1, 1, 2, 3, 10]))
+    zeros = draw(st.sampled_from(["", "", "0", "00"]))
+    sign = "-" if numerator < 0 or (signed and numerator == 0 and draw(st.booleans())) else ""
+    text = sign + zeros + str(abs(numerator) * factor)
+    if factor * denominator > 1 or draw(st.booleans()):
+        text += "/" + draw(st.sampled_from(["", "", "0"])) + str(denominator * factor)
+    return text
+
+
+written_scalars = st.one_of(
+    written_rationals(),
+    written_rationals().map(lambda r: r + "i"),
+    st.tuples(written_rationals(), st.sampled_from("+-"), written_rationals(signed=False)).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]}i"
+    ),
+)
 
 
 @settings(max_examples=500)
-@given(st.one_of(st.text(PARSE_ALPHABET, max_size=12), scalars.map(format_scalar)))
+@given(
+    st.one_of(
+        st.text(PARSE_ALPHABET, max_size=12),
+        st.one_of(scalars, wide_scalars).map(format_scalar),
+        written_scalars,
+    )
+)
 def test_parse_agrees_with_reference(text):
     """parse_scalar, and the CLI's integer reader through the same scanner,
     take the reference's value from a valid string and raise its error
-    class at its position on an invalid one."""
+    class at its position on an invalid one; the CLI's reader also gives
+    the canonical text of the value."""
     expected = outcome(reference_parse_scalar, text)
     assert outcome(parse_scalar, text) == expected
     assert outcome(scanned, text) == expected
     assert outcome(read_by_cli, text) == expected
+    assert_read_like_the_scanner(text)
 
 
 @pytest.mark.parametrize(
     "text",
     ["-/3", "1/", "1/0", "1+-2i", "1--2i", "3/2+x", "1i1", "", "-", "\u0663",
-     "1+2", "1+2/i", "2/0i", "1-0/0i", "1i ", "--1"],
+     "1+2", "1+2/i", "2/0i", "1-0/0i", "1i ", "--1",
+     # valid texts that are not canonical, and near misses of the canonical grammar
+     "00", "-0", "0i", "-0i", "007", "0/5", "3/1", "2/4", "1/01", "1+0i", "0+3i", "-0/7i",
+     "1-1/1i", "1+01i", "2/4-6/8i", "10/20i", "1/\u0663", "1+\u0663i", "1/2+3/4i "],
 )
 def test_parse_pinned_cases_agree_with_reference(text):
     expected = outcome(reference_parse_scalar, text)
     assert outcome(parse_scalar, text) == outcome(read_by_cli, text) == expected
+    assert_read_like_the_scanner(text)
 
 
 @pytest.mark.parametrize(
@@ -254,17 +312,15 @@ def test_parse_pinned_cases_agree_with_reference(text):
         "-" + "7" * 5000,
         "1/" + "7" * 5000,
         "1+" + "7" * 5000 + "i",
+        "1-" + "7" * 5000 + "i",
         "1/0+1/" + "7" * 5000 + "i",
     ],
 )
 def test_numeral_over_the_digit_limit_is_a_plain_value_error(text):
     expected = outcome(reference_parse_scalar, text)
     assert outcome(parse_scalar, text) == outcome(read_by_cli, text) == expected
+    assert_read_like_the_scanner(text)
     assert expected[0] is (ZeroDenominator if "/0" in text else ValueError)
-
-
-wide_fractions = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**20)
-wide_scalars = st.builds(GaussianRational, wide_fractions, wide_fractions)
 
 
 @settings(max_examples=300)
