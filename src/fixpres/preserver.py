@@ -20,13 +20,18 @@ The two packaged claims are:
 A probe that the certificate mod p does not settle is decided by the
 public dim_fixed or fixed_space of the probe and of its image under
 SuperOp.apply, so a counterexample's detail is the pair the loop
-compared. The certificate (superop's one mod-p test of M - I) runs on
-the probe's own side, A - I, flattened as apply flattens it, before its
-image. What a structured probe gives of its own side (vec(A) mod p, its
-certificate and F(A), from fixed_space only where the certificate fails)
-depends on the probe alone, so it is made on first need and kept for the
-process. L's residues mod p belong to the SuperOp, which makes them once
-as packed columns, so the claim-2 verdict's bijectivity test and probe
+compared. On a structured probe the certificate (superop's mod-p test
+of M - I) runs on the probe's own side, A - I, flattened as apply
+flattens it, before its image. What a structured probe gives of its own
+side (vec(A) mod p, its certificate and F(A), from fixed_space only
+where the certificate fails) depends on the probe alone, so it is made
+on first need and kept for the process. A random probe is certified by
+one elimination mod p of the product e * (A - I) @ f * (phi(A) - I),
+with e and f the scales of A and phi(A): Z[i] -> GF(p) is a ring
+homomorphism and GF(p) a field, so the product has full rank mod p
+exactly when both factors have, and then both fixed spaces are {0}.
+L's residues mod p belong to the SuperOp, which makes them once as
+packed columns, so the claim-2 verdict's bijectivity test and probe
 check share them while each step runs through its public name.
 """
 
@@ -45,6 +50,7 @@ from .superop import (
     NotRankOne,
     SuperOp,
     _image_mod_p,
+    _pair_regular_mod_p,
     _realigned,
     _regular_mod_p,
     _vec,
@@ -151,22 +157,22 @@ def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
         yield random_matrix(derive_rng(seed, "probe", idx), n, n)
 
 
-def _own_side(a: Matrix) -> tuple[list[int], bool]:
-    """vec(A) mod _P, A's residues column after column, and whether A - I
-    has full rank mod _P."""
+def _vec_mod_p(a: Matrix) -> list[int]:
+    """vec(A) mod _P, A's residues column after column."""
     re, im = _vec(a)
-    u = _residues([re], [im])[0]
-    return u, _regular_mod_p(_packed(u), a.rows, a.d)
+    return _residues([re], [im])[0]
 
 
 @lru_cache(maxsize=MAX_SIDE * (MAX_SIDE + 13) // 2)
 def _structured_side(a: Matrix) -> tuple[tuple[int, ...], bool, Subspace]:
-    """_own_side of a structured probe, its residues as a tuple, and F(A):
-    {0} where the certificate proves A - I invertible, and from fixed_space
-    only where it fails. Made once per probe on first need; the bound is
-    the number of structured probes of all sides 1..MAX_SIDE, at most
-    n + 6 each."""
-    u, regular = _own_side(a)
+    """The own side of a structured probe: vec(A) mod _P, A's residues
+    column after column, as a tuple; whether A - I has full rank mod _P;
+    and F(A): {0} where that certificate proves A - I invertible, and from
+    fixed_space only where it fails. Made once per probe on first need;
+    the bound is the number of structured probes of all sides
+    1..MAX_SIDE, at most n + 6 each."""
+    u = _vec_mod_p(a)
+    regular = _regular_mod_p(_packed(u), a.rows, a.d)
     return tuple(u), regular, Subspace.zero(a.rows) if regular else fixed_space(a)
 
 
@@ -175,17 +181,21 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
     dim F(phi(A)) otherwise, over the probe suite.
 
     Most probes are decided modulo _P, from the packed residue columns of
-    L that the SuperOp caches. The probe's own side comes first: vec(A)
-    mod _P is u, A's residues column after column, read by _regular_mod_p
-    as the packed columns of A - I over A's scale e. Only when it proves
-    those invertible is the image made: vec(phi(A)) mod _P is the sum of
-    L's columns times u, whose fields stay unreduced below N * _P**2, read
-    as the columns of phi(A) - I over d * e. When both have full rank,
-    both fixed spaces are {0}, which settles the dimension and the set
-    condition alike. Every other probe (one with a fixed point on either
-    side, or the rare probe that is singular mod _P alone) is decided by
-    fixed_space or dim_fixed of A and of phi.apply(A), the pair a
-    counterexample reports as its detail.
+    L that the SuperOp caches. vec(A) mod _P is u, A's residues column
+    after column, and vec(phi(A)) mod _P is the sum of L's columns times
+    u, whose fields stay unreduced below N * _P**2. A - I is read over A's
+    scale e and phi(A) - I over d * e. On a structured probe the own side
+    comes first: _regular_mod_p reads u as the packed columns of A - I,
+    and only when it proves those invertible is the image made and
+    certified the same way. A random probe makes u and the image at once,
+    and _pair_regular_mod_p runs one elimination of the product of the
+    two shifted matrices: det is multiplicative in GF(_P), so the product
+    has full rank mod _P exactly when both factors have. When both have
+    full rank, both fixed spaces are {0}, which settles the dimension and
+    the set condition alike. Every other probe (one with a fixed point on
+    either side, or the rare probe that is singular mod _P alone) is
+    decided by fixed_space or dim_fixed of A and of phi.apply(A), the pair
+    a counterexample reports as its detail.
 
     The own side of a structured probe depends on the probe alone, so
     _structured_side keeps it for the process: u, its certificate and
@@ -201,10 +211,12 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
     for probes_run, a in enumerate(probe_suite(n, trials, seed), start=1):
         if probes_run <= prefix:
             u, regular, space = _structured_side(a)
+            if regular and _regular_mod_p(_image_mod_p(columns, u), n, d * a.d):
+                continue
         else:
-            (u, regular), space = _own_side(a), None
-        if regular and _regular_mod_p(_image_mod_p(columns, u), n, d * a.d):
-            continue
+            u, space = _vec_mod_p(a), None
+            if _pair_regular_mod_p(_packed(u), _image_mod_p(columns, u), n, a.d, d * a.d):
+                continue
         own = measure(a) if space is None else space if sets else space.dim
         detail = own, measure(phi.apply(a))
         if detail[0] != detail[1]:

@@ -246,7 +246,9 @@ def _read_scalar(text: str) -> tuple[int, int, int, int, str]:
         # raises the same ValueError as in _scan_scalar
         a, b = int(re_num or 0), int(re_den or 1)
         c, e = int(im_num or 0), int(im_den or 1)
-        if gcd(a, b) == 1 and gcd(c, e) == 1:
+        # over one written denominator, both fractions are in lowest terms
+        # exactly when the product of the numerators is prime to it
+        if gcd(a * c, b) == 1 if b == e else (gcd(a, b) == 1 and gcd(c, e) == 1):
             return a, b, c, e, text
     g, h = gcd(a, b), gcd(c, e)
     return a, b, c, e, _format_parts(a // g, b // g, c // h, e // h)

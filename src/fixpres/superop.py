@@ -17,8 +17,13 @@ calls. L's residues mod p are made once per SuperOp, on first use, and
 kept as packed columns of 64-bit fields (SuperOp._residue_columns),
 about 8 bytes per entry; is_bijective and the probe checks all read
 them. A probe's image mod p is a sum of those columns, left unreduced
-(_image_mod_p); _regular_mod_p, the one mod-p test of M - I, reads it
-or a probe's own vec(A) mod p.
+(_image_mod_p). _shifted_columns cuts a packed vec(M) mod p into the
+columns of M - I; _regular_mod_p, the mod-p test of M - I, eliminates
+them for a structured probe's own vec(A) mod p or its image. A random
+probe needs only to know that A - I and phi(A) - I are both invertible,
+so _pair_regular_mod_p eliminates their product once: det is
+multiplicative in GF(p), so the product has full rank mod p exactly
+when both factors have.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on L's packed columns; the exact rank over Q(i)
@@ -43,6 +48,7 @@ from .linalg import (
     SizeMismatch,
     _P,
     _divided,
+    _fields,
     _full_rank_mod_p,
     _matrix,
     _over,
@@ -139,15 +145,41 @@ def _image_mod_p(columns: list[int], u: list[int]) -> int:
     return sum(map(mul, compress(u, u), compress(columns, u)))
 
 
-def _regular_mod_p(vec: int, n: int, e: int) -> bool:
-    """True when e * (M - I) has full rank mod _P (so M - I is invertible),
-    for vec the packed fields of vec(e * M) mod _P: column j of M is fields
-    j*n to j*n + n - 1 of vec, and _P - e % _P is added to its field j, so
-    fields stay unreduced and grow by at most _P."""
+def _shifted_columns(vec: int, n: int, e: int) -> list[int]:
+    """The packed columns of e * (M - I) mod _P, for vec the packed fields
+    of vec(e * M) mod _P: column j of M is fields j*n to j*n + n - 1 of
+    vec, and _P - e % _P is added to its field j, so fields stay unreduced
+    and grow by at most _P."""
     width = 64 * n
     mask = (1 << width) - 1
     shift = _P - e % _P
-    return _full_rank_mod_p([((vec >> width * j) & mask) + (shift << 64 * j) for j in range(n)])
+    return [((vec >> width * j) & mask) + (shift << 64 * j) for j in range(n)]
+
+
+def _regular_mod_p(vec: int, n: int, e: int) -> bool:
+    """True when e * (M - I) has full rank mod _P (so M - I is invertible),
+    for vec as in _shifted_columns."""
+    return _full_rank_mod_p(_shifted_columns(vec, n, e))
+
+
+def _pair_regular_mod_p(vec: int, image: int, n: int, e: int, f: int) -> bool:
+    """True when e * (A - I) and f * (M - I) both have full rank mod _P (so
+    A - I and M - I are invertible), for vec the packed fields of
+    vec(e * A) mod _P, each below _P, and image those of vec(f * M) mod
+    _P, unreduced: one elimination of their product X @ Y.
+
+    Z[i] -> GF(_P) is a ring homomorphism and GF(_P) is a field, so
+    det(X @ Y) = det X * det Y mod _P, and X @ Y has full rank exactly
+    when both factors have. X is _shifted_columns of vec, fields below
+    2 * _P; Y is the image's fields reduced mod _P with f subtracted on
+    the diagonal, below _P. Column j of X @ Y is the sum of X's columns
+    times column j of Y, so its fields stay below 2n * _P**2."""
+    xs = _shifted_columns(vec, n, e)
+    side = n * n
+    ys = [y % _P for y in _fields(image, side)]
+    for k in range(0, side, n + 1):
+        ys[k] = (ys[k] - f) % _P
+    return _full_rank_mod_p([sum(map(mul, ys[j : j + n], xs)) for j in range(0, side, n)])
 
 
 def identity_superop(n: int) -> SuperOp:

@@ -36,6 +36,7 @@ from fixpres.linalg import (
     _P,
     _SQRT_MINUS_ONE,
     _bareiss,
+    _fields,
     _full_rank_mod_p,
     _packed,
     _residues,
@@ -44,7 +45,7 @@ from fixpres.linalg import (
 )
 from fixpres.preserver import probe_suite, structured_probes
 from fixpres.scalars import ONE, ZERO
-from fixpres.superop import _image_mod_p, _regular_mod_p
+from fixpres.superop import _image_mod_p, _pair_regular_mod_p, _regular_mod_p
 
 from conftest import (
     count_entry_reads,
@@ -546,6 +547,43 @@ _COLLIDING = (
 )
 
 
+# A map and a probe for which exactly one of A - I and phi(A) - I is
+# singular mod p, though both are invertible over Q(i): both dims are 0.
+_ONE_SIDE_SINGULAR_MOD_P = {
+    # A - I = diag(p, 1, 1), and phi(A) - I = diag(2p + 1, 3, 3)
+    "own": (superop_from_action(3, lambda a: 2 * a), _diagonal(_P + 1, 2, 2)),
+    # L adds (p + 1) * a_01 at (0, 0): A - I has det -1, and
+    # phi(A) - I = [[p, 1, 0], [0, 1, 0], [0, 0, 1]] has det p
+    "image": (
+        superop_from_action(3, lambda a: a + _COLLIDING[2] * a[0, 1] * Matrix.unit(3, 0, 0)),
+        Matrix.from_rows([[0, 1, 0], [0, 2, 0], [0, 0, 2]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("side", sorted(_ONE_SIDE_SINGULAR_MOD_P))
+def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(side, monkeypatch):
+    """A random probe that the pair certificate does not settle goes
+    through dim_fixed or fixed_space of both sides, as in the reference
+    loop: one Bareiss pass per side and probe."""
+    phi, probe = _ONE_SIDE_SINGULAR_MOD_P[side]
+    eye = Matrix.identity(3)
+    own, image = probe - eye, phi.apply(probe) - eye
+    assert (reference_full_rank_mod_p(own), reference_full_rank_mod_p(image)) == (
+        side == "image", side == "own"
+    )
+    assert rank(own) == rank(image) == 3
+    monkeypatch.setattr(preserver, "_structured", lambda n: ())
+    monkeypatch.setattr(preserver, "random_matrix", lambda rng, rows, cols: probe)
+    assert list(probe_suite(3, 2, 0)) == [probe, probe]
+    for check, measure in ((check_dim_preserving, dim_fixed), (check_set_preserving, fixed_space)):
+        calls = _count_bareiss_calls(monkeypatch)
+        verdict = check(phi, 2, 0)
+        assert len(calls) == 4
+        assert (verdict.outcome, verdict.probes_run) == ("pass", 2)
+        assert verdict == _reference_check(phi, 2, 0, measure)
+
+
 @st.composite
 def shifted_probes(draw, max_side=6):
     """n x n probes for n <= max_side: drawn from the probe stream with
@@ -597,19 +635,57 @@ def certificate_cases(draw):
 @given(certificate_cases())
 @example((identity_superop(3), _diagonal(_P + 1, 2, 2)))
 @example((superop_from_action(3, lambda a: a * Fraction(1, 2)), _diagonal(_P + 1, 2, 2)))
+@example(_ONE_SIDE_SINGULAR_MOD_P["own"])
+@example(_ONE_SIDE_SINGULAR_MOD_P["image"])
 def test_packed_certificate_agrees_with_reference_rank_mod_p(case):
     """The certificate of the probe loop, on packed columns of A - I and
     of phi(A) - I whose image fields arrive unreduced with the diagonal
     shift added, is the per-entry rank mod p of e * (A - I) and of
-    d * e * (phi(A) - I), e the scale of A and d that of L."""
+    d * e * (phi(A) - I), e the scale of A and d that of L. The pair
+    certificate of a random probe, one elimination of the product of the
+    two, has full rank exactly when both have."""
     phi, a = case
     n, e = a.rows, a.d
     de = phi.matrix.d * e
     eye = Matrix.identity(n)
     u = vec_mod_p(a)
     image = _image_mod_p(phi._residue_columns, u)
-    assert _regular_mod_p(_packed(u), n, e) == reference_full_rank_mod_p((a - eye) * e)
-    assert _regular_mod_p(image, n, de) == reference_full_rank_mod_p((phi.apply(a) - eye) * de)
+    own = reference_full_rank_mod_p((a - eye) * e)
+    other = reference_full_rank_mod_p((phi.apply(a) - eye) * de)
+    assert _regular_mod_p(_packed(u), n, e) == own
+    assert _regular_mod_p(image, n, de) == other
+    assert _pair_regular_mod_p(_packed(u), image, n, e, de) == (own and other)
+
+
+@pytest.mark.parametrize(
+    "first, e, f, full",
+    [
+        (_P - 1, 1, 1, True), (_P - 1, _P + 1, 257, True), (_P - 1, _P, 1, False),
+        (_P - 1, _P - 16, 1, False), (_P - 1, _P + 1, 4096, False), (_P - 1, 1, _P, False),
+        (256, _P + 1, 1, True), (256, _P + 1, _P + 1, True), (256, 1, _P - 16, False),
+    ],
+)
+def test_pair_certificate_carries_at_n_16(first, e, f, full):
+    """Every residue of vec(A) is p - 1, and so is every residue of L
+    outside its first column, whose residues are all first. Each image
+    field is a sum of 256 products near (p - 1)**2, so the certificate
+    starts from fields near their bound: 256 * (p - 1)**2, which is 256
+    mod p, when first is p - 1, and (p - 1) * (255 * (p - 1) + 256), which
+    is p - 1, when first is 256. The factors mod p are X = -J - e * I and
+    Y = c * J - f * I (J all ones, c the image mod p). At e = p + 1 the
+    diagonal fields of X are 2p - 2 and the others p - 1, and with
+    c = p - 1 those of Y are all near p, so every field of X @ Y is near
+    17 * p**2 before the elimination adds to it; no field may carry into
+    the next."""
+    n, side = 16, 256
+    u = [_P - 1] * side
+    image = _image_mod_p([_packed([first] * side)] + [_packed(u)] * (side - 1), u)
+    c = side if first == _P - 1 else _P - 1
+    assert [x % _P for x in _fields(image, side)] == [c] * side
+    x = Matrix.from_rows([[-1 - e * (i == j) for j in range(n)] for i in range(n)])
+    y = Matrix.from_rows([[c - f * (i == j) for j in range(n)] for i in range(n)])
+    assert (reference_full_rank_mod_p(x) and reference_full_rank_mod_p(y)) == full
+    assert _pair_regular_mod_p(_packed(u), image, n, e, f) == full
 
 
 # ---------------------------------------------------------------------------

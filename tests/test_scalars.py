@@ -297,7 +297,9 @@ def test_parse_agrees_with_reference(text):
      "1+2", "1+2/i", "2/0i", "1-0/0i", "1i ", "--1",
      # valid texts that are not canonical, and near misses of the canonical grammar
      "00", "-0", "0i", "-0i", "007", "0/5", "3/1", "2/4", "1/01", "1+0i", "0+3i", "-0/7i",
-     "1-1/1i", "1+01i", "2/4-6/8i", "10/20i", "1/\u0663", "1+\u0663i", "1/2+3/4i "],
+     "1-1/1i", "1+01i", "2/4-6/8i", "10/20i", "1/\u0663", "1+\u0663i", "1/2+3/4i ",
+     # one written denominator for both parts: in lowest terms, or not in one part
+     "1/6+5/6i", "2/6+1/6i", "1/6+3/6i", "3/6i"],
 )
 def test_parse_pinned_cases_agree_with_reference(text):
     expected = outcome(reference_parse_scalar, text)
