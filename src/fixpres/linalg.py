@@ -492,9 +492,9 @@ def rank(m: Matrix) -> int:
 
 
 # A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that
-# root. (N + n) * p**2 < 2**64 for n <= 16 and N = n**2, so a field of
-# _full_rank_mod_p cannot carry into the next (see there), and p < 2**28,
-# so every residue is one CPython int digit.
+# root. p is small enough for every caller's fields to meet the bound of
+# _full_rank_mod_p at n <= 16, and p < 2**28, so every residue is one
+# CPython int digit.
 _P = 260420617
 _SQRT_MINUS_ONE = 141801490
 
@@ -526,24 +526,21 @@ def _full_rank_mod_p(rows: list[int]) -> bool:
     rank mod _P.
 
     A field of a row is a residue of a Gaussian-integer matrix (see
-    _residues), or a sum of products of residues not yet reduced: below
-    _P for the N x N residues of an L, below N * _P**2 + _P for an n x n
-    image, and below 2n * _P**2 for the n x n product of a probe's
-    shifted columns and its reduced image (n <= 16, N = n**2 <= 256). A
-    homomorphism cannot raise the rank, so True proves that the integer
-    matrix, its transpose, and any matrix whose rows are nonzero
-    multiples of its rows are invertible over Q(i). False proves nothing:
-    the matrix may still be invertible over Q(i) when its determinant
-    maps to 0 in GF(_P), and the caller must decide that exactly. The
-    input list is not changed.
+    _residues), or a sum of products of residues not yet reduced, and
+    every field must be below 2**64 - (n - 1) * _P**2 for n rows; each
+    caller states the bound of its fields. A homomorphism cannot raise the
+    rank, so True proves that the integer matrix, its transpose, and any
+    matrix whose rows are nonzero multiples of its rows are invertible
+    over Q(i). False proves nothing: the matrix may still be invertible
+    over Q(i) when its determinant maps to 0 in GF(_P), and the caller
+    must decide that exactly. The input list is not changed.
 
     For a row whose lowest field, the pivot column col, is f mod _P,
     clearing col is (row >> 64) + (_P - f) * t, where t packs the pivot
     row right of col, reduced mod _P and divided by the pivot. The shift
     drops the cleared field, and adding _P - f keeps every field
     nonnegative. A field gets one addition below _P**2 per earlier
-    column, so it stays below N * _P**2 for L, (N + n) * _P**2 for an
-    image and 3n * _P**2 for the product, all below 2**64, and no carry
+    column, at most n - 1 of them, so under the bound above no carry
     crosses fields. Only the pivot row is unpacked, once per column, so
     the cubic part is bignum arithmetic. A row that is 0 mod _P in the
     pivot column is only shifted, and a zero pivot tail is not unpacked.

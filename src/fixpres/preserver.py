@@ -20,29 +20,19 @@ The two packaged claims are:
 A probe that the certificate mod p does not settle is decided by the
 public dim_fixed or fixed_space of the probe and of its image under
 SuperOp.apply, so a counterexample's detail is the pair the loop
-compared. On a structured probe the certificate (superop's mod-p test
-of M - I) runs on the probe's own side, A - I, flattened as apply
-flattens it, before its image. What a structured probe gives of its own
-side (vec(A) mod p, its certificate and F(A), from fixed_space only
-where the certificate fails) depends on the probe alone, so it is made
-on first need and kept for the process. A random probe is certified by
-one elimination mod p of the product e * (A - I) @ f * (phi(A) - I),
-with e and f the scales of A and phi(A): Z[i] -> GF(p) is a ring
-homomorphism and GF(p) a field, so the product has full rank mod p
-exactly when both factors have, and then both fixed spaces are {0}.
-L's residues mod p belong to the SuperOp, which makes them once as
-packed columns, so the claim-2 verdict's bijectivity test and probe
-check share them while each step runs through its public name.
+compared. _check gives the per-probe order, _structured_side what a
+structured probe keeps, and superop._pair_regular_mod_p the argument of
+a random probe's certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, Subspace, _packed, _residues
+from .linalg import Matrix, Subspace, _packed
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -53,7 +43,7 @@ from .superop import (
     _pair_regular_mod_p,
     _realigned,
     _regular_mod_p,
-    _vec,
+    _vec_mod_p,
     is_bijective,
     rank_one_factor,
     unvec,
@@ -157,51 +147,32 @@ def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
         yield random_matrix(derive_rng(seed, "probe", idx), n, n)
 
 
-def _vec_mod_p(a: Matrix) -> list[int]:
-    """vec(A) mod _P, A's residues column after column."""
-    re, im = _vec(a)
-    return _residues([re], [im])[0]
-
-
-@lru_cache(maxsize=MAX_SIDE * (MAX_SIDE + 13) // 2)
-def _structured_side(a: Matrix) -> tuple[tuple[int, ...], bool, Subspace]:
-    """The own side of a structured probe: vec(A) mod _P, A's residues
-    column after column, as a tuple; whether A - I has full rank mod _P;
-    and F(A): {0} where that certificate proves A - I invertible, and from
-    fixed_space only where it fails. Made once per probe on first need;
-    the bound is the number of structured probes of all sides
-    1..MAX_SIDE, at most n + 6 each."""
+@cache
+def _structured_side(a: Matrix) -> tuple[tuple[int, ...], Subspace]:
+    """The own side of a structured probe: u = vec(A) mod _P as a tuple,
+    and F(A), which is {0} where _regular_mod_p proves A - I invertible
+    and fixed_space(A) only where it does not, so its dim is dim_fixed(A).
+    A structured probe depends on its side alone, so its own side is made
+    on first need and kept for the process."""
     u = _vec_mod_p(a)
-    regular = _regular_mod_p(_packed(u), a.rows, a.d)
-    return tuple(u), regular, Subspace.zero(a.rows) if regular else fixed_space(a)
+    if _regular_mod_p(_packed(u), a.rows, a.d):
+        return tuple(u), Subspace.zero(a.rows)
+    return tuple(u), fixed_space(a)
 
 
 def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
     """Compare F(A) with F(phi(A)) when sets is true, and dim F(A) with
     dim F(phi(A)) otherwise, over the probe suite.
 
-    Most probes are decided modulo _P, from the packed residue columns of
-    L that the SuperOp caches. vec(A) mod _P is u, A's residues column
-    after column, and vec(phi(A)) mod _P is the sum of L's columns times
-    u, whose fields stay unreduced below N * _P**2. A - I is read over A's
-    scale e and phi(A) - I over d * e. On a structured probe the own side
-    comes first: _regular_mod_p reads u as the packed columns of A - I,
-    and only when it proves those invertible is the image made and
-    certified the same way. A random probe makes u and the image at once,
-    and _pair_regular_mod_p runs one elimination of the product of the
-    two shifted matrices: det is multiplicative in GF(_P), so the product
-    has full rank mod _P exactly when both factors have. When both have
-    full rank, both fixed spaces are {0}, which settles the dimension and
-    the set condition alike. Every other probe (one with a fixed point on
-    either side, or the rare probe that is singular mod _P alone) is
-    decided by fixed_space or dim_fixed of A and of phi.apply(A), the pair
-    a counterexample reports as its detail.
-
-    The own side of a structured probe depends on the probe alone, so
-    _structured_side keeps it for the process: u, its certificate and
-    F(A), whose dim is dim_fixed(A). Random probes are fresh for each seed
-    and are drawn lazily, so a counterexample at probe k draws no later
-    probe.
+    A probe is accepted at once when both fixed spaces are {0}, proved mod
+    _P from u = vec(A) mod _P and its image through L's packed residue
+    columns, which the SuperOp caches. A structured probe takes its own
+    side from _structured_side, and its image is certified only when F(A)
+    is {0}. A random probe is certified on both sides at once by
+    _pair_regular_mod_p. Every other probe is decided by fixed_space or
+    dim_fixed of A and of phi.apply(A), the pair a counterexample reports
+    as its detail. Random probes are drawn lazily, so a counterexample at
+    probe k draws no later probe.
     """
     n, d = phi.n, phi.matrix.d
     measure = fixed_space if sets else dim_fixed
@@ -210,8 +181,8 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
     probes_run = 0
     for probes_run, a in enumerate(probe_suite(n, trials, seed), start=1):
         if probes_run <= prefix:
-            u, regular, space = _structured_side(a)
-            if regular and _regular_mod_p(_image_mod_p(columns, u), n, d * a.d):
+            u, space = _structured_side(a)
+            if not space.dim and _regular_mod_p(_image_mod_p(columns, u), n, d * a.d):
                 continue
         else:
             u, space = _vec_mod_p(a), None
@@ -234,6 +205,18 @@ def check_set_preserving(phi: SuperOp, trials: int = 20, seed: int = 0) -> Verdi
     return _check(phi, trials, seed, sets=True)
 
 
+def _identity_discrepancy(l: Matrix) -> tuple[int, int] | None:
+    """The first entry (i, j) of L, row by row, that is not the identity's,
+    or None when L is the identity. Canonical rows are exact, so row i is
+    the identity's when it is d on the diagonal, 0 elsewhere and has no
+    imaginary part; each row is compared whole before it is searched."""
+    d, side = l.d, l.cols
+    for i, (re, im) in enumerate(zip(l.re, l.im)):
+        if re[i] != d or re.count(0) != side - 1 or any(im):
+            return i, next(j for j in range(side) if re[j] != (d if j == i else 0) or im[j])
+    return None
+
+
 def classify(phi: SuperOp) -> Classification:
     """Recover the structured form of a map, if it has one.
 
@@ -251,12 +234,7 @@ def classify(phi: SuperOp) -> Classification:
     and T = scale * inv(S); any other factorization falls through.
     """
     n, l = phi.n, phi.matrix
-    # canonical rows make L = I exactly d = 1, no imaginary part and one 1
-    # per row, on the diagonal
-    side = n * n
-    if l.d == 1 and not any(map(any, l.im)) and all(
-        row[k] == 1 and row.count(0) == side - 1 for k, row in enumerate(l.re)
-    ):
+    if _identity_discrepancy(l) is None:
         return Classification(IDENTITY)
     for tag, transpose_first in ((SIMILARITY, False), (TRANSPOSE_SIMILARITY, True)):
         rows = zip(_realigned(l.re, n, transpose_first), _realigned(l.im, n, transpose_first))
@@ -294,13 +272,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         )
     # Reaching here would mean a non-identity map survived every probe:
     # either a genuine violation or a gap in the probe suite.
-    # the first entry of L, row by row, that is not the identity's d / d or 0
-    side = phi.n * phi.n
-    l = phi.matrix
-    i, j = next(
-        (r, c) for r in range(side) for c in range(side)
-        if l.re[r][c] != (l.d if r == c else 0) or l.im[r][c]
-    )
+    i, j = _identity_discrepancy(phi.matrix)
     return PreserverReport(
         claim=1,
         status="violation-candidate",
@@ -310,7 +282,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             "all probes passed but the map is not the identity; "
             "treat as a probe-suite gap until re-checked",
         ),
-        discrepancy=(i, j, l[i, j], ONE if i == j else ZERO),
+        discrepancy=(i, j, phi.matrix[i, j], ONE if i == j else ZERO),
     )
 
 

@@ -5,7 +5,7 @@ entry (i, j) of an n x n matrix lands at vec index j*n + i. Under that
 convention a map A -> S @ A @ T has matrix T.T kron S, and the realign
 permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
-layout: _vec flattens A for vec, apply and the probe loop, and each
+layout: _vec flattens A for vec, apply and _vec_mod_p, and each
 reshuffle below is a gather over rows or flat entries.
 
 A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
@@ -17,13 +17,8 @@ calls. L's residues mod p are made once per SuperOp, on first use, and
 kept as packed columns of 64-bit fields (SuperOp._residue_columns),
 about 8 bytes per entry; is_bijective and the probe checks all read
 them. A probe's image mod p is a sum of those columns, left unreduced
-(_image_mod_p). _shifted_columns cuts a packed vec(M) mod p into the
-columns of M - I; _regular_mod_p, the mod-p test of M - I, eliminates
-them for a structured probe's own vec(A) mod p or its image. A random
-probe needs only to know that A - I and phi(A) - I are both invertible,
-so _pair_regular_mod_p eliminates their product once: det is
-multiplicative in GF(p), so the product has full rank mod p exactly
-when both factors have.
+(_image_mod_p), and _regular_mod_p and _pair_regular_mod_p are the
+mod-p tests of M - I that the probe checks run.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
 elimination modulo a prime on L's packed columns; the exact rank over Q(i)
@@ -74,6 +69,12 @@ def _vec(a: Matrix) -> tuple[list[int], list[int]]:
         [x for column in zip(*a.re) for x in column],
         [y for column in zip(*a.im) for y in column],
     )
+
+
+def _vec_mod_p(a: Matrix) -> list[int]:
+    """vec(A) mod _P, A's residues column after column."""
+    re, im = _vec(a)
+    return _residues([re], [im])[0]
 
 
 def vec(a: Matrix) -> Matrix:
@@ -158,7 +159,8 @@ def _shifted_columns(vec: int, n: int, e: int) -> list[int]:
 
 def _regular_mod_p(vec: int, n: int, e: int) -> bool:
     """True when e * (M - I) has full rank mod _P (so M - I is invertible),
-    for vec as in _shifted_columns."""
+    for vec as in _shifted_columns: a vec(A) mod _P or an _image_mod_p,
+    so the columns' fields stay below N * _P**2 + _P."""
     return _full_rank_mod_p(_shifted_columns(vec, n, e))
 
 
@@ -168,12 +170,13 @@ def _pair_regular_mod_p(vec: int, image: int, n: int, e: int, f: int) -> bool:
     vec(e * A) mod _P, each below _P, and image those of vec(f * M) mod
     _P, unreduced: one elimination of their product X @ Y.
 
-    Z[i] -> GF(_P) is a ring homomorphism and GF(_P) is a field, so
-    det(X @ Y) = det X * det Y mod _P, and X @ Y has full rank exactly
-    when both factors have. X is _shifted_columns of vec, fields below
-    2 * _P; Y is the image's fields reduced mod _P with f subtracted on
-    the diagonal, below _P. Column j of X @ Y is the sum of X's columns
-    times column j of Y, so its fields stay below 2n * _P**2."""
+    Z[i] -> GF(_P) is a ring homomorphism and GF(_P) is a field, where
+    det is multiplicative: det(X @ Y) = det X * det Y mod _P, so X @ Y
+    has full rank exactly when both factors have. X is _shifted_columns
+    of vec, fields below 2 * _P; Y is the image's fields reduced mod _P
+    with f subtracted on the diagonal, below _P. Column j of X @ Y is the
+    sum of X's columns times column j of Y, so its fields stay below
+    2n * _P**2."""
     xs = _shifted_columns(vec, n, e)
     side = n * n
     ys = [y % _P for y in _fields(image, side)]
@@ -293,7 +296,8 @@ def is_bijective(phi: SuperOp) -> bool:
     """True exactly when the n^2 x n^2 matrix has full rank.
 
     Full rank modulo a prime proves full rank, so the elimination of L's
-    cached residue columns (rank L = rank L.T) nearly always decides; when
-    it finds the matrix singular, the exact rank of L decides.
+    cached residue columns (rank L = rank L.T, fields below _P) nearly
+    always decides; when it finds the matrix singular, the exact rank of
+    L decides.
     """
     return _full_rank_mod_p(phi._residue_columns) or rank(phi.matrix) == phi.n * phi.n

@@ -49,10 +49,12 @@ from fixpres.superop import _image_mod_p, _pair_regular_mod_p, _regular_mod_p
 
 from conftest import (
     count_entry_reads,
+    fractions_st,
     matrices,
     packed_rows,
     reference_full_rank_mod_p,
     row_vector,
+    scalars,
     square_matrices,
     superop_from_action,
     vec_mod_p,
@@ -435,21 +437,21 @@ def test_cached_structured_rows_survive_checks(n):
     assert [str(p) for p in cached] == [str(p) for p in _arithmetic_structured_probes(n)]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_structured_side_is_a_fresh_computation(n):
-    """After a check, each structured probe's kept own side is vec(A) mod p,
-    whether A - I has full rank mod p, and F(A), whose dim is dim_fixed(A);
-    equal probes (I three times at n = 1) share one."""
+    """After a check, each structured probe's kept own side is vec(A) mod p
+    and F(A), whose dim is dim_fixed(A) and is 0 exactly when A - I has
+    full rank mod p; equal probes (I three times at n = 1) share one."""
     assert check_set_preserving(identity_superop(n), trials=0).outcome == "pass"
     probes = structured_probes(n)
     assert preserver._structured_side.cache_info().currsize == len(set(probes))
     eye = Matrix.identity(n)
     for a in probes:
-        u, regular, space = preserver._structured_side(a)
+        u, space = preserver._structured_side(a)
         assert u == tuple(vec_mod_p(a))
-        assert regular == reference_full_rank_mod_p(a - eye)
         assert space == fixed_space(a)
         assert space.dim == dim_fixed(a)
+        assert (space.dim == 0) == reference_full_rank_mod_p(a - eye)
     assert preserver._structured_side.cache_info().currsize == len(set(probes))
 
 
@@ -847,6 +849,77 @@ def test_classify_scaled_identity_superop():
     assert result.scale == GaussianRational(2)
 
 
+def _reference_identity_tests(l: Matrix) -> tuple[bool, tuple[int, int] | None]:
+    """The two identity tests of L as classify and set_preserver_verdict
+    wrote them before they shared one: classify's whole-matrix test, and
+    the first entry, row by row, that is not the identity's d / d or 0."""
+    side = l.rows
+    identity = l.d == 1 and not any(map(any, l.im)) and all(
+        row[k] == 1 and row.count(0) == side - 1 for k, row in enumerate(l.re)
+    )
+    first = next(
+        (
+            (r, c) for r in range(side) for c in range(side)
+            if l.re[r][c] != (l.d if r == c else 0) or l.im[r][c]
+        ),
+        None,
+    )
+    return identity, first
+
+
+@st.composite
+def _near_identity_maps(draw):
+    """(n, L) for n = 1..4: the identity, a random L, the identity with one
+    entry moved in its real or imaginary part or off the diagonal, or a map
+    over a scale d != 1 whose first rows are the identity's (d * e_r)."""
+    kind = draw(st.sampled_from(["identity", "random", "real", "imaginary", "off-diagonal", "early-rows"]))
+    n = draw(st.integers(2 if kind == "off-diagonal" else 1, 4))
+    side = n * n
+    eye = Matrix.identity(side)
+    if kind == "identity":
+        return n, eye
+    if kind == "random":
+        return n, draw(matrices(rows=side, cols=side))
+    if kind == "early-rows":
+        k = draw(st.integers(0, side - 1))
+        rows = [[ONE if j == i else ZERO for j in range(side)] for i in range(k)]
+        rows += [draw(st.lists(scalars, min_size=side, max_size=side)) for _ in range(k, side)]
+        rows[-1][draw(st.integers(0, side - 1))] = GaussianRational(Fraction(1, draw(st.integers(2, 4))))
+        return n, Matrix.from_rows(rows)
+    i = draw(st.integers(0, side - 1))
+    j = i
+    if kind == "off-diagonal":
+        j = draw(st.integers(0, side - 2))
+        j += j >= i
+    delta = draw(fractions_st.filter(bool))
+    scalar = GaussianRational(0, delta) if kind == "imaginary" else GaussianRational(delta)
+    return n, eye + scalar * Matrix.unit(side, i, j)
+
+
+@given(_near_identity_maps())
+def test_identity_discrepancy_matches_both_former_tests(case):
+    n, l = case
+    identity, first = _reference_identity_tests(l)
+    assert preserver._identity_discrepancy(l) == first
+    assert (first is None) == identity
+    assert (classify(SuperOp(n, l)).tag == "identity") == identity
+
+
+@pytest.mark.parametrize(
+    "build, first",
+    [
+        (lambda eye: eye, None),
+        (lambda eye: eye + GaussianRational(Fraction(1, 2)) * Matrix.unit(256, 255, 255), (255, 255)),
+        (lambda eye: eye + GaussianRational(0, 1) * Matrix.unit(256, 200, 3), (200, 3)),
+        (lambda eye: random_matrix(derive_rng(0, "identity-test"), 256, 256), (0, 0)),
+    ],
+    ids=["identity", "half-in-last-row", "imaginary-off-diagonal", "random"],
+)
+def test_identity_discrepancy_at_n16(build, first):
+    l = build(Matrix.identity(256))
+    assert preserver._identity_discrepancy(l) == _reference_identity_tests(l)[1] == first
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -979,7 +1052,9 @@ def test_dim_verdict_runs_each_step_through_its_public_name(monkeypatch):
     reductions = []
 
     def reduced(re, im):
-        reductions.append(len(re))
+        # only L's reductions, of N rows; vec(A) mod p of a probe is one row
+        if len(re) == 9:
+            reductions.append(len(re))
         return _residues(re, im)
 
     monkeypatch.setattr(superop, "_residues", reduced)
