@@ -110,7 +110,10 @@ class Matrix:
             (z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
             for z in map(_as_scalar, entries)
         ]
-        _from_parts(rows, cols, parts, self)
+        re, im, d = _canonical_integers(parts)
+        starts = [k * cols for k in range(rows)]
+        re_rows, im_rows = [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts]
+        _matrix(cols, re_rows, im_rows, d, self)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -295,17 +298,6 @@ def _canonical_integers(
         numerators.setdefault(e, []).append(c)
     d = lcm(*(b // gcd(b, *over_b) for b, over_b in numerators.items()))
     return [a * d // b for a, b, _, _ in parts], [c * d // e for _, _, c, e in parts], d
-
-
-def _from_parts(
-    rows: int, cols: int, parts: Sequence[_Parts], m: Matrix | None = None
-) -> Matrix:
-    """The rows x cols matrix of the row-major integer parts of its
-    entries, on their canonical scale (stored in m when given)."""
-    re, im, d = _canonical_integers(parts)
-    starts = [k * cols for k in range(rows)]
-    re_rows, im_rows = [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts]
-    return _matrix(cols, re_rows, im_rows, d, m)
 
 
 def _over(

@@ -184,14 +184,15 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
             u, space = _structured_side(a)
             if not space.dim and _regular_mod_p(_image_mod_p(columns, u), n, d * a.d):
                 continue
+            own = space if sets else space.dim
         else:
-            u, space = _vec_mod_p(a), None
+            u = _vec_mod_p(a)
             if _pair_regular_mod_p(_packed(u), _image_mod_p(columns, u), n, a.d, d * a.d):
                 continue
-        own = measure(a) if space is None else space if sets else space.dim
-        detail = own, measure(phi.apply(a))
-        if detail[0] != detail[1]:
-            return Verdict(OUTCOME_COUNTEREXAMPLE, a, detail, probes_run, seed)
+            own = measure(a)
+        image = measure(phi.apply(a))
+        if own != image:
+            return Verdict(OUTCOME_COUNTEREXAMPLE, a, (own, image), probes_run, seed)
     return Verdict(OUTCOME_PASS, None, None, probes_run, seed)
 
 
@@ -251,74 +252,71 @@ def classify(phi: SuperOp) -> Classification:
 
 
 def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> PreserverReport:
-    """Check claim 1 on probes: set preservers should be the identity."""
+    """Check claim 1 on probes: set preservers should be the identity.
+
+    Decision chain: counterexample when a probed fixed set moves; then
+    consistent for the identity; otherwise violation-candidate, whose
+    discrepancy is the first entry of L that is not the identity's.
+    """
     verdict = check_set_preserving(phi, trials, seed)
+    classification = None if verdict.outcome == OUTCOME_COUNTEREXAMPLE else classify(phi)
+    notes, discrepancy = (), None
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
-        return PreserverReport(
-            claim=1,
-            status="counterexample",
-            verdict=verdict,
-            classification=None,
-            notes=("the map does not preserve every probed fixed-point set",),
-        )
-    classification = classify(phi)
-    if classification.tag == IDENTITY:
-        return PreserverReport(
-            claim=1,
-            status="consistent",
-            verdict=verdict,
-            classification=classification,
-            notes=(),
-        )
-    # Reaching here would mean a non-identity map survived every probe:
-    # either a genuine violation or a gap in the probe suite.
-    i, j = _identity_discrepancy(phi.matrix)
-    return PreserverReport(
-        claim=1,
-        status="violation-candidate",
-        verdict=verdict,
-        classification=classification,
-        notes=(
+        status = "counterexample"
+        notes = ("the map does not preserve every probed fixed-point set",)
+    elif classification.tag == IDENTITY:
+        status = "consistent"
+    else:
+        # a non-identity map survived every probe: either a genuine
+        # violation or a gap in the probe suite
+        status = "violation-candidate"
+        notes = (
             "all probes passed but the map is not the identity; "
             "treat as a probe-suite gap until re-checked",
-        ),
-        discrepancy=(i, j, phi.matrix[i, j], ONE if i == j else ZERO),
+        )
+        i, j = _identity_discrepancy(phi.matrix)
+        discrepancy = (i, j, phi.matrix[i, j], ONE if i == j else ZERO)
+    return PreserverReport(
+        claim=1,
+        status=status,
+        verdict=verdict,
+        classification=classification,
+        notes=notes,
+        discrepancy=discrepancy,
     )
 
 
 def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> PreserverReport:
-    """Check claim 2: dimension preservers should be similarities."""
+    """Check claim 2: dimension preservers should be similarities.
+
+    A note marks n < 3 as exploratory. Decision chain: hypothesis-not-met
+    when the map is not bijective, with no probe or classify run; then
+    counterexample when a probed fixed dimension changes, noted for a
+    negated similarity; then consistent for the identity or a similarity
+    with scale 1; then form-outside-conclusion for a transpose-similarity;
+    otherwise violation-candidate.
+    """
     notes: list[str] = []
     if phi.n < 3:
         notes.append(
             f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
         )
-    if not is_bijective(phi):
+    bijective = is_bijective(phi)
+    verdict, classification = (
+        (check_dim_preserving(phi, trials, seed), classify(phi)) if bijective else (None, None)
+    )
+    if not bijective:
+        status = "hypothesis-not-met"
         notes.append("hypothesis not met: the map is not surjective")
-        return PreserverReport(
-            claim=2,
-            status="hypothesis-not-met",
-            verdict=None,
-            classification=None,
-            notes=tuple(notes),
-        )
-    verdict = check_dim_preserving(phi, trials, seed)
-    classification = classify(phi)
-    if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
+    elif verdict.outcome == OUTCOME_COUNTEREXAMPLE:
+        status = "counterexample"
         if classification.tag == SIMILARITY and classification.scale == -ONE:
             notes.append(
                 "the map is a negated similarity A -> -S @ A @ inv(S); the -I probe "
                 "shows this branch of the claimed conclusion never preserves "
                 "fixed-point dimensions"
             )
-        return PreserverReport(
-            claim=2,
-            status="counterexample",
-            verdict=verdict,
-            classification=classification,
-            notes=tuple(notes),
-        )
-    if classification.tag == IDENTITY or (
+    elif classification.tag == IDENTITY or (
         classification.tag == SIMILARITY and classification.scale == ONE
     ):
         status = "consistent"

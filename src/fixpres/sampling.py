@@ -13,7 +13,7 @@ import hashlib
 import random
 from math import lcm
 
-from .linalg import Matrix, _over, rank
+from .linalg import Matrix, _over, rank, rank_one
 
 DENOMINATORS = (1, 2, 3)
 _SCALE = lcm(*DENOMINATORS)
@@ -99,4 +99,4 @@ def random_rank_one_idempotent(rng: random.Random, n: int) -> tuple[Matrix, Matr
         fx = (f @ x)[0, 0]
         if fx:
             f = f * (1 / fx)
-            return x @ f, x, f
+            return rank_one(x, f), x, f

@@ -1,5 +1,6 @@
 """Probes, falsifier checks, classification, and the two claim verdicts."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ import fixpres
 from fixpres import (
     GaussianRational,
     Matrix,
+    PreserverReport,
     SuperOp,
     Verdict,
     check_dim_preserving,
@@ -1064,6 +1066,148 @@ def test_dim_verdict_runs_each_step_through_its_public_name(monkeypatch):
     assert reductions == [9]
     assert superop.is_bijective(phi)
     assert reductions == [9]
+
+
+def _reference_set_verdict(phi: SuperOp, trials: int, seed: int) -> PreserverReport:
+    """set_preserver_verdict as it was written with one report per status."""
+    verdict = check_set_preserving(phi, trials, seed)
+    if verdict.outcome == "counterexample":
+        return PreserverReport(
+            claim=1,
+            status="counterexample",
+            verdict=verdict,
+            classification=None,
+            notes=("the map does not preserve every probed fixed-point set",),
+        )
+    classification = classify(phi)
+    if classification.tag == "identity":
+        return PreserverReport(
+            claim=1,
+            status="consistent",
+            verdict=verdict,
+            classification=classification,
+            notes=(),
+        )
+    i, j = preserver._identity_discrepancy(phi.matrix)
+    return PreserverReport(
+        claim=1,
+        status="violation-candidate",
+        verdict=verdict,
+        classification=classification,
+        notes=(
+            "all probes passed but the map is not the identity; "
+            "treat as a probe-suite gap until re-checked",
+        ),
+        discrepancy=(i, j, phi.matrix[i, j], ONE if i == j else ZERO),
+    )
+
+
+def _reference_dim_verdict(phi: SuperOp, trials: int, seed: int) -> PreserverReport:
+    """dim_preserver_verdict as it was written with one report per status."""
+    notes: list[str] = []
+    if phi.n < 3:
+        notes.append(
+            f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
+        )
+    if not is_bijective(phi):
+        notes.append("hypothesis not met: the map is not surjective")
+        return PreserverReport(
+            claim=2,
+            status="hypothesis-not-met",
+            verdict=None,
+            classification=None,
+            notes=tuple(notes),
+        )
+    verdict = check_dim_preserving(phi, trials, seed)
+    classification = classify(phi)
+    if verdict.outcome == "counterexample":
+        if classification.tag == "similarity" and classification.scale == -ONE:
+            notes.append(
+                "the map is a negated similarity A -> -S @ A @ inv(S); the -I probe "
+                "shows this branch of the claimed conclusion never preserves "
+                "fixed-point dimensions"
+            )
+        return PreserverReport(
+            claim=2,
+            status="counterexample",
+            verdict=verdict,
+            classification=classification,
+            notes=tuple(notes),
+        )
+    if classification.tag == "identity" or (
+        classification.tag == "similarity" and classification.scale == ONE
+    ):
+        status = "consistent"
+    elif classification.tag == "transpose-similarity":
+        status = "form-outside-conclusion"
+        notes.append(
+            "transpose-similarity form passed every dimension probe but is not "
+            "among the claimed conclusion forms"
+        )
+    else:
+        status = "violation-candidate"
+        notes.append(
+            "no structured form recovered although all probes passed; "
+            "treat as a probe-suite gap until re-checked"
+        )
+    return PreserverReport(
+        claim=2,
+        status=status,
+        verdict=verdict,
+        classification=classification,
+        notes=tuple(notes),
+    )
+
+
+def _verdict_chain_map(kind: str, n: int, rng) -> SuperOp:
+    if kind == "identity":
+        return identity_superop(n)
+    if kind == "random":
+        return SuperOp(n, random_matrix(rng, n * n, n * n))
+    if kind == "singular":
+        return superop_from_action(n, lambda a: a[0, 0] * Matrix.unit(n, 0, 0))
+    if kind == "entry-doubling":
+        return _entry_doubling_map()
+    s = random_invertible(rng, n)
+    if kind == "two-sided":
+        # T @ S = diag(1, ..., n), not scalar for n >= 2
+        t = _diagonal(*range(1, n + 1)) @ inverse(s)
+        return superop_from_action(n, lambda a: s @ a @ t)
+    family, scale = kind.split(":")
+    build = similarity_superop if family == "similarity" else transpose_similarity_superop
+    return build(s, GaussianRational(0, 1) if scale == "i" else int(scale))
+
+
+VERDICT_CHAIN_MAPS = (
+    "identity",
+    "similarity:1",
+    "similarity:-1",
+    "similarity:2",
+    "similarity:i",
+    "transpose-similarity:1",
+    "transpose-similarity:-1",
+    "random",
+    "singular",
+    "entry-doubling",
+    "two-sided",
+)
+
+
+@pytest.mark.parametrize("kind", VERDICT_CHAIN_MAPS)
+@given(n=st.integers(1, 4), trials=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_verdicts_match_one_report_per_status(kind, n, trials, seed):
+    """Each verdict's one decision chain gives the report, field by field,
+    that the former one-report-per-status verdicts gave."""
+    if kind in ("singular", "two-sided"):
+        n = max(n, 2)
+    phi = _verdict_chain_map(kind, n, derive_rng(seed, "verdict-chain", kind, n))
+    for verdict, reference in (
+        (set_preserver_verdict, _reference_set_verdict),
+        (dim_preserver_verdict, _reference_dim_verdict),
+    ):
+        report, expected = verdict(phi, trials, seed), reference(phi, trials, seed)
+        for field in dataclasses.fields(PreserverReport):
+            assert getattr(report, field.name) == getattr(expected, field.name), field.name
 
 
 # ---------------------------------------------------------------------------
