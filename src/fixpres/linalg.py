@@ -19,6 +19,13 @@ Its Gauss-Jordan pass leaves one common pivot, and two readers divide by
 it: rref, which inverse and completion_idempotent read their rows from,
 and _kernel, which divides only the kernel vectors.
 
+Every full-rank test mod a prime goes through _full_rank_mod_p. A square
+rank, and fixed_points.dim_fixed and fixed_space of A - I, run it first
+(_regular_rows_mod_p): a homomorphism cannot raise a rank, so full rank
+mod p proves full rank over Q(i) and settles the answer with no exact
+pass. Every matrix it cannot prove, singular over Q(i) or only mod p,
+takes the exact elimination, so every answer is the exact one.
+
 Subspaces are stored in a unique canonical form (the transpose of the
 stored basis is in reduced row echelon form), so subspace equality is a
 plain entrywise comparison.
@@ -479,7 +486,10 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank of m, from the forward elimination pass alone."""
+    """Rank of m: m.rows for a square m that _regular_rows_mod_p proves
+    invertible, otherwise the forward elimination pass."""
+    if m.is_square and _regular_rows_mod_p(m.re, m.im, 0):
+        return m.rows
     return len(_echelon(m.re, m.im, m.cols)[2])
 
 
@@ -536,8 +546,11 @@ def _full_rank_mod_p(rows: list[int]) -> bool:
     crosses fields. Only the pivot row is unpacked, once per column, so
     the cubic part is bignum arithmetic. A row that is 0 mod _P in the
     pivot column is only shifted, and a zero pivot tail is not unpacked.
+    A zero input row answers False before any column is cleared.
     """
     n = len(rows)
+    if not all(rows):
+        return False
     low = (1 << 64) - 1
     for col in range(n):
         t = None
@@ -557,6 +570,23 @@ def _full_rank_mod_p(rows: list[int]) -> bool:
             return False
         rows = rest
     return True
+
+
+def _regular_rows_mod_p(
+    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], shift: int
+) -> bool:
+    """True when the square Gaussian-integer rows re + i*im, less shift on
+    the diagonal, have full rank mod _P, which proves that matrix
+    invertible over Q(i); False proves nothing. The rows are reduced
+    (fields below _P) and packed for _full_rank_mod_p, whose bound holds
+    for every side up to 256, the widest layout in _QWORDS; a wider
+    matrix is not tried."""
+    if len(re) >= len(_QWORDS):
+        return False
+    rows = _residues(re, im)
+    for k, row in enumerate(rows):
+        row[k] = (row[k] - shift) % _P
+    return _full_rank_mod_p(list(map(_packed, rows)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -150,14 +150,10 @@ def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
 @cache
 def _structured_side(a: Matrix) -> tuple[tuple[int, ...], Subspace]:
     """The own side of a structured probe: u = vec(A) mod _P as a tuple,
-    and F(A), which is {0} where _regular_mod_p proves A - I invertible
-    and fixed_space(A) only where it does not, so its dim is dim_fixed(A).
-    A structured probe depends on its side alone, so its own side is made
-    on first need and kept for the process."""
-    u = _vec_mod_p(a)
-    if _regular_mod_p(_packed(u), a.rows, a.d):
-        return tuple(u), Subspace.zero(a.rows)
-    return tuple(u), fixed_space(a)
+    and fixed_space(A), whose dim is dim_fixed(A). A structured probe
+    depends on its side alone, so its own side is made on first need and
+    kept for the process."""
+    return tuple(_vec_mod_p(a)), fixed_space(a)
 
 
 def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
@@ -289,24 +285,29 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
 def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> PreserverReport:
     """Check claim 2: dimension preservers should be similarities.
 
-    A note marks n < 3 as exploratory. Decision chain: hypothesis-not-met
-    when the map is not bijective, with no probe or classify run; then
-    counterexample when a probed fixed dimension changes, noted for a
-    negated similarity; then consistent for the identity or a similarity
-    with scale 1; then form-outside-conclusion for a transpose-similarity;
-    otherwise violation-candidate.
+    A note marks n < 3 as exploratory. classify runs first. Its identity,
+    similarity and transpose-similarity tags prove the map bijective:
+    each has T @ S = scale * I with scale nonzero, so L = T.T kron S is
+    invertible. Only an unstructured map runs is_bijective; a tag that
+    classify does not prove invertible in this way (such as a two-sided
+    S @ A @ T) must not skip it. Decision chain: hypothesis-not-met when
+    the map is not bijective, with no probe run and no classification
+    reported; then counterexample when a probed fixed dimension changes,
+    noted for a negated similarity; then consistent for the identity or a
+    similarity with scale 1; then form-outside-conclusion for a
+    transpose-similarity; otherwise violation-candidate.
     """
     notes: list[str] = []
     if phi.n < 3:
         notes.append(
             f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
         )
-    bijective = is_bijective(phi)
-    verdict, classification = (
-        (check_dim_preserving(phi, trials, seed), classify(phi)) if bijective else (None, None)
-    )
+    classification = classify(phi)
+    bijective = classification.tag != UNSTRUCTURED or is_bijective(phi)
+    verdict = check_dim_preserving(phi, trials, seed) if bijective else None
     if not bijective:
         status = "hypothesis-not-met"
+        classification = None
         notes.append("hypothesis not met: the map is not surjective")
     elif verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         status = "counterexample"

@@ -2,13 +2,16 @@
 
 A single 64-bit seed plus a label path is hashed into a child generator,
 so independent streams can be derived per probe, per trial, or per test
-without any shared state. Entries follow the fuzzing distribution used
-throughout the package: numerators in [-9, 9], denominators in {1, 2, 3},
-for both the real and imaginary parts.
+without any shared state. Distinct paths never share a key: a seed or
+label whose text holds "|", the key's separator, raises ValueError.
+Entries follow the fuzzing distribution used throughout the package:
+numerators in [-9, 9], denominators in {1, 2, 3}, for both the real and
+imaginary parts.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 from math import lcm
@@ -18,12 +21,30 @@ from .linalg import Matrix, _over, rank, rank_one
 DENOMINATORS = (1, 2, 3)
 _SCALE = lcm(*DENOMINATORS)
 
+# random.Random's constructor and its C seed, which random.Random.seed
+# calls for an int
+_new_random = random.Random.__new__
+_seed_random = _random.Random.seed
+
 
 def derive_rng(seed: int, *labels: object) -> random.Random:
-    """Child generator for the given seed and label path, platform-stable."""
-    key = "|".join([str(seed), *(str(v) for v in labels)]).encode()
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    """Child generator for the given seed and label path, platform-stable.
+
+    The key is the seed and labels as text joined by "|", so a seed or
+    label whose text holds "|" would share its key with another path;
+    it raises ValueError instead. The generator is random.Random(value)
+    for value the key's digest, built without the Python-level __init__
+    and seed: one call of the C seed, which random.Random.seed makes for
+    an int, and gauss_next set as __init__ sets it.
+    """
+    key = "|".join(map(str, (seed, *labels)))
+    if key.count("|") > len(labels):
+        raise ValueError(f"a seed or label holds '|': {(seed, *labels)!r}")
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+    rng = _new_random(random.Random)
+    _seed_random(rng, int.from_bytes(digest, "big"))
+    rng.gauss_next = None
+    return rng
 
 
 # The numerator over _SCALE of (k - 9) / DENOMINATORS[j], at [k][j].
@@ -65,9 +86,9 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     """rows x cols entries from _draws, put on their canonical scale by
     one gcd with _SCALE."""
     re, im = _draws(rng, rows * cols)
-    starts = [k * cols for k in range(rows)]
-    re_rows, im_rows = [re[k : k + cols] for k in starts], [im[k : k + cols] for k in starts]
-    return _over(re_rows, im_rows, _SCALE, cols)
+    if not cols:
+        return _over([()] * rows, [()] * rows, _SCALE, cols)
+    return _over(list(zip(*[iter(re)] * cols)), list(zip(*[iter(im)] * cols)), _SCALE, cols)
 
 
 def random_nonzero_column(rng: random.Random, n: int) -> Matrix:

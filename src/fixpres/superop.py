@@ -5,8 +5,9 @@ entry (i, j) of an n x n matrix lands at vec index j*n + i. Under that
 convention a map A -> S @ A @ T has matrix T.T kron S, and the realign
 permutation below sends exactly those maps to rank-one matrices, which
 is what drives structure recovery. This module is the only home of that
-layout: _vec flattens A for vec, apply and _vec_mod_p, and each
-reshuffle below is a gather over rows or flat entries.
+layout: _vec flattens A for vec and apply, _vec_mod_p reduces the same
+column-major order, and each reshuffle below is a gather over rows or
+flat entries.
 
 A SuperOp holds L as a Matrix, so in canonical Gaussian-integer rows:
 every builder makes them with the integer Matrix operations (kron,
@@ -21,9 +22,10 @@ them. A probe's image mod p is a sum of those columns, left unreduced
 mod-p tests of M - I that the probe checks run.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
-elimination modulo a prime on L's packed columns; the exact rank over Q(i)
-(linalg.rank), which the minors of a similarity's Kronecker product make
-slow, runs only when that elimination finds the matrix singular. The
+elimination modulo a prime on L's packed columns; the exact rank over
+Q(i) (the forward pass of linalg._echelon), which the minors of a
+similarity's Kronecker product make slow, runs only when that
+elimination finds the matrix singular. The
 README gives timings. No elimination over Q(i) runs here other than
 through linalg: rank_one_factor reads u and v off the anchor row and
 column with one division each.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +45,7 @@ from .linalg import (
     SizeMismatch,
     _P,
     _divided,
+    _echelon,
     _fields,
     _full_rank_mod_p,
     _matrix,
@@ -52,7 +55,6 @@ from .linalg import (
     _residues,
     inverse,
     kron,
-    rank,
 )
 
 MAX_SIDE = 16
@@ -72,9 +74,8 @@ def _vec(a: Matrix) -> tuple[list[int], list[int]]:
 
 
 def _vec_mod_p(a: Matrix) -> list[int]:
-    """vec(A) mod _P, A's residues column after column."""
-    re, im = _vec(a)
-    return _residues([re], [im])[0]
+    """vec(A) mod _P, A's residues column after column, in one pass."""
+    return _residues([chain.from_iterable(zip(*a.re))], [chain.from_iterable(zip(*a.im))])[0]
 
 
 def vec(a: Matrix) -> Matrix:
@@ -297,7 +298,11 @@ def is_bijective(phi: SuperOp) -> bool:
 
     Full rank modulo a prime proves full rank, so the elimination of L's
     cached residue columns (rank L = rank L.T, fields below _P) nearly
-    always decides; when it finds the matrix singular, the exact rank of
-    L decides.
+    always decides; when it finds the matrix singular, the exact forward
+    pass of L (linalg._echelon, not linalg.rank, which would repeat the
+    test mod _P on L's rows) decides.
     """
-    return _full_rank_mod_p(phi._residue_columns) or rank(phi.matrix) == phi.n * phi.n
+    l = phi.matrix
+    if _full_rank_mod_p(phi._residue_columns):
+        return True
+    return len(_echelon(l.re, l.im, l.cols)[2]) == l.rows

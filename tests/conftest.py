@@ -22,6 +22,7 @@ from fixpres import (
 from fixpres.cli import matrix_from_doc
 from fixpres.linalg import _P, _SQRT_MINUS_ONE, _packed, _residues, rref
 from fixpres.preserver import _structured_side
+from fixpres.scalars import ONE, ZERO
 from fixpres.superop import rank_one_factor, vec
 
 settings.register_profile(
@@ -161,6 +162,19 @@ def superop_from_action(n: int, action) -> SuperOp:
 def factor(m: Matrix) -> tuple[Matrix, Matrix]:
     """rank_one_factor on the Gaussian-integer rows of m over its scale."""
     return rank_one_factor(zip(m.re, m.im), m.d)
+
+
+# Entries that vanish mod p or collide there, next to the sampled ones:
+# p, r - i (i -> r), and p + 1 and r + 1 - i, which the shift by I sends
+# to 0 mod p on the diagonal.
+COLLIDING = (
+    GaussianRational(_P),
+    GaussianRational(_SQRT_MINUS_ONE, -1),
+    GaussianRational(_P + 1),
+    GaussianRational(_SQRT_MINUS_ONE + 1, -1),
+    ZERO,
+    ONE,
+)
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)

@@ -569,7 +569,10 @@ def test_result_over_the_digit_limit_exit_two(tmp_path, capsys):
 def test_internal_error_is_not_reported_as_input_error(tmp_path, monkeypatch):
     """A broken elimination invariant must surface, not become exit 2."""
 
-    m = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]])
+    # A - I is singular (A fixes e_3), so fixed_space takes the exact pass
+    m = Matrix.from_rows(
+        [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 5), 1, 0], [0, 0, 1]]
+    )
     assert m.d == 30
 
     bareiss = linalg._bareiss

@@ -1,14 +1,28 @@
 """Fixed-point spaces F(A) = ker(A - I): dimension and basis."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fixpres import Matrix, NotSquare, Subspace, dim_fixed, fixed_space
+from fixpres import Matrix, NotSquare, Subspace, derive_rng, dim_fixed, fixed_space, random_matrix
 from fixpres import fixed_points, linalg
-from fixpres.linalg import _echelon, _over, rank
+from fixpres.linalg import _echelon, _kernel, _over, rank
+from fixpres.preserver import structured_probes
+from fixpres.scalars import ONE, ZERO
 
-from conftest import column_at, contains, matrices, null_space, spanned_by_columns, square_matrices
+from conftest import (
+    COLLIDING,
+    column_at,
+    contains,
+    matrices,
+    null_space,
+    prime_rows,
+    reference_full_rank_mod_p,
+    spanned_by_columns,
+    square_matrices,
+)
 
 
 def test_identity_fixes_everything():
@@ -107,9 +121,11 @@ def test_rank_dominates_fixed_dimension(a):
     ids=["identity", "zero", "jordan", "projection", "dependent-shift"],
 )
 def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
-    """One Gauss-Jordan pass of A - I with its columns reversed and no
-    other elimination: the kernel vectors of that pass are already the
-    canonical basis, which the span of its columns leaves as it is."""
+    """One Gauss-Jordan pass of a singular A - I with its columns reversed
+    and no other elimination: the kernel vectors of that pass are already
+    the canonical basis, which the span of its columns leaves as it is.
+    An A - I that the test mod p proves invertible, such as the zero
+    matrix's -I, takes no pass at all."""
     calls = []
 
     def counted(re, im, n_cols, reduce=False):
@@ -120,6 +136,108 @@ def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
     monkeypatch.setattr(fixed_points, "_echelon", counted)
     space = fixed_space(a)
     monkeypatch.undo()
-    shifted = (a - Matrix.identity(a.rows)).to_rows()
-    assert calls == [(Matrix.from_rows([row[::-1] for row in shifted]), True)]
+    shifted = a - Matrix.identity(a.rows)
+    if reference_full_rank_mod_p(shifted):
+        assert (calls, space) == ([], Subspace.zero(a.rows))
+    else:
+        reversed_rows = Matrix.from_rows([row[::-1] for row in shifted.to_rows()])
+        assert calls == [(reversed_rows, True)]
     assert spanned_by_columns(space.basis) == space
+
+
+# ---------------------------------------------------------------------------
+# the test mod p first: every answer is the exact pass's
+
+def _reference_shifted(a: Matrix) -> list[list[int]]:
+    shifted = [list(row) for row in a.re]
+    for k, row in enumerate(shifted):
+        row[k] -= a.d
+    return shifted
+
+
+def _exact_fixed_space(a: Matrix) -> Subspace:
+    """fixed_space as it was before the test mod p: one Gauss-Jordan pass."""
+    return _kernel(_reference_shifted(a), a.im, a.rows)
+
+
+def _exact_dim_fixed(a: Matrix) -> int:
+    """dim_fixed as it was before the test mod p: one forward pass."""
+    return a.rows - len(_echelon(_reference_shifted(a), a.im, a.rows)[2])
+
+
+def _exact_rank(m: Matrix) -> int:
+    """rank as it was before the test mod p: one forward pass."""
+    return len(_echelon(m.re, m.im, m.cols)[2])
+
+
+KINDS = ("invertible-shift", "singular", "singular-mod-p", "zero-row", "prime-rows", "structured")
+
+
+def _case(kind: str, n: int, rng: random.Random) -> Matrix:
+    """An n x n matrix with complex entries over a scale d > 1 (but for
+    some structured probes) whose A - I is: invertible (a random draw,
+    prime_rows of one); singular over Q(i) (I + X @ Y, X n x k, k < n);
+    singular only mod p (upper triangular, with p + 1 or r + 1 - i from
+    COLLIDING on A's diagonal at least once, so that A - I is 0 mod p
+    there, and nonzero elsewhere on it); or has a zero row. The structured
+    probes have each kind of A - I."""
+    a = random_matrix(rng, n, n)
+    if kind == "prime-rows":
+        return prime_rows(a)
+    if kind == "structured":
+        return rng.choice(structured_probes(n))
+    if kind == "singular":
+        k = rng.randrange(n)
+        return Matrix.identity(n) + random_matrix(rng, n, k) @ random_matrix(rng, k, n)
+    rows = a.to_rows()
+    if kind == "singular-mod-p":
+        for i, row in enumerate(rows):
+            row[:i] = [ZERO] * i
+            if i == 0 or rng.random() < 0.3:
+                row[i] = rng.choice(COLLIDING[2:4])
+            else:
+                row[i] = ONE + (row[i] or ONE)
+    elif kind == "zero-row":
+        k = rng.randrange(n)
+        rows[k] = [ONE if j == k else ZERO for j in range(n)]
+    return Matrix.from_rows(rows)
+
+
+def _assert_exact(kind: str, a: Matrix) -> None:
+    n, eye = a.rows, Matrix.identity(a.rows)
+    shifted = a - eye
+    if kind == "singular":
+        assert _exact_rank(shifted) < n
+    if kind == "singular-mod-p":
+        assert (reference_full_rank_mod_p(shifted), _exact_rank(shifted)) == (False, n)
+    assert fixed_space(a) == _exact_fixed_space(a)
+    assert dim_fixed(a) == _exact_dim_fixed(a)
+    for m in (a, a - eye):
+        assert rank(m) == _exact_rank(m)
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 8), st.integers(0, 2**32))
+@example("singular-mod-p", 1, 0)
+@example("zero-row", 8, 0)
+def test_mod_p_first_answers_equal_the_exact_pass(kind, n, seed):
+    """dim_fixed, fixed_space and rank (of A and of A - I) equal their
+    exact-only versions, whatever the test mod p says."""
+    _assert_exact(kind, _case(kind, n, random.Random(seed)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mod_p_first_answers_equal_the_exact_pass_at_side_16(kind):
+    _assert_exact(kind, _case(kind, 16, derive_rng(0, "mod-p-first", kind)))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 16, 64])
+def test_invertible_shift_takes_no_exact_pass(n, monkeypatch):
+    """A random A, whose A - I and A the test mod p proves invertible, is
+    answered with no Bareiss pass."""
+    a = random_matrix(derive_rng(0, "no-exact-pass", n), n, n)
+    assert reference_full_rank_mod_p(a - Matrix.identity(n))
+    assert reference_full_rank_mod_p(a)
+    calls = []
+    monkeypatch.setattr(linalg, "_bareiss", lambda *args: calls.append(args))
+    assert (dim_fixed(a), fixed_space(a), rank(a)) == (0, Subspace.zero(n), n)
+    assert calls == []

@@ -272,8 +272,14 @@ def _reference_bits(m: Matrix) -> int:
 def test_bareiss_rows_over_a_common_scale_are_no_larger_than_per_row(monkeypatch):
     """Row 0 of the mixed-denominator matrix is over an lcm near 10**240
     and rows 1 and 2 are integers, so the common scale multiplies them by
-    about 2**800; the content division takes that off again."""
+    about 2**800; the content division takes that off again. rank and
+    fixed_space run Bareiss only on what the test mod p cannot prove
+    invertible, so they take the singular matrix whose row 2 is twice
+    row 1, over the same scale."""
     m = MIXED_DENOMINATORS
+    rows = m.to_rows()
+    singular = Matrix.from_rows([rows[0], rows[1], [2 * x for x in rows[1]]])
+    assert (singular.d, rank(m), rank(singular)) == (m.d, 3, 2)
     received = []
     bareiss = linalg._bareiss
 
@@ -282,14 +288,14 @@ def test_bareiss_rows_over_a_common_scale_are_no_larger_than_per_row(monkeypatch
         return bareiss(re, im, n_cols, reduce)
 
     monkeypatch.setattr(linalg, "_bareiss", recorded)
-    for op, eliminated in (
-        (rank, m),
-        (rref, m),
-        # the fixed space of m + I eliminates the shifted rows, which are m's
-        (lambda a: fixed_space(a + Matrix.identity(3)), m),
-        (inverse, m.hstack(Matrix.identity(3))),
+    for op, arg, eliminated in (
+        (rank, singular, singular),
+        (rref, m, m),
+        # the fixed space of a + I eliminates the shifted rows, which are a's
+        (lambda a: fixed_space(a + Matrix.identity(3)), singular, singular),
+        (inverse, m, m.hstack(Matrix.identity(3))),
     ):
         received.clear()
-        op(m)
+        op(arg)
         assert len(received) == 1
         assert received[0] <= _reference_bits(eliminated)

@@ -36,7 +36,6 @@ from fixpres import (
 from fixpres import fixed_points, linalg, preserver, superop
 from fixpres.linalg import (
     _P,
-    _SQRT_MINUS_ONE,
     _bareiss,
     _fields,
     _full_rank_mod_p,
@@ -50,6 +49,7 @@ from fixpres.scalars import ONE, ZERO
 from fixpres.superop import _image_mod_p, _pair_regular_mod_p, _regular_mod_p
 
 from conftest import (
+    COLLIDING,
     count_entry_reads,
     fractions_st,
     matrices,
@@ -506,11 +506,20 @@ def test_second_check_runs_no_own_side_bareiss(n, monkeypatch):
 
 
 def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
-    """A random map fails at the probe I. Its detail is the loop's two
-    measured values: dim F(I) from the kept fixed_space of I, one
-    Gauss-Jordan pass made once, and dim_fixed of the image, one forward
-    pass in every check."""
-    phi = SuperOp(3, random_matrix(derive_rng(0, "dim-detail"), 9, 9))
+    """A random map changed to send I to M = S @ diag(1, 2, 3) @ inv(S)
+    fails at the probe I. Its detail is the loop's two measured values:
+    dim F(I) from the kept fixed_space of I, one Gauss-Jordan pass made
+    once, and dim_fixed of the image, one forward pass in every check,
+    because M - I is singular. The kept fixed spaces of the probes 0 and
+    -I before it take no pass: the test mod p proves -I and -2I
+    invertible."""
+    psi = SuperOp(3, random_matrix(derive_rng(0, "dim-detail"), 9, 9))
+    s = random_invertible(derive_rng(0, "dim-detail-s"), 3)
+    eye = Matrix.identity(3)
+    shift = s @ _diagonal(1, 2, 3) @ inverse(s) - psi.apply(eye)
+    phi = superop_from_action(
+        3, lambda a: psi.apply(a) + (a[0, 0] + a[1, 1] + a[2, 2]) / 3 * shift
+    )
     measured = []
 
     def counted(name, fn):
@@ -530,25 +539,13 @@ def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
     )
     w = verdict.witness
     image = phi.apply(w)
-    assert (len(calls), measured) == (2, [("fixed_space", w), ("dim_fixed", image)])
-    assert verdict.detail == (dim_fixed(w), dim_fixed(image)) == (3, 0)
+    kept = [("fixed_space", a) for a in structured_probes(3)[:3]]
+    assert (len(calls), measured) == (2, kept + [("dim_fixed", image)])
+    assert verdict.detail == (dim_fixed(w), dim_fixed(image)) == (3, 1)
     calls.clear()
     measured.clear()
     assert check_dim_preserving(phi) == verdict
     assert (len(calls), measured) == (1, [("dim_fixed", image)])
-
-
-# Entries that vanish mod p or collide there, next to the sampled ones:
-# p, r - i (i -> r), and p + 1 and r + 1 - i, which the shift by I sends
-# to 0 mod p on the diagonal.
-_COLLIDING = (
-    GaussianRational(_P),
-    GaussianRational(_SQRT_MINUS_ONE, -1),
-    GaussianRational(_P + 1),
-    GaussianRational(_SQRT_MINUS_ONE + 1, -1),
-    ZERO,
-    ONE,
-)
 
 
 # A map and a probe for which exactly one of A - I and phi(A) - I is
@@ -559,7 +556,7 @@ _ONE_SIDE_SINGULAR_MOD_P = {
     # L adds (p + 1) * a_01 at (0, 0): A - I has det -1, and
     # phi(A) - I = [[p, 1, 0], [0, 1, 0], [0, 0, 1]] has det p
     "image": (
-        superop_from_action(3, lambda a: a + _COLLIDING[2] * a[0, 1] * Matrix.unit(3, 0, 0)),
+        superop_from_action(3, lambda a: a + COLLIDING[2] * a[0, 1] * Matrix.unit(3, 0, 0)),
         Matrix.from_rows([[0, 1, 0], [0, 2, 0], [0, 0, 2]]),
     ),
 }
@@ -569,7 +566,8 @@ _ONE_SIDE_SINGULAR_MOD_P = {
 def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(side, monkeypatch):
     """A random probe that the pair certificate does not settle goes
     through dim_fixed or fixed_space of both sides, as in the reference
-    loop: one Bareiss pass per side and probe."""
+    loop. Each of those tests its side mod p first, so only the side
+    singular mod p takes a Bareiss pass: one per probe."""
     phi, probe = _ONE_SIDE_SINGULAR_MOD_P[side]
     eye = Matrix.identity(3)
     own, image = probe - eye, phi.apply(probe) - eye
@@ -581,9 +579,17 @@ def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(side, monk
     monkeypatch.setattr(preserver, "random_matrix", lambda rng, rows, cols: probe)
     assert list(probe_suite(3, 2, 0)) == [probe, probe]
     for check, measure in ((check_dim_preserving, dim_fixed), (check_set_preserving, fixed_space)):
+        measured = []
+
+        def counted(a, measure=measure):
+            measured.append(a)
+            return measure(a)
+
+        monkeypatch.setattr(preserver, measure.__name__, counted)
         calls = _count_bareiss_calls(monkeypatch)
         verdict = check(phi, 2, 0)
-        assert len(calls) == 4
+        assert measured == [probe, phi.apply(probe)] * 2
+        assert len(calls) == 2
         assert (verdict.outcome, verdict.probes_run) == ("pass", 2)
         assert verdict == _reference_check(phi, 2, 0, measure)
 
@@ -603,7 +609,7 @@ def shifted_probes(draw, max_side=6):
         return Matrix.identity(n) + random_matrix(rng, n, k) @ random_matrix(rng, k, n)
     entries = list(random_matrix(rng, n, n).entries)
     for _ in range(draw(st.integers(0, n))):
-        entries[rng.randrange(n * n)] = rng.choice(_COLLIDING)
+        entries[rng.randrange(n * n)] = rng.choice(COLLIDING)
     return Matrix(n, n, tuple(entries))
 
 
@@ -631,7 +637,7 @@ def certificate_cases(draw):
     if kind == "colliding":
         entries = list(l.entries)
         for _ in range(n * n):
-            entries[rng.randrange(len(entries))] = rng.choice(_COLLIDING)
+            entries[rng.randrange(len(entries))] = rng.choice(COLLIDING)
         l = Matrix(n * n, n * n, tuple(entries))
     return SuperOp(n, l), a
 

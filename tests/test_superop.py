@@ -9,7 +9,7 @@ trusting any index formula.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fixpres import (
@@ -29,7 +29,7 @@ from fixpres import (
 )
 from fixpres import linalg
 from fixpres.linalg import _P, _SQRT_MINUS_ONE, _bareiss, _full_rank_mod_p, inverse, kron, rank
-from fixpres.superop import NotRankOne, unvec, vec
+from fixpres.superop import NotRankOne, _vec_mod_p, unvec, vec
 
 from conftest import (
     factor,
@@ -40,6 +40,7 @@ from conftest import (
     packed_rows,
     row_vector,
     superop_from_action,
+    vec_mod_p,
 )
 
 
@@ -383,3 +384,12 @@ def test_rank_one_factor_round_trip(seed):
     m = u0 @ v0.transpose()
     u, v = factor(m)
     assert u @ v.transpose() == m
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32))
+def test_vec_mod_p_is_the_residues_of_the_columns(n, seed):
+    """_vec_mod_p reduces vec(A) in one pass; it equals the residues of A's
+    columns one after another, on complex matrices over a scale d > 1."""
+    a = prime_rows(random_matrix(derive_rng(seed, "vec-mod-p"), n, n))
+    assume(a.d > 1)
+    assert _vec_mod_p(a) == vec_mod_p(a)
