@@ -19,12 +19,18 @@ Its Gauss-Jordan pass leaves one common pivot, and two readers divide by
 it: rref, which inverse and completion_idempotent read their rows from,
 and _kernel, which divides only the kernel vectors.
 
-Every full-rank test mod a prime goes through _full_rank_mod_p. A square
-rank, and fixed_points.dim_fixed and fixed_space of A - I, run it first
-(_regular_rows_mod_p): a homomorphism cannot raise a rank, so full rank
-mod p proves full rank over Q(i) and settles the answer with no exact
-pass. Every matrix it cannot prove, singular over Q(i) or only mod p,
-takes the exact elimination, so every answer is the exact one.
+Every full-rank test mod a prime goes through _full_rank_mod_p, in one
+of two fields (_Field): _FAST, a 12-bit prime in 32-bit fields, which
+tests L and the probes in superop and preserver, and _WIDE, a 28-bit
+prime in 64-bit fields. A square rank, and fixed_points.dim_fixed and
+fixed_space of A - I, run the test mod _WIDE first (_regular_rows_mod_p):
+a homomorphism cannot raise a rank, so full rank mod p proves full rank
+over Q(i) and settles the answer with no exact pass. Every matrix it
+cannot prove, singular over Q(i) or only mod p, takes the exact
+elimination, so every answer is the exact one. Every exact pass that a
+test mod p may save sits behind the test mod _WIDE, so a matrix that
+reads singular mod _FAST alone costs one more elimination mod _WIDE,
+never an exact pass.
 
 Subspaces are stored in a unique canonical form (the transpose of the
 stored basis is in reduced row echelon form), so subspace equality is a
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import GaussianRational, ZERO, _format_over
 
@@ -493,79 +499,103 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m.re, m.im, m.cols)[2])
 
 
-# A prime p = 1 (mod 4), so that GF(p) has a square root of -1, and that
-# root. p is small enough for every caller's fields to meet the bound of
-# _full_rank_mod_p at n <= 16, and p < 2**28, so every residue is one
-# CPython int digit.
-_P = 260420617
-_SQRT_MINUS_ONE = 141801490
+class _Field(NamedTuple):
+    """A prime p = 1 (mod 4), so that GF(p) has a square root of -1, that
+    root, and the width in bits of the unsigned fields that _packed lays
+    residues mod p out in, with the little-endian layouts of 0..256 such
+    fields compiled once: a column of residues of L has N <= 256 of them.
+    """
+
+    p: int
+    root: int
+    bits: int
+    layouts: tuple[struct.Struct, ...]
 
 
-def _residues(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The Gaussian-integer rows re + i*im sent to GF(_P) by the ring
-    homomorphism Z[i] -> GF(_P) with i -> _SQRT_MINUS_ONE."""
-    r, p = _SQRT_MINUS_ONE, _P
+def _field(p: int, root: int, bits: int) -> _Field:
+    code = {32: "I", 64: "Q"}[bits]
+    return _Field(p, root, bits, tuple(struct.Struct(f"<{count}{code}") for count in range(257)))
+
+
+# The two fields of every test mod p. _FAST is the largest prime = 1
+# (mod 4) whose 32-bit fields hold the widest certificate in superop, an
+# image of a probe at n = 16: (N + n - 1) * p**2 + p < 2**32. It tests
+# L's columns and the probes; a full-rank matrix reads singular mod it
+# about once in p draws. _WIDE's 64-bit fields hold every side up to 256
+# that _regular_rows_mod_p takes, and p < 2**28, so every residue is one
+# CPython int digit. The square rank, dim_fixed and fixed_space test mod
+# _WIDE before any exact pass, so a miss mod _FAST alone never reaches one.
+_FAST = _field(3929, 226, 32)
+_WIDE = _field(260420617, 141801490, 64)
+
+
+def _residues(
+    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], field: _Field
+) -> list[list[int]]:
+    """The Gaussian-integer rows re + i*im sent to GF(p) by the ring
+    homomorphism Z[i] -> GF(p) with i -> root, for p and root those of
+    field."""
+    r, p = field.root, field.p
     return [[(x + r * y) % p for x, y in zip(xs, ys)] for xs, ys in zip(re, im)]
 
 
-# The little-endian layouts of 0..256 unsigned 64-bit fields, compiled
-# once: a column of residues of L has N <= 256 of them.
-_QWORDS = tuple(struct.Struct(f"<{count}Q") for count in range(257))
+def _packed(values: Sequence[int], field: _Field) -> int:
+    """The values, each below 2**field.bits, as fields of one int, the
+    first lowest."""
+    return int.from_bytes(field.layouts[len(values)].pack(*values), "little")
 
 
-def _packed(values: Sequence[int]) -> int:
-    """The values, each below 2**64, as 64-bit fields of one int, the first lowest."""
-    return int.from_bytes(_QWORDS[len(values)].pack(*values), "little")
+def _fields(packed: int, count: int, field: _Field) -> tuple[int, ...]:
+    """The first count fields of packed, lowest first: _packed inverted."""
+    layout = field.layouts[count]
+    return layout.unpack(packed.to_bytes(layout.size, "little"))
 
 
-def _fields(packed: int, count: int) -> tuple[int, ...]:
-    """The first count 64-bit fields of packed, lowest first: _packed inverted."""
-    return _QWORDS[count].unpack(packed.to_bytes(8 * count, "little"))
-
-
-def _full_rank_mod_p(rows: list[int]) -> bool:
+def _full_rank_mod_p(rows: list[int], field: _Field) -> bool:
     """True when the square matrix of packed rows (see _packed) has full
-    rank mod _P.
+    rank mod field.p.
 
     A field of a row is a residue of a Gaussian-integer matrix (see
     _residues), or a sum of products of residues not yet reduced, and
-    every field must be below 2**64 - (n - 1) * _P**2 for n rows; each
-    caller states the bound of its fields. A homomorphism cannot raise the
-    rank, so True proves that the integer matrix, its transpose, and any
-    matrix whose rows are nonzero multiples of its rows are invertible
-    over Q(i). False proves nothing: the matrix may still be invertible
-    over Q(i) when its determinant maps to 0 in GF(_P), and the caller
-    must decide that exactly. The input list is not changed.
+    every field must be below 2**bits - (n - 1) * p**2 for n rows, with
+    bits the field width; each caller states the bound of its fields. A
+    homomorphism cannot raise the rank, so True proves that the integer
+    matrix, its transpose, and any matrix whose rows are nonzero
+    multiples of its rows are invertible over Q(i). False proves nothing:
+    the matrix may still be invertible over Q(i) when its determinant
+    maps to 0 in GF(p), and the caller must decide that another way. The
+    input list is not changed.
 
-    For a row whose lowest field, the pivot column col, is f mod _P,
-    clearing col is (row >> 64) + (_P - f) * t, where t packs the pivot
-    row right of col, reduced mod _P and divided by the pivot. The shift
-    drops the cleared field, and adding _P - f keeps every field
-    nonnegative. A field gets one addition below _P**2 per earlier
-    column, at most n - 1 of them, so under the bound above no carry
-    crosses fields. Only the pivot row is unpacked, once per column, so
-    the cubic part is bignum arithmetic. A row that is 0 mod _P in the
-    pivot column is only shifted, and a zero pivot tail is not unpacked.
-    A zero input row answers False before any column is cleared.
+    For a row whose lowest field, the pivot column col, is f mod p,
+    clearing col is (row >> bits) + (p - f) * t, where t packs the pivot
+    row right of col, reduced mod p and divided by the pivot. The shift
+    drops the cleared field, and adding p - f keeps every field
+    nonnegative. A field gets one addition below p**2 per earlier column,
+    at most n - 1 of them, so under the bound above no carry crosses
+    fields. Only the pivot row is unpacked, once per column, so the cubic
+    part is bignum arithmetic. A row that is 0 mod p in the pivot column
+    is only shifted, and a zero pivot tail is not unpacked. A zero input
+    row answers False before any column is cleared.
     """
     n = len(rows)
     if not all(rows):
         return False
-    low = (1 << 64) - 1
+    p, bits = field.p, field.bits
+    low = (1 << bits) - 1
     for col in range(n):
         t = None
         rest: list[int] = []
         for row in rows:
-            f = (row & low) % _P
+            f = (row & low) % p
             if not f:
-                rest.append(row >> 64)
+                rest.append(row >> bits)
             elif t is None:
-                t = row >> 64
+                t = row >> bits
                 if t:
-                    inv = pow(f, -1, _P)
-                    t = _packed([x * inv % _P for x in _fields(t, n - 1 - col)])
+                    inv = pow(f, -1, p)
+                    t = _packed([x * inv % p for x in _fields(t, n - 1 - col, field)], field)
             else:
-                rest.append((row >> 64) + (_P - f) * t)
+                rest.append((row >> bits) + (p - f) * t)
         if t is None:
             return False
         rows = rest
@@ -576,17 +606,18 @@ def _regular_rows_mod_p(
     re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], shift: int
 ) -> bool:
     """True when the square Gaussian-integer rows re + i*im, less shift on
-    the diagonal, have full rank mod _P, which proves that matrix
+    the diagonal, have full rank mod _WIDE.p, which proves that matrix
     invertible over Q(i); False proves nothing. The rows are reduced
-    (fields below _P) and packed for _full_rank_mod_p, whose bound holds
-    for every side up to 256, the widest layout in _QWORDS; a wider
+    (fields below p) and packed for _full_rank_mod_p, whose bound holds
+    for every side up to 256, the widest layout of a field; a wider
     matrix is not tried."""
-    if len(re) >= len(_QWORDS):
+    if len(re) >= len(_WIDE.layouts):
         return False
-    rows = _residues(re, im)
+    p = _WIDE.p
+    rows = _residues(re, im, _WIDE)
     for k, row in enumerate(rows):
-        row[k] = (row[k] - shift) % _P
-    return _full_rank_mod_p(list(map(_packed, rows)))
+        row[k] = (row[k] - shift) % p
+    return _full_rank_mod_p([_packed(row, _WIDE) for row in rows], _WIDE)
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,7 +32,7 @@ from functools import cache, lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, Subspace, _packed
+from .linalg import Matrix, Subspace, _FAST, _packed
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -149,7 +149,7 @@ def probe_suite(n: int, trials: int, seed: int) -> Iterator[Matrix]:
 
 @cache
 def _structured_side(a: Matrix) -> tuple[tuple[int, ...], Subspace]:
-    """The own side of a structured probe: u = vec(A) mod _P as a tuple,
+    """The own side of a structured probe: u = vec(A) mod p as a tuple,
     and fixed_space(A), whose dim is dim_fixed(A). A structured probe
     depends on its side alone, so its own side is made on first need and
     kept for the process."""
@@ -161,10 +161,10 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
     dim F(phi(A)) otherwise, over the probe suite.
 
     A probe is accepted at once when both fixed spaces are {0}, proved mod
-    _P from u = vec(A) mod _P and its image through L's packed residue
-    columns, which the SuperOp caches. A structured probe takes its own
-    side from _structured_side, and its image is certified only when F(A)
-    is {0}. A random probe is certified on both sides at once by
+    p from u = vec(A) mod p and its image through L's packed residue
+    columns, which the SuperOp caches, all in linalg._FAST. A structured
+    probe takes its own side from _structured_side, and its image is
+    certified only when F(A) is {0}. A random probe is certified on both sides at once by
     _pair_regular_mod_p. Every other probe is decided by fixed_space or
     dim_fixed of A and of phi.apply(A), the pair a counterexample reports
     as its detail. Random probes are drawn lazily, so a counterexample at
@@ -183,7 +183,7 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
             own = space if sets else space.dim
         else:
             u = _vec_mod_p(a)
-            if _pair_regular_mod_p(_packed(u), _image_mod_p(columns, u), n, a.d, d * a.d):
+            if _pair_regular_mod_p(_packed(u, _FAST), _image_mod_p(columns, u), n, a.d, d * a.d):
                 continue
             own = measure(a)
         image = measure(phi.apply(a))

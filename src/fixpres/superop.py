@@ -14,18 +14,21 @@ every builder makes them with the integer Matrix operations (kron,
 precompose_transpose), and no call converts L to another form.
 SuperOp.apply is the one exact image: L's rows times vec(A) through
 linalg._products, the one exact product kernel, which Matrix @ also
-calls. L's residues mod p are made once per SuperOp, on first use, and
-kept as packed columns of 64-bit fields (SuperOp._residue_columns),
-about 8 bytes per entry; is_bijective and the probe checks all read
-them. A probe's image mod p is a sum of those columns, left unreduced
-(_image_mod_p), and _regular_mod_p and _pair_regular_mod_p are the
-mod-p tests of M - I that the probe checks run.
+calls. Every test mod p here is in the fast field linalg._FAST: a
+12-bit prime p in 32-bit fields. L's residues mod p are made once per
+SuperOp, on first use, and kept as packed columns of those fields
+(SuperOp._residue_columns), about 4 bytes per entry; is_bijective and
+the probe checks all read them. A probe's image mod p is a sum of those
+columns, left unreduced (_image_mod_p), and _regular_mod_p and
+_pair_regular_mod_p are the mod-p tests of M - I that the probe checks
+run. A probe they do not settle goes to fixed_points.dim_fixed or
+fixed_space, which test mod the wide prime first.
 
 Supported sizes are 1 <= n <= 16. is_bijective decides full rank by an
-elimination modulo a prime on L's packed columns; the exact rank over
-Q(i) (the forward pass of linalg._echelon), which the minors of a
-similarity's Kronecker product make slow, runs only when that
-elimination finds the matrix singular. The
+elimination mod p on L's packed columns, then by linalg.rank, which
+tests L's rows mod the wide prime; the exact rank over Q(i) (the forward
+pass of linalg._echelon), which the minors of a similarity's Kronecker
+product make slow, runs only when both find the matrix singular. The
 README gives timings. No elimination over Q(i) runs here other than
 through linalg: rank_one_factor reads u and v off the anchor row and
 column with one division each.
@@ -43,9 +46,8 @@ from .linalg import (
     Matrix,
     SingularMatrix,
     SizeMismatch,
-    _P,
+    _FAST,
     _divided,
-    _echelon,
     _fields,
     _full_rank_mod_p,
     _matrix,
@@ -55,6 +57,7 @@ from .linalg import (
     _residues,
     inverse,
     kron,
+    rank,
 )
 
 MAX_SIDE = 16
@@ -74,8 +77,9 @@ def _vec(a: Matrix) -> tuple[list[int], list[int]]:
 
 
 def _vec_mod_p(a: Matrix) -> list[int]:
-    """vec(A) mod _P, A's residues column after column, in one pass."""
-    return _residues([chain.from_iterable(zip(*a.re))], [chain.from_iterable(zip(*a.im))])[0]
+    """vec(A) mod p, A's residues in _FAST column after column, in one pass."""
+    re, im = chain.from_iterable(zip(*a.re)), chain.from_iterable(zip(*a.im))
+    return _residues([re], [im], _FAST)[0]
 
 
 def vec(a: Matrix) -> Matrix:
@@ -134,56 +138,63 @@ class SuperOp:
 
     @cached_property
     def _residue_columns(self) -> list[int]:
-        """The columns of L mod _P (see linalg._residues), each packed into
-        one int of 64-bit fields (see linalg._packed), made on first use.
-        Callers read them and never change them."""
-        return [_packed(column) for column in zip(*_residues(self.matrix.re, self.matrix.im))]
+        """The columns of L mod p (see linalg._residues), each packed into
+        one int of 32-bit fields of _FAST (see linalg._packed), made on
+        first use. Callers read them and never change them."""
+        residues = _residues(self.matrix.re, self.matrix.im, _FAST)
+        return [_packed(column, _FAST) for column in zip(*residues)]
 
 
 def _image_mod_p(columns: list[int], u: list[int]) -> int:
-    """vec(phi(A)) mod _P as packed fields, from L's packed residue columns
-    and u = vec(A) mod _P: the sum of the columns times the nonzero
-    entries of u. The fields are left unreduced, each below N * _P**2."""
+    """vec(phi(A)) mod p as packed fields of _FAST, from L's packed
+    residue columns and u = vec(A) mod p: the sum of the columns times the
+    nonzero entries of u. The fields are left unreduced, each below
+    N * p**2."""
     return sum(map(mul, compress(u, u), compress(columns, u)))
 
 
 def _shifted_columns(vec: int, n: int, e: int) -> list[int]:
-    """The packed columns of e * (M - I) mod _P, for vec the packed fields
-    of vec(e * M) mod _P: column j of M is fields j*n to j*n + n - 1 of
-    vec, and _P - e % _P is added to its field j, so fields stay unreduced
-    and grow by at most _P."""
-    width = 64 * n
+    """The packed columns of e * (M - I) mod p, for vec the packed fields
+    of vec(e * M) mod p in _FAST: column j of M is fields j*n to
+    j*n + n - 1 of vec, and p - e % p is added to its field j, so fields
+    stay unreduced and grow by at most p."""
+    p, bits = _FAST.p, _FAST.bits
+    width = bits * n
     mask = (1 << width) - 1
-    shift = _P - e % _P
-    return [((vec >> width * j) & mask) + (shift << 64 * j) for j in range(n)]
+    shift = p - e % p
+    return [((vec >> width * j) & mask) + (shift << bits * j) for j in range(n)]
 
 
 def _regular_mod_p(vec: int, n: int, e: int) -> bool:
-    """True when e * (M - I) has full rank mod _P (so M - I is invertible),
-    for vec as in _shifted_columns: a vec(A) mod _P or an _image_mod_p,
-    so the columns' fields stay below N * _P**2 + _P."""
-    return _full_rank_mod_p(_shifted_columns(vec, n, e))
+    """True when e * (M - I) has full rank mod p (so M - I is invertible),
+    for vec as in _shifted_columns: a vec(A) mod p or an _image_mod_p,
+    so the columns' fields stay below N * p**2 + p. With the n - 1
+    additions of the elimination, (N + n - 1) * p**2 + p < 2**32 at
+    n = 16: the bound that sets _FAST's prime."""
+    return _full_rank_mod_p(_shifted_columns(vec, n, e), _FAST)
 
 
 def _pair_regular_mod_p(vec: int, image: int, n: int, e: int, f: int) -> bool:
-    """True when e * (A - I) and f * (M - I) both have full rank mod _P (so
+    """True when e * (A - I) and f * (M - I) both have full rank mod p (so
     A - I and M - I are invertible), for vec the packed fields of
-    vec(e * A) mod _P, each below _P, and image those of vec(f * M) mod
-    _P, unreduced: one elimination of their product X @ Y.
+    vec(e * A) mod p in _FAST, each below p, and image those of
+    vec(f * M) mod p, unreduced: one elimination of their product X @ Y.
 
-    Z[i] -> GF(_P) is a ring homomorphism and GF(_P) is a field, where
-    det is multiplicative: det(X @ Y) = det X * det Y mod _P, so X @ Y
-    has full rank exactly when both factors have. X is _shifted_columns
-    of vec, fields below 2 * _P; Y is the image's fields reduced mod _P
-    with f subtracted on the diagonal, below _P. Column j of X @ Y is the
-    sum of X's columns times column j of Y, so its fields stay below
-    2n * _P**2."""
+    Z[i] -> GF(p) is a ring homomorphism and GF(p) is a field, where det
+    is multiplicative: det(X @ Y) = det X * det Y mod p, so X @ Y has
+    full rank exactly when both factors have. X is _shifted_columns of
+    vec, fields below 2 * p; Y is the image's fields reduced mod p with f
+    subtracted on the diagonal, below p. Column j of X @ Y is the sum of
+    X's columns times column j of Y, so its fields stay below
+    2n * p**2."""
+    p = _FAST.p
     xs = _shifted_columns(vec, n, e)
     side = n * n
-    ys = [y % _P for y in _fields(image, side)]
+    ys = [y % p for y in _fields(image, side, _FAST)]
     for k in range(0, side, n + 1):
-        ys[k] = (ys[k] - f) % _P
-    return _full_rank_mod_p([sum(map(mul, ys[j : j + n], xs)) for j in range(0, side, n)])
+        ys[k] = (ys[k] - f) % p
+    columns = [sum(map(mul, ys[j : j + n], xs)) for j in range(0, side, n)]
+    return _full_rank_mod_p(columns, _FAST)
 
 
 def identity_superop(n: int) -> SuperOp:
@@ -297,12 +308,11 @@ def is_bijective(phi: SuperOp) -> bool:
     """True exactly when the n^2 x n^2 matrix has full rank.
 
     Full rank modulo a prime proves full rank, so the elimination of L's
-    cached residue columns (rank L = rank L.T, fields below _P) nearly
-    always decides; when it finds the matrix singular, the exact forward
-    pass of L (linalg._echelon, not linalg.rank, which would repeat the
-    test mod _P on L's rows) decides.
+    cached residue columns mod _FAST's p (rank L = rank L.T, fields below
+    p) nearly always decides. A full-rank L reads singular there about
+    once in p draws; then linalg.rank decides, which tests L's rows mod
+    the wide prime before it takes the exact forward pass, so only an L
+    singular mod both primes takes that pass.
     """
     l = phi.matrix
-    if _full_rank_mod_p(phi._residue_columns):
-        return True
-    return len(_echelon(l.re, l.im, l.cols)[2]) == l.rows
+    return _full_rank_mod_p(phi._residue_columns, _FAST) or rank(l) == l.rows

@@ -20,7 +20,7 @@ from fixpres import (
     similarity_superop,
 )
 from fixpres.cli import matrix_from_doc
-from fixpres.linalg import _P, _SQRT_MINUS_ONE, _packed, _residues, rref
+from fixpres.linalg import _FAST, _WIDE, _Field, _packed, _residues, rref
 from fixpres.preserver import _structured_side
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import rank_one_factor, vec
@@ -75,37 +75,41 @@ def column_at(m: Matrix, j: int) -> Matrix:
     return Matrix(m.rows, 1, m.entries[j :: m.cols])
 
 
-def packed_rows(m: Matrix) -> list[int]:
-    """The Gaussian-integer rows of m as residues mod p, each packed into
-    64-bit fields: what _full_rank_mod_p takes."""
-    return [_packed(row) for row in _residues(m.re, m.im)]
+# The two fields of the tests mod p, for tests that take each in turn.
+FIELDS = (_FAST, _WIDE)
 
 
-def vec_mod_p(m: Matrix) -> list[int]:
-    """vec(m) mod p over m's scale: the residues of its columns, one
+def packed_rows(m: Matrix, field: _Field) -> list[int]:
+    """The Gaussian-integer rows of m as residues mod field.p, each packed
+    into the field's fields: what _full_rank_mod_p takes."""
+    return [_packed(row, field) for row in _residues(m.re, m.im, field)]
+
+
+def vec_mod_p(m: Matrix, field: _Field) -> list[int]:
+    """vec(m) mod field.p over m's scale: the residues of its columns, one
     after another."""
-    return [x for column in _residues(list(zip(*m.re)), list(zip(*m.im))) for x in column]
+    residues = _residues(list(zip(*m.re)), list(zip(*m.im)), field)
+    return [x for column in residues for x in column]
 
 
-def reference_full_rank_mod_p(m: Matrix) -> bool:
-    """Full rank mod p of m's Gaussian-integer rows, one (x - f*y) % p per
-    entry: _full_rank_mod_p as it was written before rows were packed."""
-    rows = [
-        [(x + _SQRT_MINUS_ONE * y) % _P for x, y in zip(xs, ys)]
-        for xs, ys in zip(m.re, m.im)
-    ]
+def reference_full_rank_mod_p(m: Matrix, field: _Field) -> bool:
+    """Full rank mod field.p of m's Gaussian-integer rows, one
+    (x - f*y) % p per entry: _full_rank_mod_p as it was written before
+    rows were packed."""
+    p, r = field.p, field.root
+    rows = [[(x + r * y) % p for x, y in zip(xs, ys)] for xs, ys in zip(m.re, m.im)]
     for col in range(m.cols):
-        hit = next((r for r in range(col, m.rows) if rows[r][col]), None)
+        hit = next((k for k in range(col, m.rows) if rows[k][col]), None)
         if hit is None:
             return False
         rows[col], rows[hit] = rows[hit], rows[col]
         pivot = rows[col]
-        inv = pow(pivot[col], -1, _P)
-        tail = [x * inv % _P for x in pivot[col + 1 :]]
+        inv = pow(pivot[col], -1, p)
+        tail = [x * inv % p for x in pivot[col + 1 :]]
         for row in rows[col + 1 :]:
             f = row[col]
             if f:
-                row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
+                row[col + 1 :] = [(x - f * y) % p for x, y in zip(row[col + 1 :], tail)]
     return True
 
 
@@ -164,17 +168,43 @@ def factor(m: Matrix) -> tuple[Matrix, Matrix]:
     return rank_one_factor(zip(m.re, m.im), m.d)
 
 
-# Entries that vanish mod p or collide there, next to the sampled ones:
-# p, r - i (i -> r), and p + 1 and r + 1 - i, which the shift by I sends
-# to 0 mod p on the diagonal.
-COLLIDING = (
-    GaussianRational(_P),
-    GaussianRational(_SQRT_MINUS_ONE, -1),
-    GaussianRational(_P + 1),
-    GaussianRational(_SQRT_MINUS_ONE + 1, -1),
-    ZERO,
-    ONE,
-)
+def colliding(field: _Field) -> tuple[GaussianRational, ...]:
+    """Entries that vanish mod field.p or collide there, next to the
+    sampled ones: p, r - i (i -> r, the field's root of -1), and p + 1 and
+    r + 1 - i, which the shift by I sends to 0 mod p on the diagonal."""
+    p, r = field.p, field.root
+    return (
+        GaussianRational(p),
+        GaussianRational(r, -1),
+        GaussianRational(p + 1),
+        GaussianRational(r + 1, -1),
+        ZERO,
+        ONE,
+    )
+
+
+def dependent_row_map(n: int, offset: int, seed: int = 0) -> SuperOp:
+    """A random map whose last row of L is the sum of its first two plus
+    offset at column 0. det L is offset times the cofactor of that entry,
+    nonzero for a random L, so L is singular for offset 0 and otherwise,
+    for a random L, singular mod exactly the primes that divide offset;
+    the tests that use it check this against the reference."""
+    side = n * n
+    rows = random_matrix(derive_rng(seed, "dependent-row", n), side, side).to_rows()
+    last = [x + y for x, y in zip(rows[0], rows[1])]
+    last[0] += offset
+    return SuperOp(n, Matrix.from_rows(rows[:-1] + [last]))
+
+
+# The offsets of dependent_row_map for the four kinds of L that
+# is_bijective tells apart: singular mod the fast prime alone, mod the
+# wide prime alone, mod both but invertible over Q(i), and singular.
+FALLBACK_OFFSETS = {
+    "fast-only": _FAST.p,
+    "wide-only": _WIDE.p,
+    "both": _FAST.p * _WIDE.p,
+    "singular": 0,
+}
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from fixpres import Matrix, NotSquare, Subspace, derive_rng, dim_fixed, fixed_space, random_matrix
 from fixpres import fixed_points, linalg
-from fixpres.linalg import _echelon, _kernel, _over, rank
+from fixpres.linalg import _WIDE, _echelon, _kernel, _over, rank
 from fixpres.preserver import structured_probes
 from fixpres.scalars import ONE, ZERO
 
 from conftest import (
-    COLLIDING,
+    colliding,
     column_at,
     contains,
     matrices,
@@ -137,7 +137,7 @@ def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
     space = fixed_space(a)
     monkeypatch.undo()
     shifted = a - Matrix.identity(a.rows)
-    if reference_full_rank_mod_p(shifted):
+    if reference_full_rank_mod_p(shifted, _WIDE):
         assert (calls, space) == ([], Subspace.zero(a.rows))
     else:
         reversed_rows = Matrix.from_rows([row[::-1] for row in shifted.to_rows()])
@@ -146,7 +146,8 @@ def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the test mod p first: every answer is the exact pass's
+# the test mod p first: every answer is the exact pass's. dim_fixed,
+# fixed_space and rank test mod the wide prime, so p below is that prime.
 
 def _reference_shifted(a: Matrix) -> list[list[int]]:
     shifted = [list(row) for row in a.re]
@@ -178,7 +179,7 @@ def _case(kind: str, n: int, rng: random.Random) -> Matrix:
     some structured probes) whose A - I is: invertible (a random draw,
     prime_rows of one); singular over Q(i) (I + X @ Y, X n x k, k < n);
     singular only mod p (upper triangular, with p + 1 or r + 1 - i from
-    COLLIDING on A's diagonal at least once, so that A - I is 0 mod p
+    colliding(_WIDE) on A's diagonal at least once, so that A - I is 0 mod p
     there, and nonzero elsewhere on it); or has a zero row. The structured
     probes have each kind of A - I."""
     a = random_matrix(rng, n, n)
@@ -194,7 +195,7 @@ def _case(kind: str, n: int, rng: random.Random) -> Matrix:
         for i, row in enumerate(rows):
             row[:i] = [ZERO] * i
             if i == 0 or rng.random() < 0.3:
-                row[i] = rng.choice(COLLIDING[2:4])
+                row[i] = rng.choice(colliding(_WIDE)[2:4])
             else:
                 row[i] = ONE + (row[i] or ONE)
     elif kind == "zero-row":
@@ -209,7 +210,7 @@ def _assert_exact(kind: str, a: Matrix) -> None:
     if kind == "singular":
         assert _exact_rank(shifted) < n
     if kind == "singular-mod-p":
-        assert (reference_full_rank_mod_p(shifted), _exact_rank(shifted)) == (False, n)
+        assert (reference_full_rank_mod_p(shifted, _WIDE), _exact_rank(shifted)) == (False, n)
     assert fixed_space(a) == _exact_fixed_space(a)
     assert dim_fixed(a) == _exact_dim_fixed(a)
     for m in (a, a - eye):
@@ -235,8 +236,8 @@ def test_invertible_shift_takes_no_exact_pass(n, monkeypatch):
     """A random A, whose A - I and A the test mod p proves invertible, is
     answered with no Bareiss pass."""
     a = random_matrix(derive_rng(0, "no-exact-pass", n), n, n)
-    assert reference_full_rank_mod_p(a - Matrix.identity(n))
-    assert reference_full_rank_mod_p(a)
+    assert reference_full_rank_mod_p(a - Matrix.identity(n), _WIDE)
+    assert reference_full_rank_mod_p(a, _WIDE)
     calls = []
     monkeypatch.setattr(linalg, "_bareiss", lambda *args: calls.append(args))
     assert (dim_fixed(a), fixed_space(a), rank(a)) == (0, Subspace.zero(n), n)

@@ -26,7 +26,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixpres import (
-    GaussianRational,
     Matrix,
     SuperOp,
     derive_rng,
@@ -38,8 +37,7 @@ from fixpres import (
 )
 from fixpres import linalg
 from fixpres.linalg import (
-    _P,
-    _SQRT_MINUS_ONE,
+    _FAST,
     _fields,
     _over,
     _packed,
@@ -53,6 +51,7 @@ from fixpres.superop import _image_mod_p, _regular_mod_p
 
 from conftest import (
     MIXED_DENOMINATORS,
+    colliding,
     matrices,
     nonzero_scalars,
     prime_row_random,
@@ -102,10 +101,12 @@ def reference_image(phi: SuperOp, a_re: list[list[int]], a_im: list[list[int]], 
 
 
 def reference_image_mod_p(residues: list[list[int]], a: list[list[int]]):
+    """The image mod the fast prime, in which the probe certificates run,
+    of the probe residues a through the residue rows of L."""
     n = len(a)
     digits = range(n)
     u = [a[i][j] for j in digits for i in digits]
-    b = [sum(map(mul, row, u)) % _P for row in residues]
+    b = [sum(map(mul, row, u)) % _FAST.p for row in residues]
     return [b[i::n] for i in digits]
 
 
@@ -140,8 +141,8 @@ def maps(draw, max_side=4):
     return build(s, draw(nonzero_scalars))
 
 
-# Entries that vanish mod p or collide there: p, and r - i with i -> r.
-_COLLIDING = (GaussianRational(_P), GaussianRational(_SQRT_MINUS_ONE, -1))
+# Entries that vanish mod the fast prime p: p, and r - i with i -> r.
+_COLLIDING = colliding(_FAST)[:2]
 
 
 @st.composite
@@ -223,8 +224,10 @@ def test_packed_image_mod_p_is_the_exact_image_mod_p(phi, data):
     n = phi.n
     a = data.draw(probes(n))
     re, im, e = stored_rows(a)
-    fields = [x % _P for x in _fields(_image_mod_p(phi._residue_columns, vec_mod_p(a)), n * n)]
-    assert [fields[i::n] for i in range(n)] == _residues(*reference_image(phi, re, im, e)[:2])
+    image = _image_mod_p(phi._residue_columns, vec_mod_p(a, _FAST))
+    fields = [x % _FAST.p for x in _fields(image, n * n, _FAST)]
+    expected = _residues(*reference_image(phi, re, im, e)[:2], _FAST)
+    assert [fields[i::n] for i in range(n)] == expected
 
 
 def test_packed_image_mod_p_carries_at_n_16():
@@ -236,18 +239,19 @@ def test_packed_image_mod_p_carries_at_n_16():
     unreduced fields go through the kernel as they are: the matrix mod p
     is 256 - e on the diagonal and 256 elsewhere, of full rank unless e is
     16 * 256 or 0 mod p. At e = p the shift is p itself, so each diagonal
-    field starts at 256 * (p - 1)**2 + p."""
-    n, side = 16, 256
-    residues = [[_P - 1] * side for _ in range(side)]
-    a = [[_P - 1] * n for _ in range(n)]
-    image = _image_mod_p([_packed(column) for column in zip(*residues)], [_P - 1] * side)
-    assert _fields(image, side) == (side * (_P - 1) ** 2,) * side
-    fields = [x % _P for x in _fields(image, side)]
+    field starts at 256 * (p - 1)**2 + p. p is the fast prime, whose
+    32-bit fields hold the probe certificates."""
+    n, side, p = 16, 256, _FAST.p
+    residues = [[p - 1] * side for _ in range(side)]
+    a = [[p - 1] * n for _ in range(n)]
+    image = _image_mod_p([_packed(column, _FAST) for column in zip(*residues)], [p - 1] * side)
+    assert _fields(image, side, _FAST) == (side * (p - 1) ** 2,) * side
+    fields = [x % p for x in _fields(image, side, _FAST)]
     assert [fields[i::n] for i in range(n)] == reference_image_mod_p(residues, a)
     assert reference_image_mod_p(residues, a) == [[side] * n] * n
-    for e, full in ((1, True), (n * side, False), (_P, False), (_P + 1, True)):
+    for e, full in ((1, True), (n * side, False), (p, False), (p + 1, True)):
         shifted = Matrix.from_rows([[side - e * (i == j) for j in range(n)] for i in range(n)])
-        assert reference_full_rank_mod_p(shifted) == full
+        assert reference_full_rank_mod_p(shifted, _FAST) == full
         assert _regular_mod_p(image, n, e) == full
 
 

@@ -35,7 +35,8 @@ from fixpres import (
 )
 from fixpres import fixed_points, linalg, preserver, superop
 from fixpres.linalg import (
-    _P,
+    _FAST,
+    _WIDE,
     _bareiss,
     _fields,
     _full_rank_mod_p,
@@ -49,7 +50,8 @@ from fixpres.scalars import ONE, ZERO
 from fixpres.superop import _image_mod_p, _pair_regular_mod_p, _regular_mod_p
 
 from conftest import (
-    COLLIDING,
+    FIELDS,
+    colliding,
     count_entry_reads,
     fractions_st,
     matrices,
@@ -355,16 +357,21 @@ def _diagonal(*entries) -> Matrix:
     return Matrix.from_rows([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+# A product of both primes: a probe side that is 0 mod it is singular in
+# both fields, so the certificate mod the fast prime misses it and so does
+# the test mod the wide prime that dim_fixed and fixed_space run first.
+_BOTH = _FAST.p * _WIDE.p
+
 # The action of phi, a probe for which A - I or phi(A) - I is singular mod
-# p but not over Q(i), and the dim check's outcome on it.
+# both primes but not over Q(i), and the dim check's outcome on it.
 _SINGULAR_MOD_P_ALONE = {
     # A - I = diag(p, 1, 1) on both sides: both dims are 0
-    "identity": (lambda a: a, _diagonal(_P + 1, 2, 2), "pass"),
+    "identity": (lambda a: a, _diagonal(_BOTH + 1, 2, 2), "pass"),
     # phi(A) - I = diag((p - 1) / 2, 0, 0): dims 0 and 2
-    "halving": (lambda a: a * Fraction(1, 2), _diagonal(_P + 1, 2, 2), "counterexample"),
+    "halving": (lambda a: a * Fraction(1, 2), _diagonal(_BOTH + 1, 2, 2), "counterexample"),
     # A - I = I, and phi(A) = diag(p + 1, 2, 2): both dims are 0
     "corner-shear": (
-        lambda a: a + (_P - 1) // 2 * a[0, 0] * Matrix.unit(3, 0, 0),
+        lambda a: a + (_BOTH - 1) // 2 * a[0, 0] * Matrix.unit(3, 0, 0),
         _diagonal(2, 2, 2),
         "pass",
     ),
@@ -377,15 +384,17 @@ def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
     phi = superop_from_action(3, action)
     eye = Matrix.identity(3)
     shifted = (probe - eye, phi.apply(probe) - eye)
-    assert not all(_full_rank_mod_p(packed_rows(m)) for m in shifted)
+    for field in FIELDS:
+        assert not all(_full_rank_mod_p(packed_rows(m, field), field) for m in shifted)
     assert rank(shifted[0]) == 3
     monkeypatch.setattr(preserver, "_structured", lambda n: (probe,))
     calls = _count_bareiss_calls(monkeypatch)
     verdict = check_dim_preserving(phi, 0, 0)
     # the image takes an exact pass in every check, and the probe once, the
-    # first time, when probe - I is singular mod p; the probe's F is then
-    # kept with its own side, and is {0} where the certificate proves it
-    own_singular = not _full_rank_mod_p(packed_rows(shifted[0]))
+    # first time, when probe - I is singular mod the wide prime that
+    # fixed_space tests first; the probe's F is then kept with its own
+    # side, and is {0} where that test proves it
+    own_singular = not _full_rank_mod_p(packed_rows(shifted[0], _WIDE), _WIDE)
     assert len(calls) == 1 + own_singular
     assert verdict.outcome == outcome
     assert verdict == _reference_check(phi, 0, 0, dim_fixed)
@@ -450,10 +459,10 @@ def test_structured_side_is_a_fresh_computation(n):
     eye = Matrix.identity(n)
     for a in probes:
         u, space = preserver._structured_side(a)
-        assert u == tuple(vec_mod_p(a))
+        assert u == tuple(vec_mod_p(a, _FAST))
         assert space == fixed_space(a)
         assert space.dim == dim_fixed(a)
-        assert (space.dim == 0) == reference_full_rank_mod_p(a - eye)
+        assert (space.dim == 0) == reference_full_rank_mod_p(a - eye, _WIDE)
     assert preserver._structured_side.cache_info().currsize == len(set(probes))
 
 
@@ -548,32 +557,44 @@ def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
     assert (len(calls), measured) == (1, [("dim_fixed", image)])
 
 
-# A map and a probe for which exactly one of A - I and phi(A) - I is
-# singular mod p, though both are invertible over Q(i): both dims are 0.
-_ONE_SIDE_SINGULAR_MOD_P = {
-    # A - I = diag(p, 1, 1), and phi(A) - I = diag(2p + 1, 3, 3)
-    "own": (superop_from_action(3, lambda a: 2 * a), _diagonal(_P + 1, 2, 2)),
-    # L adds (p + 1) * a_01 at (0, 0): A - I has det -1, and
-    # phi(A) - I = [[p, 1, 0], [0, 1, 0], [0, 0, 1]] has det p
-    "image": (
-        superop_from_action(3, lambda a: a + COLLIDING[2] * a[0, 1] * Matrix.unit(3, 0, 0)),
-        Matrix.from_rows([[0, 1, 0], [0, 2, 0], [0, 0, 2]]),
-    ),
-}
+def _one_side_singular_mod(q: int) -> dict:
+    """A map and a probe for which exactly one of A - I and phi(A) - I is
+    singular mod every prime that divides q, though both are invertible
+    over Q(i): both dims are 0."""
+    return {
+        # A - I = diag(q, 1, 1), and phi(A) - I = diag(2q + 1, 3, 3)
+        "own": (superop_from_action(3, lambda a: 2 * a), _diagonal(q + 1, 2, 2)),
+        # L adds (q + 1) * a_01 at (0, 0): A - I has det -1, and
+        # phi(A) - I = [[q, 1, 0], [0, 1, 0], [0, 0, 1]] has det q
+        "image": (
+            superop_from_action(
+                3, lambda a: a + GaussianRational(q + 1) * a[0, 1] * Matrix.unit(3, 0, 0)
+            ),
+            Matrix.from_rows([[0, 1, 0], [0, 2, 0], [0, 0, 2]]),
+        ),
+    }
 
 
-@pytest.mark.parametrize("side", sorted(_ONE_SIDE_SINGULAR_MOD_P))
-def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(side, monkeypatch):
-    """A random probe that the pair certificate does not settle goes
-    through dim_fixed or fixed_space of both sides, as in the reference
-    loop. Each of those tests its side mod p first, so only the side
-    singular mod p takes a Bareiss pass: one per probe."""
-    phi, probe = _ONE_SIDE_SINGULAR_MOD_P[side]
+# The side singular mod both primes, so it reaches Bareiss, or mod the
+# fast prime alone, so the test mod the wide prime settles it.
+_ONE_SIDE_SINGULAR_MOD_P = _one_side_singular_mod(_BOTH)
+_ONE_SIDE_SINGULAR_MOD_FAST = _one_side_singular_mod(_FAST.p)
+
+
+def _measure_one_random_probe(phi, probe, side, singular_in, monkeypatch) -> None:
+    """Check phi on the random probe alone, drawn twice, for both
+    conditions, and require the reference loop's verdict, both sides of
+    both draws measured through dim_fixed or fixed_space, and one Bareiss
+    pass per draw when the singular side is singular mod the wide prime,
+    none otherwise. singular_in holds the fields in which that side is
+    singular mod p."""
     eye = Matrix.identity(3)
     own, image = probe - eye, phi.apply(probe) - eye
-    assert (reference_full_rank_mod_p(own), reference_full_rank_mod_p(image)) == (
-        side == "image", side == "own"
-    )
+    for field in FIELDS:
+        singular = field in singular_in
+        assert (reference_full_rank_mod_p(own, field), reference_full_rank_mod_p(image, field)) == (
+            side == "image" or not singular, side == "own" or not singular
+        )
     assert rank(own) == rank(image) == 3
     monkeypatch.setattr(preserver, "_structured", lambda n: ())
     monkeypatch.setattr(preserver, "random_matrix", lambda rng, rows, cols: probe)
@@ -589,9 +610,28 @@ def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(side, monk
         calls = _count_bareiss_calls(monkeypatch)
         verdict = check(phi, 2, 0)
         assert measured == [probe, phi.apply(probe)] * 2
-        assert len(calls) == 2
+        assert len(calls) == (2 if _WIDE in singular_in else 0)
         assert (verdict.outcome, verdict.probes_run) == ("pass", 2)
         assert verdict == _reference_check(phi, 2, 0, measure)
+
+
+@pytest.mark.parametrize("side", sorted(_ONE_SIDE_SINGULAR_MOD_P))
+def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(side, monkeypatch):
+    """A random probe that the pair certificate does not settle goes
+    through dim_fixed or fixed_space of both sides, as in the reference
+    loop. Each of those tests its side mod the wide prime first, so only
+    a side singular mod both primes takes a Bareiss pass: one per probe."""
+    phi, probe = _ONE_SIDE_SINGULAR_MOD_P[side]
+    _measure_one_random_probe(phi, probe, side, FIELDS, monkeypatch)
+
+
+@pytest.mark.parametrize("side", sorted(_ONE_SIDE_SINGULAR_MOD_FAST))
+def test_random_probe_singular_mod_the_fast_prime_alone_takes_no_bareiss(side, monkeypatch):
+    """A side singular mod the fast prime alone makes the pair certificate
+    miss, and the test mod the wide prime in dim_fixed and fixed_space
+    settles it: both sides are measured, and no Bareiss pass runs."""
+    phi, probe = _ONE_SIDE_SINGULAR_MOD_FAST[side]
+    _measure_one_random_probe(phi, probe, side, (_FAST,), monkeypatch)
 
 
 @st.composite
@@ -609,14 +649,14 @@ def shifted_probes(draw, max_side=6):
         return Matrix.identity(n) + random_matrix(rng, n, k) @ random_matrix(rng, k, n)
     entries = list(random_matrix(rng, n, n).entries)
     for _ in range(draw(st.integers(0, n))):
-        entries[rng.randrange(n * n)] = rng.choice(COLLIDING)
+        entries[rng.randrange(n * n)] = rng.choice(colliding(_FAST))
     return Matrix(n, n, tuple(entries))
 
 
 @given(shifted_probes())
 def test_full_rank_mod_p_of_a_shifted_probe_proves_full_rank(a):
     n = a.rows
-    if _regular_mod_p(_packed(vec_mod_p(a)), n, a.d):
+    if _regular_mod_p(_packed(vec_mod_p(a, _FAST), _FAST), n, a.d):
         assert rank(a - Matrix.identity(n)) == n
 
 
@@ -637,42 +677,56 @@ def certificate_cases(draw):
     if kind == "colliding":
         entries = list(l.entries)
         for _ in range(n * n):
-            entries[rng.randrange(len(entries))] = rng.choice(COLLIDING)
+            entries[rng.randrange(len(entries))] = rng.choice(colliding(_FAST))
         l = Matrix(n * n, n * n, tuple(entries))
     return SuperOp(n, l), a
 
 
 @given(certificate_cases())
-@example((identity_superop(3), _diagonal(_P + 1, 2, 2)))
-@example((superop_from_action(3, lambda a: a * Fraction(1, 2)), _diagonal(_P + 1, 2, 2)))
+@example((identity_superop(3), _diagonal(_FAST.p + 1, 2, 2)))
+@example((superop_from_action(3, lambda a: a * Fraction(1, 2)), _diagonal(_FAST.p + 1, 2, 2)))
 @example(_ONE_SIDE_SINGULAR_MOD_P["own"])
 @example(_ONE_SIDE_SINGULAR_MOD_P["image"])
+@example(_ONE_SIDE_SINGULAR_MOD_FAST["own"])
+@example(_ONE_SIDE_SINGULAR_MOD_FAST["image"])
 def test_packed_certificate_agrees_with_reference_rank_mod_p(case):
     """The certificate of the probe loop, on packed columns of A - I and
     of phi(A) - I whose image fields arrive unreduced with the diagonal
-    shift added, is the per-entry rank mod p of e * (A - I) and of
-    d * e * (phi(A) - I), e the scale of A and d that of L. The pair
-    certificate of a random probe, one elimination of the product of the
-    two, has full rank exactly when both have."""
+    shift added, is the per-entry rank mod the fast prime p of
+    e * (A - I) and of d * e * (phi(A) - I), e the scale of A and d that
+    of L. The pair certificate of a random probe, one elimination of the
+    product of the two, has full rank exactly when both have."""
     phi, a = case
     n, e = a.rows, a.d
     de = phi.matrix.d * e
     eye = Matrix.identity(n)
-    u = vec_mod_p(a)
+    u = vec_mod_p(a, _FAST)
     image = _image_mod_p(phi._residue_columns, u)
-    own = reference_full_rank_mod_p((a - eye) * e)
-    other = reference_full_rank_mod_p((phi.apply(a) - eye) * de)
-    assert _regular_mod_p(_packed(u), n, e) == own
+    own = reference_full_rank_mod_p((a - eye) * e, _FAST)
+    other = reference_full_rank_mod_p((phi.apply(a) - eye) * de, _FAST)
+    packed = _packed(u, _FAST)
+    assert _regular_mod_p(packed, n, e) == own
     assert _regular_mod_p(image, n, de) == other
-    assert _pair_regular_mod_p(_packed(u), image, n, e, de) == (own and other)
+    assert _pair_regular_mod_p(packed, image, n, e, de) == (own and other)
+
+
+# The cases of the carry test, each named by its values in terms of the
+# fast prime p.
+_P1 = _FAST.p
 
 
 @pytest.mark.parametrize(
     "first, e, f, full",
     [
-        (_P - 1, 1, 1, True), (_P - 1, _P + 1, 257, True), (_P - 1, _P, 1, False),
-        (_P - 1, _P - 16, 1, False), (_P - 1, _P + 1, 4096, False), (_P - 1, 1, _P, False),
-        (256, _P + 1, 1, True), (256, _P + 1, _P + 1, True), (256, 1, _P - 16, False),
+        pytest.param(_P1 - 1, 1, 1, True, id="p-1,1,1,True"),
+        pytest.param(_P1 - 1, _P1 + 1, 257, True, id="p-1,p+1,257,True"),
+        pytest.param(_P1 - 1, _P1, 1, False, id="p-1,p,1,False"),
+        pytest.param(_P1 - 1, _P1 - 16, 1, False, id="p-1,p-16,1,False"),
+        pytest.param(_P1 - 1, _P1 + 1, 4096, False, id="p-1,p+1,4096,False"),
+        pytest.param(_P1 - 1, 1, _P1, False, id="p-1,1,p,False"),
+        pytest.param(256, _P1 + 1, 1, True, id="256,p+1,1,True"),
+        pytest.param(256, _P1 + 1, _P1 + 1, True, id="256,p+1,p+1,True"),
+        pytest.param(256, 1, _P1 - 16, False, id="256,1,p-16,False"),
     ],
 )
 def test_pair_certificate_carries_at_n_16(first, e, f, full):
@@ -686,16 +740,19 @@ def test_pair_certificate_carries_at_n_16(first, e, f, full):
     diagonal fields of X are 2p - 2 and the others p - 1, and with
     c = p - 1 those of Y are all near p, so every field of X @ Y is near
     17 * p**2 before the elimination adds to it; no field may carry into
-    the next."""
-    n, side = 16, 256
-    u = [_P - 1] * side
-    image = _image_mod_p([_packed([first] * side)] + [_packed(u)] * (side - 1), u)
-    c = side if first == _P - 1 else _P - 1
-    assert [x % _P for x in _fields(image, side)] == [c] * side
+    the next. p is the fast prime, whose 32-bit fields the certificate
+    runs in."""
+    n, side, p = 16, 256, _FAST.p
+    u = [p - 1] * side
+    columns = [_packed([first] * side, _FAST)] + [_packed(u, _FAST)] * (side - 1)
+    image = _image_mod_p(columns, u)
+    c = side if first == p - 1 else p - 1
+    assert [x % p for x in _fields(image, side, _FAST)] == [c] * side
     x = Matrix.from_rows([[-1 - e * (i == j) for j in range(n)] for i in range(n)])
     y = Matrix.from_rows([[c - f * (i == j) for j in range(n)] for i in range(n)])
-    assert (reference_full_rank_mod_p(x) and reference_full_rank_mod_p(y)) == full
-    assert _pair_regular_mod_p(_packed(u), image, n, e, f) == full
+    full_x, full_y = reference_full_rank_mod_p(x, _FAST), reference_full_rank_mod_p(y, _FAST)
+    assert (full_x and full_y) == full
+    assert _pair_regular_mod_p(_packed(u, _FAST), image, n, e, f) == full
 
 
 # ---------------------------------------------------------------------------
@@ -1059,11 +1116,11 @@ def test_dim_verdict_runs_each_step_through_its_public_name(monkeypatch):
         monkeypatch.setattr(preserver, name, counted(name, getattr(preserver, name)))
     reductions = []
 
-    def reduced(re, im):
+    def reduced(re, im, field):
         # only L's reductions, of N rows; vec(A) mod p of a probe is one row
         if len(re) == 9:
             reductions.append(len(re))
-        return _residues(re, im)
+        return _residues(re, im, field)
 
     monkeypatch.setattr(superop, "_residues", reduced)
     report = dim_preserver_verdict(phi, trials=5, seed=0)

@@ -18,7 +18,7 @@ from fixpres import (
     derive_rng,
     random_matrix,
 )
-from fixpres.linalg import _P, _fields, inverse, kron, rank
+from fixpres.linalg import _FAST, _fields, inverse, kron, rank
 from fixpres.scalars import ZERO
 from fixpres.superop import _image_mod_p, unvec, vec
 
@@ -155,8 +155,8 @@ def test_apply_each_matches_apply(seed):
         # the image's Gaussian integers over the scale l.d * m.d
         b = image * scale
         assert b.d == 1
-        fields = _fields(_image_mod_p(columns, vec_mod_p(m)), n * n)
-        assert [x % _P for x in fields] == vec_mod_p(b)
+        fields = _fields(_image_mod_p(columns, vec_mod_p(m, _FAST)), n * n, _FAST)
+        assert [x % _FAST.p for x in fields] == vec_mod_p(b, _FAST)
     assert phi._residue_columns is columns
     assert [phi.apply(m) for m in ms] == [
         unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms

@@ -28,16 +28,19 @@ from fixpres import (
     transpose_superop,
 )
 from fixpres import linalg
-from fixpres.linalg import _P, _SQRT_MINUS_ONE, _bareiss, _full_rank_mod_p, inverse, kron, rank
+from fixpres.linalg import _FAST, _WIDE, _bareiss, _full_rank_mod_p, inverse, kron, rank
 from fixpres.superop import NotRankOne, _vec_mod_p, unvec, vec
 
 from conftest import (
+    FALLBACK_OFFSETS,
+    dependent_row_map,
     factor,
     matrices,
     prime_row_random,
     prime_row_similarity,
     prime_rows,
     packed_rows,
+    reference_full_rank_mod_p,
     row_vector,
     superop_from_action,
     vec_mod_p,
@@ -182,17 +185,52 @@ def _identity_with_corner(n: int, corner: GaussianRational) -> SuperOp:
 
 @pytest.mark.parametrize(
     "corner",
-    [GaussianRational(_P), GaussianRational(_SQRT_MINUS_ONE, -1)],
+    [
+        GaussianRational(_FAST.p * _WIDE.p),
+        GaussianRational(_FAST.root * _WIDE.root - 1, -_FAST.root - _WIDE.root),
+    ],
     ids=["p", "sqrt(-1) - i"],
 )
 def test_bijective_map_singular_mod_p_falls_back_to_exact_rank(corner, monkeypatch):
-    # Both corners are nonzero over Q(i) but vanish mod p: p itself, and
-    # r - i with i -> r, a square root of -1 mod p.
+    # Both corners are nonzero over Q(i) but vanish mod both primes: their
+    # product p1 * p2, and (r1 - i)(r2 - i), with r1 and r2 the square
+    # roots of -1 that each field sends i to.
     phi = _identity_with_corner(2, corner)
-    assert not _full_rank_mod_p(packed_rows(phi.matrix))
+    for field in (_FAST, _WIDE):
+        assert not _full_rank_mod_p(packed_rows(phi.matrix, field), field)
     calls = _count_exact_ranks(monkeypatch)
     assert is_bijective(phi)
     assert calls == [(4, 4)]
+
+
+# Full rank of L mod the fast prime and mod the wide one, for each kind of
+# conftest.dependent_row_map.
+_FALLBACK_RANKS = {
+    "fast-only": (False, True),
+    "wide-only": (True, False),
+    "both": (False, False),
+    "singular": (False, False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FALLBACK_OFFSETS))
+def test_is_bijective_tries_the_fast_prime_then_the_wide_one_then_bareiss(kind, monkeypatch):
+    """Only an L singular mod both primes takes the exact pass: one
+    singular mod one prime alone is proved bijective by the other."""
+    phi = dependent_row_map(3, FALLBACK_OFFSETS[kind])
+    l = phi.matrix
+    ranks = (reference_full_rank_mod_p(l, _FAST), reference_full_rank_mod_p(l, _WIDE))
+    assert ranks == _FALLBACK_RANKS[kind]
+    calls = _count_exact_ranks(monkeypatch)
+    assert is_bijective(phi) == (kind != "singular")
+    assert calls == ([(9, 9)] if kind in ("both", "singular") else [])
+
+
+def test_map_singular_mod_the_fast_prime_alone_at_n_16(monkeypatch):
+    phi = dependent_row_map(16, FALLBACK_OFFSETS["fast-only"])
+    assert not _full_rank_mod_p(phi._residue_columns, _FAST)
+    _no_exact_rank(monkeypatch)
+    assert is_bijective(phi)
 
 
 def test_rank_deficient_map_is_not_bijective(monkeypatch):
@@ -242,7 +280,7 @@ def test_prime_row_maps_are_decided_by_the_certificate(make, monkeypatch):
     # L's common scale is far above each row's own; full rank mod p holds
     # for the common-scale rows just as it does for rows over their own scale.
     phi = make(4)
-    assert _full_rank_mod_p(packed_rows(phi.matrix))
+    assert _full_rank_mod_p(packed_rows(phi.matrix, _FAST), _FAST)
     _no_exact_rank(monkeypatch)
     assert is_bijective(phi)
 
@@ -392,4 +430,4 @@ def test_vec_mod_p_is_the_residues_of_the_columns(n, seed):
     columns one after another, on complex matrices over a scale d > 1."""
     a = prime_rows(random_matrix(derive_rng(seed, "vec-mod-p"), n, n))
     assume(a.d > 1)
-    assert _vec_mod_p(a) == vec_mod_p(a)
+    assert _vec_mod_p(a) == vec_mod_p(a, _FAST)
