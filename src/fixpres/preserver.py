@@ -8,6 +8,7 @@ Two conditions are checked against witness suites:
 Both quantify over all of M_n, so no finite run can verify them. The
 checkers are sound falsifiers: a counterexample is always genuine and
 re-checkable, while a pass only reports how many probes were survived.
+check_dim_preserving and check_set_preserving evaluate every probe.
 
 The two packaged claims are:
 
@@ -16,6 +17,13 @@ The two packaged claims are:
 * claim 2 (n >= 3): a surjective linear map that preserves every
   fixed-point dimension is A -> S @ A @ inv(S) or A -> -S @ A @ inv(S)
   for some invertible S.
+
+The verdicts skip the probe run where classify's exact form already
+proves every probe passes (_preserves_every_dim): the identity keeps
+every F(A), F(S @ A @ inv(S)) = S F(A), and rank(A.T - I) =
+rank(A - I), so the identity, and a similarity or transpose-similarity
+with scale 1, keep every dim F(A). Their pass is built by _decided_pass
+and equals the one the run returns.
 
 A probe that the certificate mod p does not settle is decided by the
 public dim_fixed or fixed_space of the probe and of its image under
@@ -79,8 +87,10 @@ class Verdict:
 
     detail is the pair of compared quantities at the witness: dimensions
     for the dimension condition, canonical subspaces for the set
-    condition. probes_run counts evaluated probes, so a counterexample
-    records how early it was found.
+    condition. probes_run counts decided probes, so a counterexample
+    records how early it was found. A check evaluates each probe it
+    counts; a verdict on a map whose classification proves every probe
+    passes counts the whole suite as decided by that proof, unevaluated.
     """
 
     outcome: str
@@ -214,6 +224,23 @@ def _identity_discrepancy(l: Matrix) -> tuple[int, int] | None:
     return None
 
 
+def _preserves_every_dim(classification: Classification) -> bool:
+    """Whether the classified form keeps dim F(A) for every A: the identity,
+    A -> S @ A @ inv(S) and A -> S @ A.T @ inv(S), that is a similarity or
+    transpose-similarity with scale 1. classify proves each form exactly."""
+    return classification.tag == IDENTITY or (
+        classification.tag in (SIMILARITY, TRANSPOSE_SIMILARITY) and classification.scale == ONE
+    )
+
+
+def _decided_pass(n: int, trials: int, seed: int) -> Verdict:
+    """The pass a probe run over probe_suite(n, trials, seed) returns on a map
+    that keeps every probed quantity, built without the run. The count is
+    the suite's: every structured probe and len(range(trials)) random ones,
+    so trials <= 0 adds none and a non-int trials raises TypeError."""
+    return Verdict(OUTCOME_PASS, None, None, len(_structured(n)) + len(range(trials)), seed)
+
+
 def classify(phi: SuperOp) -> Classification:
     """Recover the structured form of a map, if it has one.
 
@@ -250,12 +277,20 @@ def classify(phi: SuperOp) -> Classification:
 def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> PreserverReport:
     """Check claim 1 on probes: set preservers should be the identity.
 
+    The identity test runs first. The identity keeps every F(A), so its
+    pass is decided (_decided_pass) with no probe run, and its
+    classification is the identity. Every other map runs the set check.
     Decision chain: counterexample when a probed fixed set moves; then
     consistent for the identity; otherwise violation-candidate, whose
-    discrepancy is the first entry of L that is not the identity's.
+    discrepancy is the first entry of L that is not the identity's, as
+    the identity test found it.
     """
-    verdict = check_set_preserving(phi, trials, seed)
-    classification = None if verdict.outcome == OUTCOME_COUNTEREXAMPLE else classify(phi)
+    first_off = _identity_discrepancy(phi.matrix)
+    if first_off is None:
+        verdict, classification = _decided_pass(phi.n, trials, seed), Classification(IDENTITY)
+    else:
+        verdict = check_set_preserving(phi, trials, seed)
+        classification = None if verdict.outcome == OUTCOME_COUNTEREXAMPLE else classify(phi)
     notes, discrepancy = (), None
     if verdict.outcome == OUTCOME_COUNTEREXAMPLE:
         status = "counterexample"
@@ -270,7 +305,7 @@ def set_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
             "all probes passed but the map is not the identity; "
             "treat as a probe-suite gap until re-checked",
         )
-        i, j = _identity_discrepancy(phi.matrix)
+        i, j = first_off
         discrepancy = (i, j, phi.matrix[i, j], ONE if i == j else ZERO)
     return PreserverReport(
         claim=1,
@@ -290,11 +325,15 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
     each has T @ S = scale * I with scale nonzero, so L = T.T kron S is
     invertible. Only an unstructured map runs is_bijective; a tag that
     classify does not prove invertible in this way (such as a two-sided
-    S @ A @ T) must not skip it. Decision chain: hypothesis-not-met when
-    the map is not bijective, with no probe run and no classification
-    reported; then counterexample when a probed fixed dimension changes,
-    noted for a negated similarity; then consistent for the identity or a
-    similarity with scale 1; then form-outside-conclusion for a
+    S @ A @ T) must not skip it. The identity, and a similarity or
+    transpose-similarity with scale 1, keep every dim F(A)
+    (_preserves_every_dim), so their pass is decided (_decided_pass)
+    with no probe run; every other bijective map runs the dimension
+    check. Decision chain: hypothesis-not-met when the map is not
+    bijective, with no probe run and no classification reported; then
+    counterexample when a probed fixed dimension changes, noted for a
+    negated similarity; then consistent for the identity or a similarity
+    with scale 1; then form-outside-conclusion for a
     transpose-similarity; otherwise violation-candidate.
     """
     notes: list[str] = []
@@ -304,7 +343,10 @@ def dim_preserver_verdict(phi: SuperOp, trials: int = 20, seed: int = 0) -> Pres
         )
     classification = classify(phi)
     bijective = classification.tag != UNSTRUCTURED or is_bijective(phi)
-    verdict = check_dim_preserving(phi, trials, seed) if bijective else None
+    if _preserves_every_dim(classification):
+        verdict = _decided_pass(phi.n, trials, seed)
+    else:
+        verdict = check_dim_preserving(phi, trials, seed) if bijective else None
     if not bijective:
         status = "hypothesis-not-met"
         classification = None

@@ -56,6 +56,7 @@ from conftest import (
     fractions_st,
     matrices,
     packed_rows,
+    prime_row_similarity,
     reference_full_rank_mod_p,
     row_vector,
     scalars,
@@ -1271,6 +1272,102 @@ def test_verdicts_match_one_report_per_status(kind, n, trials, seed):
         report, expected = verdict(phi, trials, seed), reference(phi, trials, seed)
         for field in dataclasses.fields(PreserverReport):
             assert getattr(report, field.name) == getattr(expected, field.name), field.name
+
+
+# ---------------------------------------------------------------------------
+# Verdicts whose classification proves every probe passes build that pass
+# without the probe run; check_* still evaluate every probe.
+
+def _decided_map(kind: str, n: int, seed: int) -> SuperOp:
+    if kind == "identity":
+        return identity_superop(n)
+    if kind == "prime-row-similarity":
+        return prime_row_similarity(n, seed)
+    s = random_invertible(derive_rng(seed, "decided", kind, n), n)
+    build = similarity_superop if kind == "similarity" else transpose_similarity_superop
+    return build(s, 1)
+
+
+def _assert_same_verdict(verdict: Verdict, expected: Verdict) -> None:
+    for field in dataclasses.fields(Verdict):
+        assert getattr(verdict, field.name) == getattr(expected, field.name), field.name
+
+
+@pytest.mark.parametrize(
+    "kind", ["identity", "similarity", "transpose-similarity", "prime-row-similarity"]
+)
+@given(n=st.integers(1, 5), trials=st.integers(-1, 25), seed=st.integers(-(2**63), 2**63))
+@example(n=3, trials=-1, seed=0)
+@example(n=1, trials=0, seed=-1)
+@example(n=5, trials=25, seed=2**63)
+def test_decided_verdicts_equal_the_probe_run(kind, n, trials, seed):
+    """Claim 2's decided pass is the pass check_dim_preserving returns, and
+    claim 1's decided pass on the identity is check_set_preserving's."""
+    phi = _decided_map(kind, n, seed)
+    report = dim_preserver_verdict(phi, trials, seed)
+    _assert_same_verdict(report.verdict, check_dim_preserving(phi, trials, seed))
+    if kind == "identity":
+        report = set_preserver_verdict(phi, trials, seed)
+        assert (report.status, report.classification) == ("consistent", classify(phi))
+        _assert_same_verdict(report.verdict, check_set_preserving(phi, trials, seed))
+
+
+@pytest.mark.parametrize("verdict", [set_preserver_verdict, dim_preserver_verdict])
+def test_decided_verdict_raises_the_runs_type_error(verdict):
+    phi = identity_superop(3)
+    with pytest.raises(TypeError):
+        list(probe_suite(3, 2.0, 0))
+    with pytest.raises(TypeError):
+        verdict(phi, 2.0, 0)
+
+
+_ROUTING_S = random_invertible(derive_rng(0, "routing"), 4)
+_RUN_DIM = ["check_dim_preserving", "probe_suite"]
+_RUN_SET = ["check_set_preserving", "probe_suite"]
+
+
+@pytest.mark.parametrize(
+    "verdict, build, run",
+    [
+        (dim_preserver_verdict, lambda: identity_superop(4), []),
+        (dim_preserver_verdict, lambda: similarity_superop(_ROUTING_S, 1), []),
+        (dim_preserver_verdict, lambda: transpose_similarity_superop(_ROUTING_S, 1), []),
+        (set_preserver_verdict, lambda: identity_superop(4), []),
+        (dim_preserver_verdict, lambda: similarity_superop(_ROUTING_S, -1), _RUN_DIM),
+        (dim_preserver_verdict, lambda: similarity_superop(_ROUTING_S, 2), _RUN_DIM),
+        (dim_preserver_verdict, lambda: transpose_similarity_superop(_ROUTING_S, -1), _RUN_DIM),
+        (set_preserver_verdict, lambda: similarity_superop(_ROUTING_S, 1), _RUN_SET),
+    ],
+    ids=[
+        "dim-identity",
+        "dim-similarity",
+        "dim-transpose-similarity",
+        "set-identity",
+        "dim-negated-similarity",
+        "dim-similarity-scale-2",
+        "dim-transpose-similarity-scale-minus-1",
+        "set-similarity",
+    ],
+)
+def test_only_undecided_verdicts_run_the_probes(verdict, build, run, monkeypatch):
+    """A verdict decided by its classification calls no check and draws no
+    probe suite; every other map runs its check over the suite, each by the
+    module-level name a tracer rebinds."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("check_dim_preserving", "check_set_preserving", "probe_suite"):
+        monkeypatch.setattr(preserver, name, counted(name, getattr(preserver, name)))
+    report = verdict(build(), trials=5, seed=0)
+    assert calls == run
+    if not run:
+        assert report.verdict == Verdict("pass", None, None, len(structured_probes(4)) + 5, 0)
 
 
 # ---------------------------------------------------------------------------
