@@ -22,15 +22,17 @@ and _kernel, which divides only the kernel vectors.
 Every full-rank test mod a prime goes through _full_rank_mod_p, in one
 of two fields (_Field): _FAST, a 12-bit prime in 32-bit fields, which
 tests L and the probes in superop and preserver, and _WIDE, a 28-bit
-prime in 64-bit fields. A square rank, and fixed_points.dim_fixed and
-fixed_space of A - I, run the test mod _WIDE first (_regular_rows_mod_p):
-a homomorphism cannot raise a rank, so full rank mod p proves full rank
-over Q(i) and settles the answer with no exact pass. Every matrix it
-cannot prove, singular over Q(i) or only mod p, takes the exact
-elimination, so every answer is the exact one. Every exact pass that a
-test mod p may save sits behind the test mod _WIDE, so a matrix that
-reads singular mod _FAST alone costs one more elimination mod _WIDE,
-never an exact pass.
+prime in 64-bit fields. Every rank has one rule, _rank: square rows that
+the test mod _WIDE (_regular_rows_mod_p) proves invertible have full
+rank, and every other matrix takes the forward pass of _echelon. A
+homomorphism cannot raise a rank, so full rank mod p proves full rank
+over Q(i); a matrix the test cannot prove, singular over Q(i) or only
+mod p, takes the exact pass, so every answer is the exact one. rank
+applies the rule to a matrix, and fixed_points.dim_fixed to the rows of
+A - I, which fixed_space tests the same way before its kernel. Every
+exact pass that a test mod p may save sits behind the test mod _WIDE,
+so a matrix that reads singular mod _FAST alone costs one more
+elimination mod _WIDE, never an exact pass.
 
 Subspaces are stored in a unique canonical form (the transpose of the
 stored basis is in reduced row echelon form), so subspace equality is a
@@ -491,12 +493,18 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     return _divided(re, im, *_pivot(re, im, pivots), m.cols), len(pivots), tuple(pivots)
 
 
+def _rank(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], n_cols: int) -> int:
+    """Rank of the Gaussian-integer rows re + i*im: n_cols for square rows
+    that _regular_rows_mod_p proves invertible, otherwise the length of
+    the forward pass."""
+    if len(re) == n_cols and _regular_rows_mod_p(re, im):
+        return n_cols
+    return len(_echelon(re, im, n_cols)[2])
+
+
 def rank(m: Matrix) -> int:
-    """Rank of m: m.rows for a square m that _regular_rows_mod_p proves
-    invertible, otherwise the forward elimination pass."""
-    if m.is_square and _regular_rows_mod_p(m.re, m.im, 0):
-        return m.rows
-    return len(_echelon(m.re, m.im, m.cols)[2])
+    """Rank of m, by the one rule of _rank."""
+    return _rank(m.re, m.im, m.cols)
 
 
 class _Field(NamedTuple):
@@ -523,8 +531,8 @@ def _field(p: int, root: int, bits: int) -> _Field:
 # L's columns and the probes; a full-rank matrix reads singular mod it
 # about once in p draws. _WIDE's 64-bit fields hold every side up to 256
 # that _regular_rows_mod_p takes, and p < 2**28, so every residue is one
-# CPython int digit. The square rank, dim_fixed and fixed_space test mod
-# _WIDE before any exact pass, so a miss mod _FAST alone never reaches one.
+# CPython int digit. _rank and fixed_space test mod _WIDE before any exact
+# pass, so a miss mod _FAST alone never reaches one.
 _FAST = _field(3929, 226, 32)
 _WIDE = _field(260420617, 141801490, 64)
 
@@ -602,22 +610,15 @@ def _full_rank_mod_p(rows: list[int], field: _Field) -> bool:
     return True
 
 
-def _regular_rows_mod_p(
-    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], shift: int
-) -> bool:
-    """True when the square Gaussian-integer rows re + i*im, less shift on
-    the diagonal, have full rank mod _WIDE.p, which proves that matrix
-    invertible over Q(i); False proves nothing. The rows are reduced
-    (fields below p) and packed for _full_rank_mod_p, whose bound holds
-    for every side up to 256, the widest layout of a field; a wider
-    matrix is not tried."""
+def _regular_rows_mod_p(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> bool:
+    """True when the square Gaussian-integer rows re + i*im have full rank
+    mod _WIDE.p, which proves that matrix invertible over Q(i); False
+    proves nothing. The rows are reduced (fields below p) and packed for
+    _full_rank_mod_p, whose bound holds for every side up to 256, the
+    widest layout of a field; a wider matrix is not tried."""
     if len(re) >= len(_WIDE.layouts):
         return False
-    p = _WIDE.p
-    rows = _residues(re, im, _WIDE)
-    for k, row in enumerate(rows):
-        row[k] = (row[k] - shift) % p
-    return _full_rank_mod_p([_packed(row, _WIDE) for row in rows], _WIDE)
+    return _full_rank_mod_p([_packed(row, _WIDE) for row in _residues(re, im, _WIDE)], _WIDE)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,6 +1,6 @@
 """Deterministic seeded generation of exact random matrices.
 
-A single 64-bit seed plus a label path is hashed into a child generator,
+An integer seed plus a label path is hashed into a child generator,
 so independent streams can be derived per probe, per trial, or per test
 without any shared state. Distinct paths never share a key: a seed or
 label whose text holds "|", the key's separator, raises ValueError.
@@ -11,7 +11,6 @@ imaginary parts.
 
 from __future__ import annotations
 
-import _random
 import hashlib
 import random
 from math import lcm
@@ -21,11 +20,6 @@ from .linalg import Matrix, _over, rank, rank_one
 DENOMINATORS = (1, 2, 3)
 _SCALE = lcm(*DENOMINATORS)
 
-# random.Random's constructor and its C seed, which random.Random.seed
-# calls for an int
-_new_random = random.Random.__new__
-_seed_random = _random.Random.seed
-
 
 def derive_rng(seed: int, *labels: object) -> random.Random:
     """Child generator for the given seed and label path, platform-stable.
@@ -33,18 +27,13 @@ def derive_rng(seed: int, *labels: object) -> random.Random:
     The key is the seed and labels as text joined by "|", so a seed or
     label whose text holds "|" would share its key with another path;
     it raises ValueError instead. The generator is random.Random(value)
-    for value the key's digest, built without the Python-level __init__
-    and seed: one call of the C seed, which random.Random.seed makes for
-    an int, and gauss_next set as __init__ sets it.
+    for value the key's digest.
     """
     key = "|".join(map(str, (seed, *labels)))
     if key.count("|") > len(labels):
         raise ValueError(f"a seed or label holds '|': {(seed, *labels)!r}")
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    rng = _new_random(random.Random)
-    _seed_random(rng, int.from_bytes(digest, "big"))
-    rng.gauss_next = None
-    return rng
+    return random.Random(int.from_bytes(digest, "big"))
 
 
 # The numerator over _SCALE of (k - 9) / DENOMINATORS[j], at [k][j].

@@ -1,5 +1,6 @@
 """Shared strategies for exact-scalar and small-matrix generation, and
-test-only helpers built from the package's public operations."""
+test-only helpers: the spans and kernels below read the independent
+reference (reference.py), the other builders the package's operations."""
 
 import json
 from fractions import Fraction
@@ -20,10 +21,12 @@ from fixpres import (
     similarity_superop,
 )
 from fixpres.cli import matrix_from_doc
-from fixpres.linalg import _FAST, _WIDE, _Field, _packed, _residues, rref
+from fixpres.linalg import _FAST, _WIDE, _Field, _packed, _residues, kron
 from fixpres.preserver import _structured_side
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import rank_one_factor, vec
+
+import reference
 
 settings.register_profile(
     "default",
@@ -49,6 +52,10 @@ fractions_st = st.fractions(
 scalars = st.builds(GaussianRational, fractions_st, fractions_st)
 
 nonzero_scalars = scalars.filter(bool)
+
+real_scalars = st.builds(GaussianRational, fractions_st)
+
+imaginary_scalars = st.builds(GaussianRational, st.just(Fraction(0)), fractions_st)
 
 
 @st.composite
@@ -128,25 +135,53 @@ def count_entry_reads(monkeypatch, cols: int) -> list:
     return reads
 
 
+def pair(z) -> tuple[Fraction, Fraction]:
+    """A GaussianRational, int or Fraction as the reference's (re, im) pair."""
+    if isinstance(z, GaussianRational):
+        return z.re, z.im
+    return Fraction(z), Fraction(0)
+
+
+def pairs(grid) -> list:
+    """Rows of scalars as the reference's rows of pairs."""
+    return [[pair(z) for z in row] for row in grid]
+
+
+def matrix_of(rows: list, cols: int) -> Matrix:
+    """The Matrix of the reference's rows of (re, im) pairs."""
+    return Matrix(len(rows), cols, [GaussianRational(*z) for row in rows for z in row])
+
+
 def spanned_by_columns(m: Matrix) -> Subspace:
     """The canonical subspace spanned by the columns of m: the nonzero rows
-    of rref(m.T), transposed."""
-    reduced, r, _ = rref(m.transpose())
-    return Subspace(m.rows, Matrix(r, m.rows, reduced.entries[: r * m.rows]).transpose())
+    of the reference RREF of m.T, transposed."""
+    reduced, pivots = reference.rref(list(zip(*reference.rows(m))))
+    return Subspace(m.rows, matrix_of(reduced[: len(pivots)], m.rows).transpose())
 
 
 def null_space(m: Matrix) -> Subspace:
-    """ker(m) read off rref(m): for each free column f, the vector that is 1
-    at f and minus row k's entry at f at pivot k, spanned canonically."""
-    reduced, _, pivots = rref(m)
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    vectors = []
-    for free in free_cols:
-        v = [GaussianRational(int(c == free)) for c in range(m.cols)]
-        for k, piv in enumerate(pivots):
-            v[piv] = -reduced[k, free]
-        vectors.extend(v)
-    return spanned_by_columns(Matrix(len(free_cols), m.cols, vectors).transpose())
+    """ker(m), the reference's canonical kernel basis."""
+    basis = reference.kernel(reference.rows(m), m.cols)
+    return Subspace(m.cols, matrix_of(basis, len(basis[0]) if basis else 0))
+
+
+def similarity_rows(s: Matrix, scale) -> list:
+    """The reference rows of the L of A -> scale * S @ A @ inverse(S):
+    scale times the kron of inverse(S).T and S."""
+    z, rows = pair(scale), reference.rows(s)
+    inverse_t = list(zip(*reference.inverse(rows)))
+    return [[reference.mul(z, x) for x in row] for row in reference.kron(inverse_t, rows)]
+
+
+def assert_image_matches_reference(phi: SuperOp, a: Matrix) -> None:
+    """phi.apply(a) is in canonical form the reference image of a."""
+    expected = reference.apply(reference.rows(phi.matrix), reference.rows(a))
+    reference.assert_form(phi.apply(a), expected, phi.n)
+
+
+def sandwich(s: Matrix, t: Matrix) -> SuperOp:
+    """The map A -> S @ A @ T, whose L is kron(T.T, S)."""
+    return SuperOp(s.rows, kron(t.transpose(), s))
 
 
 def contains(space: Subspace, v: Matrix) -> bool:

@@ -5,19 +5,20 @@ The builders make those rows with integer Matrix operations:
 identity_superop, kron in similarity_superop, precompose_transpose in
 transpose_similarity_superop, the integer parts of the CLI reader over
 their canonical scale, and random_matrix. Each must give the map that
-SuperOp(n, m) gives for the matrix m of the reference construction below
-(a GaussianRational product per entry), with equal hashes; phi.matrix must
-be m entrywise, and the CLI's document must round-trip.
+SuperOp(n, m) gives for the matrix m of the same map built by the
+independent reference (reference.py) where there is one, with equal
+hashes; phi.matrix must be m entrywise, and the CLI's document must
+round-trip.
 """
 
 import random
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from fixpres import cli
 from fixpres import (
     GaussianRational,
@@ -32,21 +33,12 @@ from fixpres import (
     transpose_similarity_superop,
 )
 from fixpres.cli import matrix_to_doc, superop_from_doc, superop_to_doc
-from fixpres.linalg import _canonical_integers, inverse
-from fixpres.superop import precompose_transpose
+from fixpres.linalg import _canonical_integers
+
+from conftest import matrix_of, similarity_rows
+from reference import assert_form
 
 SCALES = (1, -1, GaussianRational(0, 1))
-
-
-def reference_similarity(s: Matrix, scale) -> Matrix:
-    """scale * inverse(S).T kron S, one GaussianRational product per entry."""
-    a = inverse(s).transpose()
-    n = s.rows
-    cells = range(n)
-    return Matrix(n * n, n * n, tuple(
-        scale * a[i1, j1] * s[i2, j2]
-        for i1 in cells for i2 in cells for j1 in cells for j2 in cells
-    ))
 
 
 def noncanonical_doc(n: int, m: Matrix, rng: random.Random) -> dict:
@@ -73,8 +65,8 @@ def noncanonical_doc(n: int, m: Matrix, rng: random.Random) -> dict:
 
 @st.composite
 def built_maps(draw):
-    """(phi, m): a map from one of the builders and the Fraction matrix of
-    the reference construction of the same map."""
+    """(phi, m): a map from one of the builders and the matrix of the same
+    map from the reference (similarities) or the package (the rest)."""
     n = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32))
     kind = draw(st.sampled_from(["identity", "similarity", "transpose", "random", "cli"]))
@@ -83,10 +75,11 @@ def built_maps(draw):
     if kind in ("similarity", "transpose"):
         s = random_invertible(derive_rng(seed, "canonical-s", n), n)
         scale = draw(st.sampled_from(SCALES))
-        m = reference_similarity(s, scale)
+        rows = similarity_rows(s, scale)
         if kind == "similarity":
-            return similarity_superop(s, scale), m
-        return transpose_similarity_superop(s, scale), precompose_transpose(m, n)
+            return similarity_superop(s, scale), matrix_of(rows, n * n)
+        rows = reference.precompose_transpose(rows, n)
+        return transpose_similarity_superop(s, scale), matrix_of(rows, n * n)
     m = random_matrix(derive_rng(seed, "canonical-random", n), n * n, n * n)
     if kind == "random":
         return SuperOp(n, m), m
@@ -108,13 +101,8 @@ def test_matrix_view_is_the_reference_construction(case):
 
 @given(built_maps())
 def test_rows_are_canonical(case):
-    phi, _ = case
-    side = phi.n * phi.n
-    l = phi.matrix
-    assert l.d > 0
-    assert gcd(l.d, *chain.from_iterable(l.re), *chain.from_iterable(l.im)) == 1
-    assert len(l.re) == len(l.im) == side
-    assert all(type(row) is tuple and len(row) == side for row in l.re + l.im)
+    phi, m = case
+    assert_form(phi.matrix, reference.rows(m), phi.n * phi.n)
 
 
 @given(built_maps())

@@ -31,7 +31,7 @@ from fixpres import (
     transpose_similarity_superop,
 )
 from fixpres import linalg
-from fixpres.linalg import kron, rank
+from fixpres.linalg import rank
 from fixpres.preserver import (
     IDENTITY,
     SIMILARITY,
@@ -54,6 +54,7 @@ from conftest import (
     prime_row_similarity,
     prime_rows,
     row_vector,
+    sandwich,
 )
 
 
@@ -130,11 +131,6 @@ I_UNIT = GaussianRational(0, 1)
 SCALES = {"1": ONE, "-1": -ONE, "2": GaussianRational(2), "i": I_UNIT}
 
 
-def _sandwich(s: Matrix, t: Matrix) -> SuperOp:
-    """The map A -> S @ A @ T."""
-    return SuperOp(s.rows, kron(t.transpose(), s))
-
-
 def _singular(rng, n: int) -> Matrix:
     """A random n x n matrix of rank n - 1."""
     return random_matrix(rng, n, n - 1) @ random_matrix(rng, n - 1, n)
@@ -185,8 +181,8 @@ FAMILIES = {
     ),
     "random": lambda rng, n: SuperOp(n, random_matrix(rng, n * n, n * n)),
     "rank-deficient": _rank_deficient,
-    "singular-sandwich": lambda rng, n: _sandwich(_singular(rng, n), random_invertible(rng, n)),
-    "non-scalar-sandwich": lambda rng, n: _sandwich(
+    "singular-sandwich": lambda rng, n: sandwich(_singular(rng, n), random_invertible(rng, n)),
+    "non-scalar-sandwich": lambda rng, n: sandwich(
         random_invertible(rng, n), random_invertible(rng, n)
     ),
     "perturbed-similarity": lambda rng, n: _perturbed(
@@ -342,7 +338,7 @@ def _units_case(n: int, transpose_first: bool) -> tuple[Matrix, Matrix, Matrix]:
     with transpose_first."""
     rng = derive_rng(0, "units", n)
     s, t = random_matrix(rng, n, n), random_matrix(rng, n, n)
-    l = _sandwich(s, t).matrix
+    l = sandwich(s, t).matrix
     return (precompose_transpose(l, n) if transpose_first else l), s, t
 
 

@@ -1,105 +1,41 @@
-"""The fraction-free elimination kernel against the GaussianRational reference.
+"""The fraction-free elimination kernel against the independent reference.
 
-The reference below is the Gauss-Jordan loop that builds a Fraction for
-every entry; the package's rref, rank, kernel (the fixed space of m + I,
-for square m) and inverse must give exactly what it gives.
+The package's rref, rank, kernel (the fixed space of m + I, for square
+m) and inverse must give exactly what the reference (reference.py), a
+Gauss-Jordan loop over one Fraction pair per entry, gives.
 """
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fixpres import GaussianRational, Matrix, NotSquare, SingularMatrix, fixed_space
+import reference
+from fixpres import Matrix, NotSquare, SingularMatrix, fixed_space
 from fixpres import completion_idempotent, linalg
 from fixpres.linalg import _echelon, inverse, rank, rref
-from fixpres.scalars import ONE, ZERO
 
-from conftest import MIXED_DENOMINATORS, fractions_st, matrices, scalars
-
-
-# ---------------------------------------------------------------------------
-# reference implementation
-
-def reference_rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    data = m.to_rows()
-    n_rows, n_cols = m.rows, m.cols
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(n_cols):
-        if pivot_row == n_rows:
-            break
-        hit = None
-        for r in range(pivot_row, n_rows):
-            if data[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        data[pivot_row], data[hit] = data[hit], data[pivot_row]
-        lead = data[pivot_row][col]
-        if lead != ONE:
-            inv = ONE / lead
-            row = data[pivot_row]
-            for c in range(col, n_cols):
-                if row[c]:
-                    row[c] = row[c] * inv
-        for r in range(n_rows):
-            if r == pivot_row:
-                continue
-            factor = data[r][col]
-            if not factor:
-                continue
-            src = data[pivot_row]
-            dst = data[r]
-            for c in range(col, n_cols):
-                if src[c]:
-                    dst[c] = dst[c] - factor * src[c]
-        pivots.append(col)
-        pivot_row += 1
-    reduced = Matrix(n_rows, n_cols, tuple(v for row in data for v in row))
-    return reduced, len(pivots), tuple(pivots)
-
-
-def reference_kernel_basis(m: Matrix) -> Matrix:
-    """Canonical kernel basis: columns whose transpose is in RREF."""
-    reduced, _, pivots = reference_rref(m)
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    vectors = []
-    for free in free_cols:
-        entries = [ZERO] * m.cols
-        entries[free] = ONE
-        for row_idx, piv in enumerate(pivots):
-            entries[piv] = -reduced[row_idx, free]
-        vectors.append(entries)
-    spanning_t = Matrix(len(vectors), m.cols, tuple(v for vec in vectors for v in vec))
-    canonical, r, _ = reference_rref(spanning_t)
-    return Matrix(r, m.cols, canonical.entries[: r * m.cols]).transpose()
-
-
-def reference_inverse(m: Matrix) -> Matrix:
-    n = m.rows
-    reduced, _, pivots = reference_rref(m.hstack(Matrix.identity(n)))
-    if sum(1 for p in pivots if p < n) < n:
-        raise SingularMatrix("singular")
-    return Matrix(n, n, tuple(reduced[i, n + j] for i in range(n) for j in range(n)))
+from conftest import MIXED_DENOMINATORS, imaginary_scalars, matrices, real_scalars, scalars
+from reference import assert_form
 
 
 def assert_matches_reference(m: Matrix) -> None:
-    expected = reference_rref(m)
-    assert rref(m) == expected
-    assert rank(m) == expected[1]
+    rows = reference.rows(m)
+    reduced, pivots = reference.rref(rows)
+    got, r, got_pivots = rref(m)
+    assert (r, got_pivots) == (len(pivots), tuple(pivots))
+    assert_form(got, reduced, m.cols)
+    assert rank(m) == reference.rank(rows)
     if not m.is_square:
         with pytest.raises(NotSquare):
             inverse(m)
         return
-    assert fixed_space(m + Matrix.identity(m.rows)).basis == reference_kernel_basis(m)
-    if expected[1] < m.rows:
+    basis = fixed_space(m + Matrix.identity(m.rows)).basis
+    assert_form(basis, reference.kernel(rows, m.cols), m.cols - len(pivots))
+    if len(pivots) < m.rows:
         with pytest.raises(SingularMatrix):
             inverse(m)
     else:
-        assert inverse(m) == reference_inverse(m)
+        assert_form(inverse(m), reference.inverse(rows), m.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +56,6 @@ def rank_deficient_products(draw):
     r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     k = draw(st.integers(0, min(r, c) - 1))
     return draw(matrices(rows=r, cols=k)) @ draw(matrices(rows=k, cols=c))
-
-
-real_scalars = st.builds(GaussianRational, fractions_st)
-imaginary_scalars = st.builds(GaussianRational, st.just(Fraction(0)), fractions_st)
 
 
 @given(any_shape())
@@ -150,7 +82,6 @@ def test_imaginary_matrices_match_reference(m):
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
 def test_empty_shapes_match_reference(rows, cols):
     assert_matches_reference(Matrix.zeros(rows, cols))
-
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +137,7 @@ def test_inverse_and_completion_read_their_rows_from_rref(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counted)
     a = Matrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 1]])
-    assert inverse(a) == reference_inverse(a)
+    assert_form(inverse(a), reference.inverse(reference.rows(a)), 3)
     assert calls == [(3, 6)]
     calls.clear()
     x = Matrix.column([1, 0, 0])

@@ -1,15 +1,13 @@
 """The rows a Matrix stores and the image SuperOp.apply gives, against
 references that share no code with the package.
 
-reference_common_integer_rows scales each row over its own lcm with
-reference_integer_rows and then rescales every row to the lcm of those
-scales. reference_image dots every row of L with all of vec(A), zero
-entries included, as a plain sum, not through linalg._products, the
-product kernel that SuperOp.apply runs. The rows (re, im, d) that a
-Matrix holds must be exactly what these give, scales included, and
-SuperOp.apply must be the reference image put on its canonical scale.
-superop._image_mod_p, a sum of L's packed residue columns with
-unreduced fields, must give the residues of the reference image over
+The rows (re, im, d) that a Matrix holds must be the canonical rows of
+the entries it reads out (to_rows; reference.assert_form: one scale
+d > 0 with gcd 1), and SuperOp.apply must be in that form the image of
+the independent reference (reference.py), a plain sum over the Fraction
+pairs of L and vec(A), not linalg._products, the product kernel that
+SuperOp.apply runs. superop._image_mod_p, a sum of L's packed residue
+columns with unreduced fields, must give the residues of that image over
 its scale d * e; at the carry limit it is compared with
 reference_image_mod_p, one dense dot product per row of residues, and
 it goes with the diagonal shift through superop._regular_mod_p.
@@ -25,6 +23,7 @@ from operator import mul
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from fixpres import (
     Matrix,
     SuperOp,
@@ -39,7 +38,6 @@ from fixpres import linalg
 from fixpres.linalg import (
     _FAST,
     _fields,
-    _over,
     _packed,
     _residues,
     inverse,
@@ -51,53 +49,33 @@ from fixpres.superop import _image_mod_p, _regular_mod_p
 
 from conftest import (
     MIXED_DENOMINATORS,
+    assert_image_matches_reference,
     colliding,
     matrices,
     nonzero_scalars,
+    pairs,
     prime_row_random,
     prime_row_similarity,
     reference_full_rank_mod_p,
     vec_mod_p,
 )
+from reference import assert_form
 
 
 # ---------------------------------------------------------------------------
 # references
 
-def reference_integer_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]], list[int]]:
+def reference_integer_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     """Real and imaginary parts of m with each row scaled to Gaussian
-    integers by the lcm of its own denominators, and those scales."""
-    re_rows, im_rows, scales = [], [], []
+    integers by the lcm of its own denominators."""
+    re_rows, im_rows = [], []
     c = m.cols
     for i in range(m.rows):
         row = m.entries[i * c : (i + 1) * c]
         scale = lcm(*(q.denominator for z in row for q in (z.re, z.im)))
         re_rows.append([z.re.numerator * (scale // z.re.denominator) for z in row])
         im_rows.append([z.im.numerator * (scale // z.im.denominator) for z in row])
-        scales.append(scale)
-    return re_rows, im_rows, scales
-
-
-def reference_common_integer_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    re, im, scales = reference_integer_rows(a)
-    e = lcm(*scales)
-    return (
-        [row if s == e else [x * (e // s) for x in row] for row, s in zip(re, scales)],
-        [row if s == e else [x * (e // s) for x in row] for row, s in zip(im, scales)],
-        e,
-    )
-
-
-def reference_image(phi: SuperOp, a_re: list[list[int]], a_im: list[list[int]], e: int):
-    n = phi.n
-    digits = range(n)
-    # vec(A)[j*n + i] = A[i][j]
-    u = [a_re[i][j] for j in digits for i in digits]
-    v = [a_im[i][j] for j in digits for i in digits]
-    l = phi.matrix
-    b_re = [sum(p * x - q * y for p, q, x, y in zip(*row, u, v)) for row in zip(l.re, l.im)]
-    b_im = [sum(p * y + q * x for p, q, x, y in zip(*row, u, v)) for row in zip(l.re, l.im)]
-    return [b_re[i::n] for i in digits], [b_im[i::n] for i in digits], l.d * e
+    return re_rows, im_rows
 
 
 def reference_image_mod_p(residues: list[list[int]], a: list[list[int]]):
@@ -171,32 +149,27 @@ def probes(draw, n):
 
 
 # ---------------------------------------------------------------------------
-# scaling
-
-def stored_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    """The rows (re, im) and scale d that m holds, as lists."""
-    return list(map(list, m.re)), list(map(list, m.im)), m.d
-
+# scaling: a Matrix holds the canonical rows of the entries it reads out
 
 @given(maps())
 def test_scaling_of_l_matches_reference(phi):
-    assert stored_rows(phi.matrix) == reference_common_integer_rows(phi.matrix)
+    assert_form(phi.matrix, pairs(phi.matrix.to_rows()), phi.n * phi.n)
 
 
 @given(matrices())
 def test_scaling_of_drawn_matrices_matches_reference(m):
-    assert stored_rows(m) == reference_common_integer_rows(m)
+    assert_form(m, pairs(m.to_rows()), m.cols)
 
 
 @given(matrices(rows=1, cols=1))
 def test_scaling_of_one_by_one_matches_reference(m):
-    assert stored_rows(m) == reference_common_integer_rows(m)
+    assert_form(m, pairs(m.to_rows()), 1)
 
 
 @given(st.data())
 def test_scaling_of_probes_matches_reference(data):
     a = data.draw(probes(data.draw(st.integers(1, 5))))
-    assert stored_rows(a) == reference_common_integer_rows(a)
+    assert_form(a, pairs(a.to_rows()), a.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +177,7 @@ def test_scaling_of_probes_matches_reference(data):
 
 @given(maps(), st.data())
 def test_gathered_image_matches_reference(phi, data):
-    a = data.draw(probes(phi.n))
-    assert phi.apply(a) == _over(*reference_image(phi, *stored_rows(a)), phi.n)
+    assert_image_matches_reference(phi, data.draw(probes(phi.n)))
 
 
 @given(maps(max_side=3))
@@ -213,7 +185,7 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
     n = phi.n
     units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
     for a in [Matrix.zeros(n, n), *units, *structured_probes(n)]:
-        assert phi.apply(a) == _over(*reference_image(phi, *stored_rows(a)), n)
+        assert_image_matches_reference(phi, a)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +195,15 @@ def test_gathered_image_of_every_structured_probe_and_unit_matches_reference(phi
 def test_packed_image_mod_p_is_the_exact_image_mod_p(phi, data):
     n = phi.n
     a = data.draw(probes(n))
-    re, im, e = stored_rows(a)
-    image = _image_mod_p(phi._residue_columns, vec_mod_p(a, _FAST))
-    fields = [x % _FAST.p for x in _fields(image, n * n, _FAST)]
-    expected = _residues(*reference_image(phi, re, im, e)[:2], _FAST)
-    assert [fields[i::n] for i in range(n)] == expected
+    packed = _image_mod_p(phi._residue_columns, vec_mod_p(a, _FAST))
+    fields = [x % _FAST.p for x in _fields(packed, n * n, _FAST)]
+    # the reference image's Gaussian integers over the scale of L times a's
+    scale = phi.matrix.d * a.d
+    image = reference.apply(reference.rows(phi.matrix), reference.rows(a))
+    re = [[x * scale for x, _ in row] for row in image]
+    im = [[y * scale for _, y in row] for row in image]
+    assert all(x.denominator == 1 for row in re + im for x in row)
+    assert [fields[i::n] for i in range(n)] == _residues(re, im, _FAST)
 
 
 def test_packed_image_mod_p_carries_at_n_16():
@@ -265,7 +241,7 @@ def _bits(re: list[list[int]], im: list[list[int]]) -> int:
 def _reference_bits(m: Matrix) -> int:
     """The largest bit length of the rows of m, each over its own scale
     and divided by its content."""
-    re, im, _ = reference_integer_rows(m)
+    re, im = reference_integer_rows(m)
     contents = [gcd(*row_re, *row_im) or 1 for row_re, row_im in zip(re, im)]
     return _bits(
         [[x // g for x in row] for row, g in zip(re, contents)],

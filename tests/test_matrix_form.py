@@ -2,51 +2,33 @@
 
 A Matrix stores (re + i*im) / d with gcd(d, every entry) = 1. Each
 builder and operation below, at sides 1..4, must return rows in that form
-whose values equal an entrywise GaussianRational reference computed on
-plain lists of scalars, and must equal the Matrix that the constructor
-builds from those reference entries. The constructor itself coerces ints
-and Fractions and rejects any other entry.
+whose values equal the independent reference's (reference.py), computed
+on plain rows of Fraction pairs. The constructor itself coerces ints and
+Fractions and rejects any other entry; the reference imports nothing from
+the package.
 """
 
+import ast
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import reference
 from fixpres import GaussianRational, Matrix, SuperOp, derive_rng, fixed_space, random_matrix
 from fixpres.linalg import inverse, kron, rank, rref
 from fixpres.sampling import DENOMINATORS
-from fixpres.scalars import ONE, ZERO
+from fixpres.scalars import ONE
 from fixpres.superop import precompose_transpose
 
-from conftest import scalars
+from conftest import pair, pairs, scalars
+from reference import ZERO, assert_form
 
 Rows = list[list[GaussianRational]]
 
 sides = st.integers(1, 4)
-
-
-def values(m: Matrix) -> Rows:
-    """The entries of m read straight off its stored integers."""
-    return [
-        [GaussianRational(Fraction(x, m.d), Fraction(y, m.d)) for x, y in zip(xs, ys)]
-        for xs, ys in zip(m.re, m.im)
-    ]
-
-
-def assert_form(m: Matrix, reference: Rows, cols: int) -> None:
-    """m holds canonical rows of the values in reference, an r x cols list."""
-    assert (m.rows, m.cols) == (len(reference), cols)
-    assert type(m.re) is tuple and type(m.im) is tuple
-    assert len(m.re) == len(m.im) == m.rows
-    assert all(type(row) is tuple and len(row) == cols for row in m.re + m.im)
-    assert m.d > 0
-    assert gcd(m.d, *chain.from_iterable(m.re), *chain.from_iterable(m.im)) == 1
-    assert values(m) == reference
-    assert m == Matrix(m.rows, cols, [z for row in reference for z in row])
 
 
 @st.composite
@@ -70,79 +52,28 @@ def matrix(rows: Rows) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# entrywise references
-
-def ref_matmul(a: Rows, b: Rows) -> Rows:
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a]
-
-
-def ref_rref(a: Rows) -> tuple[Rows, list[int]]:
-    data = [list(row) for row in a]
-    pivots: list[int] = []
-    for col in range(len(data[0]) if data else 0):
-        p = len(pivots)
-        hit = next((r for r in range(p, len(data)) if data[r][col]), None)
-        if hit is None:
-            continue
-        data[p], data[hit] = data[hit], data[p]
-        lead = data[p][col]
-        data[p] = [x / lead for x in data[p]]
-        for r in range(len(data)):
-            if r != p and data[r][col]:
-                f = data[r][col]
-                data[r] = [x - f * y for x, y in zip(data[r], data[p])]
-        pivots.append(col)
-    return data, pivots
-
-
-def ref_kernel(a: Rows, cols: int) -> Rows:
-    """The kernel basis as columns whose transpose is in RREF."""
-    reduced, pivots = ref_rref(a)
-    vectors = []
-    for free in (c for c in range(cols) if c not in pivots):
-        v = [ZERO] * cols
-        v[free] = ONE
-        for k, piv in enumerate(pivots):
-            v[piv] = -reduced[k][free]
-        vectors.append(v)
-    if not vectors:
-        return [[] for _ in range(cols)]
-    canonical, pivots = ref_rref(vectors)
-    return [list(col) for col in zip(*canonical[: len(pivots)])]
-
-
-def ref_kron(a: Rows, b: Rows) -> Rows:
-    return [[x * y for x in a_row for y in b_row] for a_row in a for b_row in b]
-
-
-def ref_vec(a: Rows) -> list[GaussianRational]:
-    return [z for col in zip(*a) for z in col]
-
-
-# ---------------------------------------------------------------------------
 # builders
 
 @given(grids())
 def test_from_rows(rows):
-    assert_form(matrix(rows), rows, len(rows[0]))
+    assert_form(matrix(rows), pairs(rows), len(rows[0]))
 
 
 @given(sides)
 def test_identity(n):
-    expected = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    assert_form(Matrix.identity(n), expected, n)
+    assert_form(Matrix.identity(n), reference.identity(n), n)
 
 
 @given(sides, st.data())
 def test_unit(n, data):
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    expected = [[ONE if (r, c) == (i, j) else ZERO for c in range(n)] for r in range(n)]
+    expected = [[reference.ONE if (r, c) == (i, j) else ZERO for c in range(n)] for r in range(n)]
     assert_form(Matrix.unit(n, i, j), expected, n)
 
 
 @given(st.lists(scalars, min_size=1, max_size=4))
 def test_column(column):
-    assert_form(Matrix.column(column), [[z] for z in column], 1)
+    assert_form(Matrix.column(column), pairs([[z] for z in column]), 1)
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**32))
@@ -154,7 +85,7 @@ def test_random_matrix(rows, cols, seed):
     def part() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
 
-    expected = [GaussianRational(part(), part()) for _ in range(rows * cols)]
+    expected = [(part(), part()) for _ in range(rows * cols)]
     grid = [expected[k * cols : (k + 1) * cols] for k in range(rows)]
     assert_form(random_matrix(derive_rng(seed, "form"), rows, cols), grid, cols)
 
@@ -167,18 +98,17 @@ def test_sum_difference_and_negation(data):
     a = data.draw(grids())
     b = data.draw(grids(len(a), len(a[0])))
     cols = len(a[0])
-    pairs = [list(zip(p, q)) for p, q in zip(a, b)]
-    assert_form(matrix(a) + matrix(b), [[x + y for x, y in row] for row in pairs], cols)
-    assert_form(matrix(a) - matrix(b), [[x - y for x, y in row] for row in pairs], cols)
-    assert_form(-matrix(a), [[-x for x in row] for row in a], cols)
+    zipped = [list(zip(p, q)) for p, q in zip(pairs(a), pairs(b))]
+    assert_form(matrix(a) + matrix(b), [[reference.add(*xy) for xy in row] for row in zipped], cols)
+    assert_form(matrix(a) - matrix(b), [[reference.sub(*xy) for xy in row] for row in zipped], cols)
+    assert_form(-matrix(a), [[reference.sub(ZERO, x) for x in row] for row in pairs(a)], cols)
     # a - a cancels to the zero matrix, whose only canonical scale is 1
     assert_form(matrix(a) - matrix(a), [[ZERO] * cols for _ in a], cols)
 
 
 @given(grids(), st.one_of(scalars, st.integers(-9, 9), st.fractions(max_denominator=12)))
 def test_scalar_product(a, s):
-    z = s if isinstance(s, GaussianRational) else GaussianRational(Fraction(s))
-    expected = [[z * x for x in row] for row in a]
+    expected = [[reference.mul(pair(s), x) for x in row] for row in pairs(a)]
     assert_form(s * matrix(a), expected, len(a[0]))
     assert_form(matrix(a) * s, expected, len(a[0]))
 
@@ -187,25 +117,25 @@ def test_scalar_product(a, s):
 def test_matmul(data):
     a = data.draw(grids())
     b = data.draw(grids(rows=len(a[0])))
-    assert_form(matrix(a) @ matrix(b), ref_matmul(a, b), len(b[0]))
+    assert_form(matrix(a) @ matrix(b), reference.matmul(pairs(a), pairs(b), len(b[0])), len(b[0]))
 
 
 @given(grids())
 def test_transpose(a):
-    assert_form(matrix(a).transpose(), [list(col) for col in zip(*a)], len(a))
+    assert_form(matrix(a).transpose(), [list(col) for col in zip(*pairs(a))], len(a))
 
 
 @given(st.data())
 def test_hstack(data):
     a = data.draw(grids())
     b = data.draw(grids(rows=len(a)))
-    expected = [p + q for p, q in zip(a, b)]
+    expected = [p + q for p, q in zip(pairs(a), pairs(b))]
     assert_form(matrix(a).hstack(matrix(b)), expected, len(a[0]) + len(b[0]))
 
 
 @given(st.one_of(grids(), dependent_grids()))
 def test_rref(a):
-    reduced, pivots = ref_rref(a)
+    reduced, pivots = reference.rref(pairs(a))
     m, r, got_pivots = rref(matrix(a))
     assert (r, got_pivots) == (len(pivots), tuple(pivots))
     assert_form(m, reduced, len(a[0]))
@@ -214,10 +144,8 @@ def test_rref(a):
 @given(sides.flatmap(lambda n: grids(n, n)))
 def test_inverse(a):
     n = len(a)
-    assume(len(ref_rref(a)[1]) == n)
-    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    reduced, _ = ref_rref([p + q for p, q in zip(a, identity)])
-    assert_form(inverse(matrix(a)), [row[n:] for row in reduced], n)
+    assume(reference.rank(pairs(a)) == n)
+    assert_form(inverse(matrix(a)), reference.inverse(pairs(a)), n)
 
 
 @given(st.one_of(sides.flatmap(lambda n: grids(n, n)), dependent_grids(square=True)))
@@ -225,31 +153,28 @@ def test_kernel_basis(a):
     """The kernel basis of a square matrix, read as the fixed space of a + I."""
     cols = len(a)
     basis = fixed_space(matrix(a) + Matrix.identity(cols)).basis
-    expected = ref_kernel(a, cols)
+    expected = reference.kernel(pairs(a), cols)
     assert_form(basis, expected, len(expected[0]))
 
 
 @given(grids(), grids())
 def test_kron(a, b):
-    assert_form(kron(matrix(a), matrix(b)), ref_kron(a, b), len(a[0]) * len(b[0]))
+    expected = reference.kron(pairs(a), pairs(b))
+    assert_form(kron(matrix(a), matrix(b)), expected, len(a[0]) * len(b[0]))
 
 
 @given(sides.flatmap(lambda n: st.tuples(st.just(n), grids(n * n, n * n))))
 def test_precompose_transpose(case):
     n, l = case
-    side = n * n
-    # column c of L @ K is column (c % n)*n + c // n of L
-    expected = [[row[(c % n) * n + c // n] for c in range(side)] for row in l]
-    assert_form(precompose_transpose(matrix(l), n), expected, side)
+    expected = reference.precompose_transpose(pairs(l), n)
+    assert_form(precompose_transpose(matrix(l), n), expected, n * n)
 
 
 @given(sides.flatmap(lambda n: st.tuples(grids(n * n, n * n), grids(n, n))))
 def test_apply(case):
     l, a = case
     n = len(a)
-    image = [sum((x * y for x, y in zip(row, ref_vec(a))), ZERO) for row in l]
-    expected = [[image[j * n + i] for j in range(n)] for i in range(n)]
-    assert_form(SuperOp(n, matrix(l)).apply(matrix(a)), expected, n)
+    assert_form(SuperOp(n, matrix(l)).apply(matrix(a)), reference.apply(pairs(l), pairs(a)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +210,13 @@ def test_repr_shows_the_entries():
         "Matrix(rows=2, cols=2, entries=(GaussianRational(1), GaussianRational(Fraction(-1, 2)), "
         "GaussianRational(0, 3), GaussianRational(0)))"
     )
+
+
+def test_reference_imports_nothing_from_the_package():
+    """The reference stays independent: no import in reference.py names fixpres."""
+    tree = ast.parse(Path(reference.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "importlib.util" in modules
+    assert not [name for name in modules if name.split(".")[0] == "fixpres"]

@@ -59,6 +59,7 @@ from conftest import (
     prime_row_similarity,
     reference_full_rank_mod_p,
     row_vector,
+    sandwich,
     scalars,
     square_matrices,
     superop_from_action,
@@ -889,7 +890,7 @@ def test_classify_recovered_s_reproduces_action():
 def test_classify_sandwich_with_non_scalar_ts_is_unstructured():
     s = Matrix.from_rows([[1, 1], [0, 1]])
     t = Matrix.from_rows([[1, 2], [3, 4]])
-    phi = superop_from_action(2, lambda a: s @ a @ t)
+    phi = sandwich(s, t)
     assert classify(phi).tag == "unstructured"
 
 
@@ -903,7 +904,7 @@ def test_classify_singular_sandwich_is_unstructured():
     # S A T with singular S: realignment is rank one, but no inverse exists
     s = Matrix.from_rows([[1, 0], [0, 0]])
     t = Matrix.from_rows([[1, 0], [0, 1]])
-    phi = superop_from_action(2, lambda a: s @ a @ t)
+    phi = sandwich(s, t)
     assert classify(phi).tag == "unstructured"
 
 
@@ -1236,7 +1237,7 @@ def _verdict_chain_map(kind: str, n: int, rng) -> SuperOp:
     if kind == "two-sided":
         # T @ S = diag(1, ..., n), not scalar for n >= 2
         t = _diagonal(*range(1, n + 1)) @ inverse(s)
-        return superop_from_action(n, lambda a: s @ a @ t)
+        return sandwich(s, t)
     family, scale = kind.split(":")
     build = similarity_superop if family == "similarity" else transpose_similarity_superop
     return build(s, GaussianRational(0, 1) if scale == "i" else int(scale))

@@ -1,8 +1,8 @@
-"""The fraction-free product kernel against the GaussianRational reference.
+"""The fraction-free product kernel against the independent reference.
 
-The reference below is the triple loop that adds and multiplies a
-GaussianRational per term; Matrix @ and SuperOp.apply, which share the
-one kernel linalg._products, must give exactly what it gives.
+Matrix @ and SuperOp.apply, which share the one kernel linalg._products,
+must give exactly what the reference (reference.py), the oracle's sum
+of Fraction-pair products per entry, gives.
 """
 
 from fractions import Fraction
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import reference
 from fixpres import (
     GaussianRational,
     Matrix,
@@ -19,39 +20,29 @@ from fixpres import (
     random_matrix,
 )
 from fixpres.linalg import _FAST, _fields, inverse, kron, rank
-from fixpres.scalars import ZERO
-from fixpres.superop import _image_mod_p, unvec, vec
+from fixpres.superop import _image_mod_p
 
-from conftest import MIXED_DENOMINATORS, fractions_st, prime_row_random, scalars, vec_mod_p
-
-
-# ---------------------------------------------------------------------------
-# reference implementation
-
-def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = a.rows, a.cols, b.cols
-    out = []
-    for i in range(n):
-        for j in range(m):
-            acc = ZERO
-            for t in range(k):
-                left = a.entries[i * k + t]
-                if left:
-                    acc = acc + left * b.entries[t * m + j]
-            out.append(acc)
-    return Matrix(n, m, tuple(out))
+from conftest import (
+    MIXED_DENOMINATORS,
+    assert_image_matches_reference,
+    imaginary_scalars,
+    prime_row_random,
+    real_scalars,
+    scalars,
+    vec_mod_p,
+)
+from reference import assert_form
 
 
 def assert_matches_reference(a: Matrix, b: Matrix) -> None:
-    assert a @ b == reference_matmul(a, b)
+    expected = reference.matmul(reference.rows(a), reference.rows(b), b.cols)
+    assert_form(a @ b, expected, b.cols)
 
 
 # ---------------------------------------------------------------------------
 # inputs
 
 sides = st.integers(0, 5)
-real_scalars = st.builds(GaussianRational, fractions_st)
-imaginary_scalars = st.builds(GaussianRational, st.just(Fraction(0)), fractions_st)
 wide_fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=97
 )
@@ -131,7 +122,8 @@ def test_similarity_superop_products_match_reference(pair):
 )
 def test_empty_shapes_match_reference(left, right):
     a, b = Matrix.zeros(*left), Matrix.zeros(*right)
-    assert a @ b == reference_matmul(a, b) == Matrix.zeros(left[0], right[1])
+    assert_matches_reference(a, b)
+    assert a @ b == Matrix.zeros(left[0], right[1])
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +150,13 @@ def test_apply_each_matches_apply(seed):
         fields = _fields(_image_mod_p(columns, vec_mod_p(m, _FAST)), n * n, _FAST)
         assert [x % _FAST.p for x in fields] == vec_mod_p(b, _FAST)
     assert phi._residue_columns is columns
-    assert [phi.apply(m) for m in ms] == [
-        unvec(reference_matmul(phi.matrix, vec(m)), n) for m in ms
-    ]
+    for m in ms:
+        assert_image_matches_reference(phi, m)
 
 
 def test_apply_over_a_common_scale_matches_reference():
     # Row r of L is over the r-th prime, so L's common scale is far above
     # each row's own, and every image row is over that common scale.
     phi = prime_row_random(3)
-    ms = [random_matrix(derive_rng(k, "common-scale"), 3, 3) for k in range(3)]
-    assert [phi.apply(m) for m in ms] == [
-        unvec(reference_matmul(phi.matrix, vec(m)), 3) for m in ms
-    ]
+    for k in range(3):
+        assert_image_matches_reference(phi, random_matrix(derive_rng(k, "common-scale"), 3, 3))

@@ -42,6 +42,7 @@ from conftest import (
     packed_rows,
     reference_full_rank_mod_p,
     row_vector,
+    sandwich,
     superop_from_action,
     vec_mod_p,
 )
@@ -295,11 +296,6 @@ def test_singular_prime_row_map_falls_back_to_one_exact_rank(monkeypatch):
 # ---------------------------------------------------------------------------
 # realignment: defining property, brute-force oracle
 
-def _sandwich_superop(s: Matrix, t: Matrix) -> SuperOp:
-    n = s.rows
-    return superop_from_action(n, lambda a: s @ a @ t)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", range(10))
 def test_realign_oracle_sandwich_maps(n, seed):
@@ -307,7 +303,7 @@ def test_realign_oracle_sandwich_maps(n, seed):
     rng = derive_rng(seed, "oracle", n)
     s = random_matrix(rng, n, n)
     t = random_matrix(rng, n, n)
-    m = realign(_sandwich_superop(s, t))
+    m = realign(sandwich(s, t))
     expected = vec(s) @ vec(t).transpose()
     assert m == expected
 
