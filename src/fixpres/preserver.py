@@ -40,7 +40,7 @@ from functools import cache, lru_cache
 from typing import Callable, Iterator
 
 from .fixed_points import dim_fixed, fixed_space
-from .linalg import Matrix, Subspace, _FAST, _packed
+from .linalg import Matrix, Subspace
 from .sampling import derive_rng, random_matrix
 from .scalars import GaussianRational, ONE, ZERO
 from .superop import (
@@ -174,11 +174,11 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
     p from u = vec(A) mod p and its image through L's packed residue
     columns, which the SuperOp caches, all in linalg._FAST. A structured
     probe takes its own side from _structured_side, and its image is
-    certified only when F(A) is {0}. A random probe is certified on both sides at once by
-    _pair_regular_mod_p. Every other probe is decided by fixed_space or
-    dim_fixed of A and of phi.apply(A), the pair a counterexample reports
-    as its detail. Random probes are drawn lazily, so a counterexample at
-    probe k draws no later probe.
+    certified only when F(A) is {0}. A random probe is certified on both
+    sides at once by _pair_regular_mod_p. Every other probe is decided by
+    fixed_space or dim_fixed of A and of phi.apply(A), the pair a
+    counterexample reports as its detail. Random probes are drawn lazily,
+    so a counterexample at probe k draws no later probe.
     """
     n, d = phi.n, phi.matrix.d
     measure = fixed_space if sets else dim_fixed
@@ -193,7 +193,7 @@ def _check(phi: SuperOp, trials: int, seed: int, sets: bool) -> Verdict:
             own = space if sets else space.dim
         else:
             u = _vec_mod_p(a)
-            if _pair_regular_mod_p(_packed(u, _FAST), _image_mod_p(columns, u), n, a.d, d * a.d):
+            if _pair_regular_mod_p(u, columns, n, a.d, d * a.d):
                 continue
             own = measure(a)
         image = measure(phi.apply(a))

@@ -174,27 +174,27 @@ def _regular_mod_p(vec: int, n: int, e: int) -> bool:
     return _full_rank_mod_p(_shifted_columns(vec, n, e), _FAST)
 
 
-def _pair_regular_mod_p(vec: int, image: int, n: int, e: int, f: int) -> bool:
+def _pair_regular_mod_p(u: list[int], columns: list[int], n: int, e: int, f: int) -> bool:
     """True when e * (A - I) and f * (M - I) both have full rank mod p (so
-    A - I and M - I are invertible), for vec the packed fields of
-    vec(e * A) mod p in _FAST, each below p, and image those of
-    vec(f * M) mod p, unreduced: one elimination of their product X @ Y.
+    A - I and M - I are invertible), for u = vec(e * A) mod p in _FAST,
+    each residue below p, L's packed residue columns, and M = phi(A): one
+    elimination of their product X @ Y.
 
     Z[i] -> GF(p) is a ring homomorphism and GF(p) is a field, where det
     is multiplicative: det(X @ Y) = det X * det Y mod p, so X @ Y has
     full rank exactly when both factors have. X is _shifted_columns of
-    vec, fields below 2 * p; Y is the image's fields reduced mod p with f
-    subtracted on the diagonal, below p. Column j of X @ Y is the sum of
-    X's columns times column j of Y, so its fields stay below
-    2n * p**2."""
+    u packed, fields below 2 * p; Y is the image's fields (_image_mod_p)
+    reduced mod p with f subtracted on the diagonal, below p. Column j of
+    X @ Y is the sum of X's columns times column j of Y, so its fields
+    stay below 2n * p**2."""
     p = _FAST.p
-    xs = _shifted_columns(vec, n, e)
+    xs = _shifted_columns(_packed(u, _FAST), n, e)
     side = n * n
-    ys = [y % p for y in _fields(image, side, _FAST)]
+    ys = [y % p for y in _fields(_image_mod_p(columns, u), side, _FAST)]
     for k in range(0, side, n + 1):
         ys[k] = (ys[k] - f) % p
-    columns = [sum(map(mul, ys[j : j + n], xs)) for j in range(0, side, n)]
-    return _full_rank_mod_p(columns, _FAST)
+    product = [sum(map(mul, ys[j : j + n], xs)) for j in range(0, side, n)]
+    return _full_rank_mod_p(product, _FAST)
 
 
 def identity_superop(n: int) -> SuperOp:

@@ -1,6 +1,8 @@
 """Shared strategies for exact-scalar and small-matrix generation, and
-test-only helpers: the spans and kernels below read the independent
-reference (reference.py), the other builders the package's operations."""
+test-only helpers: the spans, kernels, ranks mod p, probe runs and
+classifications below read the independent reference (reference.py), the
+other builders the package's operations, and bareiss_passes records the
+exact eliminations a test makes."""
 
 import json
 from fractions import Fraction
@@ -20,9 +22,10 @@ from fixpres import (
     random_matrix,
     similarity_superop,
 )
+from fixpres import linalg
 from fixpres.cli import matrix_from_doc
 from fixpres.linalg import _FAST, _WIDE, _Field, _packed, _residues, kron
-from fixpres.preserver import _structured_side
+from fixpres.preserver import _structured_side, probe_suite
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import rank_one_factor, vec
 
@@ -93,31 +96,43 @@ def packed_rows(m: Matrix, field: _Field) -> list[int]:
 
 
 def vec_mod_p(m: Matrix, field: _Field) -> list[int]:
-    """vec(m) mod field.p over m's scale: the residues of its columns, one
-    after another."""
-    residues = _residues(list(zip(*m.re)), list(zip(*m.im)), field)
-    return [x for column in residues for x in column]
+    """vec(m) mod field.p over m's scale, by the reference."""
+    vec = reference.vec(reference.rows(m))
+    return [x for (x,) in reference.residues(vec, field.p, field.root)]
 
 
-def reference_full_rank_mod_p(m: Matrix, field: _Field) -> bool:
-    """Full rank mod field.p of m's Gaussian-integer rows, one
-    (x - f*y) % p per entry: _full_rank_mod_p as it was written before
-    rows were packed."""
-    p, r = field.p, field.root
-    rows = [[(x + r * y) % p for x, y in zip(xs, ys)] for xs, ys in zip(m.re, m.im)]
-    for col in range(m.cols):
-        hit = next((k for k in range(col, m.rows) if rows[k][col]), None)
-        if hit is None:
-            return False
-        rows[col], rows[hit] = rows[hit], rows[col]
-        pivot = rows[col]
-        inv = pow(pivot[col], -1, p)
-        tail = [x * inv % p for x in pivot[col + 1 :]]
-        for row in rows[col + 1 :]:
-            f = row[col]
-            if f:
-                row[col + 1 :] = [(x - f * y) % p for x, y in zip(row[col + 1 :], tail)]
-    return True
+def full_rank_mod(m: Matrix, field: _Field) -> bool:
+    """Whether m's Gaussian-integer rows have full rank mod field.p, by the
+    reference's rank_mod."""
+    return reference.rank_mod(reference.rows(m), field.p, field.root) == m.rows
+
+
+@pytest.fixture
+def bareiss_passes(monkeypatch) -> list:
+    """Each exact elimination (linalg._bareiss pass) the test makes, as
+    (rows, columns, reduce)."""
+    passes, bareiss = [], linalg._bareiss
+
+    def recorded(re, im, n_cols, reduce):
+        passes.append((len(re), n_cols, reduce))
+        return bareiss(re, im, n_cols, reduce)
+
+    monkeypatch.setattr(linalg, "_bareiss", recorded)
+    return passes
+
+
+def record_calls(monkeypatch, module, *names: str, calls: list | None = None) -> list:
+    """Patch each named function of module to record (name, args) of every
+    call, in order, in calls (a new list by default), and then run it."""
+    calls = [] if calls is None else calls
+    for name in names:
+
+        def recorded(*args, name=name, fn=getattr(module, name)):
+            calls.append((name, args))
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def count_entry_reads(monkeypatch, cols: int) -> list:
@@ -182,6 +197,33 @@ def assert_image_matches_reference(phi: SuperOp, a: Matrix) -> None:
 def sandwich(s: Matrix, t: Matrix) -> SuperOp:
     """The map A -> S @ A @ T, whose L is kron(T.T, S)."""
     return SuperOp(s.rows, kron(t.transpose(), s))
+
+
+def run_rows(phi: SuperOp, trials: int, seed: int, sets: bool) -> tuple:
+    """reference.probe_run of phi over probe_suite(phi.n, trials, seed),
+    and the seed, as verdict_rows gives a Verdict."""
+    probes = map(reference.rows, probe_suite(phi.n, trials, seed))
+    return *reference.probe_run(reference.rows(phi.matrix), phi.n, probes, sets), seed
+
+
+def verdict_rows(v) -> tuple | None:
+    """A Verdict's fields, its witness and a set detail's bases as
+    reference rows; None for no Verdict."""
+    if v is None:
+        return None
+    detail = v.detail
+    if detail and isinstance(detail[0], Subspace):
+        detail = tuple(reference.rows(space.basis) for space in detail)
+    witness = None if v.witness is None else reference.rows(v.witness)
+    return v.outcome, witness, detail, v.probes_run, v.seed
+
+
+def classification_rows(c) -> tuple | None:
+    """A Classification as reference.classify gives it; None for none."""
+    if c is None:
+        return None
+    s = None if c.s is None else reference.rows(c.s)
+    return c.tag, s, None if c.scale is None else pair(c.scale)
 
 
 def contains(space: Subspace, v: Matrix) -> bool:

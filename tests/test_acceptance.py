@@ -8,11 +8,9 @@ Corpus sizes and bounds are part of the contract — do not shrink them.
 
 import json
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from fixpres import (
-    GaussianRational,
     Matrix,
     SuperOp,
     check_dim_preserving,

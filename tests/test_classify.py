@@ -1,15 +1,12 @@
-"""The fraction-free classify against the GaussianRational reference.
+"""The fraction-free classify and rank_one_factor against the reference.
 
-The references below are rank_one_factor and classify as they were
-written over GaussianRational: one scalar product per side of each 2x2
-minor, and the Matrix triple product S @ E_ij @ T on every matrix unit.
-classify and rank_one_factor must give exactly what they give, also on
-maps whose rows have very different scales, where the one common scale of
-L sits far above the scale of any one row.
-
-The reference classify still takes the rank of S and checks every matrix
-unit, which classify no longer does; equal results on every family show
-that neither step could change a classification.
+reference.classify is built from the definitions: the identity when
+L = I; otherwise the map is A -> S @ A @ T (or A -> S @ A.T @ T) exactly
+when realign(L) (realign(L @ K)) has rank one, vec(S) @ vec(T).T, and it
+is tagged when T @ S is a nonzero multiple of I. classify and
+rank_one_factor must give exactly what it gives, also on maps whose rows
+have very different scales, where the one common scale of L sits far
+above the scale of any one row.
 """
 
 from fractions import Fraction
@@ -30,15 +27,7 @@ from fixpres import (
     similarity_superop,
     transpose_similarity_superop,
 )
-from fixpres import linalg
-from fixpres.linalg import rank
-from fixpres.preserver import (
-    IDENTITY,
-    SIMILARITY,
-    TRANSPOSE_SIMILARITY,
-    UNSTRUCTURED,
-    Classification,
-)
+from fixpres.preserver import IDENTITY, SIMILARITY, TRANSPOSE_SIMILARITY, UNSTRUCTURED
 from fixpres.scalars import ONE
 from fixpres.superop import (
     NotRankOne,
@@ -47,8 +36,9 @@ from fixpres.superop import (
     unvec,
 )
 
+import reference
 from conftest import (
-    column_at,
+    classification_rows,
     factor,
     prime_row_random,
     prime_row_similarity,
@@ -56,71 +46,6 @@ from conftest import (
     row_vector,
     sandwich,
 )
-
-
-# ---------------------------------------------------------------------------
-# reference implementation
-
-def reference_rank_one_factor(m: Matrix) -> tuple[Matrix, Matrix]:
-    entries, cols = m.entries, m.cols
-    lead = next((idx for idx, val in enumerate(entries) if val), None)
-    if lead is None:
-        raise NotRankOne("the zero matrix has rank 0")
-    i0, j0 = divmod(lead, cols)
-    anchor = entries[lead]
-    anchor_row = entries[i0 * cols : (i0 + 1) * cols]
-    for i in range(i0 + 1, m.rows):
-        row = entries[i * cols : (i + 1) * cols]
-        left = row[j0]
-        for j, (x, y) in enumerate(zip(row, anchor_row)):
-            if x * anchor != left * y:
-                raise NotRankOne(f"the minor at rows {i0}, {i} and columns {j0}, {j} is nonzero")
-    u = Matrix(m.rows, 1, tuple(entries[i * cols + j0] / anchor for i in range(m.rows)))
-    v = Matrix(cols, 1, anchor_row)
-    return u, v
-
-
-def reference_matches_on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
-    n = phi.n
-    for i in range(n):
-        for j in range(n):
-            unit = Matrix.unit(n, j, i) if transpose_first else Matrix.unit(n, i, j)
-            # the image of E_ij is column j*n + i of L
-            if unvec(column_at(phi.matrix, j * n + i), n) != s @ unit @ t:
-                return False
-    return True
-
-
-def reference_gauge_candidate(l: Matrix, n: int):
-    try:
-        u, v = reference_rank_one_factor(realign(SuperOp(n, l)))
-    except NotRankOne:
-        return None
-    s = unvec(u, n)
-    t = unvec(v, n)
-    if rank(s) < n:
-        return None
-    ts = t @ s
-    scale = ts[0, 0]
-    if not scale or ts != scale * Matrix.identity(n):
-        return None
-    return s, t, scale
-
-
-def reference_classify(phi: SuperOp) -> Classification:
-    n = phi.n
-    if phi.matrix == Matrix.identity(n * n):
-        return Classification(IDENTITY)
-    for tag, l, transpose_first in (
-        (SIMILARITY, phi.matrix, False),
-        (TRANSPOSE_SIMILARITY, precompose_transpose(phi.matrix, n), True),
-    ):
-        cand = reference_gauge_candidate(l, n)
-        if cand is not None:
-            s, t, scale = cand
-            if reference_matches_on_units(phi, s, t, transpose_first):
-                return Classification(tag, s, scale)
-    return Classification(UNSTRUCTURED)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +131,7 @@ FAMILIES = {
 def test_classify_matches_reference(family, n, seed):
     phi = FAMILIES[family](derive_rng(seed, "classify-reference", family, n), n)
     result = classify(phi)
-    assert result == reference_classify(phi)
+    assert classification_rows(result) == reference.classify(reference.rows(phi.matrix), n)
     # a structured result is the map itself: its form rebuilds L exactly
     rebuild = {
         SIMILARITY: similarity_superop,
@@ -214,10 +139,6 @@ def test_classify_matches_reference(family, n, seed):
     }.get(result.tag)
     if rebuild is not None:
         assert rebuild(result.s, result.scale) == phi
-
-
-def _no_elimination(*args, **kwargs):
-    raise AssertionError("classify ran an exact elimination")
 
 
 @pytest.mark.parametrize(
@@ -235,14 +156,14 @@ def _no_elimination(*args, **kwargs):
         ("prime-row-random", UNSTRUCTURED),
     ],
 )
-def test_families_reach_their_branch(family, tag, monkeypatch):
+def test_families_reach_their_branch(family, tag, bareiss_passes):
     # The property above compares only; this pins that each branch is hit,
     # with no exact elimination on the way.
     phi = FAMILIES[family](derive_rng(0, "classify-reference", family, 3), 3)
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_echelon", _no_elimination)
-        result = classify(phi)
-    assert result == reference_classify(phi)
+    bareiss_passes.clear()
+    result = classify(phi)
+    assert bareiss_passes == []
+    assert classification_rows(result) == reference.classify(reference.rows(phi.matrix), 3)
     assert result.tag == tag
 
 
@@ -311,14 +232,26 @@ def _last_minor(delta):
     ],
 )
 def test_rank_one_factor_matches_reference(m):
-    try:
-        expected = reference_rank_one_factor(m)
-    except NotRankOne as exc:
+    rows = reference.rows(m)
+    expected = reference.rank_one(rows)
+    if expected is None:
         with pytest.raises(NotRankOne) as got:
             factor(m)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == _first_nonzero_minor(rows)
         return
-    assert factor(m) == expected
+    assert [reference.rows(x) for x in factor(m)] == list(expected)
+
+
+def _first_nonzero_minor(m: list) -> str:
+    """NotRankOne's message: the first 2 x 2 minor, row by row, through the
+    first nonzero entry of m that does not vanish."""
+    cells = [(i, j) for i, row in enumerate(m) for j, z in enumerate(row) if z != reference.ZERO]
+    if not cells:
+        return "the zero matrix has rank 0"
+    (i0, j0), mul = cells[0], reference.mul
+    i, j = next((i, j) for i in range(i0 + 1, len(m)) for j in range(len(m[0]))
+                if mul(m[i][j], m[i0][j0]) != mul(m[i][j0], m[i0][j]))
+    return f"the minor at rows {i0}, {i} and columns {j0}, {j} is nonzero"
 
 
 def test_last_minor_cases_fail_at_the_last_entry():
@@ -329,9 +262,10 @@ def test_last_minor_cases_fail_at_the_last_entry():
 
 
 # ---------------------------------------------------------------------------
-# the all-units check of the reference, against the rank-one test that
-# classify runs in its place: a passing rank-one test proves the sandwich on
-# every unit, and a map that fails on some unit fails the rank-one test
+# the sandwich on every unit, by the reference, against the rank-one test
+# that classify runs in its place: a passing rank-one test proves the
+# sandwich on every unit, and a map that fails on some unit fails the
+# rank-one test
 
 def _units_case(n: int, transpose_first: bool) -> tuple[Matrix, Matrix, Matrix]:
     """(L, S, T) with L the matrix of A -> S @ A @ T, or of A -> S @ A.T @ T
@@ -340,6 +274,16 @@ def _units_case(n: int, transpose_first: bool) -> tuple[Matrix, Matrix, Matrix]:
     s, t = random_matrix(rng, n, n), random_matrix(rng, n, n)
     l = sandwich(s, t).matrix
     return (precompose_transpose(l, n) if transpose_first else l), s, t
+
+
+def _on_units(phi: SuperOp, s: Matrix, t: Matrix, transpose_first: bool) -> bool:
+    """Whether phi(E_ij) = S @ E_ij @ T (S @ E_ji @ T with transpose_first)
+    on every unit, by the reference: whether L is kron(T.T, S) (times K)."""
+    t_t = [list(column) for column in zip(*reference.rows(t))]
+    l = reference.kron(t_t, reference.rows(s))
+    if transpose_first:
+        l = reference.precompose_transpose(l, phi.n)
+    return reference.rows(phi.matrix) == l
 
 
 def _gathered(phi: SuperOp, transpose_first: bool) -> Matrix:
@@ -353,9 +297,9 @@ def _gathered(phi: SuperOp, transpose_first: bool) -> Matrix:
 def test_units_check_accepts_the_sandwich(n, transpose_first):
     l, s, t = _units_case(n, transpose_first)
     phi = SuperOp(n, l)
-    assert reference_matches_on_units(phi, s, t, transpose_first)
+    assert _on_units(phi, s, t, transpose_first)
     u, v = factor(_gathered(phi, transpose_first))
-    assert reference_matches_on_units(phi, unvec(u, n), unvec(v, n), transpose_first)
+    assert _on_units(phi, unvec(u, n), unvec(v, n), transpose_first)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -373,7 +317,7 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
     l, s, t = _units_case(n, transpose_first)
     k = {"first": 0, "last": len(l.entries) - 1, "middle": len(l.entries) // 2 + 1}[where]
     phi = SuperOp(n, _moved(l, k, delta))
-    assert not reference_matches_on_units(phi, s, t, transpose_first)
+    assert not _on_units(phi, s, t, transpose_first)
     with pytest.raises(NotRankOne):
         factor(_gathered(phi, transpose_first))
 
@@ -383,6 +327,6 @@ def test_units_check_rejects_one_moved_entry(n, transpose_first, where, delta):
 def test_units_check_tells_the_two_gathers_apart(n, transpose_first):
     l, s, t = _units_case(n, not transpose_first)
     phi = SuperOp(n, l)
-    assert not reference_matches_on_units(phi, s, t, transpose_first)
+    assert not _on_units(phi, s, t, transpose_first)
     with pytest.raises(NotRankOne):
         factor(_gathered(phi, transpose_first))

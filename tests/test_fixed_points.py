@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference
 from fixpres import Matrix, NotSquare, Subspace, derive_rng, dim_fixed, fixed_space, random_matrix
 from fixpres import linalg
-from fixpres.linalg import _WIDE, _echelon, _kernel, _over, rank
+from fixpres.linalg import _WIDE, _echelon, _over, rank
 from fixpres.preserver import structured_probes
 from fixpres.scalars import ONE, ZERO
 
@@ -17,10 +17,10 @@ from conftest import (
     colliding,
     column_at,
     contains,
+    full_rank_mod,
     matrices,
     null_space,
     prime_rows,
-    reference_full_rank_mod_p,
     spanned_by_columns,
     square_matrices,
 )
@@ -138,7 +138,7 @@ def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
     space = fixed_space(a)
     monkeypatch.undo()
     shifted = a - Matrix.identity(a.rows)
-    if reference_full_rank_mod_p(shifted, _WIDE):
+    if full_rank_mod(shifted, _WIDE):
         assert (calls, space) == ([], Subspace.zero(a.rows))
     else:
         reversed_rows = Matrix.from_rows([row[::-1] for row in shifted.to_rows()])
@@ -147,30 +147,9 @@ def test_fixed_space_eliminates_the_shift_once(a, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the test mod p first: every answer is the exact pass's. dim_fixed,
-# fixed_space and rank test mod the wide prime, so p below is that prime.
-
-def _reference_shifted(a: Matrix) -> list[list[int]]:
-    shifted = [list(row) for row in a.re]
-    for k, row in enumerate(shifted):
-        row[k] -= a.d
-    return shifted
-
-
-def _exact_fixed_space(a: Matrix) -> Subspace:
-    """fixed_space as it was before the test mod p: one Gauss-Jordan pass."""
-    return _kernel(_reference_shifted(a), a.im, a.rows)
-
-
-def _exact_dim_fixed(a: Matrix) -> int:
-    """dim_fixed as it was before the test mod p: one forward pass."""
-    return a.rows - len(_echelon(_reference_shifted(a), a.im, a.rows)[2])
-
-
-def _exact_rank(m: Matrix) -> int:
-    """rank as it was before the test mod p: one forward pass."""
-    return len(_echelon(m.re, m.im, m.cols)[2])
-
+# the test mod p first: every answer is the reference's, computed by
+# Fraction elimination with no test mod p. dim_fixed, fixed_space and rank
+# test mod the wide prime, so p below is that prime.
 
 KINDS = ("invertible-shift", "singular", "singular-mod-p", "zero-row", "prime-rows", "structured")
 
@@ -206,24 +185,25 @@ def _case(kind: str, n: int, rng: random.Random) -> Matrix:
 
 
 def _assert_exact(kind: str, a: Matrix) -> None:
-    n, eye = a.rows, Matrix.identity(a.rows)
-    shifted = a - eye
+    n = a.rows
+    shifted = a - Matrix.identity(n)
+    space = null_space(shifted)
     if kind == "singular":
-        assert _exact_rank(shifted) < n
+        assert space.dim > 0
     if kind == "singular-mod-p":
-        assert (reference_full_rank_mod_p(shifted, _WIDE), _exact_rank(shifted)) == (False, n)
-    assert fixed_space(a) == _exact_fixed_space(a)
-    assert dim_fixed(a) == _exact_dim_fixed(a)
-    for m in (a, a - eye):
-        assert rank(m) == _exact_rank(m)
+        assert (full_rank_mod(shifted, _WIDE), space.dim) == (False, 0)
+    assert fixed_space(a) == space
+    assert dim_fixed(a) == space.dim
+    assert rank(a) == reference.rank(reference.rows(a))
+    assert rank(shifted) == n - space.dim
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 8), st.integers(0, 2**32))
 @example("singular-mod-p", 1, 0)
 @example("zero-row", 8, 0)
 def test_mod_p_first_answers_equal_the_exact_pass(kind, n, seed):
-    """dim_fixed, fixed_space and rank (of A and of A - I) equal their
-    exact-only versions, whatever the test mod p says."""
+    """dim_fixed, fixed_space and rank (of A and of A - I) equal the
+    reference's, whatever the test mod p says."""
     _assert_exact(kind, _case(kind, n, random.Random(seed)))
 
 
@@ -233,13 +213,12 @@ def test_mod_p_first_answers_equal_the_exact_pass_at_side_16(kind):
 
 
 @pytest.mark.parametrize("n", [1, 4, 8, 16, 64])
-def test_invertible_shift_takes_no_exact_pass(n, monkeypatch):
+def test_invertible_shift_takes_no_exact_pass(n, bareiss_passes):
     """A random A, whose A - I and A the test mod p proves invertible, is
     answered with no Bareiss pass."""
     a = random_matrix(derive_rng(0, "no-exact-pass", n), n, n)
-    assert reference_full_rank_mod_p(a - Matrix.identity(n), _WIDE)
-    assert reference_full_rank_mod_p(a, _WIDE)
-    calls = []
-    monkeypatch.setattr(linalg, "_bareiss", lambda *args: calls.append(args))
+    assert full_rank_mod(a - Matrix.identity(n), _WIDE)
+    assert full_rank_mod(a, _WIDE)
+    bareiss_passes.clear()
     assert (dim_fixed(a), fixed_space(a), rank(a)) == (0, Subspace.zero(n), n)
-    assert calls == []
+    assert bareiss_passes == []

@@ -8,9 +8,9 @@ the independent reference (reference.py), a plain sum over the Fraction
 pairs of L and vec(A), not linalg._products, the product kernel that
 SuperOp.apply runs. superop._image_mod_p, a sum of L's packed residue
 columns with unreduced fields, must give the residues of that image over
-its scale d * e; at the carry limit it is compared with
-reference_image_mod_p, one dense dot product per row of residues, and
-it goes with the diagonal shift through superop._regular_mod_p.
+its scale d * e; at the carry limit it is compared with the reference
+image of the residues, as Gaussian integers, mod p, and it goes with the
+diagonal shift through superop._regular_mod_p.
 
 Eliminations divide each row by its content, so rows over one common
 scale reach Bareiss no larger than rows over their own scales would.
@@ -18,7 +18,6 @@ scale reach Bareiss no larger than rows over their own scales would.
 
 import random
 from math import gcd, lcm
-from operator import mul
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,12 +50,12 @@ from conftest import (
     MIXED_DENOMINATORS,
     assert_image_matches_reference,
     colliding,
+    full_rank_mod,
     matrices,
     nonzero_scalars,
     pairs,
     prime_row_random,
     prime_row_similarity,
-    reference_full_rank_mod_p,
     vec_mod_p,
 )
 from reference import assert_form
@@ -76,16 +75,6 @@ def reference_integer_rows(m: Matrix) -> tuple[list[list[int]], list[list[int]]]
         re_rows.append([z.re.numerator * (scale // z.re.denominator) for z in row])
         im_rows.append([z.im.numerator * (scale // z.im.denominator) for z in row])
     return re_rows, im_rows
-
-
-def reference_image_mod_p(residues: list[list[int]], a: list[list[int]]):
-    """The image mod the fast prime, in which the probe certificates run,
-    of the probe residues a through the residue rows of L."""
-    n = len(a)
-    digits = range(n)
-    u = [a[i][j] for j in digits for i in digits]
-    b = [sum(map(mul, row, u)) % _FAST.p for row in residues]
-    return [b[i::n] for i in digits]
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +212,14 @@ def test_packed_image_mod_p_carries_at_n_16():
     image = _image_mod_p([_packed(column, _FAST) for column in zip(*residues)], [p - 1] * side)
     assert _fields(image, side, _FAST) == (side * (p - 1) ** 2,) * side
     fields = [x % p for x in _fields(image, side, _FAST)]
-    assert [fields[i::n] for i in range(n)] == reference_image_mod_p(residues, a)
-    assert reference_image_mod_p(residues, a) == [[side] * n] * n
+    # the reference image of the residues, as Gaussian integers, mod p
+    l_pairs, a_pairs = ([[(x, 0) for x in row] for row in m] for m in (residues, a))
+    expected = [[x % p for x, _ in row] for row in reference.apply(l_pairs, a_pairs)]
+    assert [fields[i::n] for i in range(n)] == expected
+    assert expected == [[side] * n] * n
     for e, full in ((1, True), (n * side, False), (p, False), (p + 1, True)):
         shifted = Matrix.from_rows([[side - e * (i == j) for j in range(n)] for i in range(n)])
-        assert reference_full_rank_mod_p(shifted, _FAST) == full
+        assert full_rank_mod(shifted, _FAST) == full
         assert _regular_mod_p(image, n, e) == full
 
 

@@ -1,11 +1,11 @@
 """Every Matrix builder and operation returns canonical Gaussian-integer rows.
 
 A Matrix stores (re + i*im) / d with gcd(d, every entry) = 1. Each
-builder and operation below, at sides 1..4, must return rows in that form
-whose values equal the independent reference's (reference.py), computed
-on plain rows of Fraction pairs. The constructor itself coerces ints and
-Fractions and rejects any other entry; the reference imports nothing from
-the package.
+builder and operation below, at sides 1..4 (precompose_transpose at every
+supported side), must return rows in that form whose values equal the
+independent reference's (reference.py), computed on plain rows of
+Fraction pairs. The constructor itself coerces ints and Fractions and
+rejects any other entry; the reference imports nothing from the package.
 """
 
 import ast
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference
 from fixpres import GaussianRational, Matrix, SuperOp, derive_rng, fixed_space, random_matrix
-from fixpres.linalg import inverse, kron, rank, rref
+from fixpres.linalg import _over, inverse, kron, rank, rref
 from fixpres.sampling import DENOMINATORS
 from fixpres.scalars import ONE
 from fixpres.superop import precompose_transpose
@@ -163,11 +163,17 @@ def test_kron(a, b):
     assert_form(kron(matrix(a), matrix(b)), expected, len(a[0]) * len(b[0]))
 
 
-@given(sides.flatmap(lambda n: st.tuples(st.just(n), grids(n * n, n * n))))
-def test_precompose_transpose(case):
-    n, l = case
-    expected = reference.precompose_transpose(pairs(l), n)
-    assert_form(precompose_transpose(matrix(l), n), expected, n * n)
+def test_precompose_transpose():
+    """At every supported side, on the L with entries (k + (k % 5 - 2)i) / 12
+    for k = 1, 2, ... row by row: distinct, over denominators 1 to 12, so a
+    gather, which keeps L's scale, is pinned integer by integer."""
+    for n in range(1, 17):
+        side = n * n
+        re = [range(r * side + 1, (r + 1) * side + 1) for r in range(side)]
+        im = [[k % 5 - 2 for k in row] for row in re]
+        got = precompose_transpose(_over(re, im, 12, side), n)
+        expected = [tuple(map(tuple, reference.precompose_transpose(part, n))) for part in (re, im)]
+        assert [got.re, got.im, got.d] == [*expected, 12]
 
 
 @given(sides.flatmap(lambda n: st.tuples(grids(n * n, n * n), grids(n, n))))

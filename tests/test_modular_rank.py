@@ -2,11 +2,11 @@
 against the per-entry reference, and the two fields it runs in: a 12-bit
 prime in 32-bit fields and a 28-bit prime in 64-bit fields.
 
-conftest.reference_full_rank_mod_p is _full_rank_mod_p as it was written
-before rows were packed into ints: one (x - f*y) % p per entry. Rank mod
-p does not depend on how the elimination is organised, so the two must
-agree on every square matrix in each field, including the packed residue
-columns of a map's L over its one common scale, which is what
+conftest.full_rank_mod asks the reference's rank_mod: elimination in
+GF(p) of the rows as Gaussian integers over their canonical scale. Rank
+mod p does not depend on how the elimination is organised, so the two
+must agree on every square matrix in each field, including the packed
+residue columns of a map's L over its one common scale, which is what
 is_bijective eliminates.
 """
 
@@ -25,10 +25,10 @@ from fixpres.superop import MAX_SIDE, _regular_mod_p
 
 from conftest import (
     FIELDS,
+    full_rank_mod,
     packed_rows,
     prime_row_random,
     prime_row_similarity,
-    reference_full_rank_mod_p,
 )
 
 
@@ -123,7 +123,7 @@ def square_matrices_mod_p(draw):
 @example((_WIDE, prime_row_random(4).matrix))
 def test_full_rank_mod_p_agrees_with_reference(case):
     field, m = case
-    assert _full_rank_mod_p(packed_rows(m, field), field) == reference_full_rank_mod_p(m, field)
+    assert _full_rank_mod_p(packed_rows(m, field), field) == full_rank_mod(m, field)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +135,14 @@ def test_common_scale_residues_agree_with_reference(make, n):
     # Every row of L is over the lcm of all rows' scales, far above its own.
     phi = make(n)
     full = _full_rank_mod_p(phi._residue_columns, _FAST)
-    assert full == reference_full_rank_mod_p(phi.matrix, _FAST)
+    assert full == full_rank_mod(phi.matrix, _FAST)
 
 
 def test_row_swaps_at_every_column():
     m = transpose_superop(4).matrix
     for field in FIELDS:
         assert _full_rank_mod_p(packed_rows(m, field), field)
-        assert reference_full_rank_mod_p(m, field)
+        assert full_rank_mod(m, field)
 
 
 def test_first_column_nonzero_mod_p_only_in_the_last_row():
@@ -159,7 +159,7 @@ def test_first_column_nonzero_mod_p_only_in_the_last_row():
         rows.append([GaussianRational(int(j == 0)) for j in range(side)])
         m = Matrix.from_rows(rows)
         assert _full_rank_mod_p(packed_rows(m, field), field)
-        assert reference_full_rank_mod_p(m, field)
+        assert full_rank_mod(m, field)
 
 
 def test_lower_triangle_of_p_minus_one_at_n_256():
@@ -211,7 +211,7 @@ def test_growth_bound_matrices_agree_with_reference_at_n_36():
         for corner in (1, field.p):
             m = _lu_with_corner(36, corner)
             full = _full_rank_mod_p(packed_rows(m, field), field)
-            assert full == reference_full_rank_mod_p(m, field) == (corner == 1)
+            assert full == full_rank_mod(m, field) == (corner == 1)
 
 
 def test_fast_image_certificate_at_its_growth_bound_at_n_16():
@@ -232,9 +232,9 @@ def test_fast_image_certificate_at_its_growth_bound_at_n_16():
         fields = [top - (top - x) % p for row in target.re for x in row]
         assert max(fields) <= top and min(fields) > top - p
         image = _packed(fields, _FAST)
-        assert _regular_mod_p(image, n, p) == reference_full_rank_mod_p(target, _FAST)
+        assert _regular_mod_p(image, n, p) == full_rank_mod(target, _FAST)
         assert _regular_mod_p(image, n, p) == (corner == 1)
         # e = 1 shifts by p - 1 instead and tests target - I
-        assert _regular_mod_p(image, n, 1) == reference_full_rank_mod_p(
+        assert _regular_mod_p(image, n, 1) == full_rank_mod(
             target - Matrix.identity(n), _FAST
         )

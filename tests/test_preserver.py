@@ -33,11 +33,10 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import fixed_points, linalg, preserver, superop
+from fixpres import fixed_points, preserver, superop
 from fixpres.linalg import (
     _FAST,
     _WIDE,
-    _bareiss,
     _fields,
     _full_rank_mod_p,
     _packed,
@@ -49,32 +48,34 @@ from fixpres.preserver import probe_suite, structured_probes
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import _image_mod_p, _pair_regular_mod_p, _regular_mod_p
 
+import reference
 from conftest import (
     FIELDS,
+    classification_rows,
     colliding,
     count_entry_reads,
     fractions_st,
+    full_rank_mod,
     matrices,
     packed_rows,
+    pair,
     prime_row_similarity,
-    reference_full_rank_mod_p,
+    record_calls,
     row_vector,
+    run_rows,
     sandwich,
     scalars,
     square_matrices,
     superop_from_action,
     vec_mod_p,
+    verdict_rows,
 )
 
 
-def _first_nonzero_gauge(m: Matrix) -> Matrix:
-    """Scale so the first nonzero entry in column-major order is 1."""
-    for j in range(m.cols):
-        for i in range(m.rows):
-            if m[i, j]:
-                pivot = m[i, j]
-                return (ONE / pivot) * m
-    raise AssertionError("zero matrix has no gauge")
+def _gauge(m: Matrix) -> list:
+    """vec(m) scaled so that its first nonzero entry is 1: u of the
+    reference's rank-one factor of vec(m)."""
+    return reference.rank_one(reference.vec(reference.rows(m)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +136,7 @@ def test_structured_probes_match_arithmetic_construction(n):
 def test_refutation_in_structured_prefix_draws_no_random_probe(monkeypatch):
     # A -> 2A keeps dim F(0) and dim F(-I) but sends I (dim 3) to 2I (dim 0).
     phi = similarity_superop(Matrix.identity(3), 2)
-    calls = []
-
-    def counted(draw):
-        def wrapper(*args):
-            calls.append(args)
-            return draw(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(preserver, "random_matrix", counted(random_matrix))
+    calls = record_calls(monkeypatch, preserver, "random_matrix")
     verdict = check_dim_preserving(phi, trials=20, seed=0)
     assert (verdict.outcome, verdict.probes_run) == ("counterexample", 3)
     assert calls == []
@@ -247,18 +239,7 @@ def test_similarity_with_nontrivial_s_fails_set_check_in_structured_prefix():
 
 
 # ---------------------------------------------------------------------------
-# the integer probe loop against the reference loop
-
-
-def _reference_check(phi: SuperOp, trials: int, seed: int, measure) -> Verdict:
-    """The reference probe loop: measure, dim_fixed or fixed_space, of
-    each probe of probe_suite and of phi.apply of it."""
-    probes_run = 0
-    for probes_run, a in enumerate(probe_suite(phi.n, trials, seed), start=1):
-        left, right = measure(a), measure(phi.apply(a))
-        if left != right:
-            return Verdict("counterexample", a, (left, right), probes_run, seed)
-    return Verdict("pass", None, None, probes_run, seed)
+# the integer probe loop against the reference's probe_run
 
 
 def _perturbed_identity(rng, n: int) -> SuperOp:
@@ -307,12 +288,8 @@ def test_checks_match_reference_loop(family, n, seed, trials):
     if family == "shear-32":
         n = max(n, 3)
     phi = _family_map(family, n, derive_rng(seed, "reference-loop", family, n))
-    assert check_dim_preserving(phi, trials, seed) == _reference_check(
-        phi, trials, seed, dim_fixed
-    )
-    assert check_set_preserving(phi, trials, seed) == _reference_check(
-        phi, trials, seed, fixed_space
-    )
+    for check, sets in ((check_dim_preserving, False), (check_set_preserving, True)):
+        assert verdict_rows(check(phi, trials, seed)) == run_rows(phi, trials, seed, sets)
 
 
 @given(n=st.integers(1, 3), data=st.data())
@@ -322,8 +299,8 @@ def test_checks_match_reference_loop_on_drawn_maps(n, data):
     side = n * n
     phi = SuperOp(n, data.draw(matrices(rows=side, cols=side)))
     seed = data.draw(st.integers(0, 2**32))
-    assert check_dim_preserving(phi, 3, seed) == _reference_check(phi, 3, seed, dim_fixed)
-    assert check_set_preserving(phi, 3, seed) == _reference_check(phi, 3, seed, fixed_space)
+    for check, sets in ((check_dim_preserving, False), (check_set_preserving, True)):
+        assert verdict_rows(check(phi, 3, seed)) == run_rows(phi, 3, seed, sets)
 
 
 def test_random_probe_witness_is_rebuilt_from_its_draw():
@@ -342,17 +319,6 @@ def test_random_probe_witness_is_rebuilt_from_its_draw():
 # ---------------------------------------------------------------------------
 # the certificate mod p: a probe is accepted without Bareiss only when
 # A - I and phi(A) - I both have full rank mod p
-
-def _count_bareiss_calls(monkeypatch) -> list:
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return _bareiss(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_bareiss", counted)
-    return calls
-
 
 def _diagonal(*entries) -> Matrix:
     n = len(entries)
@@ -381,7 +347,7 @@ _SINGULAR_MOD_P_ALONE = {
 
 
 @pytest.mark.parametrize("case", sorted(_SINGULAR_MOD_P_ALONE))
-def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
+def test_probe_singular_mod_p_alone_takes_the_exact_path(case, bareiss_passes, monkeypatch):
     action, probe, outcome = _SINGULAR_MOD_P_ALONE[case]
     phi = superop_from_action(3, action)
     eye = Matrix.identity(3)
@@ -390,20 +356,20 @@ def test_probe_singular_mod_p_alone_takes_the_exact_path(case, monkeypatch):
         assert not all(_full_rank_mod_p(packed_rows(m, field), field) for m in shifted)
     assert rank(shifted[0]) == 3
     monkeypatch.setattr(preserver, "_structured", lambda n: (probe,))
-    calls = _count_bareiss_calls(monkeypatch)
+    bareiss_passes.clear()
     verdict = check_dim_preserving(phi, 0, 0)
     # the image takes an exact pass in every check, and the probe once, the
     # first time, when probe - I is singular mod the wide prime that
     # fixed_space tests first; the probe's F is then kept with its own
     # side, and is {0} where that test proves it
     own_singular = not _full_rank_mod_p(packed_rows(shifted[0], _WIDE), _WIDE)
-    assert len(calls) == 1 + own_singular
+    assert len(bareiss_passes) == 1 + own_singular
     assert verdict.outcome == outcome
-    assert verdict == _reference_check(phi, 0, 0, dim_fixed)
-    calls.clear()
+    assert verdict_rows(verdict) == run_rows(phi, 0, 0, False)
+    bareiss_passes.clear()
     assert check_dim_preserving(phi, 0, 0) == verdict
-    assert len(calls) == 1
-    assert check_set_preserving(phi, 0, 0) == _reference_check(phi, 0, 0, fixed_space)
+    assert len(bareiss_passes) == 1
+    assert verdict_rows(check_set_preserving(phi, 0, 0)) == run_rows(phi, 0, 0, True)
 
 
 def test_image_certificate_is_over_the_scales_of_l_and_the_probe(monkeypatch):
@@ -418,7 +384,7 @@ def test_image_certificate_is_over_the_scales_of_l_and_the_probe(monkeypatch):
     assert (verdict.outcome, verdict.detail) == ("counterexample", (0, 1))
 
 
-def test_certified_probes_skip_bareiss(monkeypatch):
+def test_certified_probes_skip_bareiss(bareiss_passes):
     """On a passing similarity only the structured probes with a fixed
     point reach Bareiss: one pass each on A - I, kept for the process, and
     one on phi(A) - I in every check."""
@@ -426,13 +392,13 @@ def test_certified_probes_skip_bareiss(monkeypatch):
     phi = similarity_superop(random_invertible(derive_rng(0, "certificate"), n), 1)
     with_fixed_points = [p for p in structured_probes(n) if dim_fixed(p) > 0]
     assert len(with_fixed_points) == 6
-    calls = _count_bareiss_calls(monkeypatch)
+    bareiss_passes.clear()
     verdict = check_dim_preserving(phi, trials=50, seed=0)
     assert (verdict.outcome, verdict.probes_run) == ("pass", len(structured_probes(n)) + 50)
-    assert len(calls) == 2 * len(with_fixed_points)
-    calls.clear()
+    assert len(bareiss_passes) == 2 * len(with_fixed_points)
+    bareiss_passes.clear()
     assert check_dim_preserving(phi, trials=50, seed=1).outcome == "pass"
-    assert len(calls) == len(with_fixed_points)
+    assert len(bareiss_passes) == len(with_fixed_points)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -464,7 +430,7 @@ def test_structured_side_is_a_fresh_computation(n):
         assert u == tuple(vec_mod_p(a, _FAST))
         assert space == fixed_space(a)
         assert space.dim == dim_fixed(a)
-        assert (space.dim == 0) == reference_full_rank_mod_p(a - eye, _WIDE)
+        assert (space.dim == 0) == full_rank_mod(a - eye, _WIDE)
     assert preserver._structured_side.cache_info().currsize == len(set(probes))
 
 
@@ -486,16 +452,17 @@ def test_cold_and_warm_checks_agree(family, n):
     structured probe's own side kept, give equal verdicts, equal to the
     reference loop's, for both conditions."""
     phi = _kept_side_maps(n)[family]
-    for check, measure in ((check_dim_preserving, dim_fixed), (check_set_preserving, fixed_space)):
+    for check, sets in ((check_dim_preserving, False), (check_set_preserving, True)):
         preserver._structured_side.cache_clear()
         cold = check(phi, trials=5, seed=3)
         assert preserver._structured_side.cache_info().currsize > 0
         warm = check(phi, trials=5, seed=3)
-        assert cold == warm == _reference_check(phi, 5, 3, measure)
+        assert cold == warm
+        assert verdict_rows(cold) == run_rows(phi, 5, 3, sets)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_second_check_runs_no_own_side_bareiss(n, monkeypatch):
+def test_second_check_runs_no_own_side_bareiss(n, bareiss_passes, monkeypatch):
     """Once a check at side n has run, a check of another map at n takes
     Bareiss only on the images of the probes with a fixed point."""
     maps = _kept_side_maps(n)
@@ -503,20 +470,14 @@ def test_second_check_runs_no_own_side_bareiss(n, monkeypatch):
     with_fixed_points = [a for a in structured_probes(n) if dim_fixed(a) > 0]
     images = [phi.apply(a) for a in with_fixed_points]
     assert check_dim_preserving(maps["identity"], trials=0).outcome == "pass"
-    calls = _count_bareiss_calls(monkeypatch)
-    measured = []
-
-    def counted(a):
-        measured.append(a)
-        return dim_fixed(a)
-
-    monkeypatch.setattr(preserver, "dim_fixed", counted)
+    bareiss_passes.clear()
+    measured = record_calls(monkeypatch, preserver, "dim_fixed")
     assert check_dim_preserving(phi, trials=0).outcome == "pass"
-    assert measured == images
-    assert len(calls) == len(images)
+    assert [a for _, (a,) in measured] == images
+    assert len(bareiss_passes) == len(images)
 
 
-def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
+def test_dim_detail_comes_from_the_echelon_rows(bareiss_passes, monkeypatch):
     """A random map changed to send I to M = S @ diag(1, 2, 3) @ inv(S)
     fails at the probe I. Its detail is the loop's two measured values:
     dim F(I) from the kept fixed_space of I, one Gauss-Jordan pass made
@@ -532,31 +493,22 @@ def test_dim_detail_comes_from_the_echelon_rows(monkeypatch):
         3, lambda a: psi.apply(a) + (a[0, 0] + a[1, 1] + a[2, 2]) / 3 * shift
     )
     measured = []
-
-    def counted(name, fn):
-        def wrapper(a):
-            measured.append((name, a))
-            return fn(a)
-
-        return wrapper
-
-    for name, fn in (("dim_fixed", dim_fixed), ("fixed_space", fixed_space)):
-        for module in (fixed_points, fixpres, preserver):
-            monkeypatch.setattr(module, name, counted(name, fn), raising=False)
-    calls = _count_bareiss_calls(monkeypatch)
+    for module in (fixed_points, fixpres, preserver):
+        record_calls(monkeypatch, module, "dim_fixed", "fixed_space", calls=measured)
+    bareiss_passes.clear()
     verdict = check_dim_preserving(phi)
     assert (verdict.outcome, verdict.witness, verdict.probes_run) == (
         "counterexample", Matrix.identity(3), 3
     )
     w = verdict.witness
     image = phi.apply(w)
-    kept = [("fixed_space", a) for a in structured_probes(3)[:3]]
-    assert (len(calls), measured) == (2, kept + [("dim_fixed", image)])
+    kept = [("fixed_space", (a,)) for a in structured_probes(3)[:3]]
+    assert (len(bareiss_passes), measured) == (2, kept + [("dim_fixed", (image,))])
     assert verdict.detail == (dim_fixed(w), dim_fixed(image)) == (3, 1)
-    calls.clear()
+    bareiss_passes.clear()
     measured.clear()
     assert check_dim_preserving(phi) == verdict
-    assert (len(calls), measured) == (1, [("dim_fixed", image)])
+    assert (len(bareiss_passes), measured) == (1, [("dim_fixed", (image,))])
 
 
 def _one_side_singular_mod(q: int) -> dict:
@@ -583,9 +535,9 @@ _ONE_SIDE_SINGULAR_MOD_P = _one_side_singular_mod(_BOTH)
 _ONE_SIDE_SINGULAR_MOD_FAST = _one_side_singular_mod(_FAST.p)
 
 
-def _measure_one_random_probe(phi, probe, side, singular_in, monkeypatch) -> None:
+def _measure_one_random_probe(phi, probe, side, singular_in, bareiss_passes, monkeypatch) -> None:
     """Check phi on the random probe alone, drawn twice, for both
-    conditions, and require the reference loop's verdict, both sides of
+    conditions, and require the reference run's verdict, both sides of
     both draws measured through dim_fixed or fixed_space, and one Bareiss
     pass per draw when the singular side is singular mod the wide prime,
     none otherwise. singular_in holds the fields in which that side is
@@ -594,46 +546,44 @@ def _measure_one_random_probe(phi, probe, side, singular_in, monkeypatch) -> Non
     own, image = probe - eye, phi.apply(probe) - eye
     for field in FIELDS:
         singular = field in singular_in
-        assert (reference_full_rank_mod_p(own, field), reference_full_rank_mod_p(image, field)) == (
+        assert (full_rank_mod(own, field), full_rank_mod(image, field)) == (
             side == "image" or not singular, side == "own" or not singular
         )
     assert rank(own) == rank(image) == 3
     monkeypatch.setattr(preserver, "_structured", lambda n: ())
     monkeypatch.setattr(preserver, "random_matrix", lambda rng, rows, cols: probe)
     assert list(probe_suite(3, 2, 0)) == [probe, probe]
-    for check, measure in ((check_dim_preserving, dim_fixed), (check_set_preserving, fixed_space)):
-        measured = []
-
-        def counted(a, measure=measure):
-            measured.append(a)
-            return measure(a)
-
-        monkeypatch.setattr(preserver, measure.__name__, counted)
-        calls = _count_bareiss_calls(monkeypatch)
+    for check, sets in ((check_dim_preserving, False), (check_set_preserving, True)):
+        measured = record_calls(monkeypatch, preserver, "fixed_space" if sets else "dim_fixed")
+        bareiss_passes.clear()
         verdict = check(phi, 2, 0)
-        assert measured == [probe, phi.apply(probe)] * 2
-        assert len(calls) == (2 if _WIDE in singular_in else 0)
+        assert [a for _, (a,) in measured] == [probe, phi.apply(probe)] * 2
+        assert len(bareiss_passes) == (2 if _WIDE in singular_in else 0)
         assert (verdict.outcome, verdict.probes_run) == ("pass", 2)
-        assert verdict == _reference_check(phi, 2, 0, measure)
+        assert verdict_rows(verdict) == run_rows(phi, 2, 0, sets)
 
 
 @pytest.mark.parametrize("side", sorted(_ONE_SIDE_SINGULAR_MOD_P))
-def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(side, monkeypatch):
+def test_random_probe_singular_mod_p_on_one_side_takes_the_exact_path(
+    side, bareiss_passes, monkeypatch
+):
     """A random probe that the pair certificate does not settle goes
     through dim_fixed or fixed_space of both sides, as in the reference
     loop. Each of those tests its side mod the wide prime first, so only
     a side singular mod both primes takes a Bareiss pass: one per probe."""
     phi, probe = _ONE_SIDE_SINGULAR_MOD_P[side]
-    _measure_one_random_probe(phi, probe, side, FIELDS, monkeypatch)
+    _measure_one_random_probe(phi, probe, side, FIELDS, bareiss_passes, monkeypatch)
 
 
 @pytest.mark.parametrize("side", sorted(_ONE_SIDE_SINGULAR_MOD_FAST))
-def test_random_probe_singular_mod_the_fast_prime_alone_takes_no_bareiss(side, monkeypatch):
+def test_random_probe_singular_mod_the_fast_prime_alone_takes_no_bareiss(
+    side, bareiss_passes, monkeypatch
+):
     """A side singular mod the fast prime alone makes the pair certificate
     miss, and the test mod the wide prime in dim_fixed and fixed_space
     settles it: both sides are measured, and no Bareiss pass runs."""
     phi, probe = _ONE_SIDE_SINGULAR_MOD_FAST[side]
-    _measure_one_random_probe(phi, probe, side, (_FAST,), monkeypatch)
+    _measure_one_random_probe(phi, probe, side, (_FAST,), bareiss_passes, monkeypatch)
 
 
 @st.composite
@@ -704,12 +654,11 @@ def test_packed_certificate_agrees_with_reference_rank_mod_p(case):
     eye = Matrix.identity(n)
     u = vec_mod_p(a, _FAST)
     image = _image_mod_p(phi._residue_columns, u)
-    own = reference_full_rank_mod_p((a - eye) * e, _FAST)
-    other = reference_full_rank_mod_p((phi.apply(a) - eye) * de, _FAST)
-    packed = _packed(u, _FAST)
-    assert _regular_mod_p(packed, n, e) == own
+    own = full_rank_mod((a - eye) * e, _FAST)
+    other = full_rank_mod((phi.apply(a) - eye) * de, _FAST)
+    assert _regular_mod_p(_packed(u, _FAST), n, e) == own
     assert _regular_mod_p(image, n, de) == other
-    assert _pair_regular_mod_p(packed, image, n, e, de) == (own and other)
+    assert _pair_regular_mod_p(u, phi._residue_columns, n, e, de) == (own and other)
 
 
 # The cases of the carry test, each named by its values in terms of the
@@ -752,9 +701,8 @@ def test_pair_certificate_carries_at_n_16(first, e, f, full):
     assert [x % p for x in _fields(image, side, _FAST)] == [c] * side
     x = Matrix.from_rows([[-1 - e * (i == j) for j in range(n)] for i in range(n)])
     y = Matrix.from_rows([[c - f * (i == j) for j in range(n)] for i in range(n)])
-    full_x, full_y = reference_full_rank_mod_p(x, _FAST), reference_full_rank_mod_p(y, _FAST)
-    assert (full_x and full_y) == full
-    assert _pair_regular_mod_p(_packed(u, _FAST), image, n, e, f) == full
+    assert (full_rank_mod(x, _FAST) and full_rank_mod(y, _FAST)) == full
+    assert _pair_regular_mod_p(u, columns, n, e, f) == full
 
 
 # ---------------------------------------------------------------------------
@@ -850,11 +798,11 @@ def test_classify_similarity_round_trip(seed, n):
     result = classify(similarity_superop(s, 1))
     if result.tag == "identity":
         # happens exactly when s is a nonzero multiple of the identity
-        assert _first_nonzero_gauge(s) == Matrix.identity(n)
+        assert _gauge(s) == reference.vec(reference.identity(n))
         return
     assert result.tag == "similarity"
     assert result.scale == ONE
-    assert _first_nonzero_gauge(result.s) == _first_nonzero_gauge(s)
+    assert _gauge(result.s) == _gauge(s)
 
 
 @given(st.integers(0, 30))
@@ -873,7 +821,7 @@ def test_classify_transpose_similarity(seed):
     result = classify(transpose_similarity_superop(s, 1))
     assert result.tag == "transpose-similarity"
     assert result.scale == ONE
-    assert _first_nonzero_gauge(result.s) == _first_nonzero_gauge(s)
+    assert _gauge(result.s) == _gauge(s)
 
 
 def test_classify_recovered_s_reproduces_action():
@@ -916,22 +864,12 @@ def test_classify_scaled_identity_superop():
     assert result.scale == GaussianRational(2)
 
 
-def _reference_identity_tests(l: Matrix) -> tuple[bool, tuple[int, int] | None]:
-    """The two identity tests of L as classify and set_preserver_verdict
-    wrote them before they shared one: classify's whole-matrix test, and
-    the first entry, row by row, that is not the identity's d / d or 0."""
-    side = l.rows
-    identity = l.d == 1 and not any(map(any, l.im)) and all(
-        row[k] == 1 and row.count(0) == side - 1 for k, row in enumerate(l.re)
-    )
-    first = next(
-        (
-            (r, c) for r in range(side) for c in range(side)
-            if l.re[r][c] != (l.d if r == c else 0) or l.im[r][c]
-        ),
-        None,
-    )
-    return identity, first
+def _first_off_identity(l: list) -> tuple[int, int] | None:
+    """The first entry (i, j) of the reference rows l, row by row, that is
+    not the identity's, or None when l is the identity."""
+    one, zero = reference.ONE, reference.ZERO
+    cells = ((i, j, z) for i, row in enumerate(l) for j, z in enumerate(row))
+    return next(((i, j) for i, j, z in cells if z != (one if i == j else zero)), None)
 
 
 @st.composite
@@ -966,7 +904,8 @@ def _near_identity_maps(draw):
 @given(_near_identity_maps())
 def test_identity_discrepancy_matches_both_former_tests(case):
     n, l = case
-    identity, first = _reference_identity_tests(l)
+    rows = reference.rows(l)
+    identity, first = rows == reference.identity(n * n), _first_off_identity(rows)
     assert preserver._identity_discrepancy(l) == first
     assert (first is None) == identity
     assert (classify(SuperOp(n, l)).tag == "identity") == identity
@@ -984,7 +923,8 @@ def test_identity_discrepancy_matches_both_former_tests(case):
 )
 def test_identity_discrepancy_at_n16(build, first):
     l = build(Matrix.identity(256))
-    assert preserver._identity_discrepancy(l) == _reference_identity_tests(l)[1] == first
+    rows = reference.rows(l)
+    assert preserver._identity_discrepancy(l) == _first_off_identity(rows) == first
 
 
 # ---------------------------------------------------------------------------
@@ -1105,17 +1045,8 @@ def test_dim_verdict_runs_each_step_through_its_public_name(monkeypatch):
     probe_suite, each by the module-level name a tracer rebinds; L is
     reduced mod p once per SuperOp, and a second is_bijective reuses it."""
     phi = SuperOp(3, random_matrix(derive_rng(8, "public-steps"), 9, 9))
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-
-        return wrapper
-
-    for name in ("is_bijective", "check_dim_preserving", "probe_suite"):
-        monkeypatch.setattr(preserver, name, counted(name, getattr(preserver, name)))
+    names = ("is_bijective", "check_dim_preserving", "probe_suite")
+    calls = record_calls(monkeypatch, preserver, *names)
     reductions = []
 
     def reduced(re, im, field):
@@ -1127,101 +1058,58 @@ def test_dim_verdict_runs_each_step_through_its_public_name(monkeypatch):
     monkeypatch.setattr(superop, "_residues", reduced)
     report = dim_preserver_verdict(phi, trials=5, seed=0)
     assert report.status == "counterexample"
-    assert calls == ["is_bijective", "check_dim_preserving", "probe_suite"]
+    assert [name for name, _ in calls] == list(names)
     assert reductions == [9]
     assert superop.is_bijective(phi)
     assert reductions == [9]
 
 
-def _reference_set_verdict(phi: SuperOp, trials: int, seed: int) -> PreserverReport:
-    """set_preserver_verdict as it was written with one report per status."""
-    verdict = check_set_preserving(phi, trials, seed)
-    if verdict.outcome == "counterexample":
-        return PreserverReport(
-            claim=1,
-            status="counterexample",
-            verdict=verdict,
-            classification=None,
-            notes=("the map does not preserve every probed fixed-point set",),
-        )
-    classification = classify(phi)
-    if classification.tag == "identity":
-        return PreserverReport(
-            claim=1,
-            status="consistent",
-            verdict=verdict,
-            classification=classification,
-            notes=(),
-        )
-    i, j = preserver._identity_discrepancy(phi.matrix)
-    return PreserverReport(
-        claim=1,
-        status="violation-candidate",
-        verdict=verdict,
-        classification=classification,
-        notes=(
-            "all probes passed but the map is not the identity; "
-            "treat as a probe-suite gap until re-checked",
-        ),
-        discrepancy=(i, j, phi.matrix[i, j], ONE if i == j else ZERO),
-    )
+# The note each verdict adds, by claim and status; claim 2 notes a
+# counterexample only on a negated similarity.
+_NOTES = {
+    (1, "counterexample"): "the map does not preserve every probed fixed-point set",
+    (1, "violation-candidate"): "all probes passed but the map is not the identity; "
+    "treat as a probe-suite gap until re-checked",
+    (2, "hypothesis-not-met"): "hypothesis not met: the map is not surjective",
+    (2, "counterexample"): "the map is a negated similarity A -> -S @ A @ inv(S); the -I probe "
+    "shows this branch of the claimed conclusion never preserves fixed-point dimensions",
+    (2, "form-outside-conclusion"): "transpose-similarity form passed every dimension probe "
+    "but is not among the claimed conclusion forms",
+    (2, "violation-candidate"): "no structured form recovered although all probes passed; "
+    "treat as a probe-suite gap until re-checked",
+}
 
 
-def _reference_dim_verdict(phi: SuperOp, trials: int, seed: int) -> PreserverReport:
-    """dim_preserver_verdict as it was written with one report per status."""
-    notes: list[str] = []
-    if phi.n < 3:
-        notes.append(
-            f"n = {phi.n} is below the claim's range (n >= 3); results are exploratory"
-        )
-    if not is_bijective(phi):
-        notes.append("hypothesis not met: the map is not surjective")
-        return PreserverReport(
-            claim=2,
-            status="hypothesis-not-met",
-            verdict=None,
-            classification=None,
-            notes=tuple(notes),
-        )
-    verdict = check_dim_preserving(phi, trials, seed)
-    classification = classify(phi)
-    if verdict.outcome == "counterexample":
-        if classification.tag == "similarity" and classification.scale == -ONE:
-            notes.append(
-                "the map is a negated similarity A -> -S @ A @ inv(S); the -I probe "
-                "shows this branch of the claimed conclusion never preserves "
-                "fixed-point dimensions"
-            )
-        return PreserverReport(
-            claim=2,
-            status="counterexample",
-            verdict=verdict,
-            classification=classification,
-            notes=tuple(notes),
-        )
-    if classification.tag == "identity" or (
-        classification.tag == "similarity" and classification.scale == ONE
-    ):
+def _expected_report(phi: SuperOp, form: tuple, claim: int, trials: int, seed: int) -> tuple:
+    """The fields of claim's report by the decision chain of its verdict's
+    docstring, from the reference's bijectivity and probe_run, and form,
+    the reference's classify of phi."""
+    n, l = phi.n, reference.rows(phi.matrix)
+    tag, _, scale = form
+    # claim 1 has no hypothesis; claim 2's is that L is bijective
+    met = claim == 1 or reference.oracle.is_full_rank(l)
+    run = run_rows(phi, trials, seed, claim == 1) if met else None
+    if not met:
+        status = "hypothesis-not-met"
+    elif run[0] == "counterexample":
+        status = "counterexample"
+    elif tag == "identity" or (claim, tag, scale) == (2, "similarity", reference.ONE):
         status = "consistent"
-    elif classification.tag == "transpose-similarity":
+    elif (claim, tag) == (2, "transpose-similarity"):
         status = "form-outside-conclusion"
-        notes.append(
-            "transpose-similarity form passed every dimension probe but is not "
-            "among the claimed conclusion forms"
-        )
     else:
         status = "violation-candidate"
-        notes.append(
-            "no structured form recovered although all probes passed; "
-            "treat as a probe-suite gap until re-checked"
-        )
-    return PreserverReport(
-        claim=2,
-        status=status,
-        verdict=verdict,
-        classification=classification,
-        notes=tuple(notes),
-    )
+    small = f"n = {n} is below the claim's range (n >= 3); results are exploratory"
+    notes = [small] if claim == 2 and n < 3 else []
+    negated = (tag, scale) == ("similarity", reference.oracle.NEG_ONE)
+    if (claim, status) in _NOTES and ((claim, status) != (2, "counterexample") or negated):
+        notes.append(_NOTES[claim, status])
+    discrepancy = None
+    if (claim, status) == (1, "violation-candidate"):
+        i, j = _first_off_identity(l)
+        discrepancy = i, j, l[i][j], reference.ONE if i == j else reference.ZERO
+    shown = None if not met or (claim, status) == (1, "counterexample") else form
+    return claim, status, run, shown, tuple(notes), discrepancy
 
 
 def _verdict_chain_map(kind: str, n: int, rng) -> SuperOp:
@@ -1262,17 +1150,20 @@ VERDICT_CHAIN_MAPS = (
 @given(n=st.integers(1, 4), trials=st.integers(0, 3), seed=st.integers(0, 2**32))
 def test_verdicts_match_one_report_per_status(kind, n, trials, seed):
     """Each verdict's one decision chain gives the report, field by field,
-    that the former one-report-per-status verdicts gave."""
+    that its docstring's chain gives on the reference's answers."""
     if kind in ("singular", "two-sided"):
         n = max(n, 2)
     phi = _verdict_chain_map(kind, n, derive_rng(seed, "verdict-chain", kind, n))
-    for verdict, reference in (
-        (set_preserver_verdict, _reference_set_verdict),
-        (dim_preserver_verdict, _reference_dim_verdict),
-    ):
-        report, expected = verdict(phi, trials, seed), reference(phi, trials, seed)
-        for field in dataclasses.fields(PreserverReport):
-            assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    names = [field.name for field in dataclasses.fields(PreserverReport)]
+    form = reference.classify(reference.rows(phi.matrix), phi.n)
+    for claim, verdict in ((1, set_preserver_verdict), (2, dim_preserver_verdict)):
+        r = verdict(phi, trials, seed)
+        d = r.discrepancy and (*r.discrepancy[:2], *map(pair, r.discrepancy[2:]))
+        got = r.claim, r.status, verdict_rows(r.verdict), classification_rows(r.classification)
+        got += r.notes, d
+        expected = _expected_report(phi, form, claim, trials, seed)
+        for name, field, want in zip(names, got, expected, strict=True):
+            assert field == want, name
 
 
 # ---------------------------------------------------------------------------
@@ -1354,19 +1245,10 @@ def test_only_undecided_verdicts_run_the_probes(verdict, build, run, monkeypatch
     """A verdict decided by its classification calls no check and draws no
     probe suite; every other map runs its check over the suite, each by the
     module-level name a tracer rebinds."""
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-
-        return wrapper
-
-    for name in ("check_dim_preserving", "check_set_preserving", "probe_suite"):
-        monkeypatch.setattr(preserver, name, counted(name, getattr(preserver, name)))
+    names = ("check_dim_preserving", "check_set_preserving", "probe_suite")
+    calls = record_calls(monkeypatch, preserver, *names)
     report = verdict(build(), trials=5, seed=0)
-    assert calls == run
+    assert [name for name, _ in calls] == run
     if not run:
         assert report.verdict == Verdict("pass", None, None, len(structured_probes(4)) + 5, 0)
 

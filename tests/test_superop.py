@@ -27,20 +27,20 @@ from fixpres import (
     transpose_similarity_superop,
     transpose_superop,
 )
-from fixpres import linalg
-from fixpres.linalg import _FAST, _WIDE, _bareiss, _full_rank_mod_p, inverse, kron, rank
+from fixpres.linalg import _FAST, _WIDE, _full_rank_mod_p, inverse, kron, rank
 from fixpres.superop import NotRankOne, _vec_mod_p, unvec, vec
 
+import reference
 from conftest import (
     FALLBACK_OFFSETS,
     dependent_row_map,
     factor,
+    full_rank_mod,
     matrices,
     prime_row_random,
     prime_row_similarity,
     prime_rows,
     packed_rows,
-    reference_full_rank_mod_p,
     row_vector,
     sandwich,
     superop_from_action,
@@ -51,18 +51,6 @@ from conftest import (
 def compose(outer: SuperOp, inner: SuperOp) -> SuperOp:
     """The map A -> outer(inner(A))."""
     return SuperOp(outer.n, outer.matrix @ inner.matrix)
-
-
-def realign_inverse(m: Matrix, n: int) -> Matrix:
-    """Inverse of the realign shuffle: recovers L from realign's output."""
-    side = n * n
-    out = [None] * (side * side)
-    for g in range(n):
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    out[(b * n + a) * side + d * n + g] = m[g * n + a, b * n + d]
-    return Matrix(side, side, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +146,6 @@ def test_bijectivity():
 # ---------------------------------------------------------------------------
 # bijectivity: the mod-p certificate and its exact fallback
 
-def _count_exact_ranks(monkeypatch) -> list:
-    """The (rows, columns) of each exact elimination is_bijective runs."""
-    calls = []
-
-    def counted(re, im, n_cols, reduce):
-        calls.append((len(re), n_cols))
-        return _bareiss(re, im, n_cols, reduce)
-
-    monkeypatch.setattr(linalg, "_bareiss", counted)
-    return calls
-
-
-def _no_exact_rank(monkeypatch) -> None:
-    def unused(*args):
-        raise AssertionError("the exact rank should not be needed")
-
-    monkeypatch.setattr(linalg, "_bareiss", unused)
-
-
 def _identity_with_corner(n: int, corner: GaussianRational) -> SuperOp:
     side = n * n
     entries = list(Matrix.identity(side).entries)
@@ -192,16 +161,16 @@ def _identity_with_corner(n: int, corner: GaussianRational) -> SuperOp:
     ],
     ids=["p", "sqrt(-1) - i"],
 )
-def test_bijective_map_singular_mod_p_falls_back_to_exact_rank(corner, monkeypatch):
+def test_bijective_map_singular_mod_p_falls_back_to_exact_rank(corner, bareiss_passes):
     # Both corners are nonzero over Q(i) but vanish mod both primes: their
     # product p1 * p2, and (r1 - i)(r2 - i), with r1 and r2 the square
     # roots of -1 that each field sends i to.
     phi = _identity_with_corner(2, corner)
     for field in (_FAST, _WIDE):
         assert not _full_rank_mod_p(packed_rows(phi.matrix, field), field)
-    calls = _count_exact_ranks(monkeypatch)
+    bareiss_passes.clear()
     assert is_bijective(phi)
-    assert calls == [(4, 4)]
+    assert bareiss_passes == [(4, 4, False)]
 
 
 # Full rank of L mod the fast prime and mod the wide one, for each kind of
@@ -215,30 +184,30 @@ _FALLBACK_RANKS = {
 
 
 @pytest.mark.parametrize("kind", sorted(FALLBACK_OFFSETS))
-def test_is_bijective_tries_the_fast_prime_then_the_wide_one_then_bareiss(kind, monkeypatch):
+def test_is_bijective_tries_the_fast_prime_then_the_wide_one_then_bareiss(kind, bareiss_passes):
     """Only an L singular mod both primes takes the exact pass: one
     singular mod one prime alone is proved bijective by the other."""
     phi = dependent_row_map(3, FALLBACK_OFFSETS[kind])
     l = phi.matrix
-    ranks = (reference_full_rank_mod_p(l, _FAST), reference_full_rank_mod_p(l, _WIDE))
-    assert ranks == _FALLBACK_RANKS[kind]
-    calls = _count_exact_ranks(monkeypatch)
+    assert (full_rank_mod(l, _FAST), full_rank_mod(l, _WIDE)) == _FALLBACK_RANKS[kind]
+    bareiss_passes.clear()
     assert is_bijective(phi) == (kind != "singular")
-    assert calls == ([(9, 9)] if kind in ("both", "singular") else [])
+    assert bareiss_passes == ([(9, 9, False)] if kind in ("both", "singular") else [])
 
 
-def test_map_singular_mod_the_fast_prime_alone_at_n_16(monkeypatch):
+def test_map_singular_mod_the_fast_prime_alone_at_n_16(bareiss_passes):
     phi = dependent_row_map(16, FALLBACK_OFFSETS["fast-only"])
     assert not _full_rank_mod_p(phi._residue_columns, _FAST)
-    _no_exact_rank(monkeypatch)
+    bareiss_passes.clear()
     assert is_bijective(phi)
+    assert bareiss_passes == []
 
 
-def test_rank_deficient_map_is_not_bijective(monkeypatch):
+def test_rank_deficient_map_is_not_bijective(bareiss_passes):
     phi = _identity_with_corner(3, GaussianRational(0))
-    calls = _count_exact_ranks(monkeypatch)
+    bareiss_passes.clear()
     assert not is_bijective(phi)
-    assert calls == [(9, 9)]
+    assert bareiss_passes == [(9, 9, False)]
 
 
 @st.composite
@@ -269,28 +238,30 @@ def test_is_bijective_agrees_with_exact_rank(case):
     assert is_bijective(SuperOp(n, m)) == (rank(m) == n * n)
 
 
-def test_bijective_similarity_is_decided_by_the_certificate(monkeypatch):
+def test_bijective_similarity_is_decided_by_the_certificate(bareiss_passes):
     s = random_invertible(derive_rng(0, "certificate"), 6)
     phi = similarity_superop(s, 1)
-    _no_exact_rank(monkeypatch)
+    bareiss_passes.clear()
     assert is_bijective(phi)
+    assert bareiss_passes == []
 
 
 @pytest.mark.parametrize("make", [prime_row_similarity, prime_row_random])
-def test_prime_row_maps_are_decided_by_the_certificate(make, monkeypatch):
+def test_prime_row_maps_are_decided_by_the_certificate(make, bareiss_passes):
     # L's common scale is far above each row's own; full rank mod p holds
     # for the common-scale rows just as it does for rows over their own scale.
     phi = make(4)
     assert _full_rank_mod_p(packed_rows(phi.matrix, _FAST), _FAST)
-    _no_exact_rank(monkeypatch)
+    bareiss_passes.clear()
     assert is_bijective(phi)
+    assert bareiss_passes == []
 
 
-def test_singular_prime_row_map_falls_back_to_one_exact_rank(monkeypatch):
+def test_singular_prime_row_map_falls_back_to_one_exact_rank(bareiss_passes):
     phi = SuperOp(3, _prime_row_singular(3))
-    calls = _count_exact_ranks(monkeypatch)
+    bareiss_passes.clear()
     assert not is_bijective(phi)
-    assert calls == [(9, 9)]
+    assert bareiss_passes == [(9, 9, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +303,9 @@ def test_realign_round_trip(seed):
     rng = derive_rng(seed, "round")
     l = random_matrix(rng, 9, 9)
     phi = SuperOp(3, l)
-    assert realign_inverse(realign(phi), 3) == l
+    # realign has order three, so realigning twice inverts it
+    twice = reference.realign(reference.realign(reference.rows(realign(phi)), 3), 3)
+    assert twice == reference.rows(l)
 
 
 def test_realign_is_not_an_involution_but_has_order_three():
@@ -343,7 +316,7 @@ def test_realign_is_not_an_involution_but_has_order_three():
     twice = realign(SuperOp(2, once))
     thrice = realign(SuperOp(2, twice))
     assert thrice == l
-    assert twice == realign_inverse(l, 2)
+    assert reference.rows(twice) == reference.realign(reference.realign(reference.rows(l), 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +339,6 @@ def test_rank_one_factor_rejects_other_ranks():
         factor(Matrix.identity(2))
 
 
-def _rank_based_factor(m):
-    """rank_one_factor as it was built on an elimination: the reference."""
-    r = rank(m)
-    if r != 1:
-        raise NotRankOne(f"rank is {r}")
-    lead = next(idx for idx, val in enumerate(m.entries) if val)
-    i0, j0 = divmod(lead, m.cols)
-    anchor = m[i0, j0]
-    u = Matrix(m.rows, 1, tuple(m[i, j0] / anchor for i in range(m.rows)))
-    v = Matrix(m.cols, 1, tuple(m[i0, j] for j in range(m.cols)))
-    return u, v
-
-
 def _outer_plus_corner():
     """Rank two, yet every minor through the anchor vanishes but the last."""
     u = Matrix.column([1, 2, -3, Fraction(1, 2), 4, 5])
@@ -399,13 +359,12 @@ def _offset_anchor():
     ids=["rank-two-late-minor", "zero", "offset-anchor"],
 )
 def test_rank_one_factor_matches_rank_based_reference(m):
-    try:
-        expected = _rank_based_factor(m)
-    except NotRankOne:
+    expected = reference.rank_one(reference.rows(m))
+    if expected is None:
         with pytest.raises(NotRankOne):
             factor(m)
         return
-    assert factor(m) == expected
+    assert [reference.rows(x) for x in factor(m)] == list(expected)
 
 
 @given(st.integers(0, 50))
