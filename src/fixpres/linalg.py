@@ -90,6 +90,11 @@ def _as_scalar(value) -> GaussianRational:
     return scalar
 
 
+def _check_sizes(*sizes: int) -> None:
+    if min(sizes) < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
 # Integer parts (a, b, c, e) of the Gaussian rational a/b + (c/e)i, with
 # b, e > 0 and not necessarily reduced: the form of entries written over
 # many denominators (the constructor, random draws, the CLI reader).
@@ -117,8 +122,7 @@ class Matrix:
         """The matrix of the row-major entries, each an int, Fraction or
         GaussianRational (anything else raises TypeError), put on the
         canonical scale once."""
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_sizes(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         parts = [
@@ -143,17 +147,22 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
+        _check_sizes(rows, cols)
         zero_rows = [(0,) * cols] * rows
         return _matrix(cols, zero_rows, zero_rows, 1)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
+        _check_sizes(n)
         zeros = (0,) * n
         return _matrix(n, [zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n)], [zeros] * n, 1)
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Matrix":
         """Matrix unit with a single 1 at (i, j)."""
+        _check_sizes(n)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError((i, j))
         re = [[0] * n for _ in range(n)]
         re[i][j] = 1
         return _matrix(n, re, [(0,) * n] * n, 1)

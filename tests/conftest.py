@@ -24,7 +24,7 @@ from fixpres import (
 )
 from fixpres import linalg
 from fixpres.cli import matrix_from_doc
-from fixpres.linalg import _FAST, _WIDE, _Field, _packed, _residues, kron
+from fixpres.linalg import _FAST, _WIDE, _Field, _over, _packed, _residues, kron
 from fixpres.preserver import _structured_side, probe_suite
 from fixpres.scalars import ONE, ZERO
 from fixpres.superop import rank_one_factor, vec
@@ -62,17 +62,28 @@ imaginary_scalars = st.builds(GaussianRational, st.just(Fraction(0)), fractions_
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None, max_side=4):
-    r = rows if rows is not None else draw(st.integers(1, max_side))
-    c = cols if cols is not None else draw(st.integers(1, max_side))
-    entries = draw(st.lists(scalars, min_size=r * c, max_size=r * c))
-    return Matrix(r, c, tuple(entries))
+def matrices(draw, rows=None, cols=None, max_side=4, entries=scalars, min_side=1):
+    """A rows x cols Matrix of drawn entries; a side not given is drawn
+    from min_side..max_side. Either side may be 0."""
+    sides = st.integers(min_side, max_side)
+    r = draw(sides) if rows is None else rows
+    c = draw(sides) if cols is None else cols
+    return Matrix(r, c, draw(st.lists(entries, min_size=r * c, max_size=r * c)))
 
 
 @st.composite
 def square_matrices(draw, max_side=4):
     n = draw(st.integers(1, max_side))
     return draw(matrices(rows=n, cols=n))
+
+
+def labelled(side: int, d: int) -> Matrix:
+    """The side x side matrix with entries (k + (k % 5 - 2)i) / d for
+    k = 1, 2, ... row by row: distinct, with imaginary parts, over
+    denominators that divide d, so that a gather or a product is pinned
+    integer by integer."""
+    re = [range(r * side + 1, (r + 1) * side + 1) for r in range(side)]
+    return _over(re, [[k % 5 - 2 for k in row] for row in re], d, side)
 
 
 def row_vector(values) -> Matrix:

@@ -217,12 +217,18 @@ def test_fixdim_rejects_rectangular(tmp_path, capsys):
     assert "square" in err
 
 
-def test_classify_identity(capsys):
+def test_classify_identity(tmp_path, capsys):
+    """The identity has no S of its own; --emit-s writes I."""
+    s_path = tmp_path / "s.json"
     code, out, _ = invoke(
-        capsys, "classify", "--superop", str(FIXTURES / "superop_identity_n3.json")
+        capsys,
+        "classify",
+        "--superop", str(FIXTURES / "superop_identity_n3.json"),
+        "--emit-s", str(s_path),
     )
     assert code == 0
     assert json.loads(out)["classification"]["tag"] == "identity"
+    assert matrix_from_doc(json.loads(s_path.read_text())) == Matrix.identity(3)
 
 
 def test_classify_similarity_emits_s(tmp_path, capsys):
@@ -440,20 +446,43 @@ def test_fuzz_echoes_seed_per_trial(capsys):
 # ---------------------------------------------------------------------------
 # exit code 2 paths
 
+def _superop_doc(l) -> dict:
+    return {"n": 1, "vec_convention": "column", "L": l}
+
+
 @pytest.mark.parametrize(
     "fixture,message_part",
     [
         ("bad_convention.json", "vec_convention"),
         ("truncated.json", "invalid JSON"),
+        # a document, not a fixture name, is written to a file first
+        pytest.param([], "superop: expected an object", id="not-an-object"),
+        pytest.param({"n": 1, "vec_convention": "column"}, "missing field 'L'", id="no-L"),
+        pytest.param(_superop_doc([]), "superop.L: expected an object", id="L-not-an-object"),
+        pytest.param(_superop_doc({"n_rows": 1, "n_cols": 1}), "missing field 'entries'",
+                     id="L-without-entries"),
+        pytest.param(_superop_doc({"n_rows": 1, "n_cols": 1, "entries": []}),
+                     "expected 1 entry rows", id="L-with-too-few-rows"),
     ],
 )
-def test_malformed_superop_inputs_exit_two(capsys, fixture, message_part):
-    code, out, err = invoke(
-        capsys, "classify", "--superop", str(FIXTURES / fixture)
-    )
+def test_malformed_superop_inputs_exit_two(tmp_path, capsys, fixture, message_part):
+    path = tmp_path / "superop.json"
+    if isinstance(fixture, str):
+        path = FIXTURES / fixture
+    else:
+        path.write_text(json.dumps(fixture))
+    code, out, err = invoke(capsys, "classify", "--superop", str(path))
     assert code == 2
     assert out == ""
     assert message_part in err
+
+
+@pytest.mark.parametrize("n", ["0", "17"])
+def test_fuzz_side_out_of_range_exit_two(capsys, n):
+    argv = ("fuzz", "--n", n, "--family", "random", "--trials", "1", "--seed", "0")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--n must be in 1..16" in err
 
 
 def test_bad_scalar_matrix_exit_two(capsys):

@@ -1,9 +1,10 @@
 """The vec layout's flat gathers against the independent reference.
 
-vec, unvec, realign, precompose_transpose, superop_from_action and kron
-are gathers over the package's flat rows; each must give exactly what
-the reference (reference.py), an index formula over one Fraction pair per
-entry, gives.
+vec, unvec, realign, superop_from_action, the transpose maps and kron are
+gathers over the package's flat rows; each must give exactly what the
+reference (reference.py), an index formula over one Fraction pair per
+entry, gives; no other file compares them. precompose_transpose is
+compared in test_matrix_form.
 """
 
 from fractions import Fraction
@@ -26,30 +27,21 @@ from fixpres import (
 from fixpres.linalg import kron
 from fixpres.scalars import ZERO
 from fixpres.superop import _vec, unvec, vec
-from fixpres.superop import precompose_transpose
 
-from conftest import matrices, nonzero_scalars, scalars, similarity_rows, superop_from_action
+from conftest import (
+    labelled,
+    matrices,
+    nonzero_scalars,
+    scalars,
+    similarity_rows,
+    superop_from_action,
+)
 from reference import assert_form, rows
 
-sides = st.integers(1, 4)
-
-
-# ---------------------------------------------------------------------------
-# inputs
-
-@st.composite
-def superop_matrices(draw):
-    """(L, n) with L a dense n^2 x n^2 matrix, n in 1..4."""
-    n = draw(sides)
-    return draw(matrices(rows=n * n, cols=n * n)), n
-
-
-@st.composite
-def sparse_matrices(draw, max_side=3):
-    """Matrices with zero rows, columns or entries, so kron skips some blocks."""
-    r, c = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
-    entry = st.one_of(st.just(ZERO), nonzero_scalars)
-    return Matrix(r, c, tuple(draw(st.lists(entry, min_size=r * c, max_size=r * c))))
+# Matrices with zero rows, columns or entries, so kron skips some blocks.
+sparse_matrices = matrices(
+    max_side=3, entries=st.one_of(st.just(ZERO), nonzero_scalars), min_side=0
+)
 
 
 # ---------------------------------------------------------------------------
@@ -64,25 +56,24 @@ def test_vec_matches_reference(a):
     assert [[(Fraction(x, a.d), Fraction(y, a.d))] for x, y in zip(re, im)] == expected
 
 
-@given(sides, st.data())
+@given(st.integers(1, 4), st.data())
 def test_unvec_matches_reference(n, data):
     v = data.draw(matrices(rows=n * n, cols=1))
     assert_form(unvec(v, n), reference.unvec(rows(v), n), n)
 
 
 # ---------------------------------------------------------------------------
-# realign, precompose_transpose, the transpose map
+# realign and the transpose maps
 
-@given(superop_matrices())
-def test_realign_matches_reference(case):
-    l, n = case
-    assert_form(realign(SuperOp(n, l)), reference.realign(rows(l), n), n * n)
-
-
-@given(superop_matrices())
-def test_precompose_transpose_matches_reference(case):
-    l, n = case
-    assert_form(precompose_transpose(l, n), reference.precompose_transpose(rows(l), n), n * n)
+def test_realign_matches_reference():
+    """At every supported side, on the labelled L over 12: its entries are
+    distinct, so the gather, which keeps L's scale, is pinned integer by
+    integer."""
+    for n in range(1, 17):
+        l = labelled(n * n, 12)
+        got = realign(SuperOp(n, l))
+        expected = [tuple(map(tuple, reference.realign(part, n))) for part in (l.re, l.im)]
+        assert [got.re, got.im, got.d] == [*expected, 12]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -100,7 +91,7 @@ def test_transpose_similarity_matches_reference(n, scale):
     assert_form(transpose_similarity_superop(s, scale).matrix, expected, n * n)
 
 
-@given(sides, st.data())
+@given(st.integers(1, 4), st.data())
 def test_superop_from_action_matches_reference(n, data):
     s = data.draw(matrices(rows=n, cols=n))
     t = data.draw(matrices(rows=n, cols=n))
@@ -121,7 +112,7 @@ def test_kron_matches_reference(a, b):
     assert_form(kron(a, b), reference.kron(rows(a), rows(b)), a.cols * b.cols)
 
 
-@given(sparse_matrices(), sparse_matrices())
+@given(sparse_matrices, sparse_matrices)
 def test_sparse_kron_matches_reference(a, b):
     assert_form(kron(a, b), reference.kron(rows(a), rows(b)), a.cols * b.cols)
 

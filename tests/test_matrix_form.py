@@ -1,11 +1,17 @@
-"""Every Matrix builder and operation returns canonical Gaussian-integer rows.
+"""Every Matrix builder and operation returns canonical Gaussian-integer
+rows, and every exact-layer call rejects bad input.
 
-A Matrix stores (re + i*im) / d with gcd(d, every entry) = 1. Each
-builder and operation below, at sides 1..4 (precompose_transpose at every
-supported side), must return rows in that form whose values equal the
+A Matrix stores (re + i*im) / d with gcd(d, every entry) = 1. The
+builders, the sum, difference, negation, scalar product, transpose,
+hstack, precompose_transpose (at every supported side) and SuperOp.apply
+(at sides 1..8) must return rows in that form whose values equal the
 independent reference's (reference.py), computed on plain rows of
-Fraction pairs. The constructor itself coerces ints and Fractions and
-rejects any other entry; the reference imports nothing from the package.
+Fraction pairs. The product is compared in test_product, the
+eliminations in test_elimination and kron, vec/unvec and realign in
+test_layout. The constructor coerces ints and Fractions and rejects any
+other entry; test_bad_input_raises holds the exact layer's bad sizes,
+shapes, indices and operands in one table; the reference imports
+nothing from the package.
 """
 
 import ast
@@ -13,58 +19,59 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference
-from fixpres import GaussianRational, Matrix, SuperOp, derive_rng, fixed_space, random_matrix
-from fixpres.linalg import _over, inverse, kron, rank, rref
+from fixpres import (
+    GaussianRational,
+    Matrix,
+    NotSquare,
+    SingularMatrix,
+    SizeMismatch,
+    Subspace,
+    SuperOp,
+    completion_idempotent,
+    derive_rng,
+    random_matrix,
+    similarity_superop,
+)
+from fixpres.linalg import rank, rank_one
+from fixpres.preserver import structured_probes
 from fixpres.sampling import DENOMINATORS
 from fixpres.scalars import ONE
 from fixpres.superop import precompose_transpose
 
-from conftest import pair, pairs, scalars
-from reference import ZERO, assert_form
-
-Rows = list[list[GaussianRational]]
-
-sides = st.integers(1, 4)
-
-
-@st.composite
-def grids(draw, rows=None, cols=None) -> Rows:
-    r = draw(sides) if rows is None else rows
-    c = draw(sides) if cols is None else cols
-    return [draw(st.lists(scalars, min_size=c, max_size=c)) for _ in range(r)]
-
-
-@st.composite
-def dependent_grids(draw, square: bool = False) -> Rows:
-    """A rank-deficient grid: 2 or 3 drawn rows and the sum of the first
-    two, with one column per row when square."""
-    r = draw(st.integers(2, 3))
-    rows = draw(grids(rows=r, cols=r + 1 if square else None))
-    return rows + [[x + y for x, y in zip(rows[0], rows[1])]]
-
-
-def matrix(rows: Rows) -> Matrix:
-    return Matrix.from_rows(rows)
-
+from conftest import labelled, matrices, pair, pairs, scalars
+from reference import ZERO, assert_form, rows
 
 # ---------------------------------------------------------------------------
 # builders
 
-@given(grids())
-def test_from_rows(rows):
-    assert_form(matrix(rows), pairs(rows), len(rows[0]))
+@given(matrices())
+def test_from_rows(m):
+    grid = m.to_rows()
+    assert_form(Matrix.from_rows(grid), pairs(grid), m.cols)
 
 
-@given(sides)
+def test_from_rows_and_indexing():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    assert m[0, 1] == GaussianRational(2)
+    assert m[1, 0] == GaussianRational(3)
+
+
+def test_zero_dimensional_matrices_allowed():
+    empty = Matrix(3, 0, ())
+    assert empty.cols == 0
+    assert empty.transpose().rows == 0
+
+
+@given(st.integers(1, 4))
 def test_identity(n):
     assert_form(Matrix.identity(n), reference.identity(n), n)
 
 
-@given(sides, st.data())
+@given(st.integers(1, 4), st.data())
 def test_unit(n, data):
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     expected = [[reference.ONE if (r, c) == (i, j) else ZERO for c in range(n)] for r in range(n)]
@@ -95,92 +102,54 @@ def test_random_matrix(rows, cols, seed):
 
 @given(st.data())
 def test_sum_difference_and_negation(data):
-    a = data.draw(grids())
-    b = data.draw(grids(len(a), len(a[0])))
-    cols = len(a[0])
-    zipped = [list(zip(p, q)) for p, q in zip(pairs(a), pairs(b))]
-    assert_form(matrix(a) + matrix(b), [[reference.add(*xy) for xy in row] for row in zipped], cols)
-    assert_form(matrix(a) - matrix(b), [[reference.sub(*xy) for xy in row] for row in zipped], cols)
-    assert_form(-matrix(a), [[reference.sub(ZERO, x) for x in row] for row in pairs(a)], cols)
+    a = data.draw(matrices())
+    b = data.draw(matrices(a.rows, a.cols))
+    zipped = [list(zip(p, q)) for p, q in zip(rows(a), rows(b))]
+    assert_form(a + b, [[reference.add(*xy) for xy in row] for row in zipped], a.cols)
+    assert_form(a - b, [[reference.sub(*xy) for xy in row] for row in zipped], a.cols)
+    assert_form(-a, [[reference.sub(ZERO, x) for x in row] for row in rows(a)], a.cols)
     # a - a cancels to the zero matrix, whose only canonical scale is 1
-    assert_form(matrix(a) - matrix(a), [[ZERO] * cols for _ in a], cols)
+    assert_form(a - a, [[ZERO] * a.cols for _ in range(a.rows)], a.cols)
 
 
-@given(grids(), st.one_of(scalars, st.integers(-9, 9), st.fractions(max_denominator=12)))
+@given(matrices(), st.one_of(scalars, st.integers(-9, 9), st.fractions(max_denominator=12)))
 def test_scalar_product(a, s):
-    expected = [[reference.mul(pair(s), x) for x in row] for row in pairs(a)]
-    assert_form(s * matrix(a), expected, len(a[0]))
-    assert_form(matrix(a) * s, expected, len(a[0]))
+    expected = [[reference.mul(pair(s), x) for x in row] for row in rows(a)]
+    assert_form(s * a, expected, a.cols)
+    assert_form(a * s, expected, a.cols)
 
 
-@given(st.data())
-def test_matmul(data):
-    a = data.draw(grids())
-    b = data.draw(grids(rows=len(a[0])))
-    assert_form(matrix(a) @ matrix(b), reference.matmul(pairs(a), pairs(b), len(b[0])), len(b[0]))
-
-
-@given(grids())
+@given(matrices())
 def test_transpose(a):
-    assert_form(matrix(a).transpose(), [list(col) for col in zip(*pairs(a))], len(a))
+    assert_form(a.transpose(), [list(col) for col in zip(*rows(a))], a.rows)
 
 
 @given(st.data())
 def test_hstack(data):
-    a = data.draw(grids())
-    b = data.draw(grids(rows=len(a)))
-    expected = [p + q for p, q in zip(pairs(a), pairs(b))]
-    assert_form(matrix(a).hstack(matrix(b)), expected, len(a[0]) + len(b[0]))
-
-
-@given(st.one_of(grids(), dependent_grids()))
-def test_rref(a):
-    reduced, pivots = reference.rref(pairs(a))
-    m, r, got_pivots = rref(matrix(a))
-    assert (r, got_pivots) == (len(pivots), tuple(pivots))
-    assert_form(m, reduced, len(a[0]))
-
-
-@given(sides.flatmap(lambda n: grids(n, n)))
-def test_inverse(a):
-    n = len(a)
-    assume(reference.rank(pairs(a)) == n)
-    assert_form(inverse(matrix(a)), reference.inverse(pairs(a)), n)
-
-
-@given(st.one_of(sides.flatmap(lambda n: grids(n, n)), dependent_grids(square=True)))
-def test_kernel_basis(a):
-    """The kernel basis of a square matrix, read as the fixed space of a + I."""
-    cols = len(a)
-    basis = fixed_space(matrix(a) + Matrix.identity(cols)).basis
-    expected = reference.kernel(pairs(a), cols)
-    assert_form(basis, expected, len(expected[0]))
-
-
-@given(grids(), grids())
-def test_kron(a, b):
-    expected = reference.kron(pairs(a), pairs(b))
-    assert_form(kron(matrix(a), matrix(b)), expected, len(a[0]) * len(b[0]))
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.rows))
+    assert_form(a.hstack(b), [p + q for p, q in zip(rows(a), rows(b))], a.cols + b.cols)
 
 
 def test_precompose_transpose():
-    """At every supported side, on the L with entries (k + (k % 5 - 2)i) / 12
-    for k = 1, 2, ... row by row: distinct, over denominators 1 to 12, so a
-    gather, which keeps L's scale, is pinned integer by integer."""
+    """At every supported side, on the labelled L over 12: its entries are
+    distinct, so a gather, which keeps L's scale, is pinned integer by
+    integer."""
     for n in range(1, 17):
-        side = n * n
-        re = [range(r * side + 1, (r + 1) * side + 1) for r in range(side)]
-        im = [[k % 5 - 2 for k in row] for row in re]
-        got = precompose_transpose(_over(re, im, 12, side), n)
-        expected = [tuple(map(tuple, reference.precompose_transpose(part, n))) for part in (re, im)]
+        l = labelled(n * n, 12)
+        got = precompose_transpose(l, n)
+        expected = [tuple(map(tuple, reference.precompose_transpose(part, n)))
+                    for part in (l.re, l.im)]
         assert [got.re, got.im, got.d] == [*expected, 12]
 
 
-@given(sides.flatmap(lambda n: st.tuples(grids(n * n, n * n), grids(n, n))))
-def test_apply(case):
-    l, a = case
-    n = len(a)
-    assert_form(SuperOp(n, matrix(l)).apply(matrix(a)), reference.apply(pairs(l), pairs(a)), n)
+def test_apply():
+    """At sides 1..8, the labelled L over 12 applied to the labelled A over
+    35: no two products of an entry of L with one of A are equal, so each
+    image entry is pinned term by term."""
+    for n in range(1, 9):
+        l, a = labelled(n * n, 12), labelled(n, 35)
+        assert_form(SuperOp(n, l).apply(a), reference.apply(rows(l), rows(a)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +175,51 @@ def test_constructor_rejects_inexact_entries(entry):
         Matrix(1, 1, (entry,))
     with pytest.raises(TypeError):
         Matrix.from_rows([[0, entry]])
+
+
+# ---------------------------------------------------------------------------
+# bad sizes, shapes, indices and operands
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: Matrix(2, 2, (0,)), ValueError, id="entry-count"),
+    pytest.param(lambda: Matrix(-1, 2, ()), ValueError, id="negative-size"),
+    pytest.param(lambda: Matrix.zeros(-1, 2), ValueError, id="zeros-negative-size"),
+    pytest.param(lambda: Matrix.identity(-1), ValueError, id="identity-negative-size"),
+    pytest.param(lambda: Matrix.unit(-1, 0, 0), ValueError, id="unit-negative-size"),
+    pytest.param(lambda: Matrix.unit(3, -1, 0), IndexError, id="unit-negative-index"),
+    pytest.param(lambda: Matrix.unit(3, 0, 3), IndexError, id="unit-index-past-side"),
+    pytest.param(lambda: Matrix.from_rows([[1], [1, 2]]), ValueError, id="ragged-rows"),
+    pytest.param(lambda: Matrix.zeros(2, 2)[2, 0], IndexError, id="index-out-of-range"),
+    pytest.param(lambda: Matrix.zeros(2, 3) + Matrix.zeros(3, 2), SizeMismatch, id="sum-shape"),
+    pytest.param(lambda: Matrix.zeros(2, 3) @ Matrix.zeros(2, 3), SizeMismatch, id="matmul-shape"),
+    pytest.param(lambda: Matrix.zeros(2, 1).hstack(Matrix.zeros(3, 1)), SizeMismatch,
+                 id="hstack-rows"),
+    pytest.param(lambda: Matrix.zeros(1, 1) + 1, TypeError, id="sum-operand"),
+    pytest.param(lambda: Matrix.zeros(1, 1) - 1, TypeError, id="difference-operand"),
+    pytest.param(lambda: Matrix.zeros(1, 1) @ 1, TypeError, id="matmul-operand"),
+    pytest.param(lambda: ONE + "1", TypeError, id="scalar-sum-operand"),
+    pytest.param(lambda: ONE - "1", TypeError, id="scalar-difference-operand"),
+    pytest.param(lambda: "1" - ONE, TypeError, id="scalar-reflected-difference-operand"),
+    pytest.param(lambda: ONE / "1", TypeError, id="scalar-quotient-operand"),
+    pytest.param(lambda: "1" / ONE, TypeError, id="scalar-reflected-quotient-operand"),
+    pytest.param(lambda: Subspace(3, Matrix.zeros(2, 0)), ValueError, id="subspace-basis"),
+    pytest.param(lambda: rank_one(Matrix.column([1]), Matrix.column([1, 2])), SizeMismatch,
+                 id="rank-one-f-not-a-row"),
+    pytest.param(lambda: completion_idempotent(Matrix.zeros(2, 3), Matrix.column([1, 0])),
+                 NotSquare, id="completion-not-square"),
+    pytest.param(lambda: completion_idempotent(Matrix.identity(2), Matrix.column([1, 0, 0])),
+                 SizeMismatch, id="completion-x-shape"),
+    pytest.param(lambda: SuperOp(0, Matrix.zeros(0, 0)), ValueError, id="superop-side-0"),
+    pytest.param(lambda: SuperOp(17, Matrix.zeros(0, 0)), ValueError, id="superop-side-17"),
+    pytest.param(lambda: similarity_superop(Matrix.zeros(2, 3), 1), SingularMatrix,
+                 id="similarity-s-not-square"),
+    pytest.param(lambda: precompose_transpose(Matrix.zeros(3, 3), 2), SizeMismatch,
+                 id="precompose-transpose-shape"),
+    pytest.param(lambda: structured_probes(0), ValueError, id="structured-probes-side-0"),
+])
+def test_bad_input_raises(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_repr_shows_the_entries():

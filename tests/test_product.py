@@ -2,7 +2,10 @@
 
 Matrix @ and SuperOp.apply, which share the one kernel linalg._products,
 must give exactly what the reference (reference.py), the oracle's sum
-of Fraction-pair products per entry, gives.
+of Fraction-pair products per entry, gives. This is the one comparison
+of Matrix @ with the reference; its drawn operands span the entry
+families below, and test_matrix_form compares SuperOp.apply at sides
+1..8.
 """
 
 from fractions import Fraction
@@ -26,6 +29,7 @@ from conftest import (
     MIXED_DENOMINATORS,
     assert_image_matches_reference,
     imaginary_scalars,
+    matrices,
     prime_row_random,
     real_scalars,
     scalars,
@@ -42,78 +46,41 @@ def assert_matches_reference(a: Matrix, b: Matrix) -> None:
 # ---------------------------------------------------------------------------
 # inputs
 
-sides = st.integers(0, 5)
 wide_fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=97
 )
+wide_scalars = st.builds(GaussianRational, wide_fractions, wide_fractions)
 
 
 @st.composite
-def operands(draw, entries=scalars):
-    """A pair (a, b) with a.cols == b.rows; any side may be zero."""
-    r, k, c = draw(sides), draw(sides), draw(sides)
-
-    def matrix(rows, cols):
-        size = rows * cols
-        return Matrix(rows, cols, tuple(draw(st.lists(entries, min_size=size, max_size=size))))
-
-    return matrix(r, k), matrix(k, c)
-
-
-@st.composite
-def unit_operands(draw):
-    """Matrix units on either side, or both, of a square product."""
-    n = draw(st.integers(1, 4))
-    index = st.integers(0, n - 1)
-    unit = Matrix.unit(n, draw(index), draw(index))
-    other = draw(st.sampled_from(["left", "right", "both"]))
-    dense = Matrix(n, n, tuple(draw(st.lists(scalars, min_size=n * n, max_size=n * n))))
-    if other == "left":
-        return unit, dense
-    if other == "right":
-        return dense, unit
-    return unit, Matrix.unit(n, draw(index), draw(index))
-
-
-@st.composite
-def similarity_operands(draw):
-    """kron(inverse(S).T, S) for S with large denominators, and vec(A) or a square."""
+def operands(draw):
+    """A pair (a, b) with a.cols == b.rows: any sides 0..5 with complex,
+    real or imaginary entries; a matrix unit on either side, or both, of a
+    square product; or the L of a similarity, kron(inverse(S).T, S) for S
+    over wide denominators, times vec(A) or a square."""
+    kind = draw(st.sampled_from(["dense", "unit", "similarity"]))
+    if kind == "dense":
+        entries = draw(st.sampled_from([scalars, real_scalars, imaginary_scalars]))
+        r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+        return draw(matrices(r, k, entries=entries)), draw(matrices(k, c, entries=entries))
+    if kind == "unit":
+        n = draw(st.integers(1, 4))
+        index = st.integers(0, n - 1)
+        unit = st.builds(Matrix.unit, st.just(n), index, index)
+        a, b = draw(unit), draw(st.one_of(unit, matrices(n, n)))
+        return draw(st.sampled_from([(a, b), (b, a)]))
     n = draw(st.integers(1, 3))
-    entries = st.builds(GaussianRational, wide_fractions, wide_fractions)
-    s = Matrix(n, n, tuple(draw(st.lists(entries, min_size=n * n, max_size=n * n))))
+    s = draw(matrices(n, n, entries=wide_scalars))
     assume(rank(s) == n)
-    l = kron(inverse(s).transpose(), s)
     side = n * n
-    width = draw(st.sampled_from([1, side]))
-    size = side * width
-    b = Matrix(side, width, tuple(draw(st.lists(entries, min_size=size, max_size=size))))
-    return l, b
+    b = draw(matrices(side, draw(st.sampled_from([1, side])), entries=wide_scalars))
+    return kron(inverse(s).transpose(), s), b
 
 
 @given(operands())
 @example((MIXED_DENOMINATORS, MIXED_DENOMINATORS))
 @example((MIXED_DENOMINATORS.transpose(), MIXED_DENOMINATORS))
 def test_random_products_match_reference(pair):
-    assert_matches_reference(*pair)
-
-
-@given(operands(real_scalars))
-def test_real_products_match_reference(pair):
-    assert_matches_reference(*pair)
-
-
-@given(operands(imaginary_scalars))
-def test_imaginary_products_match_reference(pair):
-    assert_matches_reference(*pair)
-
-
-@given(unit_operands())
-def test_matrix_unit_products_match_reference(pair):
-    assert_matches_reference(*pair)
-
-
-@given(similarity_operands())
-def test_similarity_superop_products_match_reference(pair):
     assert_matches_reference(*pair)
 
 
